@@ -28,7 +28,6 @@ from .act import (
 )
 from .congruence import (
     Congruence,
-    congruence,
     congruence_closure,
     diagonal,
     enumerate_congruences,
@@ -40,6 +39,7 @@ from .congruence import (
     universal,
 )
 from .deciders import (
+    ActAnalysis,
     ChainReport,
     PropertyReport,
     chain_reports,

@@ -18,8 +18,8 @@ import sys
 
 from .act import regular_act
 from .congruence import enumerate_congruences
-from .deciders import chain_reports, classify_act, r_chain_index
-from .endo import end_monoid
+from .deciders import ActAnalysis, chain_reports, classify_act, r_chain_index
+from .endo import endomorphisms, identity_first
 from .errors import AlgebraError, BudgetError, InputError, NotPrime, UnknownTheorem
 from .harness import ALL_THEOREMS, CorpusSpec, run_suite
 from .monoid import is_prime, prime_power_product, zmod_mult_monoid
@@ -102,8 +102,9 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _report_entry(label, mlabel, A, chains):
-    props = classify_act(A)
+def _report_entry(label, mlabel, an, chains):
+    A = an.act
+    props = classify_act(an)
     entry = {
         "act": label,
         "monoid": mlabel,
@@ -128,8 +129,9 @@ def _report_entry(label, mlabel, A, chains):
 
 def cmd_classify(args):
     label, mlabel, A, digest = _resolve_act(args)
-    chains = chain_reports(A)
-    entry = _report_entry(label, mlabel, A, chains)
+    an = ActAnalysis(A)
+    chains = chain_reports(an)
+    entry = _report_entry(label, mlabel, an, chains)
     if args.json:
         sys.stdout.write(_json_doc(digest, [entry], []))
         return EXIT_OK
@@ -148,9 +150,9 @@ def cmd_classify(args):
 
 def cmd_endos(args):
     label, mlabel, A, _ = _resolve_act(args)
-    E = end_monoid(A)
-    print(f"endomorphisms of {label} over {mlabel}: {E.monoid.size}")
-    for i, f in enumerate(E.elements):
+    endos = identity_first(endomorphisms(A))
+    print(f"endomorphisms of {label} over {mlabel}: {len(endos)}")
+    for i, f in enumerate(endos):
         print(f"  {i}: {f.mapping}")
     return EXIT_OK
 

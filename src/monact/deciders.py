@@ -9,9 +9,11 @@ decider terminates with an exact index.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
-from .act import Act, ActHom, quotient_by_congruence
+from .act import Act, ActHom, enumerate_subacts, quotient_by_congruence, subact_as_act
 from .congruence import (
+    CONGRUENCE_ENUM_CAP,
     Congruence,
     congruence_refines,
     diagonal,
@@ -24,8 +26,8 @@ from .congruence import (
 from .endo import (
     DEFAULT_SEARCH_BUDGET,
     end_monoid,
-    endomorphisms,
     homomorphisms,
+    identity_first,
     is_commutative,
     is_strongly_pi_regular,
 )
@@ -33,6 +35,43 @@ from .monoid import Monoid, element_power, row_partition
 from .relation import partition_from_labels
 
 CRITERIA = (1, 2, 3)
+
+
+# -- per-act analysis --------------------------------------------------------
+
+class ActAnalysis:
+    """The per-act quantities the deciders read, each computed once, on
+    first use: the endomorphisms, End(A) and the congruence lattice.
+
+    Every decider takes either an Act or its ActAnalysis; handing them
+    one analysis shares the work.  An analysis passed in keeps its own
+    `cap` and `budget`.
+    """
+
+    def __init__(self, act: Act, cap: int = CONGRUENCE_ENUM_CAP,
+                 budget: int = DEFAULT_SEARCH_BUDGET):
+        self.act = act
+        self.cap = cap
+        self.budget = budget
+
+    @cached_property
+    def endos(self):
+        """The endomorphisms, sorted by map."""
+        return homomorphisms(self.act, self.act, self.budget)
+
+    @cached_property
+    def end(self):
+        return end_monoid(self.act, self.budget, self.endos)
+
+    @cached_property
+    def congruences(self):
+        return enumerate_congruences(self.act, self.cap)
+
+
+def analyse(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
+            budget: int = DEFAULT_SEARCH_BUDGET) -> ActAnalysis:
+    """A's analysis: A itself if it already is one, else a fresh one."""
+    return A if isinstance(A, ActAnalysis) else ActAnalysis(A, cap, budget)
 
 
 # -- chain indices ----------------------------------------------------------
@@ -99,18 +138,18 @@ def chain_report(A: Act, endo_index: int, f: ActHom) -> ChainReport:
 
 # -- Hopfian family ---------------------------------------------------------
 
-def is_hopfian(A: Act, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_hopfian(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Every surjective endomorphism is injective.  Always true on finite
     carriers; kept literal as a consistency oracle."""
     return all(
-        f.is_injective() for f in endomorphisms(A, budget) if f.is_surjective()
+        f.is_injective() for f in analyse(A, budget=budget).endos if f.is_surjective()
     )
 
 
-def is_co_hopfian(A: Act, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_co_hopfian(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
     """Every injective endomorphism is surjective."""
     return all(
-        f.is_surjective() for f in endomorphisms(A, budget) if f.is_injective()
+        f.is_surjective() for f in analyse(A, budget=budget).endos if f.is_injective()
     )
 
 
@@ -170,51 +209,57 @@ def _strongly_co_hopfian_index(A, f, criterion):
     raise ValueError(f"criterion must be one of {CRITERIA}")
 
 
-def is_strongly_hopfian(A: Act, criterion: int = 1, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1,
+                        budget: int = DEFAULT_SEARCH_BUDGET):
     """(flag, index): kernel chains of all endomorphisms stabilize.
 
     criterion 1 demands a constant tail, 2 one adjacent equality, 3 the
     trivial-intersection condition; index is the worst endomorphism's
     least n for the chosen criterion.
     """
+    an = analyse(A, budget=budget)
     worst = 0
-    for f in endomorphisms(A, budget):
-        n = _strongly_hopfian_index(A, f, criterion)
+    for f in an.endos:
+        n = _strongly_hopfian_index(an.act, f, criterion)
         if n is None:
             return False, None
         worst = max(worst, n)
     return True, worst
 
 
-def is_strongly_co_hopfian(A: Act, criterion: int = 1, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1,
+                           budget: int = DEFAULT_SEARCH_BUDGET):
     """(flag, index): image chains of all endomorphisms stabilize.
 
     criterion 3 is the join condition: im/ker congruences of f^n join to
     the universal congruence.
     """
+    an = analyse(A, budget=budget)
     worst = 0
-    for f in endomorphisms(A, budget):
-        n = _strongly_co_hopfian_index(A, f, criterion)
+    for f in an.endos:
+        n = _strongly_co_hopfian_index(an.act, f, criterion)
         if n is None:
             return False, None
         worst = max(worst, n)
     return True, worst
 
 
-def is_fitting(A: Act, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    return is_strongly_hopfian(A, 2, budget)[0] and is_strongly_co_hopfian(A, 2, budget)[0]
+def is_fitting(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+    an = analyse(A, budget=budget)
+    return is_strongly_hopfian(an, 2)[0] and is_strongly_co_hopfian(an, 2)[0]
 
 
 # -- congruence chains ------------------------------------------------------
 
-def chain_conditions(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET):
+def chain_conditions(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
+                     budget: int = DEFAULT_SEARCH_BUDGET):
     """(noetherian, artinian, lattice size, longest chain).
 
     Both chain conditions hold outright on a finite congruence lattice;
     the returned evidence is the lattice size and the length of a
     longest chain under containment.
     """
-    congs = enumerate_congruences(A, cap)
+    congs = analyse(A, cap, budget).congruences
     # a finite lattice satisfies both chain conditions outright
     noetherian = artinian = True
     # congs are sorted finest-first, so strict containment only points backwards
@@ -228,39 +273,44 @@ def chain_conditions(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET):
 
 # -- quasi-injective / quasi-projective --------------------------------------
 
-def is_quasi_injective(A: Act, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_quasi_injective(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET):
     """Every hom from a subact into A extends to an endomorphism.
 
     Injective maps g: B -> A are covered by subact inclusions: g factors
     through an isomorphism onto its image, and the extension property is
-    invariant under that isomorphism.  Returns (flag, counterexample).
+    invariant under that isomorphism.  The whole carrier is skipped: its
+    homs into A are the endomorphisms themselves.  Returns (flag,
+    counterexample).
     """
-    from .act import enumerate_subacts, subact_as_act
-
-    endos = endomorphisms(A, budget)
-    for B in enumerate_subacts(A):
+    an = analyse(A, budget=budget)
+    A = an.act
+    for B in enumerate_subacts(A)[:-1]:
         sub, members = subact_as_act(B)
-        restrictions = {tuple(h.mapping[b] for b in members) for h in endos}
-        for f in homomorphisms(sub, A, budget):
+        restrictions = {tuple(h.mapping[b] for b in members) for h in an.endos}
+        for f in homomorphisms(sub, A, an.budget):
             if tuple(f.mapping) not in restrictions:
                 return False, (B, f)
     return True, None
 
 
-def is_quasi_projective(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_quasi_projective(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
+                        budget: int = DEFAULT_SEARCH_BUDGET):
     """Every hom from A to a factor act lifts through the projection.
 
     Surjections g: A -> B are covered by the canonical projections
     A -> A/rho: any surjection factors through A/ker(g) by an
-    isomorphism.  Returns (flag, counterexample).
+    isomorphism.  The diagonal is skipped: A -> A/diagonal is the
+    identity, through which every endomorphism lifts.  Returns (flag,
+    counterexample).
     """
-    endos = endomorphisms(A, budget)
-    for rho in enumerate_congruences(A, cap):
+    an = analyse(A, cap, budget)
+    A = an.act
+    for rho in an.congruences[1:]:
         quotient, proj = quotient_by_congruence(A, rho)
         lifted = {
-            tuple(proj.mapping[h.mapping[a]] for a in range(A.size)) for h in endos
+            tuple(proj.mapping[h.mapping[a]] for a in range(A.size)) for h in an.endos
         }
-        for f in homomorphisms(A, quotient, budget):
+        for f in homomorphisms(A, quotient, an.budget):
             if tuple(f.mapping) not in lifted:
                 return False, (rho, f)
     return True, None
@@ -339,15 +389,17 @@ class PropertyReport:
         return asdict(self)
 
 
-def classify_act(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET) -> PropertyReport:
-    """Run every decider on one act."""
-    E = end_monoid(A, budget)
-    sh, sh_index = is_strongly_hopfian(A, 1, budget)
-    sch, sch_index = is_strongly_co_hopfian(A, 1, budget)
-    noe, art, n_congs, max_chain = chain_conditions(A, cap, budget)
+def classify_act(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
+                 budget: int = DEFAULT_SEARCH_BUDGET) -> PropertyReport:
+    """Run every decider on one act (or on its ActAnalysis)."""
+    an = analyse(A, cap, budget)
+    E = an.end
+    sh, sh_index = is_strongly_hopfian(an, 1)
+    sch, sch_index = is_strongly_co_hopfian(an, 1)
+    noe, art, n_congs, max_chain = chain_conditions(an)
     report = PropertyReport(
-        hopfian=is_hopfian(A, budget),
-        co_hopfian=is_co_hopfian(A, budget),
+        hopfian=is_hopfian(an),
+        co_hopfian=is_co_hopfian(an),
         strongly_hopfian=sh,
         strongly_hopfian_index=sh_index,
         strongly_co_hopfian=sch,
@@ -355,8 +407,8 @@ def classify_act(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET) -> P
         fitting=sh and sch,
         noetherian=noe,
         artinian=art,
-        quasi_injective=is_quasi_injective(A, budget)[0],
-        quasi_projective=is_quasi_projective(A, cap, budget)[0],
+        quasi_injective=is_quasi_injective(an)[0],
+        quasi_projective=is_quasi_projective(an)[0],
         end_commutative=is_commutative(E),
         end_strongly_pi_regular=is_strongly_pi_regular(E)[0],
         end_size=E.monoid.size,
@@ -369,7 +421,7 @@ def classify_act(A: Act, cap: int = 8, budget: int = DEFAULT_SEARCH_BUDGET) -> P
     return report
 
 
-def chain_reports(A: Act, budget: int = DEFAULT_SEARCH_BUDGET):
+def chain_reports(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET):
     """ChainReport per endomorphism, in canonical End(A) order."""
-    E = end_monoid(A, budget)
-    return [chain_report(A, i, f) for i, f in enumerate(E.elements)]
+    an = analyse(A, budget=budget)
+    return [chain_report(an.act, i, f) for i, f in enumerate(identity_first(an.endos))]

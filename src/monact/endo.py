@@ -8,6 +8,7 @@ candidate either collapses to a full map or dies on a conflict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .act import Act, ActHom, Subact, minimal_generating_set
 from .errors import SearchBudgetExceeded, SourceTargetMismatch
@@ -93,18 +94,28 @@ class EndMonoid:
     act: Act
 
 
-def end_monoid(A: Act, budget: int = DEFAULT_SEARCH_BUDGET) -> EndMonoid:
-    endos = endomorphisms(A, budget)
-    index = {f.mapping: i for i, f in enumerate(endos)}
-    raw = [
-        [index[tuple(f.mapping[g.mapping[a]] for a in range(A.size))] for g in endos]
-        for f in endos
-    ]
-    monoid = validate_monoid(len(endos), raw)
-    reordered = [None] * len(endos)
-    for old, new in enumerate(monoid.relabeling):
-        reordered[new] = endos[old]
-    return EndMonoid(monoid, tuple(reordered), A)
+def identity_first(endos):
+    """`endos` (in map order) with the identity endomorphism moved to the
+    front: the canonical End(A) element order, read off without building
+    the composition table."""
+    ident = tuple(range(len(endos[0].mapping)))
+    k = next(i for i, f in enumerate(endos) if f.mapping == ident)
+    return (endos[k],) + tuple(endos[:k]) + tuple(endos[k + 1 :])
+
+
+def end_monoid(A: Act, budget: int = DEFAULT_SEARCH_BUDGET, endos=None) -> EndMonoid:
+    """End(A), built from `endos` when the caller already holds
+    `endomorphisms(A, budget)`."""
+    if endos is None:
+        endos = endomorphisms(A, budget)
+    elements = identity_first(endos)
+    # after_g(f.mapping) is the map of f o g; after the identity it is the
+    # map itself, in the same form (a bare int when |A| = 1)
+    getters = [itemgetter(*g.mapping) for g in elements]
+    index = {getters[0](f.mapping): i for i, f in enumerate(elements)}
+    raw = [[index[after_g(f.mapping)] for after_g in getters] for f in elements]
+    # identity already first, so the checked constructor relabels nothing
+    return EndMonoid(validate_monoid(len(elements), raw), elements, A)
 
 
 def is_commutative(E: EndMonoid) -> bool:

@@ -51,6 +51,10 @@ class NotACongruence(AlgebraError):
     pass
 
 
+class NotAnEquivalence(AlgebraError):
+    pass
+
+
 class ParentMismatch(AlgebraError):
     pass
 

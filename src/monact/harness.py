@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
 
 from . import deciders
@@ -25,11 +26,11 @@ from .act import (
     subact_as_act,
     validate_act,
 )
-from .congruence import enumerate_congruences
-from .endo import DEFAULT_SEARCH_BUDGET, end_monoid, homomorphisms, is_strongly_pi_regular
+from .congruence import CONGRUENCE_ENUM_CAP
+from .endo import DEFAULT_SEARCH_BUDGET, homomorphisms
 from .errors import SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
-from .deciders import classify_act, monoid_hopf_properties
+from .deciders import ActAnalysis, classify_act, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21
@@ -229,63 +230,64 @@ def build_corpus(spec: CorpusSpec) -> Corpus:
 
 # -- shared evaluation context ------------------------------------------------
 
-class SuiteContext:
-    """Memoizes per-act analyses across theorems; routes the overridable
-    deciders through a test-only override table."""
+class SuiteAnalysis(ActAnalysis):
+    """An act's analysis plus what the theorems read of it: the property
+    report, the plain and strong Hopfian flags, and homs into other acts
+    (by target key)."""
 
-    def __init__(self, overrides=None, cap=8, budget=DEFAULT_SEARCH_BUDGET):
+    def __init__(self, act, cap, budget):
+        super().__init__(act, cap, budget)
+        self.homs_to = {}
+
+    @cached_property
+    def report(self):
+        return classify_act(self)
+
+    @cached_property
+    def basic(self):
+        """(hopfian, co_hopfian, strongly hopfian, strongly co-hopfian)."""
+        return (
+            deciders.is_hopfian(self),
+            deciders.is_co_hopfian(self),
+            deciders.is_strongly_hopfian(self, 2)[0],
+            deciders.is_strongly_co_hopfian(self, 2)[0],
+        )
+
+
+class SuiteContext:
+    """One SuiteAnalysis per act, shared by every theorem; routes the
+    overridable deciders through a test-only override table."""
+
+    def __init__(self, overrides=None, cap=CONGRUENCE_ENUM_CAP, budget=DEFAULT_SEARCH_BUDGET):
         self.overrides = dict(overrides or {})
         self.cap = cap
         self.budget = budget
-        self._basic = {}
-        self._reports = {}
-        self._endos = {}
-        self._ends = {}
-        self._homs = {}
+        self._analyses = {}
 
     @staticmethod
     def _akey(A):
         return (A.monoid.table, A.action)
 
-    def basic(self, A):
-        """(hopfian, co_hopfian, sh, sh_index, sch, sch_index), cached."""
+    def analysis(self, A) -> SuiteAnalysis:
         key = self._akey(A)
-        if key not in self._basic:
-            sh, shi = deciders.is_strongly_hopfian(A, 2, self.budget)
-            sch, schi = deciders.is_strongly_co_hopfian(A, 2, self.budget)
-            self._basic[key] = (
-                deciders.is_hopfian(A, self.budget),
-                deciders.is_co_hopfian(A, self.budget),
-                sh,
-                shi,
-                sch,
-                schi,
-            )
-        return self._basic[key]
+        if key not in self._analyses:
+            self._analyses[key] = SuiteAnalysis(A, self.cap, self.budget)
+        return self._analyses[key]
 
     def report(self, A):
-        key = self._akey(A)
-        if key not in self._reports:
-            self._reports[key] = classify_act(A, self.cap, self.budget)
-        return self._reports[key]
+        return self.analysis(A).report
 
     def endos(self, A):
-        key = self._akey(A)
-        if key not in self._endos:
-            self._endos[key] = homomorphisms(A, A, self.budget)
-        return self._endos[key]
-
-    def end(self, A):
-        key = self._akey(A)
-        if key not in self._ends:
-            self._ends[key] = end_monoid(A, self.budget)
-        return self._ends[key]
+        return self.analysis(A).endos
 
     def homs(self, A, B):
-        key = (self._akey(A), self._akey(B))
-        if key not in self._homs:
-            self._homs[key] = homomorphisms(A, B, self.budget)
-        return self._homs[key]
+        an = self.analysis(A)
+        key = self._akey(B)
+        if key == self._akey(A):
+            return an.endos
+        if key not in an.homs_to:
+            an.homs_to[key] = homomorphisms(A, B, self.budget)
+        return an.homs_to[key]
 
     def _call(self, name, A, default):
         if name in self.overrides:
@@ -293,16 +295,16 @@ class SuiteContext:
         return default
 
     def hopfian(self, A):
-        return self._call("is_hopfian", A, self.basic(A)[0])
+        return self._call("is_hopfian", A, self.analysis(A).basic[0])
 
     def co_hopfian(self, A):
-        return self._call("is_co_hopfian", A, self.basic(A)[1])
+        return self._call("is_co_hopfian", A, self.analysis(A).basic[1])
 
     def strongly_hopfian(self, A):
-        return self._call("is_strongly_hopfian", A, self.basic(A)[2])
+        return self._call("is_strongly_hopfian", A, self.analysis(A).basic[2])
 
     def strongly_co_hopfian(self, A):
-        return self._call("is_strongly_co_hopfian", A, self.basic(A)[4])
+        return self._call("is_strongly_co_hopfian", A, self.analysis(A).basic[3])
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -365,7 +367,8 @@ def _check_t3(ctx, A):
 
 
 def _criteria_check(tid, decide, A, ctx):
-    outcomes = [decide(A, c, ctx.budget) for c in deciders.CRITERIA]
+    an = ctx.analysis(A)
+    outcomes = [decide(an, c) for c in deciders.CRITERIA]
     bools = [b for b, _ in outcomes]
     idx = [i for _, i in outcomes]
     passed = bools[0] == bools[1] == bools[2] and idx[0] == idx[1]
@@ -503,7 +506,7 @@ def _check_t9(ctx, inst):
 
 
 def _check_t10(ctx, A):
-    hyp = is_strongly_pi_regular(ctx.end(A))[0]
+    hyp = ctx.report(A).end_strongly_pi_regular
     if not hyp:
         return False, True, None, {}
     if ctx.strongly_hopfian(A) and ctx.strongly_co_hopfian(A):
@@ -521,7 +524,7 @@ def _check_t11(ctx, A):
     hyp = rep.quasi_injective and ctx.strongly_hopfian(A) and rep.end_commutative
     if not hyp:
         return False, True, None, {}
-    pi_regular = is_strongly_pi_regular(ctx.end(A))[0]
+    pi_regular = rep.end_strongly_pi_regular
     if ctx.strongly_co_hopfian(A) and pi_regular:
         return True, True, None, {}
     flags = {
@@ -539,7 +542,7 @@ def _check_t12(ctx, A):
     hyp = rep.quasi_projective and ctx.strongly_co_hopfian(A) and rep.end_commutative
     if not hyp:
         return False, True, None, {}
-    pi_regular = is_strongly_pi_regular(ctx.end(A))[0]
+    pi_regular = rep.end_strongly_pi_regular
     if ctx.strongly_hopfian(A) and pi_regular:
         return True, True, None, {}
     flags = {
@@ -554,7 +557,7 @@ def _check_t12(ctx, A):
 
 def _factor_acts(ctx, A):
     return [
-        quotient_by_congruence(A, rho)[0] for rho in enumerate_congruences(A, ctx.cap)
+        quotient_by_congruence(A, rho)[0] for rho in ctx.analysis(A).congruences
     ]
 
 

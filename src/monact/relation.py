@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NotAnEquivalence
+
 __all__ = [
     "Relation",
     "canonical_partition",
@@ -54,8 +56,12 @@ class Relation:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
     def to_partition(self):
-        """Classes of an equivalence relation, in canonical form."""
-        assert self.is_equivalence()
+        """Classes of an equivalence relation, in canonical form.
+
+        Raises NotAnEquivalence for any other relation.
+        """
+        if not self.is_equivalence():
+            raise NotAnEquivalence("relation is not reflexive, symmetric and transitive")
         seen = set()
         classes = []
         for a in range(self.size):

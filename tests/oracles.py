@@ -9,6 +9,17 @@ cross-check rather than a tautology.
 from itertools import product
 
 
+def brute_force_associative(table):
+    """Associativity by checking every triple, the O(n^3) way."""
+    n = len(table)
+    return all(
+        table[table[s][t]][u] == table[s][table[t][u]]
+        for s in range(n)
+        for t in range(n)
+        for u in range(n)
+    )
+
+
 def brute_force_homs(A, B):
     """All equivariant maps A -> B by filtering every |B|^|A| candidate."""
     found = []

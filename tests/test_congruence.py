@@ -20,9 +20,10 @@ from monact.congruence import (
 )
 from monact.act import power, subact
 from monact.endo import homomorphisms
-from monact.errors import CarrierTooLarge, NotACongruence, ParentMismatch
+from monact.errors import CarrierTooLarge, NotACongruence, NotAnEquivalence, ParentMismatch
 from monact.harness import enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
+from monact.relation import Relation
 
 from oracles import (
     all_partitions,
@@ -220,3 +221,25 @@ def test_closure_is_least_congruence_containing_seed(seed):
         cand = Congruence(A, classes)
         if all(cand.related(a, b) for a, b in pairs):
             assert congruence_refines(closed, cand)
+
+
+@pytest.mark.parametrize(
+    "size, pairs",
+    [
+        (2, [(0, 1), (1, 0)]),  # not reflexive
+        (2, [(0, 0), (1, 1), (0, 1)]),  # not symmetric
+        (3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)]),  # not transitive
+    ],
+)
+def test_to_partition_rejects_a_non_equivalence(size, pairs):
+    with pytest.raises(NotAnEquivalence):
+        Relation.from_pairs(size, pairs).to_partition()
+
+
+def test_package_attribute_congruence_is_the_module():
+    import types
+
+    import monact
+
+    assert isinstance(monact.congruence, types.ModuleType)
+    assert monact.congruence.congruence is congruence

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from monact.act import regular_act
@@ -18,7 +21,7 @@ from monact.monoid import (
     zmod_mult_monoid,
 )
 
-from oracles import componentwise_product_table
+from oracles import brute_force_associative, componentwise_product_table
 
 
 def z4_raw_table():
@@ -62,6 +65,68 @@ def test_validate_not_associative_gives_witness():
         validate_monoid(3, table)
     s, t, u = err.value.witness
     assert table[table[s][t]][u] != table[s][table[t][u]]
+
+
+def _agrees_with_oracle(table):
+    """validate_monoid accepts exactly the associative tables (all given
+    tables have an identity); a NotAssociative witness is a failing triple."""
+    try:
+        validate_monoid(len(table), table)
+    except NotAssociative as err:
+        s, t, u = err.witness
+        assert table[table[s][t]][u] != table[s][table[t][u]]
+        return not brute_force_associative(table)
+    return brute_force_associative(table)
+
+
+def _with_identity(n, e, free):
+    """The n x n table with identity e and the other entries from `free`."""
+    cells = iter(free)
+    return [
+        [t if s == e else s if t == e else next(cells) for t in range(n)]
+        for s in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_light_test_matches_oracle_on_every_small_table(n):
+    checked = associative = 0
+    for e in range(n):
+        for free in product(range(n), repeat=(n - 1) ** 2):
+            table = _with_identity(n, e, free)
+            assert _agrees_with_oracle(table), table
+            checked += 1
+            associative += brute_force_associative(table)
+    assert checked == n * n ** ((n - 1) ** 2)
+    assert associative > 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_light_test_matches_oracle_on_random_tables(n):
+    rng = random.Random(20250 + n)
+    for _ in range(400):
+        e = rng.randrange(n)
+        table = _with_identity(n, e, [rng.randrange(n) for _ in range((n - 1) ** 2)])
+        assert _agrees_with_oracle(table), table
+
+
+def test_light_test_matches_oracle_on_monoids_with_one_entry_changed():
+    rng = random.Random(11)
+    monoids = enumerate_monoids(4) + [zmod_mult_monoid(5), zmod_mult_monoid(6)]
+    for M in monoids:
+        n = M.size
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for s in range(n):
+            for t in range(n):
+                table[perm[s]][perm[t]] = perm[M.table[s][t]]
+        assert _agrees_with_oracle(table)
+        for _ in range(10):
+            s, t = rng.randrange(1, n), rng.randrange(1, n)
+            changed = [row[:] for row in table]
+            changed[perm[s]][perm[t]] = rng.randrange(n)
+            assert _agrees_with_oracle(changed), changed
 
 
 def test_element_power(z4):

@@ -1,0 +1,70 @@
+"""Each per-act quantity is computed once per act: End(A), the
+endomorphisms and the congruence lattice, in the suite and in
+`monact classify`.  Calls are counted by wrappers bound in every
+namespace of the package that holds the original function."""
+
+import contextlib
+import io
+from collections import Counter
+
+import pytest
+
+import monact
+from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
+from monact.harness import CorpusSpec, build_corpus, run_suite
+
+MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
+
+
+def _key(A):
+    return (A.monoid.table, A.action)
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """count(module, name, key) wraps module.name everywhere it is bound;
+    the returned Counter tallies key(*args) over the calls."""
+
+    def install(module, name, key):
+        original = getattr(module, name)
+        seen = Counter()
+
+        def wrapper(*args, **kwargs):
+            seen[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        for ns in MODULES:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, wrapper)
+        return seen
+
+    return install
+
+
+def test_suite_builds_each_per_act_quantity_once(count):
+    spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
+    acts = {_key(A) for per in build_corpus(spec).acts for A in per}
+    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
+    homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
+    congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
+    result = run_suite(spec)
+    assert all(v.passed for v in result.verdicts)
+    assert ends == Counter(acts)
+    assert congs == Counter(acts)
+    endos = Counter({a: n for (a, b), n in homs.items() if a == b})
+    # factor acts and subacts are analysed too, each once
+    assert set(endos.values()) == {1}
+    assert acts <= set(endos)
+
+
+def test_classify_builds_end_once(count, tmp_path):
+    path = tmp_path / "a.act"
+    path.write_text("monoid M 2\n0 1\n1 1\n\nact A over M 3\n0 1\n1 1\n2 1\n")
+    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
+    homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", str(path), "--act", "A", "--json"]) == 0
+    assert list(ends.values()) == [1]
+    (A,) = ends
+    assert homs[(A, A)] == 1
