@@ -102,9 +102,7 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _report_entry(label, mlabel, an, chains):
-    A = an.act
-    props = classify_act(an)
+def _report_entry(label, mlabel, A, props, chains):
     entry = {
         "act": label,
         "monoid": mlabel,
@@ -130,8 +128,11 @@ def _report_entry(label, mlabel, an, chains):
 def cmd_classify(args):
     label, mlabel, A, digest = _resolve_act(args)
     an = ActAnalysis(A)
+    # the report first: it builds End(A), which stops an oversized act
+    # before any chain is computed
+    props = classify_act(an)
     chains = chain_reports(an)
-    entry = _report_entry(label, mlabel, an, chains)
+    entry = _report_entry(label, mlabel, A, props, chains)
     if args.json:
         sys.stdout.write(_json_doc(digest, [entry], []))
         return EXIT_OK
@@ -166,6 +167,23 @@ def cmd_congruences(args):
     return EXIT_OK
 
 
+def suite_json(result) -> str:
+    """The `suite --json` document of a run_suite result."""
+    spec = result.spec
+    spec_blob = json.dumps(
+        {
+            "max_monoid_size": spec.max_monoid_size,
+            "max_act_size": spec.max_act_size,
+            "theorems": list(spec.theorems),
+            "seed": spec.seed,
+            "samples": spec.samples,
+        },
+        sort_keys=True,
+    )
+    verdicts = [v.to_dict() for v in result.verdicts]
+    return _json_doc(_digest(spec_blob.encode()), result.reports, verdicts)
+
+
 def cmd_suite(args):
     theorems = ALL_THEOREMS
     if args.theorems:
@@ -181,25 +199,9 @@ def cmd_suite(args):
         samples=args.samples,
     )
     result = run_suite(spec)
-    spec_blob = json.dumps(
-        {
-            "max_monoid_size": spec.max_monoid_size,
-            "max_act_size": spec.max_act_size,
-            "theorems": list(spec.theorems),
-            "seed": spec.seed,
-            "samples": spec.samples,
-        },
-        sort_keys=True,
-    )
     failures = [v for v in result.verdicts if not v.passed]
     if args.json:
-        sys.stdout.write(
-            _json_doc(
-                _digest(spec_blob.encode()),
-                result.reports,
-                [v.to_dict() for v in result.verdicts],
-            )
-        )
+        sys.stdout.write(suite_json(result))
     else:
         n_acts = sum(len(per) for per in result.corpus.acts)
         print(

@@ -13,18 +13,17 @@ from functools import cached_property
 
 from .act import Act, ActHom, enumerate_subacts, quotient_by_congruence, subact_as_act
 from .congruence import (
-    CONGRUENCE_ENUM_CAP,
     Congruence,
     congruence_refines,
     diagonal,
     enumerate_congruences,
     image_congruence,
     join,
+    kernel_congruence,
     meet,
     universal,
 )
 from .endo import (
-    DEFAULT_SEARCH_BUDGET,
     end_monoid,
     homomorphisms,
     identity_first,
@@ -41,37 +40,45 @@ CRITERIA = (1, 2, 3)
 
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
-    first use: the endomorphisms, End(A) and the congruence lattice.
+    first use: the homs into each target act (the endomorphisms among
+    them), End(A), the congruence lattice and the subacts.
 
     Every decider takes either an Act or its ActAnalysis; handing them
-    one analysis shares the work.  An analysis passed in keeps its own
-    `cap` and `budget`.
+    one analysis shares the work.
     """
 
-    def __init__(self, act: Act, cap: int = CONGRUENCE_ENUM_CAP,
-                 budget: int = DEFAULT_SEARCH_BUDGET):
+    def __init__(self, act: Act):
         self.act = act
-        self.cap = cap
-        self.budget = budget
+        self._homs = {}
 
-    @cached_property
+    def homs(self, B: Act):
+        """The homs from the act into B, sorted by map."""
+        key = (B.monoid.table, B.action)
+        if key not in self._homs:
+            self._homs[key] = homomorphisms(self.act, B)
+        return self._homs[key]
+
+    @property
     def endos(self):
         """The endomorphisms, sorted by map."""
-        return homomorphisms(self.act, self.act, self.budget)
+        return self.homs(self.act)
 
     @cached_property
     def end(self):
-        return end_monoid(self.act, self.budget, self.endos)
+        return end_monoid(self.act, self.endos)
 
     @cached_property
     def congruences(self):
-        return enumerate_congruences(self.act, self.cap)
+        return enumerate_congruences(self.act)
+
+    @cached_property
+    def subacts(self):
+        return enumerate_subacts(self.act)
 
 
-def analyse(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
-            budget: int = DEFAULT_SEARCH_BUDGET) -> ActAnalysis:
+def analyse(A: Act | ActAnalysis) -> ActAnalysis:
     """A's analysis: A itself if it already is one, else a fresh one."""
-    return A if isinstance(A, ActAnalysis) else ActAnalysis(A, cap, budget)
+    return A if isinstance(A, ActAnalysis) else ActAnalysis(A)
 
 
 # -- chain indices ----------------------------------------------------------
@@ -131,34 +138,22 @@ def chain_report(A: Act, endo_index: int, f: ActHom) -> ChainReport:
     k = k_chain_index(f)
     i = i_chain_index(f)
     powers = _map_powers(f.mapping, max(k, i))
-    kernel = Congruence(A, partition_from_labels(powers[k - 1]))
+    kernel = kernel_congruence(ActHom(A, A, powers[k - 1]))
     image = image_congruence(ActHom(A, A, powers[i - 1]))
     return ChainReport(endo_index, tuple(f.mapping), k, i, kernel, image)
 
 
 # -- Hopfian family ---------------------------------------------------------
 
-def is_hopfian(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_hopfian(A: Act | ActAnalysis) -> bool:
     """Every surjective endomorphism is injective.  Always true on finite
     carriers; kept literal as a consistency oracle."""
-    return all(
-        f.is_injective() for f in analyse(A, budget=budget).endos if f.is_surjective()
-    )
+    return all(f.is_injective() for f in analyse(A).endos if f.is_surjective())
 
 
-def is_co_hopfian(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_co_hopfian(A: Act | ActAnalysis) -> bool:
     """Every injective endomorphism is surjective."""
-    return all(
-        f.is_surjective() for f in analyse(A, budget=budget).endos if f.is_injective()
-    )
-
-
-def _kernel_cong(A, mapping):
-    return Congruence(A, partition_from_labels(mapping))
-
-
-def _image_cong(A, mapping):
-    return image_congruence(ActHom(A, A, mapping))
+    return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
 
 
 def _strongly_hopfian_index(A, f, criterion):
@@ -179,7 +174,8 @@ def _strongly_hopfian_index(A, f, criterion):
         delta = diagonal(A)
         cur = tuple(f.mapping)
         for n in range(1, 2 * size + 1):
-            if meet(_image_cong(A, cur), _kernel_cong(A, cur)) == delta:
+            f_n = ActHom(A, A, cur)
+            if meet(image_congruence(f_n), kernel_congruence(f_n)) == delta:
                 return n
             cur = _compose_map(cur, f.mapping)
         return None
@@ -202,22 +198,22 @@ def _strongly_co_hopfian_index(A, f, criterion):
         full = universal(A)
         cur = tuple(f.mapping)
         for n in range(1, 2 * size + 1):
-            if join(_image_cong(A, cur), _kernel_cong(A, cur)) == full:
+            f_n = ActHom(A, A, cur)
+            if join(image_congruence(f_n), kernel_congruence(f_n)) == full:
                 return n
             cur = _compose_map(cur, f.mapping)
         return None
     raise ValueError(f"criterion must be one of {CRITERIA}")
 
 
-def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1,
-                        budget: int = DEFAULT_SEARCH_BUDGET):
+def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     """(flag, index): kernel chains of all endomorphisms stabilize.
 
     criterion 1 demands a constant tail, 2 one adjacent equality, 3 the
     trivial-intersection condition; index is the worst endomorphism's
     least n for the chosen criterion.
     """
-    an = analyse(A, budget=budget)
+    an = analyse(A)
     worst = 0
     for f in an.endos:
         n = _strongly_hopfian_index(an.act, f, criterion)
@@ -227,14 +223,13 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1,
     return True, worst
 
 
-def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1,
-                           budget: int = DEFAULT_SEARCH_BUDGET):
+def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     """(flag, index): image chains of all endomorphisms stabilize.
 
     criterion 3 is the join condition: im/ker congruences of f^n join to
     the universal congruence.
     """
-    an = analyse(A, budget=budget)
+    an = analyse(A)
     worst = 0
     for f in an.endos:
         n = _strongly_co_hopfian_index(an.act, f, criterion)
@@ -244,22 +239,21 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1,
     return True, worst
 
 
-def is_fitting(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    an = analyse(A, budget=budget)
+def is_fitting(A: Act | ActAnalysis) -> bool:
+    an = analyse(A)
     return is_strongly_hopfian(an, 2)[0] and is_strongly_co_hopfian(an, 2)[0]
 
 
 # -- congruence chains ------------------------------------------------------
 
-def chain_conditions(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
-                     budget: int = DEFAULT_SEARCH_BUDGET):
+def chain_conditions(A: Act | ActAnalysis):
     """(noetherian, artinian, lattice size, longest chain).
 
     Both chain conditions hold outright on a finite congruence lattice;
     the returned evidence is the lattice size and the length of a
     longest chain under containment.
     """
-    congs = analyse(A, cap, budget).congruences
+    congs = analyse(A).congruences
     # a finite lattice satisfies both chain conditions outright
     noetherian = artinian = True
     # congs are sorted finest-first, so strict containment only points backwards
@@ -273,7 +267,7 @@ def chain_conditions(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
 
 # -- quasi-injective / quasi-projective --------------------------------------
 
-def is_quasi_injective(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_quasi_injective(A: Act | ActAnalysis):
     """Every hom from a subact into A extends to an endomorphism.
 
     Injective maps g: B -> A are covered by subact inclusions: g factors
@@ -282,19 +276,18 @@ def is_quasi_injective(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET
     homs into A are the endomorphisms themselves.  Returns (flag,
     counterexample).
     """
-    an = analyse(A, budget=budget)
+    an = analyse(A)
     A = an.act
-    for B in enumerate_subacts(A)[:-1]:
+    for B in an.subacts[:-1]:
         sub, members = subact_as_act(B)
         restrictions = {tuple(h.mapping[b] for b in members) for h in an.endos}
-        for f in homomorphisms(sub, A, an.budget):
+        for f in homomorphisms(sub, A):
             if tuple(f.mapping) not in restrictions:
                 return False, (B, f)
     return True, None
 
 
-def is_quasi_projective(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
-                        budget: int = DEFAULT_SEARCH_BUDGET):
+def is_quasi_projective(A: Act | ActAnalysis):
     """Every hom from A to a factor act lifts through the projection.
 
     Surjections g: A -> B are covered by the canonical projections
@@ -303,14 +296,14 @@ def is_quasi_projective(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
     identity, through which every endomorphism lifts.  Returns (flag,
     counterexample).
     """
-    an = analyse(A, cap, budget)
+    an = analyse(A)
     A = an.act
     for rho in an.congruences[1:]:
         quotient, proj = quotient_by_congruence(A, rho)
         lifted = {
             tuple(proj.mapping[h.mapping[a]] for a in range(A.size)) for h in an.endos
         }
-        for f in homomorphisms(A, quotient, an.budget):
+        for f in homomorphisms(A, quotient):
             if tuple(f.mapping) not in lifted:
                 return False, (rho, f)
     return True, None
@@ -389,10 +382,9 @@ class PropertyReport:
         return asdict(self)
 
 
-def classify_act(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
-                 budget: int = DEFAULT_SEARCH_BUDGET) -> PropertyReport:
+def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     """Run every decider on one act (or on its ActAnalysis)."""
-    an = analyse(A, cap, budget)
+    an = analyse(A)
     E = an.end
     sh, sh_index = is_strongly_hopfian(an, 1)
     sch, sch_index = is_strongly_co_hopfian(an, 1)
@@ -421,7 +413,7 @@ def classify_act(A: Act | ActAnalysis, cap: int = CONGRUENCE_ENUM_CAP,
     return report
 
 
-def chain_reports(A: Act | ActAnalysis, budget: int = DEFAULT_SEARCH_BUDGET):
+def chain_reports(A: Act | ActAnalysis):
     """ChainReport per endomorphism, in canonical End(A) order."""
-    an = analyse(A, budget=budget)
+    an = analyse(A)
     return [chain_report(an.act, i, f) for i, f in enumerate(identity_first(an.endos))]

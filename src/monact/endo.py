@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .act import Act, ActHom, Subact, minimal_generating_set
-from .errors import SearchBudgetExceeded, SourceTargetMismatch
-from .monoid import Monoid, validate_monoid
+from .errors import SearchBudgetExceeded, SizeOverflow, SourceTargetMismatch
+from .monoid import SIZE_CAP, Monoid, validate_monoid
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -76,8 +76,8 @@ def homomorphisms(A: Act, B: Act, budget: int = DEFAULT_SEARCH_BUDGET):
     return [ActHom(A, B, m) for m in results]
 
 
-def endomorphisms(A: Act, budget: int = DEFAULT_SEARCH_BUDGET):
-    return homomorphisms(A, A, budget)
+def endomorphisms(A: Act):
+    return homomorphisms(A, A)
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,14 @@ def identity_first(endos):
     return (endos[k],) + tuple(endos[:k]) + tuple(endos[k + 1 :])
 
 
-def end_monoid(A: Act, budget: int = DEFAULT_SEARCH_BUDGET, endos=None) -> EndMonoid:
+def end_monoid(A: Act, endos=None) -> EndMonoid:
     """End(A), built from `endos` when the caller already holds
-    `endomorphisms(A, budget)`."""
+    `endomorphisms(A)`.  Raises SizeOverflow, before any table is built,
+    when End(A) has more than SIZE_CAP elements."""
     if endos is None:
-        endos = endomorphisms(A, budget)
+        endos = endomorphisms(A)
+    if len(endos) > SIZE_CAP:
+        raise SizeOverflow(f"End(A) has {len(endos)} elements (> {SIZE_CAP})")
     elements = identity_first(endos)
     # after_g(f.mapping) is the map of f o g; after the identity it is the
     # map itself, in the same form (a bare int when |A| = 1)
@@ -133,19 +136,18 @@ class Retract:
     proper: bool
 
 
-def is_retract_of(A: Act, B: Act, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_retract_of(into, back):
     """First (gamma, pi) with pi o gamma = id_A, or None.
 
-    Search order: gamma lexicographic, then pi.  `proper` flags a
-    non-bijective gamma; since pi o gamma = id forces gamma injective,
+    `into` holds the homs A -> B and `back` the homs B -> A, each in map
+    order; the search takes gamma in that order, then pi.  `proper` flags
+    a non-bijective gamma; since pi o gamma = id forces gamma injective,
     properness depends only on the carrier sizes.
     """
-    into = homomorphisms(A, B, budget)
-    back = homomorphisms(B, A, budget)
-    ident = tuple(range(A.size))
     for gamma in into:
         if not gamma.is_injective():
             continue
+        ident = tuple(range(gamma.source.size))
         for pi in back:
             if tuple(pi.mapping[b] for b in gamma.mapping) == ident:
                 return Retract(gamma, pi, not gamma.is_bijective())
@@ -180,33 +182,27 @@ def is_strongly_pi_regular(E: EndMonoid):
     return ok, tuple(witnesses)
 
 
-def is_fully_invariant(A: Act, B: Subact, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    """True iff every endomorphism of A maps B into B."""
+def is_fully_invariant(B: Subact, endos) -> bool:
+    """True iff every endomorphism in `endos`, the endomorphisms of
+    B's parent act, maps B into B."""
     members = set(B.members)
-    return all(
-        f.mapping[b] in members for f in endomorphisms(A, budget) for b in B.members
-    )
+    return all(f.mapping[b] in members for f in endos for b in B.members)
 
 
-def induces_all_endomorphisms(h: ActHom, budget: int = DEFAULT_SEARCH_BUDGET):
-    """For surjective h: A -> B, check every f in End(B) lifts to some
-    g in End(A) with f o h = h o g.  Returns (flag, first failing f)."""
-    A, B = h.source, h.target
+def induces_all_endomorphisms(h: ActHom, source_endos, target_endos):
+    """For surjective h: A -> B, with `source_endos` = End(A) and
+    `target_endos` = End(B): check every f in End(B) lifts to some g in
+    End(A) with f o h = h o g.  Returns (flag, first failing f)."""
     hm = h.mapping
-    liftable = {
-        tuple(hm[g.mapping[a]] for a in range(A.size)) for g in endomorphisms(A, budget)
-    }
-    for f in endomorphisms(B, budget):
+    liftable = {tuple(hm[a] for a in g.mapping) for g in source_endos}
+    for f in target_endos:
         if tuple(f.mapping[b] for b in hm) not in liftable:
             return False, f
     return True, None
 
 
-def has_section(h: ActHom, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    """True iff some s: B -> A satisfies h o s = id_B."""
-    A, B = h.source, h.target
-    ident = tuple(range(B.size))
-    return any(
-        tuple(h.mapping[a] for a in s.mapping) == ident
-        for s in homomorphisms(B, A, budget)
-    )
+def has_section(h: ActHom, back) -> bool:
+    """True iff some s in `back`, the homs B -> A for h: A -> B,
+    satisfies h o s = id_B."""
+    ident = tuple(range(h.target.size))
+    return any(tuple(h.mapping[a] for a in s.mapping) == ident for s in back)

@@ -18,7 +18,6 @@ from itertools import permutations, product
 from . import deciders
 from .act import (
     Act,
-    enumerate_subacts,
     quotient_by_congruence,
     rees_quotient,
     regular_act,
@@ -26,8 +25,7 @@ from .act import (
     subact_as_act,
     validate_act,
 )
-from .congruence import CONGRUENCE_ENUM_CAP
-from .endo import DEFAULT_SEARCH_BUDGET, homomorphisms
+from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, classify_act, monoid_hopf_properties
@@ -232,12 +230,7 @@ def build_corpus(spec: CorpusSpec) -> Corpus:
 
 class SuiteAnalysis(ActAnalysis):
     """An act's analysis plus what the theorems read of it: the property
-    report, the plain and strong Hopfian flags, and homs into other acts
-    (by target key)."""
-
-    def __init__(self, act, cap, budget):
-        super().__init__(act, cap, budget)
-        self.homs_to = {}
+    report and the plain and strong Hopfian flags."""
 
     @cached_property
     def report(self):
@@ -258,36 +251,24 @@ class SuiteContext:
     """One SuiteAnalysis per act, shared by every theorem; routes the
     overridable deciders through a test-only override table."""
 
-    def __init__(self, overrides=None, cap=CONGRUENCE_ENUM_CAP, budget=DEFAULT_SEARCH_BUDGET):
+    def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
-        self.cap = cap
-        self.budget = budget
         self._analyses = {}
 
-    @staticmethod
-    def _akey(A):
-        return (A.monoid.table, A.action)
-
     def analysis(self, A) -> SuiteAnalysis:
-        key = self._akey(A)
+        key = (A.monoid.table, A.action)
         if key not in self._analyses:
-            self._analyses[key] = SuiteAnalysis(A, self.cap, self.budget)
+            self._analyses[key] = SuiteAnalysis(A)
         return self._analyses[key]
 
     def report(self, A):
         return self.analysis(A).report
 
+    def homs(self, A, B):
+        return self.analysis(A).homs(B)
+
     def endos(self, A):
         return self.analysis(A).endos
-
-    def homs(self, A, B):
-        an = self.analysis(A)
-        key = self._akey(B)
-        if key == self._akey(A):
-            return an.endos
-        if key not in an.homs_to:
-            an.homs_to[key] = homomorphisms(A, B, self.budget)
-        return an.homs_to[key]
 
     def _call(self, name, A, default):
         if name in self.overrides:
@@ -408,22 +389,10 @@ def _check_t6(ctx, M):
     return True, False, _witness("T6", M, flags), {}
 
 
-def _find_retract(ctx, A, B):
-    ident = tuple(range(A.size))
-    for gamma in ctx.homs(A, B):
-        if len(set(gamma.mapping)) != A.size:
-            continue
-        for pi in ctx.homs(B, A):
-            if tuple(pi.mapping[b] for b in gamma.mapping) == ident:
-                return gamma, pi
-    return None
-
-
 def _check_t7(ctx, pair):
     A, B = pair
-    found = _find_retract(ctx, A, B)
-    proper = found is not None and len(set(found[0].mapping)) != B.size
-    hyp = proper and ctx.strongly_hopfian(B)
+    found = is_retract_of(ctx.homs(A, B), ctx.homs(B, A))
+    hyp = found is not None and found.proper and ctx.strongly_hopfian(B)
     if not hyp:
         return False, True, None, {}
     if ctx.strongly_hopfian(A):
@@ -432,26 +401,9 @@ def _check_t7(ctx, pair):
     w = _witness(
         "T7", A.monoid, flags,
         act=_act_payload(A), act_b=_act_payload(B),
-        gamma=list(found[0].mapping), pi=list(found[1].mapping),
+        gamma=list(found.gamma.mapping), pi=list(found.pi.mapping),
     )
     return True, False, w, {}
-
-
-def _induced(ctx, h):
-    A, B = h.source, h.target
-    hm = h.mapping
-    lifted = {
-        tuple(hm[g.mapping[a]] for a in range(A.size)) for g in ctx.endos(A)
-    }
-    return all(tuple(f.mapping[b] for b in hm) in lifted for f in ctx.endos(B))
-
-
-def _has_section(ctx, h):
-    ident = tuple(range(h.target.size))
-    return any(
-        tuple(h.mapping[a] for a in s.mapping) == ident
-        for s in ctx.homs(h.target, h.source)
-    )
 
 
 def _check_t8(ctx, pair):
@@ -462,13 +414,13 @@ def _check_t8(ctx, pair):
     for h in ctx.homs(A, B):
         if len(set(h.mapping)) != B.size:
             continue
-        if not _induced(ctx, h):
+        if not induces_all_endomorphisms(h, ctx.endos(A), ctx.endos(B))[0]:
             continue
         if not ctx.strongly_co_hopfian(A):
             continue
         qualifying += 1
         nonvac = True
-        if _has_section(ctx, h):
+        if has_section(h, ctx.homs(B, A)):
             sections += 1
         if not ctx.strongly_co_hopfian(B):
             flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
@@ -482,11 +434,7 @@ def _check_t8(ctx, pair):
 
 def _check_t9(ctx, inst):
     A, B = inst
-    members = set(B.members)
-    fully_invariant = all(
-        f.mapping[b] in members for f in ctx.endos(A) for b in B.members
-    )
-    if not fully_invariant:
+    if not is_fully_invariant(B, ctx.endos(A)):
         return False, True, None, {}
     B_act, _ = subact_as_act(B)
     Q, _ = rees_quotient(A, B)
@@ -623,7 +571,7 @@ class Verdict:
         }
 
 
-def _instances_for(kind, corpus):
+def _instances_for(kind, corpus, ctx):
     if kind == "act":
         for per in corpus.acts:
             yield from per
@@ -644,13 +592,13 @@ def _instances_for(kind, corpus):
     elif kind == "act_subact":
         for per in corpus.acts:
             for A in per:
-                for B in enumerate_subacts(A):
+                for B in ctx.analysis(A).subacts:
                     yield (A, B)
     else:
         raise AssertionError(kind)
 
 
-def check_theorem(tid: str, instance, overrides=None, ctx=None) -> Verdict:
+def check_theorem(tid: str, instance, overrides=None) -> Verdict:
     """Evaluate one theorem on one instance.
 
     Instance shape depends on the theorem: a single Act, a Monoid (T6),
@@ -659,9 +607,7 @@ def check_theorem(tid: str, instance, overrides=None, ctx=None) -> Verdict:
     if tid not in REGISTRY:
         raise UnknownTheorem(tid)
     title, _, fn = REGISTRY[tid]
-    if ctx is None:
-        ctx = SuiteContext(overrides)
-    nonvac, passed, witness, details = fn(ctx, instance)
+    nonvac, passed, witness, details = fn(SuiteContext(overrides), instance)
     return Verdict(tid, title, 1, int(nonvac), passed, witness, details)
 
 
@@ -706,7 +652,7 @@ def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
         passed = True
         witness = None
         details = {}
-        for instance in _instances_for(kind, corpus):
+        for instance in _instances_for(kind, corpus, ctx):
             total += 1
             nv, ok, w, d = fn(ctx, instance)
             nonvac += int(nv)

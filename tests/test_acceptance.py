@@ -4,6 +4,7 @@ isomorphism, acts of size <= 4 over each); tolerances are exact since
 every computation here is discrete.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from monact.act import power, regular_act, validate_act
-from monact.cli import main
+from monact.cli import main, suite_json
 from monact.congruence import congruence_closure, enumerate_congruences, join, kernel_congruence
 from monact.congruence import congruence_refines
 from monact.deciders import (
@@ -28,6 +29,9 @@ from monact.monoid import prime_power_product, zmod_mult_monoid
 
 from oracles import brute_force_congruences, brute_force_homs, chain_join_oracle
 
+# sha256 of `monact suite --json` on the default corpus; a change to it is
+# a change to a verdict, a report or the document format
+DEFAULT_SUITE_JSON_SHA256 = "e5704bc8b212503f66d97aa7849bdd5be1630c1c59e38fd30e15da5b6e52b532"
 SUITE_TIME_LIMIT = 300.0  # seconds, the stated laptop budget
 FAMILY_SMALL_LIMIT = 60.0
 FAMILY_DEEP_LIMIT = 600.0
@@ -75,6 +79,12 @@ def test_acceptance_2_theorem_suite(full_suite):
         failures,
         thin,
     )
+
+
+def test_default_suite_json_digest(full_suite):
+    result, _ = full_suite
+    digest = hashlib.sha256(suite_json(result).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_SUITE_JSON_SHA256
 
 
 def test_acceptance_3_chain_family_scaling():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import monact
 from monact.cli import main
 from monact.errors import DuplicateName, InputSyntaxError, UnknownMonoidReference
 from monact.textio import parse_input, serialize_document
@@ -183,6 +187,25 @@ def test_family36_budget(capsys):
 def test_classify_budget_exit(capsys):
     # a 40-element regular act overflows the congruence-enumeration cap
     assert main(["classify", "--regular", "Z40"]) == 3
+
+
+def test_classify_end_overflow_exit(tmp_path, capsys):
+    # End of a 6-point act over the trivial monoid has 6^6 = 46656 elements
+    path = tmp_path / "six.act"
+    path.write_text("monoid T 1\n0\n\nact A over T 6\n0\n1\n2\n3\n4\n5\n")
+    assert main(["classify", str(path), "--act", "A", "--json"]) == 3
+    assert "46656" in capsys.readouterr().err
+
+
+def test_suite_json_same_without_asserts():
+    # `python -O` strips assert statements; no output may depend on them
+    argv = ["-m", "monact", "suite", "--max-monoid", "2", "--max-act", "3", "--json"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monact.__file__)))
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+    optimized = subprocess.run(
+        [sys.executable, "-O", *argv], env=env, capture_output=True, check=True
+    )
+    assert plain.stdout and optimized.stdout == plain.stdout
 
 
 def test_suite_failure_exit_code(monkeypatch, capsys):

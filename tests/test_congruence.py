@@ -18,7 +18,7 @@ from monact.congruence import (
     rees_congruence,
     universal,
 )
-from monact.act import power, subact
+from monact.act import compose, power, subact
 from monact.endo import homomorphisms
 from monact.errors import CarrierTooLarge, NotACongruence, NotAnEquivalence, ParentMismatch
 from monact.harness import enumerate_acts, enumerate_monoids
@@ -79,6 +79,19 @@ def test_image_congruence_examples(a2, reg_z4, z4):
     assert sorted(map(len, img.classes)) == [1, 1, 2]
     big = max(img.classes, key=len)
     assert set(big) == {idx[0], idx[2]}
+
+
+def test_kernel_and_image_congruences_of_every_endo_power_are_compatible():
+    # the two constructors trust their input; the oracle checks what they build
+    for A in small_corpus():
+        for f in homomorphisms(A, A):
+            seen = set()
+            fn = f
+            while fn.mapping not in seen:
+                seen.add(fn.mapping)
+                assert is_compatible_partition(A, kernel_congruence(fn).classes)
+                assert is_compatible_partition(A, image_congruence(fn).classes)
+                fn = compose(f, fn)
 
 
 def test_rees_congruence_examples(a2, reg_z4, z4):

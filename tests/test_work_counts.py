@@ -1,6 +1,6 @@
 """Each per-act quantity is computed once per act: End(A), the
-endomorphisms and the congruence lattice, in the suite and in
-`monact classify`.  Calls are counted by wrappers bound in every
+endomorphisms, the congruence lattice and the subacts, in the suite and
+in `monact classify`.  Calls are counted by wrappers bound in every
 namespace of the package that holds the original function."""
 
 import contextlib
@@ -48,10 +48,12 @@ def test_suite_builds_each_per_act_quantity_once(count):
     ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
     congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
+    subs = count(act, "enumerate_subacts", _key)
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
     assert ends == Counter(acts)
     assert congs == Counter(acts)
+    assert subs == Counter(acts)
     endos = Counter({a: n for (a, b), n in homs.items() if a == b})
     # factor acts and subacts are analysed too, each once
     assert set(endos.values()) == {1}
