@@ -2,13 +2,17 @@
 
 Holds the named constructions (diagonal, universal, kernel, image, Rees),
 closure of an arbitrary relation to the least congruence containing it,
-the lattice operations, and full enumeration by join-closure of principal
-congruences.
+the lattice operations, and full enumeration.  Closure, join and
+enumeration share one closure kernel, `_close`, on least-member label
+tuples.  Enumeration joins each congruence found with the distinct
+principal congruences only, and reads the longest chain off those join
+steps (Freese, "Computing congruences efficiently", Algebra Universalis
+59, 2008).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .act import Act, ActHom, Subact
 from .errors import CarrierTooLarge, NotACongruence, ParentMismatch
@@ -17,7 +21,6 @@ from .relation import (
     canonical_partition,
     diagonal_partition,
     partition_from_labels,
-    partition_pairs,
     refines,
     universal_partition,
 )
@@ -27,10 +30,17 @@ CONGRUENCE_ENUM_CAP = 8
 
 @dataclass(frozen=True)
 class Congruence:
-    """A congruence in canonical partition form (see relation module)."""
+    """A congruence in canonical partition form (see relation module).
+
+    `height` is the number of congruences in a longest chain from the
+    diagonal up to this one, both ends counted (the diagonal's is 1).
+    `enumerate_congruences` sets it; it is None on congruences built any
+    other way, and equality ignores it.
+    """
 
     act: Act
     classes: tuple
+    height: int | None = field(default=None, compare=False, repr=False)
 
     def class_of(self, a: int) -> int:
         for i, cls in enumerate(self.classes):
@@ -40,21 +50,6 @@ class Congruence:
 
     def related(self, a: int, b: int) -> bool:
         return self.class_of(a) == self.class_of(b)
-
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def pairs(self):
-        return partition_pairs(self.classes)
-
-    def as_relation(self) -> Relation:
-        return Relation.from_pairs(self.act.size, self.pairs())
-
-    def is_diagonal(self) -> bool:
-        return len(self.classes) == self.act.size
-
-    def is_universal(self) -> bool:
-        return len(self.classes) == 1
 
 
 def congruence(A: Act, classes) -> Congruence:
@@ -91,38 +86,35 @@ def universal(A: Act) -> Congruence:
     return Congruence(A, universal_partition(A.size))
 
 
-def congruence_closure(A: Act, relation) -> Congruence:
-    """Least congruence containing the given relation.
+def _close(A: Act, labels, pairs):
+    """Labels of the least congruence containing a congruence and pairs.
 
-    Union-find worklist: every merge of (a, b) enqueues the translated
-    merges (a*s, b*s) until fixpoint.
+    `labels[x]` is the least member of x's class in a congruence, so the
+    start is already action-compatible and only a new merge of (a, b)
+    pushes its translations (a*s, b*s).  A merge relabels the class of
+    the larger root to the smaller one (quick-find), so the labels stay
+    least-member labels: canonical and hashable.
     """
-    if isinstance(relation, Relation):
-        seed = relation.pairs
-    else:
-        seed = relation
-    parent = list(range(A.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = [(int(a), int(b)) for a, b in seed]
-    n_s = A.monoid.size
+    labels = list(labels)
+    action = A.action
+    work = list(pairs)
     while work:
         a, b = work.pop()
-        ra, rb = find(a), find(b)
+        ra, rb = labels[a], labels[b]
         if ra == rb:
             continue
-        parent[rb] = ra
-        for s in range(n_s):
-            work.append((A.action[a][s], A.action[b][s]))
-    fibers = {}
-    for a in range(A.size):
-        fibers.setdefault(find(a), []).append(a)
-    return Congruence(A, canonical_partition(fibers.values()))
+        if ra > rb:
+            ra, rb = rb, ra
+        labels = [ra if x == rb else x for x in labels]
+        work.extend(zip(action[a], action[b]))
+    return tuple(labels)
+
+
+def congruence_closure(A: Act, relation) -> Congruence:
+    """Least congruence containing the given relation."""
+    seed = relation.pairs if isinstance(relation, Relation) else relation
+    labels = _close(A, range(A.size), [(int(a), int(b)) for a, b in seed])
+    return Congruence(A, partition_from_labels(labels))
 
 
 def kernel_congruence(f: ActHom) -> Congruence:
@@ -164,45 +156,55 @@ def meet(rho: Congruence, sigma: Congruence) -> Congruence:
 
 
 def join(rho: Congruence, sigma: Congruence) -> Congruence:
-    """Least congruence containing both, by closure of the union."""
+    """Least congruence containing both: rho closed under sigma's pairs."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    seed = []
-    for cls in rho.classes + sigma.classes:
-        seed.extend(zip(cls, cls[1:]))
-    return congruence_closure(rho.act, seed)
-
-
-def principal_congruence(A: Act, a: int, b: int) -> Congruence:
-    return congruence_closure(A, [(a, b)])
+    least = {a: cls[0] for cls in rho.classes for a in cls}
+    seed = [pair for cls in sigma.classes for pair in zip(cls, cls[1:])]
+    labels = _close(rho.act, [least[a] for a in range(rho.act.size)], seed)
+    return Congruence(rho.act, partition_from_labels(labels))
 
 
 def enumerate_congruences(A: Act, cap: int = CONGRUENCE_ENUM_CAP):
-    """All congruences of A, via join-closure of the principal ones.
+    """All congruences of A, each with its height set.
+
+    Every congruence is the join of the principal congruences Cg(a, b)
+    of its pairs, so joining each congruence found with each distinct
+    principal congruence, starting from the diagonal, reaches them all:
+    at most n(n-1)/2 + p|L| closures for p distinct principal
+    congruences and a lattice L.  A step theta -> theta v Cg(a, b) with
+    theta(a) != theta(b) lowers the class count, and every cover
+    theta < psi is such a step (take any (a, b) in psi but not theta).
+    Congruences are therefore expanded in order of class count,
+    descending, and each one's height is final when it is expanded.
 
     Canonical output order: number of classes descending (diagonal
     first, universal last), ties by class encoding.
     """
     if A.size > cap:
         raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {cap}")
-    base = {diagonal(A).classes: diagonal(A)}
-    for a in range(A.size):
-        for b in range(a + 1, A.size):
-            c = principal_congruence(A, a, b)
-            base.setdefault(c.classes, c)
-    found = dict(base)
-    frontier = list(base.values())
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for d in list(found.values()):
-                j = join(c, d)
-                if j.classes not in found:
-                    found[j.classes] = j
-                    nxt.append(j)
-        frontier = nxt
-    result = sorted(found.values(), key=lambda c: (-len(c.classes), c.classes))
-    return result
+    n = A.size
+    bottom = tuple(range(n))
+    generators = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            generators.setdefault(_close(A, bottom, [(a, b)]), (a, b))
+    height = {bottom: 1}
+    by_classes = [[] for _ in range(n + 1)]
+    by_classes[n].append(bottom)
+    for count in range(n, 0, -1):
+        for theta in by_classes[count]:
+            up = height[theta] + 1
+            for a, b in generators.values():
+                if theta[a] == theta[b]:
+                    continue
+                psi = _close(A, theta, [(a, b)])
+                if psi not in height:
+                    by_classes[len(set(psi))].append(psi)
+                height[psi] = max(height.get(psi, 0), up)
+    congs = [Congruence(A, partition_from_labels(labels), h) for labels, h in height.items()]
+    congs.sort(key=lambda c: (-len(c.classes), c.classes))
+    return congs
 
 
 def congruence_refines(rho: Congruence, sigma: Congruence) -> bool:

@@ -15,7 +15,6 @@ __all__ = [
     "Relation",
     "canonical_partition",
     "partition_from_labels",
-    "partition_pairs",
     "diagonal_partition",
     "universal_partition",
     "refines",
@@ -84,16 +83,6 @@ def partition_from_labels(labels):
     for i, lab in enumerate(labels):
         fibers.setdefault(lab, []).append(i)
     return canonical_partition(fibers.values())
-
-
-def partition_pairs(classes):
-    """All pairs related by a partition."""
-    pairs = set()
-    for cls in classes:
-        for a in cls:
-            for b in cls:
-                pairs.add((a, b))
-    return pairs
 
 
 def diagonal_partition(n):

@@ -101,6 +101,21 @@ def chain_join_oracle(n, classes_a, classes_b):
     return canon_sorted(components)
 
 
+def longest_chain_oracle(partitions):
+    """Number of partitions in a longest chain under refinement, by
+    comparing every pair: O(|L|^2).  A strictly finer partition has more
+    classes, so after a sort by class count, descending, every strict
+    predecessor of a partition comes before it."""
+    parts = sorted(partitions, key=len, reverse=True)
+    longest = [1] * len(parts)
+    for i, coarse in enumerate(parts):
+        block = {a: k for k, cls in enumerate(coarse) for a in cls}
+        for j in range(i):
+            if all(len({block[a] for a in cls}) == 1 for cls in parts[j]):
+                longest[i] = max(longest[i], longest[j] + 1)
+    return max(longest)
+
+
 def bell_number(n):
     row = [1]
     for _ in range(n):

@@ -184,6 +184,16 @@ def test_family36_budget(capsys):
     assert main(["family36", "--p", "2", "--max-n", "5"]) == 3
 
 
+def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
+    # only the identity acts: all Bell(8) = 4140 partitions are congruences
+    path = tmp_path / "eight.act"
+    path.write_text("monoid T 1\n0\n\nact A over T 8\n" + "".join(f"{a}\n" for a in range(8)))
+    assert main(["congruences", str(path), "--act", "A"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "congruences of A over T: 4140"
+    assert len(lines) == 1 + 4140
+
+
 def test_classify_budget_exit(capsys):
     # a 40-element regular act overflows the congruence-enumeration cap
     assert main(["classify", "--regular", "Z40"]) == 3

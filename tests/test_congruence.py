@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monact.act import ActHom, identity_hom, validate_act
+from monact import congruence as congruence_module
+from monact.act import Act, ActHom, identity_hom, validate_act
 from monact.congruence import (
     Congruence,
     congruence,
@@ -156,6 +157,26 @@ def test_enumerate_matches_brute_force_small():
     for A in small_corpus(2, 4):
         got = [c.classes for c in enumerate_congruences(A)]
         assert sorted(got) == brute_force_congruences(A)
+
+
+def test_dropped_translation_in_closure_is_caught(monkeypatch):
+    """Planted bug: the closure kernel skips the translation by the
+    non-identity element 1.  Comparing the enumeration with the partition
+    filter, as test_enumerate_matches_brute_force_small does, must notice."""
+    close = congruence_module._close
+
+    def dropped(A, labels, pairs):
+        # a*1 read as a*identity, so the pushed pair is the merged pair itself
+        rows = tuple(row[:1] + row[:1] + row[2:] for row in A.action)
+        return close(Act(A.monoid, A.size, rows), labels, pairs)
+
+    acts = [A for A in small_corpus(2, 4) if A.monoid.size > 1]
+    monkeypatch.setattr(congruence_module, "_close", dropped)
+    caught = [
+        A for A in acts
+        if sorted(c.classes for c in enumerate_congruences(A)) != brute_force_congruences(A)
+    ]
+    assert caught
 
 
 def test_enumerate_cap():

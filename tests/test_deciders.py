@@ -1,3 +1,5 @@
+import pytest
+
 from monact.act import ActHom, identity_hom, power, regular_act, validate_act
 from monact.congruence import kernel_congruence
 from monact.deciders import (
@@ -19,10 +21,10 @@ from monact.deciders import (
     r_chain_index,
 )
 from monact.endo import homomorphisms
-from monact.harness import enumerate_acts, enumerate_monoids
+from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import element_power, prime_power_product
 
-from oracles import bell_number
+from oracles import bell_number, brute_force_congruences, longest_chain_oracle
 
 
 def small_corpus(max_monoid=2, max_act=3):
@@ -90,6 +92,22 @@ def test_chain_conditions(a2, singleton, trivial):
     assert size == bell_number(3) == 5
     assert chain == 3  # diagonal < one merged pair < universal
     assert chain_conditions(a2) == (True, True, 2, 2)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_chain_conditions_trivial_monoid_closed_form(trivial, m):
+    # only the identity acts: every partition is a congruence, and a
+    # longest chain merges two classes at a time
+    A = validate_act(trivial, m, [[a] for a in range(m)])
+    assert chain_conditions(A) == (True, True, bell_number(m), m)
+
+
+def test_longest_chain_matches_oracle():
+    # the default corpus (monoids <= 3, acts <= 4) holds the 2/4 corpus
+    for per in build_corpus(CorpusSpec()).acts:
+        for A in per:
+            expected = longest_chain_oracle(brute_force_congruences(A))
+            assert chain_conditions(A)[3] == expected
 
 
 def test_quasi_injective(a2, reg_z4, singleton):

@@ -1,7 +1,8 @@
 """Each per-act quantity is computed once per act: End(A), the
 endomorphisms, the congruence lattice and the subacts, in the suite and
 in `monact classify`.  Calls are counted by wrappers bound in every
-namespace of the package that holds the original function."""
+namespace of the package that holds the original function.  Congruence
+enumeration makes a bounded number of closures."""
 
 import contextlib
 import io
@@ -11,7 +12,9 @@ import pytest
 
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
+from monact.act import validate_act
 from monact.harness import CorpusSpec, build_corpus, run_suite
+from monact.monoid import validate_monoid
 
 MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
 
@@ -70,3 +73,29 @@ def test_classify_builds_end_once(count, tmp_path):
     assert list(ends.values()) == [1]
     (A,) = ends
     assert homs[(A, A)] == 1
+
+
+def test_enumeration_closures_bounded_by_principal_joins(monkeypatch):
+    """n(n-1)/2 closures find the principal congruences, then each
+    congruence found is joined with each of the p distinct ones at most
+    once: at most n(n-1)/2 + p|L| calls of the closure kernel."""
+    trivial = validate_monoid(1, [[0]])
+    acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=4)).acts
+            for A in per]
+    acts.append(validate_act(trivial, 7, [[a] for a in range(7)]))
+    close = congruence._close
+    for A in acts:
+        n = A.size
+        p = len({congruence.congruence_closure(A, [(a, b)]).classes
+                 for a in range(n) for b in range(a + 1, n)})
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return close(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(congruence, "_close", counted)
+            lattice = congruence.enumerate_congruences(A)
+        assert len(calls) <= n * (n - 1) // 2 + p * len(lattice)
+    assert len(calls) > 7 * 6 // 2  # the 7-point act's joins run the kernel too
