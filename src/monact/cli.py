@@ -11,6 +11,7 @@ canonical orders, so identical inputs give byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -230,7 +231,10 @@ def cmd_family36(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process: parsing leaves it
+    unchanged, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="monact",
         description="Finite monoid actions: validation, Hopfian-type "

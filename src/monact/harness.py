@@ -1,11 +1,13 @@
 """Exhaustive corpus generation and theorem checking.
 
 Small monoids and acts are enumerated up to isomorphism (canonical form
-= minimal table under carrier relabelings, identity pinned at 0) and
-every registered theorem is evaluated as a universally quantified
-implication over the corpus.  A failing instance produces a verdict
-whose witness carries the full tables, enough to re-run the check from
-scratch.
+= minimal table under carrier relabelings, identity pinned at 0).  Acts
+come from a propagating backtrack over the generator cells of the
+action table; each isomorphism class is relabeled once, into a seen set
+that absorbs its other labelled copies.  Every registered theorem is
+evaluated as a universally quantified implication over the corpus.  A
+failing instance produces a verdict whose witness carries the full
+tables, enough to re-run the check from scratch.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
+from math import factorial
 
 from . import deciders
 from .act import (
@@ -31,7 +34,7 @@ from .monoid import Monoid, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, classify_act, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
-ACT_ENUM_WORK_CAP = 1 << 21
+ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
 SAMPLE_ATTEMPTS = 500
 
 
@@ -54,21 +57,36 @@ def monoid_canonical_form(M: Monoid):
     return best
 
 
+def _relabel(action, perm, n):
+    """The action table with every carrier element a renamed perm[a]."""
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return tuple(tuple(perm[action[old][s]] for s in range(n)) for old in inv)
+
+
 def act_canonical_form(A: Act):
     """Minimal action table over carrier relabelings (monoid fixed)."""
-    m = A.size
-    best = None
-    for perm in permutations(range(m)):
-        inv = [0] * m
-        for old, new in enumerate(perm):
-            inv[new] = old
-        cand = tuple(
-            tuple(perm[A.action[inv[a]][s]] for s in range(A.monoid.size))
-            for a in range(m)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    n = A.monoid.size
+    return min(_relabel(A.action, perm, n) for perm in permutations(range(A.size)))
+
+
+def _orbit(action, n):
+    """Every relabeling of an action table, as a set: the closure of the
+    table under a transposition and an m-cycle, which generate all m!
+    permutations, so the cost is two relabelings per distinct table."""
+    m = len(action)
+    moves = ((1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)) if m > 1 else ()
+    orbit = {action}
+    frontier = [action]
+    while frontier:
+        table = frontier.pop()
+        for perm in moves:
+            image = _relabel(table, perm, n)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def acts_isomorphic(A: Act, B: Act) -> bool:
@@ -147,27 +165,126 @@ def _forced_action(M: Monoid, gens, gen_cols, m):
     return tuple(tuple(cols[s][a] for s in range(M.size)) for a in range(m))
 
 
-def enumerate_acts(M: Monoid, m: int):
-    """All acts of size m over M up to act isomorphism.
+class _ActSearch:
+    """Depth-first search for action tables T[a][s] = a*s over M.
 
-    Candidates are generated from columns of a minimal monoid generating
-    set; consistent candidates are validated and canonicalized.
+    Only the generator cells (a, g) are branched on.  Each assignment
+    T[a][s] = b propagates the act axiom a*(s*t) = (a*s)*t both ways:
+    forward, T[a][st] and T[b][t] must agree for every t; backward,
+    every cell (c, u) holding the value a needs T[c][us] = b.  Cells are
+    flat indices a*n + s; the identity column is filled from the start
+    and never propagates, since its instances of the axiom are trivial.
     """
-    gens = monoid_generators(M)
-    work = m ** (m * len(gens)) if gens else 1
-    if work > ACT_ENUM_WORK_CAP:
-        raise SizeTooLarge(
-            f"act enumeration needs {work} candidates (> {ACT_ENUM_WORK_CAP})"
-        )
-    columns = list(product(range(m), repeat=m))
+
+    def __init__(self, M: Monoid, m: int):
+        n = M.size
+        self.m, self.n, self.mul = m, n, M.table
+        self.branch = [a * n + g for a in range(m) for g in monoid_generators(M)]
+        self.table = [-1] * (m * n)
+        for a in range(m):
+            self.table[a * n] = a
+        self.holders = [[] for _ in range(m)]  # value b -> cells holding b
+        self.trail = []
+        self.nodes = 0
+        self.relabelings = 0
+
+    def charge(self, nodes=0, relabelings=0):
+        """Spend work units; SizeTooLarge once ACT_ENUM_WORK_CAP is passed."""
+        self.nodes += nodes
+        self.relabelings += relabelings
+        if self.nodes + self.relabelings > ACT_ENUM_WORK_CAP:
+            raise SizeTooLarge(
+                f"act enumeration over {self.m} points exceeded its work budget of "
+                f"{ACT_ENUM_WORK_CAP} units: {self.nodes} search nodes and "
+                f"{self.relabelings} relabelings charged"
+            )
+
+    def assign(self, cell, value) -> bool:
+        """Set a cell and everything it forces; False on a conflict, with
+        the partial assignments left on the trail for undo."""
+        n, mul, table, holders, trail = self.n, self.mul, self.table, self.holders, self.trail
+        queue = [(cell, value)]
+        while queue:
+            cell, b = queue.pop()
+            current = table[cell]
+            if current >= 0:
+                if current != b:
+                    return False
+                continue
+            table[cell] = b
+            trail.append(cell)
+            holders[b].append(cell)
+            a, s = divmod(cell, n)
+            base_a, base_b, row_s = a * n, b * n, mul[s]
+            for t in range(1, n):
+                x = table[base_a + row_s[t]]
+                y = table[base_b + t]
+                if x != y:
+                    if x < 0:
+                        queue.append((base_a + row_s[t], y))
+                    elif y < 0:
+                        queue.append((base_b + t, x))
+                    else:
+                        return False
+            for held in holders[a]:
+                c, u = divmod(held, n)
+                target = c * n + mul[u][s]
+                x = table[target]
+                if x < 0:
+                    queue.append((target, b))
+                elif x != b:
+                    return False
+        return True
+
+    def undo(self, mark):
+        """Clear every cell assigned since the trail had length mark."""
+        table, holders, trail = self.table, self.holders, self.trail
+        while len(trail) > mark:
+            cell = trail.pop()
+            holders[table[cell]].pop()
+            table[cell] = -1
+
+    def tables(self, k=0):
+        """Yield every complete labelled action table, one search node
+        charged per value tried at a generator cell."""
+        branch, table = self.branch, self.table
+        while k < len(branch) and table[branch[k]] >= 0:
+            k += 1
+        if k == len(branch):
+            n = self.n
+            yield tuple(tuple(table[i : i + n]) for i in range(0, len(table), n))
+            return
+        for value in range(self.m):
+            self.charge(nodes=1)
+            mark = len(self.trail)
+            if self.assign(branch[k], value):
+                yield from self.tables(k + 1)
+            self.undo(mark)
+
+
+def enumerate_acts(M: Monoid, m: int):
+    """All acts of size m over M up to act isomorphism, in the order of
+    their canonical forms (act_canonical_form).
+
+    `_ActSearch` finds every labelled action table.  The first table of
+    each isomorphism class pays m! work units, then its whole relabeling
+    orbit goes into `seen` and the orbit's minimum is kept as the class
+    representative; later tables of the class cost one set lookup.
+    Search nodes and relabelings share the ACT_ENUM_WORK_CAP budget.
+    """
+    search = _ActSearch(M, m)
+    per_class = factorial(m)
     seen = set()
-    for gen_cols in product(columns, repeat=len(gens)):
-        action = _forced_action(M, gens, gen_cols, m)
-        if action is None:
+    classes = []
+    for action in search.tables():
+        validate_act(M, m, action)
+        if action in seen:
             continue
-        A = validate_act(M, m, action)
-        seen.add(act_canonical_form(A))
-    return [Act(M, m, t) for t in sorted(seen)]
+        search.charge(relabelings=per_class)
+        orbit = _orbit(action, M.size)
+        seen |= orbit
+        classes.append(min(orbit))
+    return [Act(M, m, t) for t in sorted(classes)]
 
 
 def random_acts(M: Monoid, m: int, count: int, rng: random.Random):

@@ -6,7 +6,9 @@ or closure code paths, so a test comparing the two sides is a real
 cross-check rather than a tautology.
 """
 
-from itertools import product
+from itertools import permutations, product
+
+from monact.monoid import monoid_generators
 
 
 def brute_force_associative(table):
@@ -31,6 +33,51 @@ def brute_force_homs(A, B):
         ):
             found.append(mapping)
     return sorted(found)
+
+
+def brute_force_acts(M, m):
+    """Canonical action tables of all acts of size m over M, sorted: every
+    choice of m-point columns for a minimal generating set is filtered by
+    both act axioms, then minimised over all m! carrier relabelings.
+    Candidates number m^(m*|gens|)."""
+    n = M.size
+    gens = monoid_generators(M)
+    words = {0: ()}  # element -> a word in the generators, shortest first
+    frontier = [0]
+    while frontier:
+        s = frontier.pop(0)
+        for i, g in enumerate(gens):
+            t = M.table[s][g]
+            if t not in words:
+                words[t] = words[s] + (i,)
+                frontier.append(t)
+    forms = set()
+    for cols in product(product(range(m), repeat=m), repeat=len(gens)):
+        action = []
+        for a in range(m):
+            row = []
+            for s in range(n):
+                x = a
+                for i in words[s]:
+                    x = cols[i][x]
+                row.append(x)
+            action.append(tuple(row))
+        if not all(
+            action[a][M.table[s][t]] == action[action[a][s]][t]
+            for a in range(m)
+            for s in range(n)
+            for t in range(n)
+        ):
+            continue
+        # relabel a -> p[a]: row p[a] of the new table is p applied to row a
+        forms.add(min(
+            tuple(
+                tuple(p[action[a][s]] for s in range(n))
+                for a in sorted(range(m), key=p.__getitem__)
+            )
+            for p in permutations(range(m))
+        ))
+    return sorted(forms)
 
 
 def all_partitions(n):
@@ -124,6 +171,15 @@ def bell_number(n):
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
+
+
+def partition_number(n):
+    """p(n), the number of partitions of n, by the coin-counting recurrence."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 def componentwise_product_table(factor_tables):

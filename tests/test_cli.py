@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import monact
-from monact.cli import main
+from monact.cli import build_parser, main
 from monact.errors import DuplicateName, InputSyntaxError, UnknownMonoidReference
 from monact.textio import parse_input, serialize_document
 
@@ -101,6 +101,22 @@ def test_classify_json(sample_file, capsys):
     assert props["fitting"] is True
     assert props["end_size"] == 2
     assert len(report["chains"]) == 2
+
+
+def test_main_twice_in_a_row_gives_identical_results(sample_file, capsys):
+    # the parser is built once and reused; a second run must not differ
+    argvs = (
+        ["classify", sample_file, "--act", "A2", "--json"],
+        ["suite", "--max-monoid", "1", "--max-act", "2", "--theorems", "T1"],
+        ["classify", sample_file, "--act", "missing"],
+    )
+    runs = []
+    for _ in range(2):
+        codes = [main(argv) for argv in argvs]
+        runs.append((codes, capsys.readouterr()))
+    assert runs[0][0] == [0, 0, 2]
+    assert runs[0] == runs[1]
+    assert build_parser() is build_parser()
 
 
 def test_classify_regular_builtin(capsys):

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from monact import harness
 from monact.act import Act, subact, validate_act
 from monact.errors import SizeTooLarge, UnknownTheorem
 from monact.harness import (
@@ -19,6 +21,7 @@ from monact.harness import (
     run_suite,
 )
 from monact.monoid import validate_monoid
+from oracles import brute_force_acts, partition_number
 
 
 def test_monoid_counts_golden():
@@ -27,6 +30,7 @@ def test_monoid_counts_golden():
     assert len(enumerate_monoids(1)) == 1
     assert len(enumerate_monoids(2)) == 2
     assert len(enumerate_monoids(3)) == 7
+    assert len(enumerate_monoids(4)) == 35
 
 
 def test_two_element_monoids_are_the_expected_pair():
@@ -93,6 +97,83 @@ def test_act_enumeration_work_cap():
     big = enumerate_monoids(3)[0]
     with pytest.raises(SizeTooLarge):
         enumerate_acts(big, 9)
+
+
+def test_trivial_monoid_enumeration_is_budgeted(trivial):
+    # one labelled table, but its class is charged 10! relabelings, more
+    # than the budget, before any relabeling is built
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge) as err:
+        enumerate_acts(trivial, 10)
+    assert time.perf_counter() - start < 1.0
+    message = str(err.value)
+    assert "act enumeration" in message
+    assert "0 search nodes" in message and "3628800 relabelings" in message
+
+
+# every pair the brute force covers in a few seconds: 3/4 and 2/5
+ORACLE_PAIRS = [(n, m) for n in (1, 2, 3) for m in range(1, 5)] + [(1, 5), (2, 5)]
+
+
+@pytest.fixture(scope="module")
+def oracle_acts():
+    return [(M, m, brute_force_acts(M, m)) for n, m in ORACLE_PAIRS for M in enumerate_monoids(n)]
+
+
+def _oracle_mismatches(oracle_acts):
+    return [
+        (M.table, m)
+        for M, m, forms in oracle_acts
+        if [A.action for A in enumerate_acts(M, m)] != forms
+    ]
+
+
+def test_enumerate_acts_matches_brute_force_oracle(oracle_acts):
+    assert len(oracle_acts) == 43
+    assert _oracle_mismatches(oracle_acts) == []
+
+
+def _closed_form_mismatches(trivial, m2):
+    z2 = validate_monoid(2, [[0, 1], [1, 0]])
+    expected = [(trivial, m, 1) for m in range(1, 8)]
+    expected += [(z2, m, m // 2 + 1) for m in range(1, 8)]
+    expected += [(m2, m, partition_number(m)) for m in range(1, 8)]
+    counts = [(M.table, m, want, len(enumerate_acts(M, m))) for M, m, want in expected]
+    return [c for c in counts if c[2] != c[3]]
+
+
+def test_act_counts_closed_forms(trivial, m2):
+    # trivial monoid: one act; Z/2: an involution up to conjugacy, so
+    # floor(m/2) + 1 acts; {1, e}: an idempotent map up to conjugacy, one
+    # per partition of m
+    assert _closed_form_mismatches(trivial, m2) == []
+
+
+def test_act_totals_up_to_4_4_and_3_5():
+    monoids = {n: enumerate_monoids(n) for n in range(1, 5)}
+    total = lambda max_n, max_m: sum(
+        len(enumerate_acts(M, m))
+        for n in range(1, max_n + 1)
+        for M in monoids[n]
+        for m in range(1, max_m + 1)
+    )
+    assert total(4, 4) == 1205
+    assert total(3, 5) == 277
+
+
+def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivial, m2):
+    # the search skips the last value at the root branch of every search
+    # over two or more points, dropping one subtree of candidates
+    real = harness._ActSearch.assign
+
+    def planted(self, cell, value):
+        if self.m > 1 and not self.trail and cell == self.branch[0] and value == self.m - 1:
+            return False
+        return real(self, cell, value)
+
+    monkeypatch.setattr(harness._ActSearch, "assign", planted)
+    assert len(_oracle_mismatches(oracle_acts)) > 0
+    assert len(_closed_form_mismatches(trivial, m2)) > 0
 
 
 def test_check_theorem_single_instances(a2, reg_z4):
