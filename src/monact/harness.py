@@ -1,7 +1,9 @@
 """Exhaustive corpus generation and theorem checking.
 
 Small monoids and acts are enumerated up to isomorphism (canonical form
-= minimal table under carrier relabelings, identity pinned at 0).  Acts
+= minimal table under carrier relabelings, identity pinned at 0).
+Monoid tables come from a backtrack over the non-identity cells that
+drops a partial table at its first failed associativity instance.  Acts
 come from a propagating backtrack over the generator cells of the
 action table; each isomorphism class is relabeled once, into a seen set
 that absorbs its other labelled copies.  Every registered theorem is
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
 from . import deciders
@@ -99,35 +101,57 @@ def acts_isomorphic(A: Act, B: Act) -> bool:
 
 # -- enumeration -------------------------------------------------------------
 
-def _associative(table, n):
-    for s in range(n):
-        row_s = table[s]
-        for t in range(n):
-            st = row_s[t]
-            row_t = table[t]
-            row_st = table[st]
-            for u in range(n):
-                if row_st[u] != row_s[row_t[u]]:
-                    return False
-    return True
+def _monoid_tables(n):
+    """Every associative n x n table with identity 0, as a list of rows.
+
+    The (n-1)^2 non-identity cells are filled in row-major order, and a
+    partial table is dropped as soon as an instance (s*t)*u = s*(t*u)
+    whose four entries are all set fails.  Instances with the identity
+    among s, t, u hold by the fixed identity row and column.
+    """
+    table = [list(range(n))] + [[s] + [-1] * (n - 1) for s in range(1, n)]
+    cells = [(s, t) for s in range(1, n) for t in range(1, n)]
+    elems = range(1, n)
+    found = []
+
+    def consistent():
+        for s in elems:
+            row_s = table[s]
+            for t in elems:
+                st = row_s[t]
+                if st < 0:
+                    continue
+                row_t, row_st = table[t], table[st]
+                for u in elems:
+                    tu = row_t[u]
+                    if tu < 0:
+                        continue
+                    left, right = row_st[u], row_s[tu]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            found.append(tuple(map(tuple, table)))
+            return
+        s, t = cells[k]
+        for v in range(n):
+            table[s][t] = v
+            if consistent():
+                fill(k + 1)
+        table[s][t] = -1
+
+    fill(0)
+    return found
 
 
 def enumerate_monoids(n: int):
-    """All monoids of size exactly n up to isomorphism, identity at 0."""
+    """All monoids of size exactly n up to isomorphism, identity at 0,
+    in the order of their canonical forms (monoid_canonical_form)."""
     if n > MONOID_ENUM_MAX:
         raise SizeTooLarge(f"monoid enumeration capped at size {MONOID_ENUM_MAX}")
-    if n == 1:
-        return [Monoid(1, ((0,),), (0,))]
-    idrow = tuple(range(n))
-    seen = set()
-    for free in product(range(n), repeat=(n - 1) * (n - 1)):
-        table = [idrow]
-        for s in range(1, n):
-            chunk = free[(s - 1) * (n - 1) : s * (n - 1)]
-            table.append((s,) + chunk)
-        if not _associative(table, n):
-            continue
-        seen.add(monoid_canonical_form(Monoid(n, tuple(table))))
+    seen = {monoid_canonical_form(Monoid(n, table)) for table in _monoid_tables(n)}
     return [Monoid(n, t, tuple(range(n))) for t in sorted(seen)]
 
 

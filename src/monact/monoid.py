@@ -6,17 +6,20 @@ elements keep their relative order).  Associativity is checked by
 Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
 vol. 1, section 1.2) against a greedy generating set G, which costs
 O(n^2 * |G|) rather than the O(n^3) of checking every triple; G is
-usually tiny (3 for Z/256, 5 for the 3125-element End of a 5-point set).  The
-family constructors (`direct_product`, `zmod_mult_monoid`,
+usually tiny (3 for Z/256, 5 for the 3125-element End of a 5-point set).
+`act.validate_act` checks the act axiom against the same generating
+set.  The family constructors (`direct_product`, `zmod_mult_monoid`,
 `prime_power_product`) build tables that are associative by
 construction and skip the check, which matters for product monoids
-with ~10^3 elements.
+with ~10^3 elements; `direct_product` assembles each row from
+precomputed blocks, one factor at a time, instead of encoding every
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
@@ -121,6 +124,23 @@ def _greedy_generators(table, identity):
     return gens
 
 
+def light_test_failure(table, identity, rows):
+    """Light's test for `rows` acted on by the table: the first (r, g), g a
+    greedy generator, with rows[r][g*u] != rows[rows[r][g]][u] for some u,
+    or None if there is none.  With rows = table it tests associativity.
+
+    A one-element table has no generators, so `itemgetter` below always
+    gets two or more indices and returns a tuple.
+    """
+    for g in _greedy_generators(table, identity):
+        # times_g(row) = (row[g*0], row[g*1], ...): r*(g*u) over u
+        times_g = itemgetter(*table[g])
+        for r, row in enumerate(rows):
+            if times_g(row) != rows[row[g]]:
+                return r, g
+    return None
+
+
 def validate_monoid(size: int, table) -> Monoid:
     """Checked constructor: verify monoid axioms, normalize identity to 0.
 
@@ -142,16 +162,12 @@ def validate_monoid(size: int, table) -> Monoid:
             break
     if identity is None:
         raise NoIdentity("no two-sided identity element")
-    if size > 1:
-        for g in _greedy_generators(table, identity):
-            row_g = table[g]
-            # times_g(row) = (row[g*0], row[g*1], ...): the row s*(g*u) over u
-            times_g = itemgetter(*row_g)
-            for s, row_s in enumerate(table):
-                row_sg = table[row_s[g]]
-                if times_g(row_s) != row_sg:
-                    u = next(u for u in range(size) if row_sg[u] != row_s[row_g[u]])
-                    raise NotAssociative(s, g, u)
+    failure = light_test_failure(table, identity, table)
+    if failure is not None:
+        s, g = failure
+        row_s, row_g, row_sg = table[s], table[g], table[table[s][g]]
+        u = next(u for u in range(size) if row_sg[u] != row_s[row_g[u]])
+        raise NotAssociative(s, g, u)
     perm = _identity_first_perm(size, identity)
     if identity != 0:
         table = _relabel_table(table, perm)
@@ -193,42 +209,43 @@ def row_partition(M: Monoid, s: int):
     return partition_from_labels(M.table[s])
 
 
+def _product_table(left, right):
+    """Componentwise product of two tables, pairs (x, y) encoded x*n + y
+    with n = len(right), so the left factor is the more significant.
+
+    blocks[b][x] is row b of `right` shifted into the slot of x, so row
+    (a, b) is the blocks of row a of `left`, laid end to end.
+    """
+    n = len(right)
+    blocks = [[tuple(x * n + y for y in row_b) for x in range(len(left))] for row_b in right]
+    return [
+        tuple(chain.from_iterable(map(block.__getitem__, row_a)))
+        for row_a in left
+        for block in blocks
+    ]
+
+
 def direct_product(factors) -> Monoid:
     """Componentwise product monoid on the mixed-radix encoded carrier.
 
     Index encoding is mixed-radix with the FIRST factor most
-    significant: (c1,..,ck) -> ((c1*n2 + c2)*n3 + ...) + ck.
+    significant: (c1,..,ck) -> ((c1*n2 + c2)*n3 + ...) + ck.  The
+    factors are folded in one at a time, each as the new least
+    significant digit, and every row is assembled from precomputed
+    blocks rather than encoded entry by entry.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    sizes = [f.size for f in factors]
     total = 1
-    for n in sizes:
-        total *= n
+    for f in factors:
+        total *= f.size
         if total > SIZE_CAP:
             raise SizeOverflow(f"product size exceeds cap {SIZE_CAP}")
-    comps = []
-    for idx in range(total):
-        rest = idx
-        c = [0] * len(sizes)
-        for i in range(len(sizes) - 1, -1, -1):
-            rest, c[i] = divmod(rest, sizes[i])
-        comps.append(tuple(c))
-    tables = [f.table for f in factors]
-    k = len(sizes)
-
-    def encode(c):
-        idx = 0
-        for i in range(k):
-            idx = idx * sizes[i] + c[i]
-        return idx
-
+    table = factors[0].table
+    for f in factors[1:]:
+        table = _product_table(table, f.table)
     # identity = (0,..,0) encodes to 0, so the product is already canonical
-    table = []
-    for a in comps:
-        row = [encode([tables[i][a[i]][b[i]] for i in range(k)]) for b in comps]
-        table.append(tuple(row))
     return _trusted(total, table)
 
 

@@ -8,7 +8,8 @@ cross-check rather than a tautology.
 
 from itertools import permutations, product
 
-from monact.monoid import monoid_generators
+from monact.harness import monoid_canonical_form
+from monact.monoid import Monoid, monoid_generators
 
 
 def brute_force_associative(table):
@@ -20,6 +21,33 @@ def brute_force_associative(table):
         for t in range(n)
         for u in range(n)
     )
+
+
+def brute_force_monoids(n):
+    """Canonical tables of all monoids of size n, sorted: every one of the
+    n^((n-1)^2) fillings of the non-identity cells is filtered by the
+    all-triples associativity check, then canonicalised."""
+    idrow = tuple(range(n))
+    forms = set()
+    for free in product(range(n), repeat=(n - 1) * (n - 1)):
+        table = [idrow] + [
+            (s,) + free[(s - 1) * (n - 1) : s * (n - 1)] for s in range(1, n)
+        ]
+        if brute_force_associative(table):
+            forms.add(monoid_canonical_form(Monoid(n, tuple(table))))
+    return sorted(forms)
+
+
+def first_act_axiom_failure(table, action):
+    """The lexicographically first (a, s, t) with a*(s*t) != (a*s)*t, or
+    None when the action table satisfies the axiom everywhere."""
+    n = len(table)
+    for a in range(len(action)):
+        for s in range(n):
+            for t in range(n):
+                if action[a][table[s][t]] != action[action[a][s]][t]:
+                    return (a, s, t)
+    return None
 
 
 def brute_force_homs(A, B):
@@ -203,12 +231,11 @@ def componentwise_product_table(factor_tables):
             idx = idx * s + c
         return idx
 
+    comps = [decode(idx) for idx in range(total)]
     table = []
-    for a in range(total):
-        ca = decode(a)
+    for ca in comps:
         row = []
-        for b in range(total):
-            cb = decode(b)
+        for cb in comps:
             row.append(encode([t[x][y] for t, x, y in zip(factor_tables, ca, cb)]))
         table.append(row)
     return table

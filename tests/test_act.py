@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from monact import monoid
 from monact.act import (
     ActHom,
     act_hom,
@@ -26,7 +29,9 @@ from monact.errors import (
     NotEquivariant,
     SourceTargetMismatch,
 )
-from monact.harness import acts_isomorphic, enumerate_acts, enumerate_monoids
+from monact.harness import CorpusSpec, acts_isomorphic, build_corpus, enumerate_acts, enumerate_monoids
+from monact.monoid import zmod_mult_monoid
+from oracles import first_act_axiom_failure
 
 
 def test_validate_act_accepts_a2(m2, a2):
@@ -55,6 +60,68 @@ def test_validate_act_identity_axiom(m2):
 def test_validate_act_entry_range(m2):
     with pytest.raises(EntryOutOfRange):
         validate_act(m2, 2, [[0, 2], [1, 1]])
+
+
+def _perturbed(action, rng, count):
+    """count copies of an action table, each with one seeded entry off the
+    identity column changed to another value."""
+    m, n = len(action), len(action[0])
+    out = []
+    for _ in range(count):
+        a, s = rng.randrange(m), rng.randrange(1, n)
+        table = [list(row) for row in action]
+        table[a][s] = rng.choice([v for v in range(m) if v != action[a][s]])
+        out.append(table)
+    return out
+
+
+@pytest.fixture(scope="module")
+def act_axiom_cases():
+    """(monoid, action table) pairs: every act of the default corpus and
+    seeded one-entry perturbations of it, the regular acts of Z/6, Z/8
+    and Z/12 with one entry changed, and acts over the trivial monoid."""
+    rng = random.Random(17)
+    cases = []
+    for acts in build_corpus(CorpusSpec()).acts:
+        for A in acts:
+            cases.append((A.monoid, A.action))
+            if A.monoid.size > 1 and A.size > 1:
+                cases.extend((A.monoid, t) for t in _perturbed(A.action, rng, 4))
+    for q in (6, 8, 12):
+        Z = zmod_mult_monoid(q)
+        cases.extend((Z, t) for t in _perturbed(Z.table, rng, 40))
+    trivial = enumerate_monoids(1)[0]
+    cases.extend((trivial, [[a] for a in range(m)]) for m in range(1, 6))
+    return cases
+
+
+def _act_axiom_mismatches(cases):
+    """Cases where validate_act and the all-triples oracle disagree, on
+    acceptance or on the witness triple."""
+    bad = []
+    for M, action in cases:
+        expected = first_act_axiom_failure(M.table, action)
+        try:
+            validate_act(M, len(action), action)
+            got = None
+        except AssociativityAxiomFails as err:
+            got = err.witness
+        if got != expected:
+            bad.append((M.table, action, expected, got))
+    return bad
+
+
+def test_validate_act_matches_axiom_oracle(act_axiom_cases):
+    rejected = sum(first_act_axiom_failure(M.table, t) is not None for M, t in act_axiom_cases)
+    assert 0 < rejected < len(act_axiom_cases)
+    assert _act_axiom_mismatches(act_axiom_cases) == []
+
+
+def test_planted_skipped_generator_is_caught(monkeypatch, act_axiom_cases):
+    # the fast axiom test forgets the last greedy generator of the monoid
+    real = monoid._greedy_generators
+    monkeypatch.setattr(monoid, "_greedy_generators", lambda table, e: real(table, e)[:-1])
+    assert len(_act_axiom_mismatches(act_axiom_cases)) > 0
 
 
 def test_trivial_monoid_allows_any_carrier(trivial):

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import monact
 from monact.cli import build_parser, main
 from monact.errors import DuplicateName, InputSyntaxError, UnknownMonoidReference
+from monact.monoid import zmod_mult_monoid
 from monact.textio import parse_input, serialize_document
 
 SAMPLE = """\
@@ -69,6 +71,18 @@ def test_validate_command(sample_file, capsys):
     out = capsys.readouterr().out
     assert "monoid M2: ok" in out
     assert "act A2 over M2: ok" in out
+
+
+def test_validate_large_regular_act_is_bounded(tmp_path, capsys):
+    # (Z/512, *) acting on itself: 512^3 = 134M instances of the act
+    # axiom if every triple were checked
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in zmod_mult_monoid(512).table)
+    path = tmp_path / "z512.act"
+    path.write_text(f"monoid Z 512\n{rows}\nact R over Z 512\n{rows}")
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "act R over Z: ok (size 512)" in capsys.readouterr().out
 
 
 def test_validate_missing_file(capsys):

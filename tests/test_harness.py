@@ -21,7 +21,7 @@ from monact.harness import (
     run_suite,
 )
 from monact.monoid import validate_monoid
-from oracles import brute_force_acts, partition_number
+from oracles import brute_force_acts, brute_force_monoids, partition_number
 
 
 def test_monoid_counts_golden():
@@ -38,6 +38,11 @@ def test_two_element_monoids_are_the_expected_pair():
     group = ((0, 1), (1, 0))
     idempotent = ((0, 1), (1, 1))
     assert tables == {group, idempotent}
+
+
+def test_enumerate_monoids_matches_brute_force():
+    for n in range(1, 5):
+        assert [M.table for M in enumerate_monoids(n)] == brute_force_monoids(n)
 
 
 def test_enumerate_monoids_cap():

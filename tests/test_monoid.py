@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from monact import monoid
 from monact.act import regular_act
 from monact.congruence import kernel_congruence
 from monact.endo import homomorphisms
@@ -186,6 +187,30 @@ def test_direct_product_matches_componentwise_oracle():
     a = z2.relabeling[0] * 4 + z4.relabeling[2]
     zero = z2.relabeling[0] * 4 + z4.relabeling[0]
     assert P.table[a][a] == zero
+
+
+def _oracle_product(factors):
+    return tuple(map(tuple, componentwise_product_table([f.table for f in factors])))
+
+
+def test_direct_product_of_three_factors_matches_oracle():
+    factors = [zmod_mult_monoid(q) for q in (2, 4, 8)]
+    assert direct_product(factors).table == _oracle_product(factors)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 4), (3, 3)])
+def test_prime_power_product_matches_oracle(p, depth):
+    P, _ = prime_power_product(p, depth)
+    assert P.table == _oracle_product([zmod_mult_monoid(p**k) for k in range(1, depth + 1)])
+
+
+def test_planted_least_significant_first_fold_is_caught(monkeypatch):
+    # each factor folded in as the most significant digit, so the last
+    # factor ends up first in the encoding
+    real = monoid._product_table
+    monkeypatch.setattr(monoid, "_product_table", lambda left, right: real(right, left))
+    factors = [zmod_mult_monoid(q) for q in (2, 4, 8)]
+    assert direct_product(factors).table != _oracle_product(factors)
 
 
 def test_direct_product_projections_are_homomorphisms():
