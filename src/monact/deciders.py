@@ -3,15 +3,19 @@
 Everything here reduces to chains of kernel and image congruences of
 endomorphism powers.  On finite carriers both chain families stabilize
 within |A| steps (kernel class counts fall, image sizes fall), so every
-decider terminates with an exact index.
+decider terminates with an exact index.  Criteria 1 and 2 and the chain
+reports read each endomorphism's PowerProfile, one walk of its powers;
+criterion 3 stays literal on the powers' congruences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import cached_property
+from typing import NamedTuple
 
-from .act import Act, ActHom, enumerate_subacts, quotient_by_congruence, subact_as_act
+from .act import Act, ActHom, compose, enumerate_subacts, power
+from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
     diagonal,
@@ -30,7 +34,6 @@ from .endo import (
     is_strongly_pi_regular,
 )
 from .monoid import Monoid, element_power, row_partition
-from .relation import partition_from_labels
 
 CRITERIA = (1, 2, 3)
 
@@ -40,7 +43,8 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), End(A), the congruence lattice and the subacts.
+    them), a power profile per endomorphism, the congruence lattice and
+    the subacts.  End(A) is not kept: `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -63,8 +67,9 @@ class ActAnalysis:
         return self.homs(self.act)
 
     @cached_property
-    def end(self):
-        return end_monoid(self.act, self.endos)
+    def profiles(self):
+        """One PowerProfile per endomorphism, in `endos` order."""
+        return [power_profile(f) for f in self.endos]
 
     @cached_property
     def congruences(self):
@@ -80,45 +85,58 @@ def analyse(A: Act | ActAnalysis) -> ActAnalysis:
     return A if isinstance(A, ActAnalysis) else ActAnalysis(A)
 
 
-# -- chain indices ----------------------------------------------------------
+# -- power profiles ----------------------------------------------------------
 
-def _compose_map(outer, inner):
-    return tuple(outer[a] for a in inner)
+class PowerProfile(NamedTuple):
+    """How the kernel and image chains of one endomorphism f settle:
+    `k_index` (`i_index`) is the least n >= 1 with ker f^n = ker f^(n+1)
+    (im f^n = im f^(n+1)).  `k_tail` (`i_tail`) says whether the kernel
+    (image) stays the same from that index through f^(c+p), where
+    f^(c+p) = f^c is the first repeated power: every later power repeats
+    one of f^c .. f^(c+p-1), so that stretch is the whole tail.
+    """
+
+    k_index: int
+    i_index: int
+    k_tail: bool
+    i_tail: bool
 
 
-def _map_powers(mapping, count):
-    """mapping^1 .. mapping^count as tuples."""
-    powers = [tuple(mapping)]
-    for _ in range(count - 1):
-        powers.append(_compose_map(powers[-1], mapping))
-    return powers
+def _settle(chain):
+    """(n, tail) for the kernels or images of f^1 .. f^(c+p): the least
+    n with chain[n-1] == chain[n], and whether every later entry equals
+    chain[n-1] too."""
+    n = next(n for n in range(1, len(chain)) if chain[n - 1] == chain[n])
+    return n, all(x == chain[n - 1] for x in chain[n:])
+
+
+def power_profile(f: ActHom) -> PowerProfile:
+    """f's profile from one walk f, f^2, .. up to the first repeated
+    power, comparing kernel labels and image sets; the powers themselves
+    are not kept."""
+    cur = m = tuple(f.mapping)
+    seen, kernels, images = set(), [], []
+    while True:
+        # label a by the first point with a's image: one labelling per kernel
+        kernels.append(tuple(map(cur.index, cur)))
+        images.append(frozenset(cur))
+        if cur in seen:
+            break
+        seen.add(cur)
+        cur = tuple(map(m.__getitem__, cur))
+    k, k_tail = _settle(kernels)
+    i, i_tail = _settle(images)
+    return PowerProfile(k, i, k_tail, i_tail)
 
 
 def k_chain_index(f: ActHom) -> int:
     """Least n >= 1 with ker(f^n) = ker(f^(n+1))."""
-    prev = partition_from_labels(f.mapping)
-    cur_map = tuple(f.mapping)
-    for n in range(1, f.source.size + 1):
-        cur_map = _compose_map(cur_map, f.mapping)
-        part = partition_from_labels(cur_map)
-        if part == prev:
-            return n
-        prev = part
-    raise AssertionError("kernel chain must stabilize within |A| steps")
+    return power_profile(f).k_index
 
 
 def i_chain_index(f: ActHom) -> int:
-    """Least n >= 1 with im(f^n) = im(f^(n+1)); equivalent to equality
-    of the image congruences since images are nested."""
-    prev = frozenset(f.mapping)
-    cur_map = tuple(f.mapping)
-    for n in range(1, f.source.size + 1):
-        cur_map = _compose_map(cur_map, f.mapping)
-        image = frozenset(cur_map)
-        if image == prev:
-            return n
-        prev = image
-    raise AssertionError("image chain must stabilize within |A| steps")
+    """Least n >= 1 with im(f^n) = im(f^(n+1))."""
+    return power_profile(f).i_index
 
 
 @dataclass(frozen=True)
@@ -131,15 +149,6 @@ class ChainReport:
     i_index: int
     kernel: Congruence
     image: Congruence
-
-
-def chain_report(A: Act, endo_index: int, f: ActHom) -> ChainReport:
-    k = k_chain_index(f)
-    i = i_chain_index(f)
-    powers = _map_powers(f.mapping, max(k, i))
-    kernel = kernel_congruence(ActHom(A, A, powers[k - 1]))
-    image = image_congruence(ActHom(A, A, powers[i - 1]))
-    return ChainReport(endo_index, tuple(f.mapping), k, i, kernel, image)
 
 
 # -- Hopfian family ---------------------------------------------------------
@@ -155,54 +164,32 @@ def is_co_hopfian(A: Act | ActAnalysis) -> bool:
     return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
 
 
-def _strongly_hopfian_index(A, f, criterion):
-    """Least n satisfying the chosen criterion for one endomorphism."""
-    size = A.size
-    if criterion == 1:
-        # adjacent equality, then the whole tail up to 2|A| re-verified
-        n = k_chain_index(f)
-        powers = _map_powers(f.mapping, 2 * size + 1)
-        stable = partition_from_labels(powers[n - 1])
-        for m in range(n, 2 * size + 1):
-            if partition_from_labels(powers[m - 1]) != stable:
-                raise AssertionError("kernel tail not constant after stabilization")
-        return n
-    if criterion == 2:
-        return k_chain_index(f)
-    if criterion == 3:
-        delta = diagonal(A)
-        cur = tuple(f.mapping)
-        for n in range(1, 2 * size + 1):
-            f_n = ActHom(A, A, cur)
-            if meet(image_congruence(f_n), kernel_congruence(f_n)) == delta:
-                return n
-            cur = _compose_map(cur, f.mapping)
-        return None
-    raise ValueError(f"criterion must be one of {CRITERIA}")
+def _endo_index(f, criterion, index, tail, settled):
+    """Least n satisfying the chosen criterion for one endomorphism f:
+    criteria 1 and 2 read `index` and `tail`, the chain's entries in f's
+    power profile; criterion 3 is `settled(f^n)` for n <= 2|A|."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
+    if criterion == 1 and not tail:
+        raise AssertionError("chain tail not constant after stabilization")
+    if criterion != 3:
+        return index
+    f_n = f
+    for n in range(1, 2 * f.source.size + 1):
+        if settled(f_n):
+            return n
+        f_n = compose(f, f_n)
+    return None
 
 
-def _strongly_co_hopfian_index(A, f, criterion):
-    size = A.size
-    if criterion == 1:
-        n = i_chain_index(f)
-        powers = _map_powers(f.mapping, 2 * size + 1)
-        stable = frozenset(powers[n - 1])
-        for m in range(n, 2 * size + 1):
-            if frozenset(powers[m - 1]) != stable:
-                raise AssertionError("image tail not constant after stabilization")
-        return n
-    if criterion == 2:
-        return i_chain_index(f)
-    if criterion == 3:
-        full = universal(A)
-        cur = tuple(f.mapping)
-        for n in range(1, 2 * size + 1):
-            f_n = ActHom(A, A, cur)
-            if join(image_congruence(f_n), kernel_congruence(f_n)) == full:
-                return n
-            cur = _compose_map(cur, f.mapping)
-        return None
-    raise ValueError(f"criterion must be one of {CRITERIA}")
+def _worst(indices):
+    """(flag, index): False at the first None, else the largest index."""
+    worst = 0
+    for n in indices:
+        if n is None:
+            return False, None
+        worst = max(worst, n)
+    return True, worst
 
 
 def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
@@ -213,13 +200,15 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     least n for the chosen criterion.
     """
     an = analyse(A)
-    worst = 0
-    for f in an.endos:
-        n = _strongly_hopfian_index(an.act, f, criterion)
-        if n is None:
-            return False, None
-        worst = max(worst, n)
-    return True, worst
+    delta = diagonal(an.act)
+
+    def settled(f_n):
+        return meet(image_congruence(f_n), kernel_congruence(f_n)) == delta
+
+    return _worst(
+        _endo_index(f, criterion, p.k_index, p.k_tail, settled)
+        for f, p in zip(an.endos, an.profiles)
+    )
 
 
 def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
@@ -229,13 +218,15 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     the universal congruence.
     """
     an = analyse(A)
-    worst = 0
-    for f in an.endos:
-        n = _strongly_co_hopfian_index(an.act, f, criterion)
-        if n is None:
-            return False, None
-        worst = max(worst, n)
-    return True, worst
+    full = universal(an.act)
+
+    def settled(f_n):
+        return join(image_congruence(f_n), kernel_congruence(f_n)) == full
+
+    return _worst(
+        _endo_index(f, criterion, p.i_index, p.i_tail, settled)
+        for f, p in zip(an.endos, an.profiles)
+    )
 
 
 def is_fitting(A: Act | ActAnalysis) -> bool:
@@ -377,7 +368,7 @@ class PropertyReport:
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     """Run every decider on one act (or on its ActAnalysis)."""
     an = analyse(A)
-    E = an.end
+    E = end_monoid(an.act, an.endos)
     sh, sh_index = is_strongly_hopfian(an, 1)
     sch, sch_index = is_strongly_co_hopfian(an, 1)
     noe, art, n_congs, max_chain = chain_conditions(an)
@@ -406,6 +397,15 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
 
 
 def chain_reports(A: Act | ActAnalysis):
-    """ChainReport per endomorphism, in canonical End(A) order."""
+    """ChainReport per endomorphism, in canonical End(A) order: the
+    indices from its power profile, the kernel congruence of f^k and the
+    image congruence of f^i."""
     an = analyse(A)
-    return [chain_report(an.act, i, f) for i, f in enumerate(identity_first(an.endos))]
+    profile = {f.mapping: p for f, p in zip(an.endos, an.profiles)}
+    reports = []
+    for n, f in enumerate(identity_first(an.endos)):
+        p = profile[f.mapping]
+        kernel = kernel_congruence(power(f, p.k_index))
+        image = image_congruence(power(f, p.i_index))
+        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
+    return reports

@@ -191,6 +191,81 @@ def longest_chain_oracle(partitions):
     return max(longest)
 
 
+def map_powers(mapping, count):
+    """mapping^1 .. mapping^count as tuples."""
+    powers = [tuple(mapping)]
+    for _ in range(count - 1):
+        powers.append(tuple(powers[-1][a] for a in mapping))
+    return powers
+
+
+def fibers(labels):
+    """The kernel partition of a label sequence, in canonical form."""
+    classes = {}
+    for a, lab in enumerate(labels):
+        classes.setdefault(lab, []).append(a)
+    return canon_sorted(classes.values())
+
+
+def image_classes(mapping):
+    """The image congruence's classes: the image as one class, the
+    other points as singletons."""
+    image = set(mapping)
+    return canon_sorted([sorted(image)] + [(a,) for a in range(len(mapping)) if a not in image])
+
+
+def _chain(powers, family):
+    return [fibers(p) if family == "kernel" else frozenset(p) for p in powers]
+
+
+def chain_index_oracle(mapping, family):
+    """Least n >= 1 with ker f^n = ker f^(n+1) (family "kernel") or
+    im f^n = im f^(n+1) (family "image"), comparing partitions and
+    image sets of the powers f^1 .. f^(|A|+1)."""
+    size = len(mapping)
+    chain = _chain(map_powers(mapping, size + 1), family)
+    for n in range(1, size + 1):
+        if chain[n - 1] == chain[n]:
+            return n
+    raise AssertionError("chain must stabilize within |A| steps")
+
+
+def criterion_index_oracle(mapping, family, criterion):
+    """The least n meeting criterion 1, 2 or 3 of the strongly Hopfian
+    ("kernel") or co-Hopfian ("image") property for one endomorphism,
+    or None.  Criterion 2 is the first adjacent equality; criterion 1
+    also re-verifies the whole tail up to f^(2|A|); criterion 3 asks
+    that ker f^n and im f^n meet in the diagonal (kernel) or join to the
+    universal congruence (image), for n <= 2|A|.  Meet and join are
+    computed on the partitions: the meet by pairs of labels, the join
+    by connectivity."""
+    size = len(mapping)
+    powers = map_powers(mapping, 2 * size)
+    if criterion in (1, 2):
+        n = chain_index_oracle(mapping, family)
+        chain = _chain(powers, family)
+        if criterion == 1 and any(x != chain[n - 1] for x in chain[n:]):
+            raise AssertionError("tail not constant after stabilization")
+        return n
+    for n, p in enumerate(powers, 1):
+        image = set(p)
+        if family == "kernel":
+            # (kernel label, image label) pairs: one per point iff the meet is trivial
+            if len({(p[a], a if a not in image else -1) for a in range(size)}) == size:
+                return n
+        elif chain_join_oracle(size, fibers(p), image_classes(p)) == (tuple(range(size)),):
+            return n
+    return None
+
+
+def chain_report_oracle(mapping):
+    """(k_index, i_index, kernel classes of f^k, image classes of f^i)."""
+    k = chain_index_oracle(mapping, "kernel")
+    i = chain_index_oracle(mapping, "image")
+    powers = map_powers(mapping, max(k, i))
+    return k, i, fibers(powers[k - 1]), image_classes(powers[i - 1])
+
+
 def bell_number(n):
     row = [1]
     for _ in range(n):

@@ -1,7 +1,8 @@
 """Each per-act quantity is computed once per act: End(A), the
-endomorphisms, the congruence lattice and the subacts, in the suite and
-in `monact classify`.  Calls are counted by wrappers bound in every
-namespace of the package that holds the original function.  Congruence
+endomorphisms, their power profiles, the congruence lattice and the
+subacts, in the suite and in `monact classify`; End(A) is not kept.
+Calls are counted by wrappers bound in every namespace of the package
+that holds the original function.  Congruence
 enumeration makes a bounded number of closures."""
 
 import contextlib
@@ -13,7 +14,9 @@ import pytest
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
 from monact.act import validate_act
-from monact.harness import CorpusSpec, build_corpus, run_suite
+from monact.deciders import ActAnalysis, classify_act
+from monact.endo import EndMonoid, homomorphisms
+from monact.harness import CorpusSpec, SuiteAnalysis, build_corpus, run_suite
 from monact.monoid import validate_monoid
 
 MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
@@ -73,6 +76,66 @@ def test_classify_builds_end_once(count, tmp_path):
     assert list(ends.values()) == [1]
     (A,) = ends
     assert homs[(A, A)] == 1
+
+
+def _profile_key(f):
+    return (_key(f.source), f.mapping)
+
+
+def test_suite_profiles_each_endomorphism_once(count):
+    spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
+    acts = [A for per in build_corpus(spec).acts for A in per]
+    profiles = count(deciders, "power_profile", _profile_key)
+    result = run_suite(spec)
+    assert all(v.passed for v in result.verdicts)
+    assert set(profiles.values()) == {1}
+    for A in acts:
+        for f in homomorphisms(A, A):
+            assert profiles[_profile_key(f)] == 1
+
+
+def test_classify_profiles_each_endomorphism_once(count, tmp_path):
+    path = tmp_path / "a.act"
+    path.write_text("monoid M 2\n0 1\n1 1\n\nact A over M 3\n0 1\n1 1\n2 1\n")
+    profiles = count(deciders, "power_profile", lambda f: (f.source, f.mapping))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", str(path), "--act", "A", "--json"]) == 0
+    (A,) = {a for a, _ in profiles}
+    endos = homomorphisms(A, A)
+    assert len(endos) > 1
+    assert profiles == Counter((A, f.mapping) for f in endos)
+
+
+def _reachable(root):
+    """Every object reachable from root through containers and the
+    attributes of instances."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, str, int, bool, float)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return seen.values()
+
+
+@pytest.mark.parametrize("analysis", [ActAnalysis, SuiteAnalysis])
+def test_classify_keeps_no_end_monoid(analysis):
+    acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=3)).acts
+            for A in per]
+    for A in acts:
+        an = analysis(A)
+        classify_act(an)
+        if analysis is SuiteAnalysis:
+            an.report, an.basic
+        assert an.endos and an.profiles
+        assert not any(isinstance(x, EndMonoid) for x in _reachable(vars(an)))
 
 
 def test_enumeration_closures_bounded_by_principal_joins(monkeypatch):
