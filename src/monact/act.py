@@ -59,9 +59,6 @@ class ActHom:
     def __call__(self, a: int) -> int:
         return self.mapping[a]
 
-    def is_endo(self) -> bool:
-        return self.source == self.target
-
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 

@@ -5,11 +5,12 @@ Small monoids and acts are enumerated up to isomorphism (canonical form
 Monoid tables come from a backtrack over the non-identity cells that
 drops a partial table at its first failed associativity instance.  Acts
 come from a propagating backtrack over the generator cells of the
-action table; each isomorphism class is relabeled once, into a seen set
-that absorbs its other labelled copies.  Every registered theorem is
-evaluated as a universally quantified implication over the corpus.  A
-failing instance produces a verdict whose witness carries the full
-tables, enough to re-run the check from scratch.
+action table, which random sampling shares; a complete, conflict-free
+table is an action and is not re-validated.  Each isomorphism class is
+relabeled once, into a seen set that absorbs its other labelled copies.
+Every registered theorem is evaluated as a universally quantified
+implication over the corpus.  A failing instance produces a verdict
+whose witness carries the full tables, enough to re-run the check.
 """
 
 from __future__ import annotations
@@ -155,40 +156,6 @@ def enumerate_monoids(n: int):
     return [Monoid(n, t, tuple(range(n))) for t in sorted(seen)]
 
 
-def _forced_action(M: Monoid, gens, gen_cols, m):
-    """Build the full action from generator columns, or None on conflict.
-
-    cols[s][a] = a*s; identity column is fixed, the rest propagate along
-    col(s*g) = col(g) o col(s).
-    """
-    cols = [None] * M.size
-    cols[0] = tuple(range(m))
-    for g, col in zip(gens, gen_cols):
-        if cols[g] is not None and cols[g] != col:
-            return None
-        cols[g] = col
-    queue = [0]
-    done = set()
-    while queue:
-        s = queue.pop()
-        if s in done:
-            continue
-        done.add(s)
-        for g, gcol in zip(gens, gen_cols):
-            t = M.table[s][g]
-            newcol = tuple(gcol[x] for x in cols[s])
-            if cols[t] is None:
-                cols[t] = newcol
-                queue.append(t)
-            elif cols[t] != newcol:
-                return None
-            elif t not in done:
-                queue.append(t)
-    if any(c is None for c in cols):
-        return None
-    return tuple(tuple(cols[s][a] for s in range(M.size)) for a in range(m))
-
-
 class _ActSearch:
     """Depth-first search for action tables T[a][s] = a*s over M.
 
@@ -268,6 +235,10 @@ class _ActSearch:
             holders[table[cell]].pop()
             table[cell] = -1
 
+    def rows(self):
+        """The current table as a tuple of rows, one per carrier point."""
+        return tuple(zip(*[iter(self.table)] * self.n))
+
     def tables(self, k=0):
         """Yield every complete labelled action table, one search node
         charged per value tried at a generator cell."""
@@ -275,8 +246,7 @@ class _ActSearch:
         while k < len(branch) and table[branch[k]] >= 0:
             k += 1
         if k == len(branch):
-            n = self.n
-            yield tuple(tuple(table[i : i + n]) for i in range(0, len(table), n))
+            yield self.rows()
             return
         for value in range(self.m):
             self.charge(nodes=1)
@@ -301,7 +271,6 @@ def enumerate_acts(M: Monoid, m: int):
     seen = set()
     classes = []
     for action in search.tables():
-        validate_act(M, m, action)
         if action in seen:
             continue
         search.charge(relabelings=per_class)
@@ -312,19 +281,19 @@ def enumerate_acts(M: Monoid, m: int):
 
 
 def random_acts(M: Monoid, m: int, count: int, rng: random.Random):
-    """Rejection-sample acts from random generator columns."""
+    """Rejection-sample acts: random generator columns a -> a*g, kept
+    iff `_ActSearch` propagates them to a table without a conflict."""
+    search = _ActSearch(M, m)
     gens = monoid_generators(M)
     out = []
     attempts = 0
     while len(out) < count and attempts < SAMPLE_ATTEMPTS * count:
         attempts += 1
-        gen_cols = [
-            tuple(rng.randrange(m) for _ in range(m)) for _ in range(len(gens))
-        ]
-        action = _forced_action(M, gens, gen_cols, m)
-        if action is None:
-            continue
-        out.append(validate_act(M, m, action))
+        cols = [[rng.randrange(m) for _ in range(m)] for _ in gens]
+        search.undo(0)
+        drawn = (col[a] for a in range(m) for col in cols)  # cell a*g in branch order
+        if all(map(search.assign, search.branch, drawn)):
+            out.append(Act(M, m, search.rows()))
     return out
 
 
@@ -489,11 +458,14 @@ def _check_t3(ctx, A):
 
 
 def _criteria_check(tid, decide, A, ctx):
+    """The three criteria agree on flag and index: for f^n's image and
+    kernel congruences, meet = diagonal iff |im f^2n| = |im f^n| and join
+    = universal iff im f^2n = im f^n, first true where the rank settles."""
     an = ctx.analysis(A)
     outcomes = [decide(an, c) for c in deciders.CRITERIA]
     bools = [b for b, _ in outcomes]
     idx = [i for _, i in outcomes]
-    passed = bools[0] == bools[1] == bools[2] and idx[0] == idx[1]
+    passed = bools[0] == bools[1] == bools[2] and idx[0] == idx[1] == idx[2]
     details = {
         "criterion3_index_mismatches": int(idx[2] != idx[1]),
         "max_stabilization_index": idx[1] or 0,

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from monact import endo
 from monact.act import ActHom, act_hom, subact, validate_act
 from monact.endo import (
     end_monoid,
@@ -12,7 +15,7 @@ from monact.endo import (
     is_strongly_pi_regular,
 )
 from monact.errors import SearchBudgetExceeded
-from monact.harness import enumerate_acts, enumerate_monoids
+from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
 from oracles import brute_force_homs
@@ -35,16 +38,52 @@ def test_homs_from_singleton_hit_fixed_points(singleton, trivial, m2, a2):
     assert maps == [(1,)]
 
 
+def same_monoid_pairs(max_monoid, max_act):
+    corpus = build_corpus(CorpusSpec(max_monoid, max_act))
+    return [(A, B) for per in corpus.acts for A in per for B in per]
+
+
+def hom_mismatches(pairs):
+    """The pairs whose hom search differs from the brute-force filter."""
+    return [
+        (A, B) for A, B in pairs
+        if [f.mapping for f in endo.homomorphisms(A, B)] != brute_force_homs(A, B)
+    ]
+
+
 def test_homs_match_brute_force():
-    for n in (1, 2):
-        for M in enumerate_monoids(n):
-            acts = []
-            for m in (1, 2, 3):
-                acts.extend(enumerate_acts(M, m))
-            for A in acts:
-                for B in acts:
-                    got = [f.mapping for f in homomorphisms(A, B)]
-                    assert got == brute_force_homs(A, B)
+    # every same-monoid pair of the default corpus: monoids <= 3, acts <= 4
+    pairs = same_monoid_pairs(3, 4)
+    assert len(pairs) == 2492
+    assert hom_mismatches(pairs) == []
+
+
+def _plant_in_homs(monkeypatch, change):
+    real = endo.homomorphisms
+    monkeypatch.setattr(
+        endo, "homomorphisms", lambda A, B, *rest: change(A, B, real(A, B, *rest))
+    )
+
+
+def test_planted_extra_hom_is_caught(monkeypatch):
+    # the first map in product order that the search did not return,
+    # which is not equivariant since the search returns all that are
+    def extra(A, B, homs):
+        found = {f.mapping for f in homs}
+        for mapping in product(range(B.size), repeat=A.size):
+            if mapping not in found:
+                return sorted(homs + [ActHom(A, B, mapping)], key=lambda f: f.mapping)
+        return homs
+
+    pairs = same_monoid_pairs(2, 3)
+    _plant_in_homs(monkeypatch, extra)
+    assert len(hom_mismatches(pairs)) > 0
+
+
+def test_planted_missing_hom_is_caught(monkeypatch):
+    pairs = same_monoid_pairs(2, 3)
+    _plant_in_homs(monkeypatch, lambda A, B, homs: homs[:-1])
+    assert len(hom_mismatches(pairs)) > 0
 
 
 def test_homs_pass_equivariance(a2, reg_z4):

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import random
 import time
 
 import pytest
 
 from monact import harness
 from monact.act import Act, subact, validate_act
+from monact.cli import suite_json
 from monact.errors import SizeTooLarge, UnknownTheorem
 from monact.harness import (
     ALL_THEOREMS,
@@ -16,6 +19,7 @@ from monact.harness import (
     enumerate_acts,
     enumerate_monoids,
     monoid_canonical_form,
+    random_acts,
     rebuild_instance,
     recheck_verdict,
     run_suite,
@@ -179,6 +183,47 @@ def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivi
     monkeypatch.setattr(harness._ActSearch, "assign", planted)
     assert len(_oracle_mismatches(oracle_acts)) > 0
     assert len(_closed_form_mismatches(trivial, m2)) > 0
+
+
+def test_planted_changed_table_cell_is_caught(monkeypatch, oracle_acts, trivial, m2):
+    # the first labelled table of every search over two or more points
+    # comes out with its last cell moved to the next point; nothing
+    # re-checks the act axioms on it
+    real = harness._ActSearch.tables
+
+    def planted(self, k=0):
+        tables = real(self, k)
+        if k == 0 and self.m > 1:
+            rows = [list(row) for row in next(tables)]
+            rows[-1][-1] = (rows[-1][-1] + 1) % self.m
+            yield tuple(map(tuple, rows))
+        yield from tables
+
+    monkeypatch.setattr(harness._ActSearch, "tables", planted)
+    assert len(_oracle_mismatches(oracle_acts)) > 0
+    assert len(_closed_form_mismatches(trivial, m2)) > 0
+
+
+def test_random_acts_are_lawful():
+    rng = random.Random(5)
+    checked = 0
+    for n in (1, 2, 3):
+        for M in enumerate_monoids(n):
+            for A in random_acts(M, 5, 3, rng):
+                assert validate_act(M, 5, A.action) == A
+                checked += 1
+    assert checked == 18  # most draws over the groups Z/2 and Z/3 are rejected
+
+
+# sha256 of `monact suite --max-monoid 2 --max-act 3 --seed 7 --samples 3
+# --json`: pins which random draws sampling keeps and the acts they give
+SAMPLED_SUITE_JSON_SHA256 = "9313b0d8fae53822273903e5080dd921889d4991ef76281a3726922e07896cd0"
+
+
+def test_sampled_suite_json_digest():
+    spec = CorpusSpec(max_monoid_size=2, max_act_size=3, seed=7, samples=3)
+    digest = hashlib.sha256(suite_json(run_suite(spec)).encode("utf-8")).hexdigest()
+    assert digest == SAMPLED_SUITE_JSON_SHA256
 
 
 def test_check_theorem_single_instances(a2, reg_z4):

@@ -17,7 +17,7 @@ from monact.deciders import (
     is_strongly_co_hopfian,
     is_strongly_hopfian,
 )
-from monact.harness import CorpusSpec, build_corpus, enumerate_monoids, random_acts
+from monact.harness import CorpusSpec, build_corpus, enumerate_monoids, random_acts, run_suite
 
 from oracles import chain_report_oracle, chain_index_oracle, criterion_index_oracle, map_powers
 
@@ -105,16 +105,40 @@ def test_profile_keeps_no_powers():
 
 # -- planted bugs ------------------------------------------------------------
 
-def test_planted_k_index_off_by_one_is_caught(monkeypatch):
+def _plant_off_by_one(monkeypatch, field):
     build = deciders.power_profile
     monkeypatch.setattr(
         deciders, "power_profile",
-        lambda f: build(f)._replace(k_index=build(f).k_index + 1),
+        lambda f: build(f)._replace(**{field: getattr(build(f), field) + 1}),
     )
+
+
+def _suite_verdict(tid):
+    (verdict,) = run_suite(CorpusSpec(2, 3, theorems=(tid,))).verdicts
+    return verdict
+
+
+def test_planted_k_index_off_by_one_is_caught(monkeypatch):
+    _plant_off_by_one(monkeypatch, "k_index")
     acts = corpus_acts(2, 3)
     assert oracle_mismatches(acts)
     bad, checked = rank_identity_failures(acts)
     assert len(bad) == checked  # the kernel index now disagrees with the image index
+    # criteria 1 and 2 read the planted index, criterion 3 does not
+    verdict = _suite_verdict("T4")
+    assert not verdict.passed
+    flags = verdict.witness["flags"]
+    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
+
+
+def test_planted_i_index_off_by_one_is_caught(monkeypatch):
+    _plant_off_by_one(monkeypatch, "i_index")
+    acts = corpus_acts(2, 3)
+    assert oracle_mismatches(acts)
+    verdict = _suite_verdict("T5")
+    assert not verdict.passed
+    flags = verdict.witness["flags"]
+    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
 
 
 def test_planted_unpowered_chain_report_is_caught(monkeypatch):

@@ -3,10 +3,12 @@ endomorphisms, their power profiles, the congruence lattice and the
 subacts, in the suite and in `monact classify`; End(A) is not kept.
 Calls are counted by wrappers bound in every namespace of the package
 that holds the original function.  Congruence
-enumeration makes a bounded number of closures."""
+enumeration makes a bounded number of closures, and act enumeration
+and sampling never re-validate the tables they build."""
 
 import contextlib
 import io
+import random
 from collections import Counter
 
 import pytest
@@ -16,7 +18,10 @@ from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
 from monact.act import validate_act
 from monact.deciders import ActAnalysis, classify_act
 from monact.endo import EndMonoid, homomorphisms
-from monact.harness import CorpusSpec, SuiteAnalysis, build_corpus, run_suite
+from monact.harness import (
+    CorpusSpec, SuiteAnalysis, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
+    run_suite,
+)
 from monact.monoid import validate_monoid
 
 MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
@@ -24,6 +29,13 @@ MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio
 
 def _key(A):
     return (A.monoid.table, A.action)
+
+
+def _bind_everywhere(monkeypatch, original, replacement):
+    for ns in MODULES:
+        for attr, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, attr, replacement)
 
 
 @pytest.fixture
@@ -39,10 +51,7 @@ def count(monkeypatch):
             seen[key(*args)] += 1
             return original(*args, **kwargs)
 
-        for ns in MODULES:
-            for attr, value in list(vars(ns).items()):
-                if value is original:
-                    monkeypatch.setattr(ns, attr, wrapper)
+        _bind_everywhere(monkeypatch, original, wrapper)
         return seen
 
     return install
@@ -162,3 +171,18 @@ def test_enumeration_closures_bounded_by_principal_joins(monkeypatch):
             lattice = congruence.enumerate_congruences(A)
         assert len(calls) <= n * (n - 1) // 2 + p * len(lattice)
     assert len(calls) > 7 * 6 // 2  # the 7-point act's joins run the kernel too
+
+
+def test_act_enumeration_and_sampling_never_validate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validate_act called on a built table")
+
+    _bind_everywhere(monkeypatch, validate_act, refuse)
+    rng = random.Random(7)
+    acts = 0
+    for n in (1, 2, 3):
+        for M in enumerate_monoids(n):
+            for m in (1, 2, 3, 4):
+                acts += len(enumerate_acts(M, m))
+            acts += len(random_acts(M, 5, 2, rng))
+    assert acts == 142 + 12
