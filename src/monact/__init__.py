@@ -1,8 +1,8 @@
 """Finite monoids, their right acts, and Hopfian-type structure theory.
 
 The library represents everything as explicit finite tables: monoids as
-multiplication tables, acts as action tables, congruences as canonical
-partitions.  On top of that it enumerates endomorphism monoids, decides
+multiplication tables, acts as action tables, congruences as
+least-member label tuples.  On top of that it enumerates endomorphism monoids, decides
 the Hopfian / co-Hopfian family of properties with exact chain indices,
 and checks the structural theorems over an exhaustively generated
 corpus of small instances.

@@ -242,18 +242,11 @@ def quotient_by_congruence(A: Act, rho: "Congruence"):
     """
     if rho.act != A:
         raise NotACongruence("congruence belongs to a different act")
-    classes = rho.classes
-    class_of = [0] * A.size
-    for i, cls in enumerate(classes):
-        for a in cls:
-            class_of[a] = i
-    action = []
-    for cls in classes:
-        rep_row = tuple(class_of[A.action[cls[0]][s]] for s in range(A.monoid.size))
-        for a in cls[1:]:
-            row = tuple(class_of[A.action[a][s]] for s in range(A.monoid.size))
-            if row != rep_row:
-                raise NotACongruence("partition is not action-compatible")
-        action.append(rep_row)
-    quotient = Act(A.monoid, len(classes), tuple(action))
-    return quotient, ActHom(A, quotient, tuple(class_of))
+    leaders = sorted(set(rho.labels))
+    index = {lead: i for i, lead in enumerate(leaders)}
+    class_of = tuple(index[lead] for lead in rho.labels)
+    rows = [tuple(class_of[b] for b in row) for row in A.action]
+    if any(rows[a] != rows[lead] for a, lead in enumerate(rho.labels)):
+        raise NotACongruence("partition is not action-compatible")
+    quotient = Act(A.monoid, len(leaders), tuple(rows[lead] for lead in leaders))
+    return quotient, ActHom(A, quotient, class_of)

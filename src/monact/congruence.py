@@ -1,36 +1,31 @@
 """Congruences of an act: action-compatible partitions of the carrier.
 
-Holds the named constructions (diagonal, universal, kernel, image, Rees),
-closure of an arbitrary relation to the least congruence containing it,
-the lattice operations, and full enumeration.  Closure, join and
-enumeration share one closure kernel, `_close`, on least-member label
-tuples.  Enumeration joins each congruence found with the distinct
-principal congruences only, and reads the longest chain off those join
-steps (Freese, "Computing congruences efficiently", Algebra Universalis
-59, 2008).
+A congruence is stored as a least-member label tuple: `labels[a]` is
+the smallest member of a's class.  Every operation works on that array
+form (Freese, "Computing congruences efficiently", Algebra Universalis
+59, 2008): meet labels the pairs of labels, refinement compares labels
+through the finer congruence's leaders, and closure, join and
+enumeration share one closure kernel, `_close`.  Enumeration joins each
+congruence found with the distinct principal congruences only, and
+reads the longest chain off those join steps.  The classes are derived
+from the labels on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .act import Act, ActHom, Subact
 from .errors import CarrierTooLarge, NotACongruence, ParentMismatch
-from .relation import (
-    Relation,
-    canonical_partition,
-    diagonal_partition,
-    partition_from_labels,
-    refines,
-    universal_partition,
-)
+from .relation import Relation, label_classes, least_labels
 
 CONGRUENCE_ENUM_CAP = 8
 
 
 @dataclass(frozen=True)
 class Congruence:
-    """A congruence in canonical partition form (see relation module).
+    """A congruence as least-member labels (see the module docstring).
 
     `height` is the number of congruences in a longest chain from the
     diagonal up to this one, both ends counted (the diagonal's is 1).
@@ -39,51 +34,42 @@ class Congruence:
     """
 
     act: Act
-    classes: tuple
+    labels: tuple
     height: int | None = field(default=None, compare=False, repr=False)
 
-    def class_of(self, a: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if a in cls:
-                return i
-        raise IndexError(a)
+    @cached_property
+    def classes(self):
+        """The classes, members ascending, sorted by smallest member."""
+        return label_classes(self.labels)
 
     def related(self, a: int, b: int) -> bool:
-        return self.class_of(a) == self.class_of(b)
+        return self.labels[a] == self.labels[b]
 
 
 def congruence(A: Act, classes) -> Congruence:
     """Checked constructor: partition of the carrier, action-compatible."""
-    classes = canonical_partition(classes)
-    seen = [False] * A.size
-    for cls in classes:
+    labels = [None] * A.size
+    for cls in map(tuple, classes):
+        lead = min(cls, default=None)
         for a in cls:
-            if not 0 <= a < A.size or seen[a]:
+            if not 0 <= a < A.size or labels[a] is not None:
                 raise NotACongruence("not a partition of the carrier")
-            seen[a] = True
-    if not all(seen):
+            labels[a] = lead
+    if None in labels:
         raise NotACongruence("partition misses carrier elements")
-    block = {}
-    for i, cls in enumerate(classes):
-        for a in cls:
-            block[a] = i
-    for cls in classes:
-        rep = cls[0]
-        for a in cls[1:]:
-            for s in range(A.monoid.size):
-                if block[A.action[rep][s]] != block[A.action[a][s]]:
-                    raise NotACongruence(
-                        f"classes split under the action at ({rep},{a})*{s}"
-                    )
-    return Congruence(A, classes)
+    for a, rep in enumerate(labels):
+        for s in range(A.monoid.size):
+            if labels[A.action[rep][s]] != labels[A.action[a][s]]:
+                raise NotACongruence(f"classes split under the action at ({rep},{a})*{s}")
+    return Congruence(A, tuple(labels))
 
 
 def diagonal(A: Act) -> Congruence:
-    return Congruence(A, diagonal_partition(A.size))
+    return Congruence(A, tuple(range(A.size)))
 
 
 def universal(A: Act) -> Congruence:
-    return Congruence(A, universal_partition(A.size))
+    return Congruence(A, (0,) * A.size)
 
 
 def _close(A: Act, labels, pairs):
@@ -113,59 +99,51 @@ def _close(A: Act, labels, pairs):
 def congruence_closure(A: Act, relation) -> Congruence:
     """Least congruence containing the given relation."""
     seed = relation.pairs if isinstance(relation, Relation) else relation
-    labels = _close(A, range(A.size), [(int(a), int(b)) for a, b in seed])
-    return Congruence(A, partition_from_labels(labels))
+    return Congruence(A, _close(A, range(A.size), [(int(a), int(b)) for a, b in seed]))
 
 
 def kernel_congruence(f: ActHom) -> Congruence:
-    """Pairs identified by f, as a partition of the source carrier."""
-    return Congruence(f.source, partition_from_labels(f.mapping))
+    """Pairs identified by f, as a congruence on the source."""
+    return Congruence(f.source, least_labels(f.mapping))
+
+
+def _collapse(A: Act, members) -> Congruence:
+    """`members` as one class, singletons elsewhere."""
+    members = set(members)
+    lead = min(members)
+    return Congruence(A, tuple(lead if a in members else a for a in range(A.size)))
 
 
 def image_congruence(f: ActHom) -> Congruence:
     """(im f x im f) | diagonal, for an endomorphism f."""
     if f.source != f.target:
         raise ParentMismatch("image congruence needs an endomorphism")
-    image = set(f.mapping)
-    classes = [tuple(sorted(image))] + [(a,) for a in range(f.source.size) if a not in image]
-    return Congruence(f.source, canonical_partition(classes))
+    return _collapse(f.source, f.mapping)
 
 
 def rees_congruence(A: Act, B: Subact) -> Congruence:
     """One class for the subact, singletons elsewhere."""
     if B.parent != A:
         raise ParentMismatch("subact belongs to a different act")
-    members = set(B.members)
-    classes = [B.members] + [(a,) for a in range(A.size) if a not in members]
-    return Congruence(A, canonical_partition(classes))
+    return _collapse(A, B.members)
 
 
 def meet(rho: Congruence, sigma: Congruence) -> Congruence:
-    """Classwise intersection."""
+    """Classwise intersection: a's class is keyed by its pair of labels."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    block = {}
-    for i, cls in enumerate(sigma.classes):
-        for a in cls:
-            block[a] = i
-    pieces = {}
-    for i, cls in enumerate(rho.classes):
-        for a in cls:
-            pieces.setdefault((i, block[a]), []).append(a)
-    return Congruence(rho.act, canonical_partition(pieces.values()))
+    return Congruence(rho.act, least_labels(zip(rho.labels, sigma.labels)))
 
 
 def join(rho: Congruence, sigma: Congruence) -> Congruence:
-    """Least congruence containing both: rho closed under sigma's pairs."""
+    """Least congruence containing both: rho closed under the pairs
+    (a, sigma's label of a)."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    least = {a: cls[0] for cls in rho.classes for a in cls}
-    seed = [pair for cls in sigma.classes for pair in zip(cls, cls[1:])]
-    labels = _close(rho.act, [least[a] for a in range(rho.act.size)], seed)
-    return Congruence(rho.act, partition_from_labels(labels))
+    return Congruence(rho.act, _close(rho.act, rho.labels, enumerate(sigma.labels)))
 
 
-def enumerate_congruences(A: Act, cap: int = CONGRUENCE_ENUM_CAP):
+def enumerate_congruences(A: Act):
     """All congruences of A, each with its height set.
 
     Every congruence is the join of the principal congruences Cg(a, b)
@@ -181,8 +159,8 @@ def enumerate_congruences(A: Act, cap: int = CONGRUENCE_ENUM_CAP):
     Canonical output order: number of classes descending (diagonal
     first, universal last), ties by class encoding.
     """
-    if A.size > cap:
-        raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {cap}")
+    if A.size > CONGRUENCE_ENUM_CAP:
+        raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}")
     n = A.size
     bottom = tuple(range(n))
     generators = {}
@@ -202,11 +180,13 @@ def enumerate_congruences(A: Act, cap: int = CONGRUENCE_ENUM_CAP):
                 if psi not in height:
                     by_classes[len(set(psi))].append(psi)
                 height[psi] = max(height.get(psi, 0), up)
-    congs = [Congruence(A, partition_from_labels(labels), h) for labels, h in height.items()]
+    congs = [Congruence(A, labels, h) for labels, h in height.items()]
     congs.sort(key=lambda c: (-len(c.classes), c.classes))
     return congs
 
 
 def congruence_refines(rho: Congruence, sigma: Congruence) -> bool:
-    """rho <= sigma in the congruence lattice (rho's classes sit inside sigma's)."""
-    return refines(rho.classes, sigma.classes)
+    """rho <= sigma in the congruence lattice: sigma labels every point
+    like its leader in rho."""
+    labels = sigma.labels
+    return all(labels[a] == labels[lead] for a, lead in enumerate(rho.labels))

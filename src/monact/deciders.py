@@ -34,6 +34,7 @@ from .endo import (
     is_strongly_pi_regular,
 )
 from .monoid import Monoid, element_power, row_partition
+from .relation import least_labels
 
 CRITERIA = (1, 2, 3)
 
@@ -117,8 +118,7 @@ def power_profile(f: ActHom) -> PowerProfile:
     cur = m = tuple(f.mapping)
     seen, kernels, images = set(), [], []
     while True:
-        # label a by the first point with a's image: one labelling per kernel
-        kernels.append(tuple(map(cur.index, cur)))
+        kernels.append(least_labels(cur))
         images.append(frozenset(cur))
         if cur in seen:
             break

@@ -17,14 +17,16 @@ from .monoid import SIZE_CAP, Monoid, validate_monoid
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
-def homomorphisms(A: Act, B: Act, budget: int = DEFAULT_SEARCH_BUDGET):
+def homomorphisms(A: Act, B: Act):
     """All equivariant maps A -> B, sorted by their full map tuple.
 
     Every point a is g*s for a generator g, and the image img chosen for
     g sets f(a) = img*s, conflict-checked; for lawful A and B this gives
     f(a*t) = img*(s*t) = (img*s)*t = f(a)*t, so no map is re-checked.
-    Each (generator, image) attempt costs one budget node; exceeding the
-    budget raises SearchBudgetExceeded.
+    Each (generator, image) attempt costs one node; more than
+    DEFAULT_SEARCH_BUDGET nodes raise SearchBudgetExceeded, and a map
+    past the first SIZE_CAP raises SizeOverflow, so no hom list (End(A)
+    included) grows beyond the cap.
     """
     if A.monoid != B.monoid:
         raise SourceTargetMismatch("acts live over different monoids")
@@ -33,10 +35,15 @@ def homomorphisms(A: Act, B: Act, budget: int = DEFAULT_SEARCH_BUDGET):
     mapping = [-1] * A.size
     results = []
     nodes = 0
+    budget = DEFAULT_SEARCH_BUDGET
 
     def backtrack(k):
         nonlocal nodes
         if k == len(gens):
+            if len(results) == SIZE_CAP:
+                raise SizeOverflow(
+                    f"more than {SIZE_CAP} homomorphisms: search stopped at map {SIZE_CAP + 1}"
+                )
             results.append(tuple(mapping))
             return
         g = gens[k]
@@ -96,12 +103,9 @@ def identity_first(endos):
 
 def end_monoid(A: Act, endos=None) -> EndMonoid:
     """End(A), built from `endos` when the caller already holds
-    `endomorphisms(A)`.  Raises SizeOverflow, before any table is built,
-    when End(A) has more than SIZE_CAP elements."""
+    `endomorphisms(A)`; the hom search keeps it within SIZE_CAP."""
     if endos is None:
         endos = endomorphisms(A)
-    if len(endos) > SIZE_CAP:
-        raise SizeOverflow(f"End(A) has {len(endos)} elements (> {SIZE_CAP})")
     elements = identity_first(endos)
     # after_g(f.mapping) is the map of f o g; after the identity it is the
     # map itself, in the same form (a bare int when |A| = 1)

@@ -23,7 +23,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 
 from .errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
-from .relation import Relation, partition_from_labels
+from .relation import Relation, label_classes, least_labels
 
 SIZE_CAP = 4096
 
@@ -206,7 +206,7 @@ def row_partition(M: Monoid, s: int):
     Same relation as `right_relation`, but O(n) space; used for chain
     indices on large product monoids.
     """
-    return partition_from_labels(M.table[s])
+    return label_classes(least_labels(M.table[s]))
 
 
 def _product_table(left, right):

@@ -1,8 +1,10 @@
 """Binary relations and partitions on finite carriers {0..n-1}.
 
-Relations are plain sets of index pairs.  Partitions use one canonical
-form everywhere: classes sorted internally, then sorted by smallest
-member.  All congruence machinery builds on these two forms.
+Relations are plain sets of index pairs.  Partitions are stored as
+least-member label tuples: `labels[a]` is the smallest member of a's
+class, so equal partitions have equal labels.  `label_classes` reads
+the classes off (members ascending, classes by smallest member), the
+form `Relation.to_partition` returns.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotAnEquivalence
 
-__all__ = [
-    "Relation",
-    "canonical_partition",
-    "partition_from_labels",
-    "diagonal_partition",
-    "universal_partition",
-    "refines",
-]
+__all__ = ["Relation", "least_labels", "label_classes"]
 
 
 @dataclass(frozen=True)
@@ -72,31 +67,18 @@ class Relation:
         return tuple(classes)
 
 
-def canonical_partition(classes):
-    """Normalize an iterable of classes: sort members, sort by smallest."""
-    return tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda c: c[0]))
+def least_labels(keys):
+    """Least-member labels of the fibers of `keys`: entry a is the first
+    index whose key equals keys[a]."""
+    keys = tuple(keys)
+    return tuple(map(keys.index, keys))
 
 
-def partition_from_labels(labels):
-    """Partition of range(len(labels)) into fibers of the label sequence."""
-    fibers = {}
-    for i, lab in enumerate(labels):
-        fibers.setdefault(lab, []).append(i)
-    return canonical_partition(fibers.values())
-
-
-def diagonal_partition(n):
-    return tuple((a,) for a in range(n))
-
-
-def universal_partition(n):
-    return (tuple(range(n)),)
-
-
-def refines(fine, coarse):
-    """True iff every class of `fine` lies inside one class of `coarse`."""
-    block_of = {}
-    for i, cls in enumerate(coarse):
-        for a in cls:
-            block_of[a] = i
-    return all(len({block_of[a] for a in cls}) == 1 for cls in fine)
+def label_classes(labels):
+    """The classes of a least-member labelling, in one pass: members
+    ascending, classes in order of their smallest member (the label,
+    which first occurs at its own index)."""
+    classes = {}
+    for a, lead in enumerate(labels):
+        classes.setdefault(lead, []).append(a)
+    return tuple(map(tuple, classes.values()))

@@ -123,6 +123,15 @@ def all_partitions(n):
         yield rest + ((n - 1,),)
 
 
+def partition_labels(classes):
+    """Least-member labels of a partition given by its classes."""
+    labels = [None] * sum(map(len, classes))
+    for cls in classes:
+        for a in cls:
+            labels[a] = min(cls)
+    return tuple(labels)
+
+
 def is_compatible_partition(A, classes):
     """Action-compatibility checked directly on the class map."""
     block = {}
@@ -184,11 +193,23 @@ def longest_chain_oracle(partitions):
     parts = sorted(partitions, key=len, reverse=True)
     longest = [1] * len(parts)
     for i, coarse in enumerate(parts):
-        block = {a: k for k, cls in enumerate(coarse) for a in cls}
         for j in range(i):
-            if all(len({block[a] for a in cls}) == 1 for cls in parts[j]):
+            if refines_oracle(parts[j], coarse):
                 longest[i] = max(longest[i], longest[j] + 1)
     return max(longest)
+
+
+def refines_oracle(fine, coarse):
+    """True iff every class of `fine` maps into one block of `coarse`."""
+    block = {a: k for k, cls in enumerate(coarse) for a in cls}
+    return all(len({block[a] for a in cls}) == 1 for cls in fine)
+
+
+def meet_oracle(classes_a, classes_b):
+    """Classwise intersection: the non-empty intersections of a class of
+    each partition."""
+    pieces = (set(x) & set(y) for x in classes_a for y in classes_b)
+    return canon_sorted(p for p in pieces if p)
 
 
 def map_powers(mapping, count):

@@ -216,9 +216,7 @@ def test_family36_budget(capsys):
 
 def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
     # only the identity acts: all Bell(8) = 4140 partitions are congruences
-    path = tmp_path / "eight.act"
-    path.write_text("monoid T 1\n0\n\nact A over T 8\n" + "".join(f"{a}\n" for a in range(8)))
-    assert main(["congruences", str(path), "--act", "A"]) == 0
+    assert main(["congruences", _trivial_act_file(tmp_path, 8), "--act", "A"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "congruences of A over T: 4140"
     assert len(lines) == 1 + 4140
@@ -229,12 +227,31 @@ def test_classify_budget_exit(capsys):
     assert main(["classify", "--regular", "Z40"]) == 3
 
 
+def _trivial_act_file(tmp_path, m):
+    path = tmp_path / f"trivial-{m}.act"
+    path.write_text(f"monoid T 1\n0\n\nact A over T {m}\n" + "".join(f"{a}\n" for a in range(m)))
+    return str(path)
+
+
+OVERFLOW_MESSAGE = "more than 4096 homomorphisms: search stopped at map 4097"
+
+
 def test_classify_end_overflow_exit(tmp_path, capsys):
-    # End of a 6-point act over the trivial monoid has 6^6 = 46656 elements
-    path = tmp_path / "six.act"
-    path.write_text("monoid T 1\n0\n\nact A over T 6\n0\n1\n2\n3\n4\n5\n")
-    assert main(["classify", str(path), "--act", "A", "--json"]) == 3
-    assert "46656" in capsys.readouterr().err
+    # End of a 6-point act over the trivial monoid has 6^6 = 46656 elements;
+    # the hom search stops at the first map past the cap
+    path = _trivial_act_file(tmp_path, 6)
+    assert main(["classify", path, "--act", "A", "--json"]) == 3
+    assert OVERFLOW_MESSAGE in capsys.readouterr().err
+
+
+def test_classify_seven_point_overflow_stops_early(tmp_path, capsys):
+    # 7^7 = 823543 endomorphisms: the bound is checked inside the search,
+    # so the list never grows past the cap
+    path = _trivial_act_file(tmp_path, 7)
+    start = time.perf_counter()
+    assert main(["classify", path, "--act", "A"]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert OVERFLOW_MESSAGE in capsys.readouterr().err
 
 
 def test_suite_json_same_without_asserts():

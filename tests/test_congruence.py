@@ -32,6 +32,7 @@ from oracles import (
     brute_force_congruences,
     chain_join_oracle,
     is_compatible_partition,
+    partition_labels,
 )
 
 
@@ -179,11 +180,12 @@ def test_dropped_translation_in_closure_is_caught(monkeypatch):
     assert caught
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     t = validate_monoid(1, [[0]])
     A = validate_act(t, 3, [[0], [1], [2]])
+    monkeypatch.setattr(congruence_module, "CONGRUENCE_ENUM_CAP", 2)
     with pytest.raises(CarrierTooLarge):
-        enumerate_congruences(A, cap=2)
+        enumerate_congruences(A)
 
 
 def test_join_is_least_upper_bound():
@@ -252,7 +254,7 @@ def test_closure_is_least_congruence_containing_seed(seed):
     for classes in all_partitions(A.size):
         if not is_compatible_partition(A, classes):
             continue
-        cand = Congruence(A, classes)
+        cand = Congruence(A, partition_labels(classes))
         if all(cand.related(a, b) for a, b in pairs):
             assert congruence_refines(closed, cand)
 

@@ -14,7 +14,7 @@ from monact.endo import (
     is_retract_of,
     is_strongly_pi_regular,
 )
-from monact.errors import SearchBudgetExceeded
+from monact.errors import SearchBudgetExceeded, SizeOverflow
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
@@ -91,10 +91,22 @@ def test_homs_pass_equivariance(a2, reg_z4):
         act_hom(f.source, f.target, f.mapping)
 
 
-def test_budget_exceeded(trivial):
+def test_budget_exceeded(trivial, monkeypatch):
     A = validate_act(trivial, 4, [[0], [1], [2], [3]])
+    monkeypatch.setattr(endo, "DEFAULT_SEARCH_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded):
-        homomorphisms(A, A, budget=10)
+        homomorphisms(A, A)
+
+
+def test_hom_list_stops_at_size_cap(trivial, monkeypatch):
+    # 5^5 = 3125 endomorphisms: a cap of 3125 holds them all, and one
+    # less stops the search at map 3125
+    A = validate_act(trivial, 5, [[a] for a in range(5)])
+    monkeypatch.setattr(endo, "SIZE_CAP", 3124)
+    with pytest.raises(SizeOverflow, match="more than 3124 homomorphisms: search stopped at map 3125"):
+        homomorphisms(A, A)
+    monkeypatch.setattr(endo, "SIZE_CAP", 3125)
+    assert len(homomorphisms(A, A)) == 3125
 
 
 def test_end_monoid_a2(a2, m2):

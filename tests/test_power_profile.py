@@ -194,6 +194,15 @@ def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
 
 
+def test_planted_unpowered_criterion_3_is_caught(monkeypatch):
+    # compose(f, f^n) answers f^n, so criterion 3 tests f at every n
+    monkeypatch.setattr(deciders, "compose", lambda g, f: f)
+    bad = oracle_mismatches(corpus_acts(2, 3))
+    assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
+    assert not _suite_verdict("T4").passed
+    assert not _suite_verdict("T5").passed
+
+
 @pytest.mark.parametrize("criterion", [0, 4])
 def test_unknown_criterion_is_refused(a2, criterion):
     with pytest.raises(ValueError):
