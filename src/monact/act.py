@@ -174,15 +174,18 @@ def subact_generated(A: Act, xs) -> Subact:
 
 
 def minimal_generating_set(A: Act):
-    """Minimum-cardinality generating subset, lexicographically first."""
-    for k in range(1, A.size + 1):
-        for xs in combinations(range(A.size), k):
-            covered = set()
-            for x in xs:
-                covered.update(A.action[x])
-            if len(covered) == A.size:
-                return xs
-    raise AssertionError("the whole carrier generates")
+    """Minimum-cardinality generating subset, lexicographically first:
+    the least points of the maximal cyclic subacts xS.  A maximal class
+    is reached only from itself and every point lies below one, so the
+    minimum generating sets are the transversals of the maximal classes,
+    and moving each point to its class minimum lowers every order
+    statistic.  One pass over the rows y drops each x in yS with y < x
+    or y outside xS."""
+    rows = [set(row) for row in A.action]
+    beaten = set()
+    for y, row in enumerate(rows):
+        beaten.update(x for x in row if x > y or y not in rows[x])
+    return tuple(x for x in range(A.size) if x not in beaten)
 
 
 def subact_as_act(B: Subact):

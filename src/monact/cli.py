@@ -129,8 +129,8 @@ def _report_entry(label, mlabel, A, props, chains):
 def cmd_classify(args):
     label, mlabel, A, digest = _resolve_act(args)
     an = ActAnalysis(A)
-    # the report first: it builds End(A), which stops an oversized act
-    # before any chain is computed
+    # the report first: its congruence cap and hom-list cap stop an
+    # oversized act before any chain is computed
     props = classify_act(an)
     chains = chain_reports(an)
     entry = _report_entry(label, mlabel, A, props, chains)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 from functools import cached_property
 from typing import NamedTuple
 
-from .act import Act, ActHom, compose, enumerate_subacts, power
+from .act import Act, ActHom, compose, enumerate_subacts, minimal_generating_set, power
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -44,8 +44,8 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), a power profile per endomorphism, the congruence lattice and
-    the subacts.  End(A) is not kept: `classify_act` builds and drops it.
+    them), power profiles, congruences, subacts and lift flags.  End(A)
+    is not kept: `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -54,6 +54,7 @@ class ActAnalysis:
     def __init__(self, act: Act):
         self.act = act
         self._homs = {}
+        self._lifts = {}
 
     def homs(self, B: Act):
         """The homs from the act into B, sorted by map."""
@@ -79,6 +80,17 @@ class ActAnalysis:
     @cached_property
     def subacts(self):
         return enumerate_subacts(self.act)
+
+    def lifts(self, rho: Congruence) -> bool:
+        """Whether every hom A -> A/rho lifts through p_rho: one bool per
+        congruence, keyed by its labels.  If so, every surjection h: A -> B
+        with kernel rho induces all of End(B): h = i o p_rho for an
+        isomorphism i, and i^-1 o f o h = p_rho o g gives f o h = h o g."""
+        if rho.labels not in self._lifts:
+            # p_diagonal is an isomorphism: no second End(A) search for it
+            diag = rho == diagonal(self.act)
+            self._lifts[rho.labels] = diag or _unlifted_hom(self, rho) is None
+        return self._lifts[rho.labels]
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:
@@ -270,25 +282,30 @@ def is_quasi_injective(A: Act | ActAnalysis):
     return True, None
 
 
+def _unlifted_hom(an: ActAnalysis, rho: Congruence):
+    """The first hom A -> A/rho, in map order, that is p_rho o g for no
+    endomorphism g, or None; maps compare by their generator images."""
+    quotient, proj = quotient_by_congruence(an.act, rho)
+    gens = minimal_generating_set(an.act)
+    lifted = {tuple(proj.mapping[g.mapping[x]] for x in gens) for g in an.endos}
+    homs = homomorphisms(an.act, quotient)
+    return next((f for f in homs if tuple(f.mapping[x] for x in gens) not in lifted), None)
+
+
 def is_quasi_projective(A: Act | ActAnalysis):
     """Every hom from A to a factor act lifts through the projection.
 
     Surjections g: A -> B are covered by the canonical projections
     A -> A/rho: any surjection factors through A/ker(g) by an
     isomorphism.  The diagonal is skipped: A -> A/diagonal is the
-    identity, through which every endomorphism lifts.  Returns (flag,
+    identity, through which every endomorphism lifts.  Only the first
+    false lift flag's counterexample is rebuilt.  Returns (flag,
     counterexample).
     """
     an = analyse(A)
-    A = an.act
     for rho in an.congruences[1:]:
-        quotient, proj = quotient_by_congruence(A, rho)
-        lifted = {
-            tuple(proj.mapping[h.mapping[a]] for a in range(A.size)) for h in an.endos
-        }
-        for f in homomorphisms(A, quotient):
-            if tuple(f.mapping) not in lifted:
-                return False, (rho, f)
+        if not an.lifts(rho):
+            return False, (rho, _unlifted_hom(an, rho))
     return True, None
 
 
@@ -368,10 +385,11 @@ class PropertyReport:
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     """Run every decider on one act (or on its ActAnalysis)."""
     an = analyse(A)
+    # the congruence cap refuses an oversized act before End(A) is built
+    noe, art, n_congs, max_chain = chain_conditions(an)
     E = end_monoid(an.act, an.endos)
     sh, sh_index = is_strongly_hopfian(an, 1)
     sch, sch_index = is_strongly_co_hopfian(an, 1)
-    noe, art, n_congs, max_chain = chain_conditions(an)
     report = PropertyReport(
         hopfian=is_hopfian(an),
         co_hopfian=is_co_hopfian(an),

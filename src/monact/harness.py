@@ -31,6 +31,7 @@ from .act import (
     subact_as_act,
     validate_act,
 )
+from .congruence import kernel_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
@@ -520,29 +521,35 @@ def _check_t7(ctx, pair):
 
 
 def _check_t8(ctx, pair):
+    """Surjections are counted one by one but decided once per kernel:
+    h and h' = s o h (s in Aut(B)) share a kernel, f o h' = h' o g iff
+    (s^-1 f s) o h = h o g, f -> s^-1 f s permutes End(B), and t is a
+    section of h iff t o s^-1 is one of h'.  Where A's lift flag at
+    ker h holds, h induces all of End(B) (`ActAnalysis.lifts`)."""
     A, B = pair
-    nonvac = False
-    sections = 0
-    qualifying = 0
+    induces, section = {}, {}
+    sections = induced = 0
     for h in ctx.homs(A, B):
         if len(set(h.mapping)) != B.size:
             continue
-        if not induces_all_endomorphisms(h, ctx.endos(A), ctx.endos(B))[0]:
+        rho = kernel_congruence(h)
+        if rho.labels not in induces:
+            induces[rho.labels] = ctx.analysis(A).lifts(rho) or induces_all_endomorphisms(
+                h, ctx.endos(A), ctx.endos(B))[0]
+        if not induces[rho.labels] or not ctx.strongly_co_hopfian(A):
             continue
-        if not ctx.strongly_co_hopfian(A):
-            continue
-        qualifying += 1
-        nonvac = True
-        if has_section(h, ctx.homs(B, A)):
-            sections += 1
+        induced += 1
+        if rho.labels not in section:
+            section[rho.labels] = has_section(h, ctx.homs(B, A))
+        sections += section[rho.labels]
         if not ctx.strongly_co_hopfian(B):
             flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
             w = _witness(
                 "T8", A.monoid, flags,
                 act=_act_payload(A), act_b=_act_payload(B), h=list(h.mapping),
             )
-            return True, False, w, {"induced_surjections": qualifying, "with_section": sections}
-    return nonvac, True, None, {"induced_surjections": qualifying, "with_section": sections}
+            return True, False, w, {"induced_surjections": induced, "with_section": sections}
+    return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
 
 
 def _check_t9(ctx, inst):

@@ -3,11 +3,16 @@
 Everything here recomputes results from first principles (exhaustive
 filters, connectivity searches) without touching the library's search
 or closure code paths, so a test comparing the two sides is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The quasi-projectivity and T8
+oracles are the exception: they take the homs and the congruence
+lattice from the library and redo only the lifting, on whole maps.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+from monact.act import quotient_by_congruence
+from monact.congruence import enumerate_congruences
+from monact.endo import homomorphisms
 from monact.harness import monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
@@ -335,3 +340,65 @@ def componentwise_product_table(factor_tables):
             row.append(encode([t[x][y] for t, x, y in zip(factor_tables, ca, cb)]))
         table.append(row)
     return table
+
+
+def minimal_generating_set_oracle(A):
+    """The first generating subset in (size, lexicographic) order, by
+    trying every subset of the carrier."""
+    for k in range(1, A.size + 1):
+        for xs in combinations(range(A.size), k):
+            covered = set()
+            for x in xs:
+                covered.update(A.action[x])
+            if len(covered) == A.size:
+                return xs
+    raise AssertionError("the whole carrier generates")
+
+
+def quasi_projective_oracle(A):
+    """(flag, counterexample) of quasi-projectivity, one congruence at a
+    time: the set of whole maps p o g over End(A), then the first hom
+    A -> A/rho, in map order, outside it.  The homs and the lattice come
+    from the library; the comparison is on whole maps."""
+    endos = homomorphisms(A, A)
+    for rho in enumerate_congruences(A)[1:]:
+        quotient, proj = quotient_by_congruence(A, rho)
+        lifted = {tuple(proj.mapping[a] for a in g.mapping) for g in endos}
+        for f in homomorphisms(A, quotient):
+            if tuple(f.mapping) not in lifted:
+                return False, (rho, f)
+    return True, None
+
+
+def t8_oracle(ctx, pair):
+    """The T8 check surjection by surjection: for each surjection h, the
+    whole-map set {h o g : g in End(A)}, End(B) tested against it, and a
+    search of the homs B -> A for a section.  The homs and the flags
+    come from the SuiteContext `ctx`.  Returns what the suite's check
+    does: (nonvacuous, passed, witness, details)."""
+    A, B = pair
+    induced = sections = 0
+    for h in ctx.homs(A, B):
+        hm = h.mapping
+        if len(set(hm)) != B.size:
+            continue
+        liftable = {tuple(hm[a] for a in g.mapping) for g in ctx.endos(A)}
+        if any(tuple(f.mapping[b] for b in hm) not in liftable for f in ctx.endos(B)):
+            continue
+        if not ctx.strongly_co_hopfian(A):
+            continue
+        induced += 1
+        ident = tuple(range(B.size))
+        sections += any(tuple(hm[a] for a in s.mapping) == ident for s in ctx.homs(B, A))
+        details = {"induced_surjections": induced, "with_section": sections}
+        if not ctx.strongly_co_hopfian(B):
+            witness = {
+                "theorem": "T8",
+                "monoid": [list(row) for row in A.monoid.table],
+                "flags": {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False},
+                "act": [list(row) for row in A.action],
+                "act_b": [list(row) for row in B.action],
+                "h": list(hm),
+            }
+            return True, False, witness, details
+    return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}

@@ -7,6 +7,7 @@ from monact.act import (
     ActHom,
     act_hom,
     compose,
+    enumerate_subacts,
     identity_hom,
     image_subact,
     minimal_generating_set,
@@ -19,7 +20,7 @@ from monact.act import (
     subact_generated,
     validate_act,
 )
-from monact.congruence import Congruence, kernel_congruence
+from monact.congruence import Congruence, enumerate_congruences, kernel_congruence
 from monact.endo import homomorphisms
 from monact.errors import (
     AssociativityAxiomFails,
@@ -29,10 +30,12 @@ from monact.errors import (
     NotEquivariant,
     SourceTargetMismatch,
 )
-from monact.harness import CorpusSpec, acts_isomorphic, build_corpus, enumerate_acts, enumerate_monoids
+from monact.harness import (
+    CorpusSpec, acts_isomorphic, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
+)
 from monact.monoid import zmod_mult_monoid
 from monact.relation import least_labels
-from oracles import first_act_axiom_failure
+from oracles import first_act_axiom_failure, minimal_generating_set_oracle
 
 
 def test_validate_act_accepts_a2(m2, a2):
@@ -198,6 +201,23 @@ def test_minimal_generating_set(a2):
 def test_minimal_generating_set_lexicographic(trivial):
     A = validate_act(trivial, 3, [[0], [1], [2]])
     assert minimal_generating_set(A) == (0, 1, 2)
+
+
+def test_minimal_generating_set_matches_subset_search():
+    # every act of the default corpus, its subacts and its factor acts,
+    # then seeded samples of 5 to 8 points over every monoid up to size 3
+    acts = []
+    for per in build_corpus(CorpusSpec()).acts:
+        for A in per:
+            acts.append(A)
+            acts.extend(subact_as_act(B)[0] for B in enumerate_subacts(A))
+            acts.extend(quotient_by_congruence(A, rho)[0] for rho in enumerate_congruences(A))
+    rng = random.Random(5)
+    sampled = [A for n in (1, 2, 3) for M in enumerate_monoids(n)
+               for m in range(5, 9) for A in random_acts(M, m, 5, rng)]
+    assert len(sampled) > 100
+    for A in acts + sampled:
+        assert minimal_generating_set(A) == minimal_generating_set_oracle(A)
 
 
 def test_rees_quotient_a2(a2):

@@ -254,6 +254,15 @@ def test_classify_seven_point_overflow_stops_early(tmp_path, capsys):
     assert OVERFLOW_MESSAGE in capsys.readouterr().err
 
 
+def test_classify_oversized_regular_act_is_refused_early(capsys):
+    # 1024 points: the congruence cap refuses the act before End(A) or
+    # any power profile is built
+    start = time.perf_counter()
+    assert main(["classify", "--regular", "Z1024"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_suite_json_same_without_asserts():
     # `python -O` strips assert statements; no output may depend on them
     argv = ["-m", "monact", "suite", "--max-monoid", "2", "--max-act", "3", "--json"]

@@ -1,0 +1,88 @@
+"""Quasi-projectivity and T8 read one lift flag per congruence
+(`ActAnalysis.lifts`).  Both are compared with the per-congruence and
+per-surjection computations kept in `oracles`, which build whole-map
+sets, and every counterexample is re-checked by brute force."""
+
+import pytest
+
+from monact import harness
+from monact.act import quotient_by_congruence
+from monact.deciders import ActAnalysis, is_quasi_projective
+from monact.harness import CorpusSpec, SuiteContext, build_corpus
+from oracles import brute_force_homs, quasi_projective_oracle, t8_oracle
+
+SMALL = CorpusSpec(max_monoid_size=2, max_act_size=3)
+SPECS = [SMALL, CorpusSpec()]
+
+
+def _acts(spec):
+    return [A for per in build_corpus(spec).acts for A in per]
+
+
+def _t8_results(spec, overrides=None):
+    """(check, oracle) results on every act_pair_down pair of the corpus."""
+    ctx = SuiteContext(overrides)
+    pairs = harness._instances_for("act_pair_down", build_corpus(spec), ctx)
+    return [(harness._check_t8(ctx, p), t8_oracle(ctx, p)) for p in pairs]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["2-3", "default"])
+def test_t8_matches_per_surjection_oracle(spec):
+    results = _t8_results(spec)
+    assert [got for got, want in results if got != want] == []
+    assert any(got[0] and got[3]["with_section"] for got, _ in results)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["2-3", "default"])
+def test_t8_witness_path_matches_oracle(spec):
+    # every act of size 2 reads as not strongly co-Hopfian, so each pair
+    # (A, B) with |A| > 2 = |B| and an induced surjection fails with a witness
+    results = _t8_results(spec, {"is_strongly_co_hopfian": lambda A: A.size != 2})
+    assert [got for got, want in results if got != want] == []
+    assert any(got[2] is not None for got, _ in results)
+
+
+def test_quasi_projective_matches_oracle():
+    acts = _acts(CorpusSpec())
+    verdicts = [is_quasi_projective(A) for A in acts]
+    assert verdicts == [quasi_projective_oracle(A) for A in acts]
+    assert sum(not flag for flag, _ in verdicts) == 20
+
+
+def test_quasi_projective_counterexamples_fail_to_lift():
+    for A in _acts(CorpusSpec()):
+        flag, counterexample = is_quasi_projective(A)
+        if flag:
+            continue
+        rho, f = counterexample
+        quotient, proj = quotient_by_congruence(A, rho)
+        assert f.mapping in brute_force_homs(A, quotient)
+        for g in brute_force_homs(A, A):
+            assert tuple(proj.mapping[a] for a in g) != f.mapping
+
+
+def test_planted_lift_flag_forced_true_is_caught(monkeypatch):
+    acts = _acts(SMALL)
+    X = next(A for A in acts if not quasi_projective_oracle(A)[0])
+    real = ActAnalysis.lifts
+    monkeypatch.setattr(
+        ActAnalysis, "lifts", lambda an, rho: an.act == X or real(an, rho))
+    assert is_quasi_projective(X) != quasi_projective_oracle(X)
+    assert any(got != want for got, want in _t8_results(SMALL))
+
+
+def test_planted_kernel_of_previous_surjection_is_caught(monkeypatch):
+    # each surjection is keyed by the kernel of the one before it in the
+    # same pair's hom list (its own kernel for the first); on the 2/3
+    # corpus the two kernels always give the same answers
+    real = harness.kernel_congruence
+    last = {}
+
+    def lagged(h):
+        pair = (h.source, h.target)
+        previous = last.get(pair)
+        last[pair] = real(h)
+        return last[pair] if previous is None else previous
+
+    monkeypatch.setattr(harness, "kernel_congruence", lagged)
+    assert any(got != want for got, want in _t8_results(CorpusSpec()))

@@ -23,6 +23,7 @@ from monact.harness import (
     run_suite,
 )
 from monact.monoid import validate_monoid
+from oracles import quasi_projective_oracle
 
 MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
 
@@ -113,6 +114,24 @@ def test_classify_profiles_each_endomorphism_once(count, tmp_path):
     endos = homomorphisms(A, A)
     assert len(endos) > 1
     assert profiles == Counter((A, f.mapping) for f in endos)
+
+
+def test_suite_decides_each_lift_flag_once(count):
+    """Quasi-projectivity and T8 share one lift check per (act, rho); the
+    only repeat is the counterexample rebuilt at the first failing rho of
+    each act that is not quasi-projective."""
+    spec = CorpusSpec()
+    rebuilt = Counter()
+    for A in (A for per in build_corpus(spec).acts for A in per):
+        flag, counterexample = quasi_projective_oracle(A)
+        if not flag:
+            rebuilt[(_key(A), counterexample[0].labels)] += 1
+    checks = count(deciders, "_unlifted_hom", lambda an, rho: (_key(an.act), rho.labels))
+    result = run_suite(spec)
+    assert all(v.passed for v in result.verdicts)
+    assert len(rebuilt) == 20
+    assert checks - rebuilt == Counter(dict.fromkeys(checks, 1))
+    assert rebuilt <= checks
 
 
 def _reachable(root):
