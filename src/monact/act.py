@@ -5,6 +5,7 @@ and the two quotient constructions (Rees and by an arbitrary congruence).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -35,6 +36,11 @@ class Act:
 
     def elements(self):
         return range(self.size)
+
+    @cached_property
+    def generators(self):
+        """`minimal_generating_set` of the act, computed on first use."""
+        return minimal_generating_set(self)
 
 
 @dataclass(frozen=True)

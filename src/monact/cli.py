@@ -60,7 +60,10 @@ def _builtin_monoid(name):
         raise InputError(
             f"unknown builtin monoid {name!r} (expected Z<m> for residues mod m)"
         )
-    return zmod_mult_monoid(int(m.group(1)))
+    modulus = int(m.group(1))
+    if modulus < 1:
+        raise InputError(f"builtin monoid {name!r} needs a modulus of at least 1")
+    return zmod_mult_monoid(modulus)
 
 
 def _partition_str(classes):
@@ -192,6 +195,8 @@ def cmd_suite(args):
         for t in theorems:
             if t not in ALL_THEOREMS:
                 raise UnknownTheorem(t)
+    if min(args.max_monoid, args.max_act) < 1 or args.samples < 0:
+        raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
     spec = CorpusSpec(
         max_monoid_size=args.max_monoid,
         max_act_size=args.max_act,

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
-from .act import Act, ActHom, compose, enumerate_subacts, minimal_generating_set, power
+from .act import Act, ActHom, compose, enumerate_subacts, power
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -44,8 +45,9 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), power profiles, congruences, subacts and lift flags.  End(A)
-    is not kept: `classify_act` builds and drops it.
+    them), power profiles, congruences, subacts, lift flags, the four
+    Hopfian-type flags and the property report.  End(A) is not kept:
+    `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -72,6 +74,21 @@ class ActAnalysis:
     def profiles(self):
         """One PowerProfile per endomorphism, in `endos` order."""
         return [power_profile(f) for f in self.endos]
+
+    @cached_property
+    def flags(self):
+        """(hopfian, co_hopfian, (strongly_hopfian, index),
+        (strongly_co_hopfian, index)), the strong pairs by criterion 1."""
+        return (
+            is_hopfian(self),
+            is_co_hopfian(self),
+            is_strongly_hopfian(self, 1),
+            is_strongly_co_hopfian(self, 1),
+        )
+
+    @cached_property
+    def report(self):
+        return classify_act(self)
 
     @cached_property
     def congruences(self):
@@ -242,8 +259,7 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
 
 
 def is_fitting(A: Act | ActAnalysis) -> bool:
-    an = analyse(A)
-    return is_strongly_hopfian(an, 2)[0] and is_strongly_co_hopfian(an, 2)[0]
+    return all(strong for strong, _ in analyse(A).flags[2:])
 
 
 # -- congruence chains ------------------------------------------------------
@@ -268,16 +284,18 @@ def is_quasi_injective(A: Act | ActAnalysis):
     Injective maps g: B -> A are covered by subact inclusions: g factors
     through an isomorphism onto its image, and the extension property is
     invariant under that isomorphism.  The whole carrier is skipped: its
-    homs into A are the endomorphisms themselves.  Returns (flag,
-    counterexample).
+    homs into A are the endomorphisms themselves.  A hom out of B is
+    fixed by its images on B's generating set, so maps compare there.
+    Returns (flag, counterexample).
     """
     an = analyse(A)
-    A = an.act
     for B in an.subacts[:-1]:
         sub, members = subact_as_act(B)
-        restrictions = {tuple(h.mapping[b] for b in members) for h in an.endos}
-        for f in homomorphisms(sub, A):
-            if tuple(f.mapping) not in restrictions:
+        gens = sub.generators
+        at_sub, at_parent = itemgetter(*gens), itemgetter(*(members[x] for x in gens))
+        restrictions = {at_parent(h.mapping) for h in an.endos}
+        for f in homomorphisms(sub, an.act):
+            if at_sub(f.mapping) not in restrictions:
                 return False, (B, f)
     return True, None
 
@@ -286,7 +304,7 @@ def _unlifted_hom(an: ActAnalysis, rho: Congruence):
     """The first hom A -> A/rho, in map order, that is p_rho o g for no
     endomorphism g, or None; maps compare by their generator images."""
     quotient, proj = quotient_by_congruence(an.act, rho)
-    gens = minimal_generating_set(an.act)
+    gens = an.act.generators
     lifted = {tuple(proj.mapping[g.mapping[x]] for x in gens) for g in an.endos}
     homs = homomorphisms(an.act, quotient)
     return next((f for f in homs if tuple(f.mapping[x] for x in gens) not in lifted), None)
@@ -388,11 +406,10 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     # the congruence cap refuses an oversized act before End(A) is built
     noe, art, n_congs, max_chain = chain_conditions(an)
     E = end_monoid(an.act, an.endos)
-    sh, sh_index = is_strongly_hopfian(an, 1)
-    sch, sch_index = is_strongly_co_hopfian(an, 1)
+    hopfian, co_hopfian, (sh, sh_index), (sch, sch_index) = an.flags
     report = PropertyReport(
-        hopfian=is_hopfian(an),
-        co_hopfian=is_co_hopfian(an),
+        hopfian=hopfian,
+        co_hopfian=co_hopfian,
         strongly_hopfian=sh,
         strongly_hopfian_index=sh_index,
         strongly_co_hopfian=sch,

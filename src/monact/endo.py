@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .act import Act, ActHom, Subact, minimal_generating_set
+from .act import Act, ActHom, Subact
 from .errors import SearchBudgetExceeded, SizeOverflow, SourceTargetMismatch
 from .monoid import SIZE_CAP, Monoid, validate_monoid
 
@@ -30,7 +30,7 @@ def homomorphisms(A: Act, B: Act):
     """
     if A.monoid != B.monoid:
         raise SourceTargetMismatch("acts live over different monoids")
-    gens = minimal_generating_set(A)
+    gens = A.generators
     n_s = A.monoid.size
     mapping = [-1] * A.size
     results = []

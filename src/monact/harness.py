@@ -9,15 +9,16 @@ action table, which random sampling shares; a complete, conflict-free
 table is an action and is not re-validated.  Each isomorphism class is
 relabeled once, into a seen set that absorbs its other labelled copies.
 Every registered theorem is evaluated as a universally quantified
-implication over the corpus.  A failing instance produces a verdict
-whose witness carries the full tables, enough to re-run the check.
+implication over the corpus, reading one `deciders.ActAnalysis` per
+act; each single-act implication is one `_act_check` call.  A failing
+instance produces a verdict whose witness carries the full tables,
+enough to re-run the check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -35,7 +36,7 @@ from .congruence import kernel_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
-from .deciders import ActAnalysis, classify_act, monoid_hopf_properties
+from .deciders import ActAnalysis, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
@@ -339,64 +340,38 @@ def build_corpus(spec: CorpusSpec) -> Corpus:
 
 # -- shared evaluation context ------------------------------------------------
 
-class SuiteAnalysis(ActAnalysis):
-    """An act's analysis plus what the theorems read of it: the property
-    report and the plain and strong Hopfian flags."""
-
-    @cached_property
-    def report(self):
-        return classify_act(self)
-
-    @cached_property
-    def basic(self):
-        """(hopfian, co_hopfian, strongly hopfian, strongly co-hopfian)."""
-        return (
-            deciders.is_hopfian(self),
-            deciders.is_co_hopfian(self),
-            deciders.is_strongly_hopfian(self, 2)[0],
-            deciders.is_strongly_co_hopfian(self, 2)[0],
-        )
-
-
 class SuiteContext:
-    """One SuiteAnalysis per act, shared by every theorem; routes the
-    overridable deciders through a test-only override table."""
+    """One ActAnalysis per act, shared by every theorem.  The four flag
+    methods answer from a test-only override table where it names their
+    decider, and from the analysis' `flags` otherwise."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
         self._analyses = {}
 
-    def analysis(self, A) -> SuiteAnalysis:
+    def analysis(self, A) -> ActAnalysis:
         key = (A.monoid.table, A.action)
         if key not in self._analyses:
-            self._analyses[key] = SuiteAnalysis(A)
+            self._analyses[key] = ActAnalysis(A)
         return self._analyses[key]
 
-    def report(self, A):
-        return self.analysis(A).report
-
-    def homs(self, A, B):
-        return self.analysis(A).homs(B)
-
-    def endos(self, A):
-        return self.analysis(A).endos
-
-    def _call(self, name, A, default):
+    def _flag(self, name, A, i):
         if name in self.overrides:
             return self.overrides[name](A)
-        return default
+        flag = self.analysis(A).flags[i]
+        return flag[0] if i > 1 else flag  # the strong flags carry an index
 
     def hopfian(self, A):
-        return self._call("is_hopfian", A, self.analysis(A).basic[0])
+        return self._flag("is_hopfian", A, 0)
 
     def co_hopfian(self, A):
-        return self._call("is_co_hopfian", A, self.analysis(A).basic[1])
+        return self._flag("is_co_hopfian", A, 1)
 
     def strongly_hopfian(self, A):
-        return self._call("is_strongly_hopfian", A, self.analysis(A).basic[2])
+        return self._flag("is_strongly_hopfian", A, 2)
 
     def strongly_co_hopfian(self, A):
-        return self._call("is_strongly_co_hopfian", A, self.analysis(A).basic[3])
+        return self._flag("is_strongly_co_hopfian", A, 3)
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -417,45 +392,31 @@ def _witness(tid, M, flags, **extra):
 # -- theorem checks ------------------------------------------------------------
 # Each check returns (nonvacuous, passed, witness_or_None, details_dict).
 
-def _check_t1(ctx, A):
-    rep = ctx.report(A)
-    hyp = rep.noetherian
+def _act_check(tid, A, hyp, concl, flags):
+    """One act's instance of hyp => concl: vacuous without hyp, failed
+    with a witness carrying `flags` when concl is false."""
     if not hyp:
         return False, True, None, {}
-    concl = ctx.hopfian(A)
     if concl:
         return True, True, None, {}
-    flags = {"noetherian": True, "hopfian": False}
-    return True, False, _witness("T1", A.monoid, flags, act=_act_payload(A)), {}
+    return True, False, _witness(tid, A.monoid, flags, act=_act_payload(A)), {}
+
+
+def _check_t1(ctx, A):
+    noe, h = ctx.analysis(A).report.noetherian, ctx.hopfian(A)
+    return _act_check("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
 
 
 def _check_t2(ctx, A):
-    rep = ctx.report(A)
-    hyp = rep.artinian
-    if not hyp:
-        return False, True, None, {}
-    concl = ctx.co_hopfian(A)
-    if concl:
-        return True, True, None, {}
-    flags = {"artinian": True, "co_hopfian": False}
-    return True, False, _witness("T2", A.monoid, flags, act=_act_payload(A)), {}
+    art, co = ctx.analysis(A).report.artinian, ctx.co_hopfian(A)
+    return _act_check("T2", A, art, co, {"artinian": art, "co_hopfian": co})
 
 
 def _check_t3(ctx, A):
-    sh = ctx.strongly_hopfian(A)
-    sch = ctx.strongly_co_hopfian(A)
-    bad_h = sh and not ctx.hopfian(A)
-    bad_c = sch and not ctx.co_hopfian(A)
-    nonvac = sh or sch
-    if not (bad_h or bad_c):
-        return nonvac, True, None, {}
-    flags = {
-        "strongly_hopfian": sh,
-        "hopfian": ctx.hopfian(A),
-        "strongly_co_hopfian": sch,
-        "co_hopfian": ctx.co_hopfian(A),
-    }
-    return nonvac, False, _witness("T3", A.monoid, flags, act=_act_payload(A)), {}
+    h, co = ctx.hopfian(A), ctx.co_hopfian(A)
+    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    flags = {"strongly_hopfian": sh, "hopfian": h, "strongly_co_hopfian": sch, "co_hopfian": co}
+    return _act_check("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
 
 
 def _criteria_check(tid, decide, A, ctx):
@@ -505,7 +466,7 @@ def _check_t6(ctx, M):
 
 def _check_t7(ctx, pair):
     A, B = pair
-    found = is_retract_of(ctx.homs(A, B), ctx.homs(B, A))
+    found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
     hyp = found is not None and found.proper and ctx.strongly_hopfian(B)
     if not hyp:
         return False, True, None, {}
@@ -529,18 +490,18 @@ def _check_t8(ctx, pair):
     A, B = pair
     induces, section = {}, {}
     sections = induced = 0
-    for h in ctx.homs(A, B):
+    for h in ctx.analysis(A).homs(B):
         if len(set(h.mapping)) != B.size:
             continue
         rho = kernel_congruence(h)
         if rho.labels not in induces:
             induces[rho.labels] = ctx.analysis(A).lifts(rho) or induces_all_endomorphisms(
-                h, ctx.endos(A), ctx.endos(B))[0]
+                h, ctx.analysis(A).endos, ctx.analysis(B).endos)[0]
         if not induces[rho.labels] or not ctx.strongly_co_hopfian(A):
             continue
         induced += 1
         if rho.labels not in section:
-            section[rho.labels] = has_section(h, ctx.homs(B, A))
+            section[rho.labels] = has_section(h, ctx.analysis(B).homs(A))
         sections += section[rho.labels]
         if not ctx.strongly_co_hopfian(B):
             flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
@@ -554,7 +515,7 @@ def _check_t8(ctx, pair):
 
 def _check_t9(ctx, inst):
     A, B = inst
-    if not is_fully_invariant(B, ctx.endos(A)):
+    if not is_fully_invariant(B, ctx.analysis(A).endos):
         return False, True, None, {}
     B_act, _ = subact_as_act(B)
     Q, _ = rees_quotient(A, B)
@@ -574,53 +535,38 @@ def _check_t9(ctx, inst):
 
 
 def _check_t10(ctx, A):
-    hyp = ctx.report(A).end_strongly_pi_regular
-    if not hyp:
-        return False, True, None, {}
-    if ctx.strongly_hopfian(A) and ctx.strongly_co_hopfian(A):
-        return True, True, None, {}
-    flags = {
-        "end_strongly_pi_regular": True,
-        "strongly_hopfian": ctx.strongly_hopfian(A),
-        "strongly_co_hopfian": ctx.strongly_co_hopfian(A),
-    }
-    return True, False, _witness("T10", A.monoid, flags, act=_act_payload(A)), {}
+    pi = ctx.analysis(A).report.end_strongly_pi_regular
+    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    flags = {"end_strongly_pi_regular": pi, "strongly_hopfian": sh, "strongly_co_hopfian": sch}
+    return _act_check("T10", A, pi, sh and sch, flags)
 
 
 def _check_t11(ctx, A):
-    rep = ctx.report(A)
-    hyp = rep.quasi_injective and ctx.strongly_hopfian(A) and rep.end_commutative
-    if not hyp:
-        return False, True, None, {}
-    pi_regular = rep.end_strongly_pi_regular
-    if ctx.strongly_co_hopfian(A) and pi_regular:
-        return True, True, None, {}
+    rep = ctx.analysis(A).report
+    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
     flags = {
-        "quasi_injective": True,
-        "strongly_hopfian": True,
-        "end_commutative": True,
-        "strongly_co_hopfian": ctx.strongly_co_hopfian(A),
-        "end_strongly_pi_regular": pi_regular,
+        "quasi_injective": rep.quasi_injective,
+        "strongly_hopfian": sh,
+        "end_commutative": rep.end_commutative,
+        "strongly_co_hopfian": sch,
+        "end_strongly_pi_regular": rep.end_strongly_pi_regular,
     }
-    return True, False, _witness("T11", A.monoid, flags, act=_act_payload(A)), {}
+    hyp = rep.quasi_injective and sh and rep.end_commutative
+    return _act_check("T11", A, hyp, sch and rep.end_strongly_pi_regular, flags)
 
 
 def _check_t12(ctx, A):
-    rep = ctx.report(A)
-    hyp = rep.quasi_projective and ctx.strongly_co_hopfian(A) and rep.end_commutative
-    if not hyp:
-        return False, True, None, {}
-    pi_regular = rep.end_strongly_pi_regular
-    if ctx.strongly_hopfian(A) and pi_regular:
-        return True, True, None, {}
+    rep = ctx.analysis(A).report
+    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
     flags = {
-        "quasi_projective": True,
-        "strongly_co_hopfian": True,
-        "end_commutative": True,
-        "strongly_hopfian": ctx.strongly_hopfian(A),
-        "end_strongly_pi_regular": pi_regular,
+        "quasi_projective": rep.quasi_projective,
+        "strongly_co_hopfian": sch,
+        "end_commutative": rep.end_commutative,
+        "strongly_hopfian": sh,
+        "end_strongly_pi_regular": rep.end_strongly_pi_regular,
     }
-    return True, False, _witness("T12", A.monoid, flags, act=_act_payload(A)), {}
+    hyp = rep.quasi_projective and sch and rep.end_commutative
+    return _act_check("T12", A, hyp, sh and rep.end_strongly_pi_regular, flags)
 
 
 def _factor_acts(ctx, A):
@@ -633,10 +579,8 @@ def _check_t13(ctx, A):
     factors = _factor_acts(ctx, A)
     all_co = all(ctx.co_hopfian(Q) for Q in factors)
     all_strong = all(ctx.strongly_co_hopfian(Q) for Q in factors)
-    if all_co == all_strong:
-        return True, True, None, {}
     flags = {"all_factors_co_hopfian": all_co, "all_factors_strongly_co_hopfian": all_strong}
-    return True, False, _witness("T13", A.monoid, flags, act=_act_payload(A)), {}
+    return _act_check("T13", A, True, all_co == all_strong, flags)
 
 
 def _check_t14(ctx, A):
@@ -645,10 +589,8 @@ def _check_t14(ctx, A):
     all_fitting = all(
         ctx.strongly_hopfian(Q) and ctx.strongly_co_hopfian(Q) for Q in factors
     )
-    if all_plain == all_fitting:
-        return True, True, None, {}
     flags = {"all_factors_hopfian_co_hopfian": all_plain, "all_factors_fitting": all_fitting}
-    return True, False, _witness("T14", A.monoid, flags, act=_act_payload(A)), {}
+    return _act_check("T14", A, True, all_plain == all_fitting, flags)
 
 
 REGISTRY = {
@@ -753,7 +695,7 @@ def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
     reports = []
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
         for ai, A in enumerate(per):
-            rep = ctx.report(A)
+            rep = ctx.analysis(A).report
             entry = {
                 "monoid": f"M{mi}",
                 "act": f"M{mi}.A{ai}",

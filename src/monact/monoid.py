@@ -253,6 +253,8 @@ def zmod_mult_monoid(m: int) -> Monoid:
     """Residues mod m under multiplication, identity 1 relabeled to 0."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
+    if m > SIZE_CAP:
+        raise SizeOverflow(f"Z/{m} exceeds the monoid size cap {SIZE_CAP}")
     if m == 1:
         return _trusted(1, ((0,),), (0,))
     raw = [[(a * b) % m for b in range(m)] for a in range(m)]

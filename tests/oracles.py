@@ -3,14 +3,15 @@
 Everything here recomputes results from first principles (exhaustive
 filters, connectivity searches) without touching the library's search
 or closure code paths, so a test comparing the two sides is a real
-cross-check rather than a tautology.  The quasi-projectivity and T8
-oracles are the exception: they take the homs and the congruence
-lattice from the library and redo only the lifting, on whole maps.
+cross-check rather than a tautology.  The quasi-injectivity,
+quasi-projectivity and T8 oracles are the exception: they take the
+homs, subacts and congruence lattice from the library and redo only
+the extending or lifting, on whole maps.
 """
 
 from itertools import combinations, permutations, product
 
-from monact.act import quotient_by_congruence
+from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
 from monact.congruence import enumerate_congruences
 from monact.endo import homomorphisms
 from monact.harness import monoid_canonical_form
@@ -355,6 +356,21 @@ def minimal_generating_set_oracle(A):
     raise AssertionError("the whole carrier generates")
 
 
+def quasi_injective_oracle(A):
+    """(flag, counterexample) of quasi-injectivity, one proper subact B at
+    a time: the set of whole restrictions of End(A) to B, then the first
+    hom B -> A, in map order, outside it.  The homs and subacts come
+    from the library; the comparison is on whole maps."""
+    endos = homomorphisms(A, A)
+    for B in enumerate_subacts(A)[:-1]:
+        sub, members = subact_as_act(B)
+        restrictions = {tuple(h.mapping[b] for b in members) for h in endos}
+        for f in homomorphisms(sub, A):
+            if tuple(f.mapping) not in restrictions:
+                return False, (B, f)
+    return True, None
+
+
 def quasi_projective_oracle(A):
     """(flag, counterexample) of quasi-projectivity, one congruence at a
     time: the set of whole maps p o g over End(A), then the first hom
@@ -377,19 +393,20 @@ def t8_oracle(ctx, pair):
     come from the SuiteContext `ctx`.  Returns what the suite's check
     does: (nonvacuous, passed, witness, details)."""
     A, B = pair
+    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     induced = sections = 0
-    for h in ctx.homs(A, B):
+    for h in an_a.homs(B):
         hm = h.mapping
         if len(set(hm)) != B.size:
             continue
-        liftable = {tuple(hm[a] for a in g.mapping) for g in ctx.endos(A)}
-        if any(tuple(f.mapping[b] for b in hm) not in liftable for f in ctx.endos(B)):
+        liftable = {tuple(hm[a] for a in g.mapping) for g in an_a.endos}
+        if any(tuple(f.mapping[b] for b in hm) not in liftable for f in an_b.endos):
             continue
         if not ctx.strongly_co_hopfian(A):
             continue
         induced += 1
         ident = tuple(range(B.size))
-        sections += any(tuple(hm[a] for a in s.mapping) == ident for s in ctx.homs(B, A))
+        sections += any(tuple(hm[a] for a in s.mapping) == ident for s in an_b.homs(A))
         details = {"induced_surjections": induced, "with_section": sections}
         if not ctx.strongly_co_hopfian(B):
             witness = {

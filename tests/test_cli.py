@@ -192,6 +192,16 @@ def test_suite_budget_exit_code(capsys):
     assert main(["suite", "--max-monoid", "5", "--max-act", "1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-monoid", "0", "--samples", "1"],
+    ["--max-act", "0"],
+    ["--samples", "-1"],
+])
+def test_suite_rejects_out_of_range_sizes(argv, capsys):
+    assert main(["suite", *argv]) == 2
+    assert "at least" in capsys.readouterr().err
+
+
 def test_suite_human_output(capsys):
     assert main(["suite", "--max-monoid", "1", "--max-act", "2"]) == 0
     out = capsys.readouterr().out
@@ -225,6 +235,21 @@ def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
 def test_classify_budget_exit(capsys):
     # a 40-element regular act overflows the congruence-enumeration cap
     assert main(["classify", "--regular", "Z40"]) == 3
+
+
+@pytest.mark.parametrize("command", ["classify", "endos", "congruences"])
+def test_regular_builtin_needs_positive_modulus(command, capsys):
+    assert main([command, "--regular", "Z0"]) == 2
+    assert "modulus of at least 1" in capsys.readouterr().err
+
+
+def test_regular_builtin_over_size_cap_builds_no_table(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("Z/4097 table built")
+
+    monkeypatch.setattr(monact.monoid, "_relabel_table", refuse)
+    assert main(["classify", "--regular", "Z4097"]) == 3
+    assert "size cap 4096" in capsys.readouterr().err
 
 
 def _trivial_act_file(tmp_path, m):

@@ -24,7 +24,9 @@ from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import element_power, prime_power_product
 
-from oracles import bell_number, brute_force_congruences, longest_chain_oracle
+from oracles import (
+    bell_number, brute_force_congruences, longest_chain_oracle, quasi_injective_oracle,
+)
 
 
 def small_corpus(max_monoid=2, max_act=3):
@@ -114,6 +116,13 @@ def test_quasi_injective(a2, reg_z4, singleton):
     for A in (singleton, a2, reg_z4):
         ok, counterexample = is_quasi_injective(A)
         assert ok and counterexample is None
+
+
+def test_quasi_injective_matches_oracle():
+    acts = [A for per in build_corpus(CorpusSpec()).acts for A in per]
+    verdicts = [is_quasi_injective(A) for A in acts]
+    assert verdicts == [quasi_injective_oracle(A) for A in acts]
+    assert sum(not flag for flag, _ in verdicts) == 6
 
 
 def test_quasi_projective(a2, reg_z4, singleton):

@@ -283,6 +283,21 @@ def test_mutation_hook_fails_t1_with_reverifiable_witness(a2):
     assert not recheck_verdict(verdict)
 
 
+@pytest.mark.parametrize("decider, failing, digest", [
+    ("is_hopfian", ["T1", "T3", "T14"], "7964f7d6a50a"),
+    ("is_co_hopfian", ["T2", "T3", "T13", "T14"], "5b920cff0343"),
+    ("is_strongly_hopfian", ["T6", "T10", "T12", "T14"], "cb03842a75e5"),
+    ("is_strongly_co_hopfian", ["T6", "T10", "T11", "T13", "T14"], "269d47073bbf"),
+])
+def test_forced_false_decider_fails_its_theorems(decider, failing, digest):
+    overrides = {decider: lambda A: False}
+    result = run_suite(CorpusSpec(max_monoid_size=2, max_act_size=3), overrides)
+    failed = [v for v in result.verdicts if not v.passed]
+    assert [v.theorem for v in failed] == failing
+    assert hashlib.sha256(suite_json(result).encode()).hexdigest()[:12] == digest
+    assert all(recheck_verdict(v, overrides) for v in failed)
+
+
 def test_rebuild_instance_round_trip(a2):
     overrides = {"is_strongly_hopfian": lambda A: False}
     v = check_theorem("T3", a2, overrides)

@@ -1,6 +1,7 @@
 """Each per-act quantity is computed once per act: End(A), the
-endomorphisms, their power profiles, the congruence lattice and the
-subacts, in the suite and in `monact classify`; End(A) is not kept.
+endomorphisms, their power profiles, the congruence lattice, the
+subacts, the Hopfian flags and the generating set, in the suite and in
+`monact classify`; End(A) is not kept.
 Calls are counted by wrappers bound in every namespace of the package
 that holds the original function.  Congruence
 enumeration makes a bounded number of closures, and act enumeration
@@ -16,10 +17,10 @@ import pytest
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
 from monact.act import validate_act
-from monact.deciders import ActAnalysis, classify_act
+from monact.deciders import ActAnalysis
 from monact.endo import EndMonoid, homomorphisms
 from monact.harness import (
-    CorpusSpec, SuiteAnalysis, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
+    CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
     run_suite,
 )
 from monact.monoid import validate_monoid
@@ -65,11 +66,14 @@ def test_suite_builds_each_per_act_quantity_once(count):
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
     congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
     subs = count(act, "enumerate_subacts", _key)
+    hopf = count(deciders, "is_hopfian", lambda an: _key(an.act))
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
     assert ends == Counter(acts)
     assert congs == Counter(acts)
     assert subs == Counter(acts)
+    # factor acts, subacts and Rees quotients get their flags once too
+    assert set(hopf.values()) == {1} and acts <= set(hopf)
     endos = Counter({a: n for (a, b), n in homs.items() if a == b})
     # factor acts and subacts are analysed too, each once
     assert set(endos.values()) == {1}
@@ -86,6 +90,14 @@ def test_classify_builds_end_once(count, tmp_path):
     assert list(ends.values()) == [1]
     (A,) = ends
     assert homs[(A, A)] == 1
+
+
+def test_searches_share_one_generating_set(count):
+    A, B = build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=3)).acts[1][-2:]
+    gens = count(act, "minimal_generating_set", _key)
+    homomorphisms(A, A)
+    homomorphisms(A, B)
+    assert gens == Counter({_key(A): 1})
 
 
 def _profile_key(f):
@@ -153,15 +165,12 @@ def _reachable(root):
     return seen.values()
 
 
-@pytest.mark.parametrize("analysis", [ActAnalysis, SuiteAnalysis])
-def test_classify_keeps_no_end_monoid(analysis):
+def test_classify_keeps_no_end_monoid():
     acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=3)).acts
             for A in per]
     for A in acts:
-        an = analysis(A)
-        classify_act(an)
-        if analysis is SuiteAnalysis:
-            an.report, an.basic
+        an = ActAnalysis(A)
+        an.report, an.flags
         assert an.endos and an.profiles
         assert not any(isinstance(x, EndMonoid) for x in _reachable(vars(an)))
 
