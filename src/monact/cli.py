@@ -18,12 +18,12 @@ import re
 import sys
 
 from .act import regular_act
-from .congruence import enumerate_congruences
+from .congruence import CONGRUENCE_ENUM_CAP, enumerate_congruences
 from .deciders import ActAnalysis, chain_reports, classify_act, r_chain_index
 from .endo import endomorphisms, identity_first
-from .errors import AlgebraError, BudgetError, InputError, NotPrime, UnknownTheorem
+from .errors import AlgebraError, BudgetError, CarrierTooLarge, InputError, NotPrime, UnknownTheorem
 from .harness import ALL_THEOREMS, CorpusSpec, run_suite
-from .monoid import is_prime, prime_power_product, zmod_mult_monoid
+from .monoid import SIZE_CAP, is_prime, prime_power_product, zmod_mult_monoid
 from .textio import parse_input
 
 SCHEMA_VERSION = "1"
@@ -54,7 +54,7 @@ def _load_document(path):
     return parse_input(text), _digest(text.encode("utf-8"))
 
 
-def _builtin_monoid(name):
+def _builtin_monoid(name, carrier_cap=SIZE_CAP):
     m = re.fullmatch(r"[Zz](\d+)", name)
     if not m:
         raise InputError(
@@ -63,6 +63,8 @@ def _builtin_monoid(name):
     modulus = int(m.group(1))
     if modulus < 1:
         raise InputError(f"builtin monoid {name!r} needs a modulus of at least 1")
+    if carrier_cap < modulus <= SIZE_CAP:  # refuse the regular act before the table
+        raise CarrierTooLarge(f"carrier size {modulus} exceeds cap {carrier_cap}")
     return zmod_mult_monoid(modulus)
 
 
@@ -70,7 +72,7 @@ def _partition_str(classes):
     return "{" + ", ".join("{" + ",".join(map(str, c)) + "}" for c in classes) + "}"
 
 
-def _resolve_act(args):
+def _resolve_act(args, carrier_cap=SIZE_CAP):
     """(label, monoid_label, act, digest) for classify/endos/congruences."""
     if getattr(args, "regular", None):
         name = args.regular
@@ -80,7 +82,7 @@ def _resolve_act(args):
                 raise InputError(f"monoid {name!r} not defined in {args.file}")
             M = doc.monoids[name]
         else:
-            M = _builtin_monoid(name)
+            M = _builtin_monoid(name, carrier_cap)
             digest = _digest(f"regular:{name}:{M.table}".encode())
         return f"regular({name})", name, regular_act(M), digest
     if not args.file:
@@ -130,7 +132,7 @@ def _report_entry(label, mlabel, A, props, chains):
 
 
 def cmd_classify(args):
-    label, mlabel, A, digest = _resolve_act(args)
+    label, mlabel, A, digest = _resolve_act(args, CONGRUENCE_ENUM_CAP)
     an = ActAnalysis(A)
     # the report first: its congruence cap and hom-list cap stop an
     # oversized act before any chain is computed
@@ -163,7 +165,7 @@ def cmd_endos(args):
 
 
 def cmd_congruences(args):
-    label, mlabel, A, _ = _resolve_act(args)
+    label, mlabel, A, _ = _resolve_act(args, CONGRUENCE_ENUM_CAP)
     congs = enumerate_congruences(A)
     print(f"congruences of {label} over {mlabel}: {len(congs)}")
     for c in congs:
@@ -195,8 +197,6 @@ def cmd_suite(args):
         for t in theorems:
             if t not in ALL_THEOREMS:
                 raise UnknownTheorem(t)
-    if min(args.max_monoid, args.max_act) < 1 or args.samples < 0:
-        raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
     spec = CorpusSpec(
         max_monoid_size=args.max_monoid,
         max_act_size=args.max_act,

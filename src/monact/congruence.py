@@ -4,11 +4,11 @@ A congruence is stored as a least-member label tuple: `labels[a]` is
 the smallest member of a's class.  Every operation works on that array
 form (Freese, "Computing congruences efficiently", Algebra Universalis
 59, 2008): meet labels the pairs of labels, refinement compares labels
-through the finer congruence's leaders, and closure, join and
-enumeration share one closure kernel, `_close`.  Enumeration joins each
-congruence found with the distinct principal congruences only, and
-reads the longest chain off those join steps.  The classes are derived
-from the labels on demand.
+through the finer congruence's leaders, and a join is a partition join,
+`_merge`.  Only seeds that are not congruences are closed under the
+action, by `_close`.  Enumeration joins each congruence found with the
+distinct principal congruences only, and reads the longest chain off
+those join steps.  The classes are derived from the labels on demand.
 """
 
 from __future__ import annotations
@@ -96,6 +96,21 @@ def _close(A: Act, labels, pairs):
     return tuple(labels)
 
 
+def _merge(labels, pairs):
+    """(labels, merges): the partition join of labels and pairs by the
+    relabel of `_close`, pushing no translations, and its merge count."""
+    labels = list(labels)
+    merges = 0
+    for a, b in pairs:
+        ra, rb = labels[a], labels[b]
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            labels = [ra if x == rb else x for x in labels]
+            merges += 1
+    return tuple(labels), merges
+
+
 def congruence_closure(A: Act, relation) -> Congruence:
     """Least congruence containing the given relation."""
     seed = relation.pairs if isinstance(relation, Relation) else relation
@@ -136,11 +151,12 @@ def meet(rho: Congruence, sigma: Congruence) -> Congruence:
 
 
 def join(rho: Congruence, sigma: Congruence) -> Congruence:
-    """Least congruence containing both: rho closed under the pairs
-    (a, sigma's label of a)."""
+    """Least congruence containing both: their partition join, which is a
+    congruence because a chain a = c0 rho c1 sigma c2 ... b gives the
+    chain a*s = c0*s rho c1*s sigma c2*s ... b*s."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    return Congruence(rho.act, _close(rho.act, rho.labels, enumerate(sigma.labels)))
+    return Congruence(rho.act, _merge(rho.labels, enumerate(sigma.labels))[0])
 
 
 def enumerate_congruences(A: Act):
@@ -149,10 +165,10 @@ def enumerate_congruences(A: Act):
     Every congruence is the join of the principal congruences Cg(a, b)
     of its pairs, so joining each congruence found with each distinct
     principal congruence, starting from the diagonal, reaches them all:
-    at most n(n-1)/2 + p|L| closures for p distinct principal
-    congruences and a lattice L.  A step theta -> theta v Cg(a, b) with
-    theta(a) != theta(b) lowers the class count, and every cover
-    theta < psi is such a step (take any (a, b) in psi but not theta).
+    n(n-1)/2 closures and at most p|L| partition joins for p distinct
+    principal congruences and a lattice L.  A step theta -> theta v Cg(a, b)
+    with theta(a) != theta(b) lowers the class count by its merges, and
+    every cover theta < psi is such a step (take (a, b) in psi, not theta).
     Congruences are therefore expanded in order of class count,
     descending, and each one's height is final when it is expanded.
 
@@ -163,22 +179,23 @@ def enumerate_congruences(A: Act):
         raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}")
     n = A.size
     bottom = tuple(range(n))
-    generators = {}
+    generators = {}  # Cg(a, b) -> a, b and its pairs (x, label of x) off the diagonal
     for a in range(n):
         for b in range(a + 1, n):
-            generators.setdefault(_close(A, bottom, [(a, b)]), (a, b))
+            cg = _close(A, bottom, [(a, b)])
+            generators.setdefault(cg, (a, b, [(x, lx) for x, lx in enumerate(cg) if x != lx]))
     height = {bottom: 1}
     by_classes = [[] for _ in range(n + 1)]
     by_classes[n].append(bottom)
     for count in range(n, 0, -1):
         for theta in by_classes[count]:
             up = height[theta] + 1
-            for a, b in generators.values():
+            for a, b, pairs in generators.values():
                 if theta[a] == theta[b]:
                     continue
-                psi = _close(A, theta, [(a, b)])
+                psi, merges = _merge(theta, pairs)
                 if psi not in height:
-                    by_classes[len(set(psi))].append(psi)
+                    by_classes[count - merges].append(psi)
                 height[psi] = max(height.get(psi, 0), up)
     congs = [Congruence(A, labels, h) for labels, h in height.items()]
     congs.sort(key=lambda c: (-len(c.classes), c.classes))

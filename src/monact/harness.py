@@ -34,7 +34,7 @@ from .act import (
 )
 from .congruence import kernel_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
-from .errors import SizeTooLarge, UnknownTheorem
+from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties
 
@@ -311,6 +311,10 @@ class CorpusSpec:
     theorems: tuple = ALL_THEOREMS
     seed: int | None = None
     samples: int = 0
+
+    def __post_init__(self):
+        if min(self.max_monoid_size, self.max_act_size) < 1 or self.samples < 0:
+            raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
 
 
 @dataclass

@@ -56,15 +56,8 @@ class Relation:
         """
         if not self.is_equivalence():
             raise NotAnEquivalence("relation is not reflexive, symmetric and transitive")
-        seen = set()
-        classes = []
-        for a in range(self.size):
-            if a in seen:
-                continue
-            cls = sorted(b for b in range(self.size) if (a, b) in self.pairs)
-            seen.update(cls)
-            classes.append(tuple(cls))
-        return tuple(classes)
+        points = range(self.size)
+        return label_classes([min(b for b in points if (a, b) in self.pairs) for a in points])
 
 
 def least_labels(keys):

@@ -252,6 +252,18 @@ def test_regular_builtin_over_size_cap_builds_no_table(monkeypatch, capsys):
     assert "size cap 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "congruences"])
+def test_regular_builtin_over_congruence_cap_builds_no_table(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("Z/2048 table built")
+
+    monkeypatch.setattr(monact.cli, "zmod_mult_monoid", refuse)
+    start = time.perf_counter()
+    assert main([command, "--regular", "Z2048"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "carrier size 2048 exceeds cap 8" in capsys.readouterr().err
+
+
 def _trivial_act_file(tmp_path, m):
     path = tmp_path / f"trivial-{m}.act"
     path.write_text(f"monoid T 1\n0\n\nact A over T {m}\n" + "".join(f"{a}\n" for a in range(m)))

@@ -8,7 +8,7 @@ import pytest
 from monact import harness
 from monact.act import Act, subact, validate_act
 from monact.cli import suite_json
-from monact.errors import SizeTooLarge, UnknownTheorem
+from monact.errors import InputError, SizeTooLarge, UnknownTheorem
 from monact.harness import (
     ALL_THEOREMS,
     CorpusSpec,
@@ -238,6 +238,16 @@ def test_check_theorem_single_instances(a2, reg_z4):
 def test_check_theorem_unknown():
     with pytest.raises(UnknownTheorem):
         check_theorem("T99", None)
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_monoid_size": 0, "samples": 1},
+    {"max_act_size": 0},
+    {"samples": -1},
+])
+def test_out_of_range_spec_is_an_input_error(fields):
+    with pytest.raises(InputError, match="at least"):
+        run_suite(CorpusSpec(**fields))
 
 
 def test_small_suite_all_pass():

@@ -5,8 +5,11 @@ A congruence is stored as least-member labels; `meet`, `join`,
 on that form.  Here every pair of congruences of every act of the
 default corpus is checked against the partition computations in
 `oracles`, with the oracles' input partitions read off the labels by
-`oracles.fibers`, independently of `Congruence.classes`.  The planted
-bugs show which check catches which fault.
+`oracles.fibers`, independently of `Congruence.classes`.  The join's
+oracle is itself a partition join, so that every join is a congruence
+(the congruences are a sublattice of the partitions) is checked on its
+own, against the action.  The planted bugs show which check catches
+which fault.
 """
 
 import sys
@@ -20,6 +23,7 @@ from oracles import (
     chain_join_oracle,
     fibers,
     image_classes,
+    is_compatible_partition,
     meet_oracle,
     refines_oracle,
 )
@@ -58,10 +62,39 @@ def label_op_mismatches(acts):
     return bad
 
 
+def join_incompatibilities(acts):
+    """(pairs checked, the joins that split a class under the action)
+    over every ordered pair of congruences of each act."""
+    cm = congruence_module
+    pairs, bad = 0, []
+    for A in acts:
+        congs = cm.enumerate_congruences(A)
+        for rho in congs:
+            for sigma in congs:
+                pairs += 1
+                joined = cm.join(rho, sigma)
+                if not is_compatible_partition(A, fibers(joined.labels)):
+                    bad.append((A, rho, sigma, joined))
+    return pairs, bad
+
+
+def enumeration_mismatches(acts):
+    """The acts whose enumerated lattice differs from the partition filter."""
+    return [
+        A for A in acts
+        if sorted(c.classes for c in congruence_module.enumerate_congruences(A))
+        != brute_force_congruences(A)
+    ]
+
+
 def test_label_ops_match_oracles_on_default_corpus():
     acts = corpus_acts(3, 4)
     assert len(acts) == 142
     assert label_op_mismatches(acts) == []
+
+
+def test_joins_are_congruences_on_default_corpus():
+    assert join_incompatibilities(corpus_acts(3, 4)) == (9093, [])
 
 
 # -- planted bugs ------------------------------------------------------------
@@ -98,8 +131,31 @@ def test_planted_dropped_last_class_is_caught(monkeypatch):
     bad = label_op_mismatches(acts)
     assert {"classes", "meet", "join", "kernel", "image"} <= {what for _, what, _, _ in bad}
     # the partition filter sees the enumeration lose a class
-    assert any(
-        sorted(c.classes for c in congruence_module.enumerate_congruences(A))
-        != brute_force_congruences(A)
-        for A in acts
-    )
+    assert enumeration_mismatches(acts)
+
+
+def test_planted_merge_dropping_last_pair_is_caught(monkeypatch):
+    merge = congruence_module._merge
+    _plant(monkeypatch, congruence_module, "_merge",
+           lambda labels, pairs: merge(labels, list(pairs)[:-1]))
+    acts = corpus_acts(2, 4)
+    # The label-op oracle misses it: its congruences come from the planted
+    # enumeration, which never merges the last point (its pair is the last
+    # of every principal congruence that holds it), so the pair that
+    # `join` drops is always (last point, last point).
+    assert enumeration_mismatches(acts)
+    assert join_incompatibilities(acts)[1]
+
+
+def test_planted_principal_congruence_without_closure_is_caught(monkeypatch):
+    # Cg(a, b) taken as the bare partition {a, b}: the seed is merged
+    # but never pushed through the action
+    merge = congruence_module._merge
+    _plant(monkeypatch, congruence_module, "_close",
+           lambda A, labels, pairs: merge(labels, pairs)[0])
+    acts = corpus_acts(2, 4)
+    # the label-op oracle misses it: meet, join and refinement of
+    # partitions agree with their oracles whether or not they are
+    # congruences
+    assert enumeration_mismatches(acts)
+    assert join_incompatibilities(acts)[1]

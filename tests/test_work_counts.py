@@ -175,30 +175,29 @@ def test_classify_keeps_no_end_monoid():
         assert not any(isinstance(x, EndMonoid) for x in _reachable(vars(an)))
 
 
-def test_enumeration_closures_bounded_by_principal_joins(monkeypatch):
+def test_enumeration_closures_bounded_by_principal_joins(count):
     """n(n-1)/2 closures find the principal congruences, then each
     congruence found is joined with each of the p distinct ones at most
-    once: at most n(n-1)/2 + p|L| calls of the closure kernel."""
+    once: exactly n(n-1)/2 calls of the closure kernel and at most p|L|
+    of the partition join, which pushes nothing through the action."""
     trivial = validate_monoid(1, [[0]])
     acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=4)).acts
             for A in per]
     acts.append(validate_act(trivial, 7, [[a] for a in range(7)]))
-    close = congruence._close
+    closes = count(congruence, "_close", lambda *args: "calls")
+    merges = count(congruence, "_merge", lambda *args: "calls")
     for A in acts:
         n = A.size
         p = len({congruence.congruence_closure(A, [(a, b)]).classes
                  for a in range(n) for b in range(a + 1, n)})
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return close(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(congruence, "_close", counted)
-            lattice = congruence.enumerate_congruences(A)
-        assert len(calls) <= n * (n - 1) // 2 + p * len(lattice)
-    assert len(calls) > 7 * 6 // 2  # the 7-point act's joins run the kernel too
+        closes.clear()
+        merges.clear()
+        lattice = congruence.enumerate_congruences(A)
+        assert closes["calls"] == n * (n - 1) // 2
+        assert merges["calls"] <= p * len(lattice)
+    # the 7-point act: all Bell(7) = 877 partitions, each past the
+    # diagonal reached by a join
+    assert len(lattice) == 877 and merges["calls"] >= 876
 
 
 def test_act_enumeration_and_sampling_never_validate(monkeypatch):
