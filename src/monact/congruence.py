@@ -122,32 +122,37 @@ def kernel_congruence(f: ActHom) -> Congruence:
     return Congruence(f.source, least_labels(f.mapping))
 
 
-def _collapse(A: Act, members) -> Congruence:
-    """`members` as one class, singletons elsewhere."""
+def _collapse_labels(size, members):
+    """Labels of `members` as one class, singletons elsewhere."""
     members = set(members)
     lead = min(members)
-    return Congruence(A, tuple(lead if a in members else a for a in range(A.size)))
+    return tuple(lead if a in members else a for a in range(size))
 
 
 def image_congruence(f: ActHom) -> Congruence:
     """(im f x im f) | diagonal, for an endomorphism f."""
     if f.source != f.target:
         raise ParentMismatch("image congruence needs an endomorphism")
-    return _collapse(f.source, f.mapping)
+    return Congruence(f.source, _collapse_labels(f.source.size, f.mapping))
 
 
 def rees_congruence(A: Act, B: Subact) -> Congruence:
     """One class for the subact, singletons elsewhere."""
     if B.parent != A:
         raise ParentMismatch("subact belongs to a different act")
-    return _collapse(A, B.members)
+    return Congruence(A, _collapse_labels(A.size, B.members))
+
+
+def _meet_labels(rho, sigma):
+    """Classwise intersection of two labellings: a's pair of labels keys its class."""
+    return least_labels(zip(rho, sigma))
 
 
 def meet(rho: Congruence, sigma: Congruence) -> Congruence:
-    """Classwise intersection: a's class is keyed by its pair of labels."""
+    """Classwise intersection, by `_meet_labels`."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    return Congruence(rho.act, least_labels(zip(rho.labels, sigma.labels)))
+    return Congruence(rho.act, _meet_labels(rho.labels, sigma.labels))
 
 
 def join(rho: Congruence, sigma: Congruence) -> Congruence:

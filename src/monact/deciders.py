@@ -5,27 +5,28 @@ endomorphism powers.  On finite carriers both chain families stabilize
 within |A| steps (kernel class counts fall, image sizes fall), so every
 decider terminates with an exact index.  Criteria 1 and 2 and the chain
 reports read each endomorphism's PowerProfile, one walk of its powers;
-criterion 3 stays literal on the powers' congruences.
+criterion 3 stays literal: it meets or joins the image and kernel labels
+of each power map, once per map and decider call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .act import Act, ActHom, compose, enumerate_subacts, power
+from .act import Act, ActHom, enumerate_subacts, power
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
+    _collapse_labels,
+    _meet_labels,
+    _merge,
     diagonal,
     enumerate_congruences,
     image_congruence,
-    join,
     kernel_congruence,
-    meet,
-    universal,
 )
 from .endo import (
     end_monoid,
@@ -196,18 +197,19 @@ def is_co_hopfian(A: Act | ActAnalysis) -> bool:
 def _endo_index(f, criterion, index, tail, settled):
     """Least n satisfying the chosen criterion for one endomorphism f:
     criteria 1 and 2 read `index` and `tail`, the chain's entries in f's
-    power profile; criterion 3 is `settled(f^n)` for n <= 2|A|."""
+    power profile; criterion 3 is `settled(f^n)` on the map tuple of f^n,
+    for n <= 2|A|, each power one lookup through f's map."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if criterion == 1 and not tail:
         raise AssertionError("chain tail not constant after stabilization")
     if criterion != 3:
         return index
-    f_n = f
-    for n in range(1, 2 * f.source.size + 1):
+    f_n = m = f.mapping
+    for n in range(1, 2 * len(m) + 1):
         if settled(f_n):
             return n
-        f_n = compose(f, f_n)
+        f_n = tuple(map(m.__getitem__, f_n))
     return None
 
 
@@ -225,14 +227,17 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     """(flag, index): kernel chains of all endomorphisms stabilize.
 
     criterion 1 demands a constant tail, 2 one adjacent equality, 3 the
-    trivial-intersection condition; index is the worst endomorphism's
-    least n for the chosen criterion.
+    trivial-intersection condition: the labels of im f^n (one class) and
+    ker f^n meet in the diagonal; index is the worst endomorphism's least
+    n for the chosen criterion.  Powers are elements of End(A), so each
+    map is decided once, in a memo that lives for this call only.
     """
     an = analyse(A)
-    delta = diagonal(an.act)
+    delta = tuple(range(an.act.size))
 
+    @cache
     def settled(f_n):
-        return meet(image_congruence(f_n), kernel_congruence(f_n)) == delta
+        return _meet_labels(_collapse_labels(len(f_n), f_n), least_labels(f_n)) == delta
 
     return _worst(
         _endo_index(f, criterion, p.k_index, p.k_tail, settled)
@@ -243,14 +248,16 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
 def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     """(flag, index): image chains of all endomorphisms stabilize.
 
-    criterion 3 is the join condition: im/ker congruences of f^n join to
-    the universal congruence.
+    criterion 3 is the join condition: the labels of im f^n and ker f^n,
+    partition-joined as `congruence.join` does, give the universal
+    congruence's; each map is decided once per call, as for the kernels.
     """
     an = analyse(A)
-    full = universal(an.act)
+    full = (0,) * an.act.size
 
+    @cache
     def settled(f_n):
-        return join(image_congruence(f_n), kernel_congruence(f_n)) == full
+        return _merge(_collapse_labels(len(f_n), f_n), enumerate(least_labels(f_n)))[0] == full
 
     return _worst(
         _endo_index(f, criterion, p.i_index, p.i_tail, settled)

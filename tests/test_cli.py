@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -115,6 +116,58 @@ def test_classify_json(sample_file, capsys):
     assert props["fitting"] is True
     assert props["end_size"] == 2
     assert len(report["chains"]) == 2
+
+
+PINNED = """\
+monoid M2 2
+0 1
+1 1
+
+monoid C2 2
+0 1
+1 0
+
+monoid T 1
+0
+
+act A2 over M2 2
+0 1
+1 1
+
+act S4 over C2 4
+0 1
+1 0
+2 3
+3 2
+
+act P4 over T 4
+0
+1
+2
+3
+
+act R4 over M2 4
+0 1
+1 1
+2 3
+3 3
+"""
+
+
+# sha256 prefixes of `monact classify FILE --act A --json` on PINNED; a
+# change to one is a change to the classify document and must be
+# deliberate
+@pytest.mark.parametrize("act, digest", [
+    ("A2", "0e564d002f7e"),
+    ("S4", "b1260ce3d95e"),
+    ("P4", "bf4267d87a4f"),
+    ("R4", "722fd5d9766d"),
+])
+def test_classify_json_bytes_are_pinned(tmp_path, capsys, act, digest):
+    path = tmp_path / "pinned.act"
+    path.write_text(PINNED)
+    assert main(["classify", str(path), "--act", act, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
 def test_main_twice_in_a_row_gives_identical_results(sample_file, capsys):

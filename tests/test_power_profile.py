@@ -5,6 +5,7 @@ endomorphism; `oracles` holds the partition-by-partition loops they
 replaced.  The planted bugs show which check catches which fault.
 """
 
+import itertools
 import random
 
 import pytest
@@ -187,20 +188,53 @@ def test_planted_tail_flag_forced_true_is_caught_by_the_oracles(monkeypatch):
 
 
 def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
-    meet, join = deciders.meet, deciders.join
-    monkeypatch.setattr(deciders, "meet", join)
-    monkeypatch.setattr(deciders, "join", meet)
+    # criterion 3's label kernels swapped: the kernel family joins the
+    # image and kernel labels, the image family meets them
+    meet, merge = deciders._meet_labels, deciders._merge
+    monkeypatch.setattr(deciders, "_meet_labels", lambda rho, sigma: merge(rho, enumerate(sigma))[0])
+    monkeypatch.setattr(deciders, "_merge",
+                        lambda labels, pairs: (meet(labels, [lab for _, lab in pairs]), None))
     bad = oracle_mismatches(corpus_acts(2, 3))
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
 
 
 def test_planted_unpowered_criterion_3_is_caught(monkeypatch):
-    # compose(f, f^n) answers f^n, so criterion 3 tests f at every n
-    monkeypatch.setattr(deciders, "compose", lambda g, f: f)
+    # the power step hands criterion 3 f's own map at every n
+    endo_index = deciders._endo_index
+    monkeypatch.setattr(
+        deciders, "_endo_index",
+        lambda f, criterion, index, tail, settled: endo_index(
+            f, criterion, index, tail, lambda f_n: settled(f.mapping)),
+    )
     bad = oracle_mismatches(corpus_acts(2, 3))
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
     assert not _suite_verdict("T4").passed
     assert not _suite_verdict("T5").passed
+
+
+def test_planted_memo_shared_by_both_families_is_an_equivalent_mutant(monkeypatch):
+    # One dict behind both families' criterion-3 memos: the co-Hopfian
+    # decider reads the Hopfian decider's meet answers.  No oracle can
+    # catch it, because the two answers agree on every map g: im g and
+    # ker g meet in the diagonal iff g is injective on im g, iff
+    # im g^2 = im g, iff every kernel class meets im g, iff they join to
+    # the universal congruence.
+    shared = {}
+
+    def shared_cache(settled):
+        def lookup(f_n):
+            if f_n not in shared:
+                shared[f_n] = settled(f_n)
+            return shared[f_n]
+        return lookup
+
+    monkeypatch.setattr(deciders, "cache", shared_cache)
+    assert oracle_mismatches(corpus_acts(2, 3)) == []
+    assert shared
+    maps = [g for n in range(1, 5) for g in itertools.product(range(n), repeat=n)]
+    assert len(maps) == 288
+    for g in maps:
+        assert criterion_index_oracle(g, "kernel", 3) == criterion_index_oracle(g, "image", 3)
 
 
 @pytest.mark.parametrize("criterion", [0, 4])
