@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 property/suite failure, 2 input error,
 
 JSON output is canonical: keys sorted, arrays in the module-defined
 canonical orders, so identical inputs give byte-identical documents.
+Every document is written by one emitter, `_dumps`, whose bytes equal
+those of `json.dumps` with `sort_keys=True` and a two-space indent; it
+skips the pure-Python encoder that json falls back to when indenting.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .act import regular_act
 from .congruence import CONGRUENCE_ENUM_CAP, enumerate_congruences
@@ -38,6 +42,62 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+_INT = {int}
+
+
+def _dumps(x) -> str:
+    """x as `json.dumps` writes it with sorted keys and a two-space indent."""
+    out = []
+    _emit(x, "", out)
+    return "".join(out)
+
+
+def _emit(x, pad, out):
+    """Append the text of x, nested at `pad`, to the list `out`: strings
+    and keys through json's own C quoting (a key that is not a str raises
+    TypeError there), a list or tuple of plain ints in one join, any other
+    scalar by `json.dumps`.  Small chunks, one join at the end: no
+    container's text is copied into its parent's."""
+    t = type(x)
+    if t is int:
+        out.append(int.__repr__(x))
+    elif t is str:
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, (list, tuple)):
+        inner = pad + "  "
+        if not x:
+            out.append("[]")
+        elif {*map(type, x)} == _INT:
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, x)) + "\n" + pad + "]")
+        else:
+            sep = ",\n" + inner
+            out.append("[\n" + inner)
+            for v in x:
+                _emit(v, inner, out)
+                out.append(sep)
+            out[-1] = "\n" + pad + "]"
+    elif isinstance(x, dict):
+        inner = pad + "  "
+        if not x:
+            out.append("{}")
+        else:
+            sep = ",\n" + inner
+            out.append("{\n" + inner)
+            for k in sorted(x):
+                out.append(_quote(k) + ": ")
+                _emit(x[k], inner, out)
+                out.append(sep)
+            out[-1] = "\n" + pad + "}"
+    else:
+        out.append(json.dumps(x))
+
+
 def _json_doc(input_digest, reports, verdicts) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -45,7 +105,7 @@ def _json_doc(input_digest, reports, verdicts) -> str:
         "reports": reports,
         "verdicts": verdicts,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _load_document(path):
@@ -120,11 +180,11 @@ def _report_entry(label, mlabel, A, props, chains):
         entry["chains"] = [
             {
                 "endo": c.endo,
-                "map": list(c.mapping),
+                "map": c.mapping,
                 "k_index": c.k_index,
                 "i_index": c.i_index,
-                "kernel": [list(cls) for cls in c.kernel.classes],
-                "image": [list(cls) for cls in c.image.classes],
+                "kernel": c.kernel.classes,
+                "image": c.image.classes,
             }
             for c in chains
         ]

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .act import Act, ActHom, enumerate_subacts, power
+from .act import Act, ActHom, enumerate_subacts
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -25,8 +25,6 @@ from .congruence import (
     _merge,
     diagonal,
     enumerate_congruences,
-    image_congruence,
-    kernel_congruence,
 )
 from .endo import (
     end_monoid,
@@ -438,16 +436,27 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     return report
 
 
+def _map_power(m, n):
+    """The map tuple of f^n, n >= 1, for f's map tuple m: each step one
+    lookup through m, as in criterion 3."""
+    f_n = m
+    for _ in range(n - 1):
+        f_n = tuple(map(m.__getitem__, f_n))
+    return f_n
+
+
 def chain_reports(A: Act | ActAnalysis):
     """ChainReport per endomorphism, in canonical End(A) order: the
-    indices from its power profile, the kernel congruence of f^k and the
-    image congruence of f^i."""
+    indices from its power profile, the kernel congruence of f^k (the
+    fibers of its map) and the image congruence of f^i (its image as
+    one class)."""
     an = analyse(A)
+    act, size = an.act, an.act.size
     profile = {f.mapping: p for f, p in zip(an.endos, an.profiles)}
     reports = []
     for n, f in enumerate(identity_first(an.endos)):
-        p = profile[f.mapping]
-        kernel = kernel_congruence(power(f, p.k_index))
-        image = image_congruence(power(f, p.i_index))
-        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
+        m, p = f.mapping, profile[f.mapping]
+        kernel = Congruence(act, least_labels(_map_power(m, p.k_index)))
+        image = Congruence(act, _collapse_labels(size, _map_power(m, p.i_index)))
+        reports.append(ChainReport(n, m, p.k_index, p.i_index, kernel, image))
     return reports

@@ -6,14 +6,19 @@ or closure code paths, so a test comparing the two sides is a real
 cross-check rather than a tautology.  The quasi-injectivity,
 quasi-projectivity and T8 oracles are the exception: they take the
 homs, subacts and congruence lattice from the library and redo only
-the extending or lifting, on whole maps.
+the extending or lifting, on whole maps.  So is the chain-report
+oracle, `chain_reports_oracle`, which takes the endomorphisms and
+power profiles from the library and rebuilds each report through
+homomorphism powers.
 """
 
+import json
 from itertools import combinations, permutations, product
 
-from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
-from monact.congruence import enumerate_congruences
-from monact.endo import homomorphisms
+from monact.act import enumerate_subacts, power, quotient_by_congruence, subact_as_act
+from monact.congruence import enumerate_congruences, image_congruence, kernel_congruence
+from monact.deciders import ChainReport, analyse
+from monact.endo import homomorphisms, identity_first
 from monact.harness import monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
@@ -291,6 +296,28 @@ def chain_report_oracle(mapping):
     i = chain_index_oracle(mapping, "image")
     powers = map_powers(mapping, max(k, i))
     return k, i, fibers(powers[k - 1]), image_classes(powers[i - 1])
+
+
+def chain_reports_oracle(A):
+    """The chain reports through whole homomorphisms: f^k and f^i by
+    `power` (repeated `compose`), their congruences by
+    `kernel_congruence` and `image_congruence`.  The indices come from
+    the library's power profiles."""
+    an = analyse(A)
+    profile = {f.mapping: p for f, p in zip(an.endos, an.profiles)}
+    reports = []
+    for n, f in enumerate(identity_first(an.endos)):
+        p = profile[f.mapping]
+        kernel = kernel_congruence(power(f, p.k_index))
+        image = image_congruence(power(f, p.i_index))
+        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
+    return reports
+
+
+def json_doc_oracle(doc):
+    """The document as json's own encoder writes it, keys sorted, two
+    spaces per level."""
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def bell_number(n):

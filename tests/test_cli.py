@@ -170,6 +170,18 @@ def test_classify_json_bytes_are_pinned(tmp_path, capsys, act, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
+def test_classify_json_with_odd_act_name(tmp_path, capsys):
+    # a quote, a backslash and a non-ASCII letter in the name: the digest
+    # pins above use plain names only
+    name = 'A"\\\u00e9'
+    path = tmp_path / "odd.act"
+    path.write_text(f"monoid M2 2\n0 1\n1 1\n\nact {name} over M2 2\n0 1\n1 1\n", encoding="utf-8")
+    assert main(["classify", str(path), "--act", name, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["reports"][0]["act"] == name
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
 def test_main_twice_in_a_row_gives_identical_results(sample_file, capsys):
     # the parser is built once and reused; a second run must not differ
     argvs = (

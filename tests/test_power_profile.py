@@ -2,7 +2,8 @@
 
 Criteria 1 and 2 and the chain reports read one PowerProfile per
 endomorphism; `oracles` holds the partition-by-partition loops they
-replaced.  The planted bugs show which check catches which fault.
+replaced, and the chain reports built from whole homomorphism powers.
+The planted bugs show which check catches which fault.
 """
 
 import itertools
@@ -20,7 +21,13 @@ from monact.deciders import (
 )
 from monact.harness import CorpusSpec, build_corpus, enumerate_monoids, random_acts, run_suite
 
-from oracles import chain_report_oracle, chain_index_oracle, criterion_index_oracle, map_powers
+from oracles import (
+    chain_index_oracle,
+    chain_report_oracle,
+    chain_reports_oracle,
+    criterion_index_oracle,
+    map_powers,
+)
 
 
 def corpus_acts(max_monoid, max_act):
@@ -36,6 +43,12 @@ def five_point_acts():
     for M in enumerate_monoids(2):
         acts.extend(random_acts(M, 5, 3, rng))
     return acts
+
+
+def six_point_acts():
+    """Seeded 6-point acts over both 2-element monoids."""
+    rng = random.Random(6)
+    return [A for M in enumerate_monoids(2) for A in random_acts(M, 6, 3, rng)]
 
 
 def oracle_mismatches(acts):
@@ -92,6 +105,14 @@ def test_profiles_match_oracles_on_five_point_acts():
     assert oracle_mismatches(acts) == []
 
 
+def test_chain_reports_match_the_powered_oracle():
+    acts = corpus_acts(3, 4) + five_point_acts() + six_point_acts()
+    assert len(acts) == 142 + 7 + 6
+    for A in acts:
+        an = ActAnalysis(A)
+        assert chain_reports(an) == chain_reports_oracle(an), A
+
+
 def test_kernel_and_image_indices_are_the_rank_index():
     bad, checked = rank_identity_failures(corpus_acts(3, 4))
     assert checked == 4451
@@ -143,10 +164,12 @@ def test_planted_i_index_off_by_one_is_caught(monkeypatch):
 
 
 def test_planted_unpowered_chain_report_is_caught(monkeypatch):
-    # f itself where the report needs f^k and f^i
-    monkeypatch.setattr(deciders, "power", lambda f, n: f)
-    bad = oracle_mismatches(corpus_acts(2, 3))
+    # f's own map where the report needs the maps of f^k and f^i
+    monkeypatch.setattr(deciders, "_map_power", lambda m, n: m)
+    acts = corpus_acts(2, 3)
+    bad = oracle_mismatches(acts)
     assert bad and all(what.startswith("chain report") for _, what, _, _ in bad)
+    assert any(chain_reports(A) != chain_reports_oracle(A) for A in acts)
 
 
 def _early_settle(force_tail):
