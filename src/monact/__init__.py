@@ -12,14 +12,8 @@ from .act import (
     Act,
     ActHom,
     Subact,
-    act_hom,
-    compose,
-    identity_hom,
-    image_subact,
     minimal_generating_set,
-    power,
     quotient_by_congruence,
-    rees_quotient,
     regular_act,
     subact,
     subact_as_act,
@@ -45,7 +39,6 @@ from .deciders import (
     chain_reports,
     classify_act,
     is_co_hopfian,
-    is_fitting,
     is_hopfian,
     is_quasi_injective,
     is_quasi_projective,
@@ -76,10 +69,8 @@ from .monoid import (
     direct_product,
     element_power,
     prime_power_product,
-    right_relation,
     validate_monoid,
     zmod_mult_monoid,
 )
-from .relation import Relation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,6 @@
 """Finite right acts over a monoid: carriers, subacts, equivariant maps,
-and the two quotient constructions (Rees and by an arbitrary congruence).
+and the factor act by a congruence (the Rees factor A/B is the factor
+by `congruence.rees_congruence`).
 """
 
 from __future__ import annotations
@@ -7,20 +8,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING
 
+from .congruence import CONGRUENCE_ENUM_CAP, Congruence
 from .errors import (
     AssociativityAxiomFails,
+    CarrierTooLarge,
     EntryOutOfRange,
     IdentityAxiomFails,
     NotACongruence,
-    NotEquivariant,
-    SourceTargetMismatch,
 )
 from .monoid import Monoid, light_test_failure
-
-if TYPE_CHECKING:
-    from .congruence import Congruence
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class Act:
     monoid: Monoid
     size: int
     action: tuple
-
-    def act(self, a: int, s: int) -> int:
-        return self.action[a][s]
-
-    def elements(self):
-        return range(self.size)
 
     @cached_property
     def generators(self):
@@ -50,9 +41,6 @@ class Subact:
     parent: Act
     members: tuple
 
-    def __contains__(self, a):
-        return a in self.members
-
 
 @dataclass(frozen=True)
 class ActHom:
@@ -61,9 +49,6 @@ class ActHom:
     source: Act
     target: Act
     mapping: tuple
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
@@ -115,41 +100,6 @@ def regular_act(M: Monoid) -> Act:
     return Act(M, M.size, M.table)
 
 
-def act_hom(source: Act, target: Act, mapping) -> ActHom:
-    """Checked constructor for an equivariant map."""
-    if source.monoid != target.monoid:
-        raise SourceTargetMismatch("acts live over different monoids")
-    mapping = tuple(mapping)
-    for a in range(source.size):
-        for s in range(source.monoid.size):
-            if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
-                raise NotEquivariant(a, s)
-    return ActHom(source, target, mapping)
-
-
-def identity_hom(A: Act) -> ActHom:
-    return ActHom(A, A, tuple(range(A.size)))
-
-
-def compose(g: ActHom, f: ActHom) -> ActHom:
-    """(g o f)(a) = g(f(a))."""
-    if f.target != g.source:
-        raise SourceTargetMismatch("inner map's target differs from outer's source")
-    return ActHom(f.source, g.target, tuple(g.mapping[b] for b in f.mapping))
-
-
-def power(f: ActHom, n: int) -> ActHom:
-    """n-fold composite of an endomorphism, n >= 1."""
-    if f.source != f.target:
-        raise SourceTargetMismatch("power needs an endomorphism")
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    acc = f
-    for _ in range(n - 1):
-        acc = compose(f, acc)
-    return acc
-
-
 def subact(A: Act, members) -> Subact:
     """Checked constructor: members non-empty and closed under the action."""
     members = tuple(sorted(set(members)))
@@ -161,11 +111,6 @@ def subact(A: Act, members) -> Subact:
             if A.action[b][s] not in member_set:
                 raise ValueError(f"not closed: {b}*{s} leaves the subset")
     return Subact(A, members)
-
-
-def image_subact(f: ActHom) -> Subact:
-    """The set image of f; closed by equivariance."""
-    return subact(f.target, set(f.mapping))
 
 
 def subact_generated(A: Act, xs) -> Subact:
@@ -209,7 +154,12 @@ def subact_as_act(B: Subact):
 
 
 def enumerate_subacts(A: Act):
-    """All subacts, ordered by (size, members)."""
+    """All subacts, ordered by (size, members).  Every subset is tried,
+    so carriers above CONGRUENCE_ENUM_CAP are refused first."""
+    if A.size > CONGRUENCE_ENUM_CAP:
+        raise CarrierTooLarge(
+            f"subact enumeration: carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}"
+        )
     n_s = A.monoid.size
     closed = []
     for k in range(1, A.size + 1):
@@ -220,30 +170,7 @@ def enumerate_subacts(A: Act):
     return closed
 
 
-def rees_quotient(A: Act, B: Subact):
-    """Collapse the subact B to a point; returns (factor act, projection).
-
-    The collapsed class takes index 0; the remaining elements keep their
-    relative order starting at index 1.
-    """
-    if B.parent != A:
-        raise ValueError("subact belongs to a different act")
-    members = set(B.members)
-    proj = [0] * A.size
-    nxt = 1
-    for a in range(A.size):
-        if a not in members:
-            proj[a] = nxt
-            nxt += 1
-    reps = [B.members[0]] + [a for a in range(A.size) if a not in members]
-    action = tuple(
-        tuple(proj[A.action[rep][s]] for s in range(A.monoid.size)) for rep in reps
-    )
-    quotient = Act(A.monoid, nxt, action)
-    return quotient, ActHom(A, quotient, tuple(proj))
-
-
-def quotient_by_congruence(A: Act, rho: "Congruence"):
+def quotient_by_congruence(A: Act, rho: Congruence):
     """Factor act A/rho plus the canonical projection.
 
     Classes are indexed by their smallest original element.  Raises

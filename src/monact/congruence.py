@@ -3,9 +3,8 @@
 A congruence is stored as a least-member label tuple: `labels[a]` is
 the smallest member of a's class.  Every operation works on that array
 form (Freese, "Computing congruences efficiently", Algebra Universalis
-59, 2008): meet labels the pairs of labels, refinement compares labels
-through the finer congruence's leaders, and a join is a partition join,
-`_merge`.  Only seeds that are not congruences are closed under the
+59, 2008): meet labels the pairs of labels, and a join is a partition
+join, `_merge`.  Only seeds that are not congruences are closed under the
 action, by `_close`.  Enumeration joins each congruence found with the
 distinct principal congruences only, and reads the longest chain off
 those join steps.  The classes are derived from the labels on demand.
@@ -15,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .act import Act, ActHom, Subact
 from .errors import CarrierTooLarge, NotACongruence, ParentMismatch
-from .relation import Relation, label_classes, least_labels
+from .relation import label_classes, least_labels
+
+if TYPE_CHECKING:
+    from .act import Act, ActHom, Subact
 
 CONGRUENCE_ENUM_CAP = 8
 
@@ -111,10 +113,9 @@ def _merge(labels, pairs):
     return tuple(labels), merges
 
 
-def congruence_closure(A: Act, relation) -> Congruence:
-    """Least congruence containing the given relation."""
-    seed = relation.pairs if isinstance(relation, Relation) else relation
-    return Congruence(A, _close(A, range(A.size), [(int(a), int(b)) for a, b in seed]))
+def congruence_closure(A: Act, pairs) -> Congruence:
+    """Least congruence containing the given pairs."""
+    return Congruence(A, _close(A, range(A.size), [(int(a), int(b)) for a, b in pairs]))
 
 
 def kernel_congruence(f: ActHom) -> Congruence:
@@ -206,9 +207,3 @@ def enumerate_congruences(A: Act):
     congs.sort(key=lambda c: (-len(c.classes), c.classes))
     return congs
 
-
-def congruence_refines(rho: Congruence, sigma: Congruence) -> bool:
-    """rho <= sigma in the congruence lattice: sigma labels every point
-    like its leader in rho."""
-    labels = sigma.labels
-    return all(labels[a] == labels[lead] for a, lead in enumerate(rho.labels))

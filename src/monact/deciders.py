@@ -157,16 +157,6 @@ def power_profile(f: ActHom) -> PowerProfile:
     return PowerProfile(k, i, k_tail, i_tail)
 
 
-def k_chain_index(f: ActHom) -> int:
-    """Least n >= 1 with ker(f^n) = ker(f^(n+1))."""
-    return power_profile(f).k_index
-
-
-def i_chain_index(f: ActHom) -> int:
-    """Least n >= 1 with im(f^n) = im(f^(n+1))."""
-    return power_profile(f).i_index
-
-
 @dataclass(frozen=True)
 class ChainReport:
     """Stabilization data for a single endomorphism."""
@@ -261,10 +251,6 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
         _endo_index(f, criterion, p.i_index, p.i_tail, settled)
         for f, p in zip(an.endos, an.profiles)
     )
-
-
-def is_fitting(A: Act | ActAnalysis) -> bool:
-    return all(strong for strong, _ in analyse(A).flags[2:])
 
 
 # -- congruence chains ------------------------------------------------------

@@ -37,21 +37,11 @@ class AssociativityAxiomFails(AlgebraError):
         self.witness = (a, s, t)
 
 
-class NotEquivariant(AlgebraError):
-    def __init__(self, a, s):
-        super().__init__(f"map is not equivariant at (a={a}, s={s})")
-        self.witness = (a, s)
-
-
 class SourceTargetMismatch(AlgebraError):
     pass
 
 
 class NotACongruence(AlgebraError):
-    pass
-
-
-class NotAnEquivalence(AlgebraError):
     pass
 
 

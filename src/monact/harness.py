@@ -21,21 +21,14 @@ import random
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
+from operator import ge, le
 
 from . import deciders
-from .act import (
-    Act,
-    quotient_by_congruence,
-    rees_quotient,
-    regular_act,
-    subact,
-    subact_as_act,
-    validate_act,
-)
-from .congruence import kernel_congruence
+from .act import Act, quotient_by_congruence, regular_act, subact, subact_as_act, validate_act
+from .congruence import kernel_congruence, rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
-from .monoid import Monoid, monoid_generators, validate_monoid
+from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
@@ -47,19 +40,9 @@ SAMPLE_ATTEMPTS = 500
 
 def monoid_canonical_form(M: Monoid):
     """Minimal table over relabelings that keep the identity at 0."""
-    n = M.size
-    best = None
-    for perm_rest in permutations(range(1, n)):
-        perm = (0,) + perm_rest
-        inv = [0] * n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        cand = tuple(
-            tuple(perm[M.table[inv[s]][inv[t]]] for t in range(n)) for s in range(n)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(
+        _relabel_table(M.table, (0,) + rest) for rest in permutations(range(1, M.size))
+    )
 
 
 def _relabel(action, perm, n):
@@ -68,12 +51,6 @@ def _relabel(action, perm, n):
     for old, new in enumerate(perm):
         inv[new] = old
     return tuple(tuple(perm[action[old][s]] for s in range(n)) for old in inv)
-
-
-def act_canonical_form(A: Act):
-    """Minimal action table over carrier relabelings (monoid fixed)."""
-    n = A.monoid.size
-    return min(_relabel(A.action, perm, n) for perm in permutations(range(A.size)))
 
 
 def _orbit(action, n):
@@ -92,14 +69,6 @@ def _orbit(action, n):
                 orbit.add(image)
                 frontier.append(image)
     return orbit
-
-
-def acts_isomorphic(A: Act, B: Act) -> bool:
-    return (
-        A.monoid == B.monoid
-        and A.size == B.size
-        and act_canonical_form(A) == act_canonical_form(B)
-    )
 
 
 # -- enumeration -------------------------------------------------------------
@@ -259,8 +228,8 @@ class _ActSearch:
 
 
 def enumerate_acts(M: Monoid, m: int):
-    """All acts of size m over M up to act isomorphism, in the order of
-    their canonical forms (act_canonical_form).
+    """All acts of size m over M up to act isomorphism, each by its
+    canonical form (the least table over carrier relabelings), in order.
 
     `_ActSearch` finds every labelled action table.  The first table of
     each isomorphism class pays m! work units, then its whole relabeling
@@ -522,7 +491,7 @@ def _check_t9(ctx, inst):
     if not is_fully_invariant(B, ctx.analysis(A).endos):
         return False, True, None, {}
     B_act, _ = subact_as_act(B)
-    Q, _ = rees_quotient(A, B)
+    Q, _ = quotient_by_congruence(A, rees_congruence(A, B))
     hyp = ctx.strongly_hopfian(B_act) and ctx.strongly_hopfian(Q)
     if not hyp:
         return False, True, None, {}
@@ -643,17 +612,12 @@ def _instances_for(kind, corpus, ctx):
             yield from per
     elif kind == "monoid":
         yield from corpus.monoids
-    elif kind == "act_pair_up":
+    elif kind in ("act_pair_up", "act_pair_down"):
+        keep = le if kind == "act_pair_up" else ge
         for per in corpus.acts:
             for A in per:
                 for B in per:
-                    if A.size <= B.size:
-                        yield (A, B)
-    elif kind == "act_pair_down":
-        for per in corpus.acts:
-            for A in per:
-                for B in per:
-                    if A.size >= B.size:
+                    if keep(A.size, B.size):
                         yield (A, B)
     elif kind == "act_subact":
         for per in corpus.acts:

@@ -23,7 +23,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 
 from .errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
-from .relation import Relation, label_classes, least_labels
+from .relation import label_classes, least_labels
 
 SIZE_CAP = 4096
 
@@ -40,16 +40,6 @@ class Monoid:
     size: int
     table: tuple
     relabeling: tuple = field(compare=False, default=())
-
-    def mul(self, s: int, t: int) -> int:
-        return self.table[s][t]
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def elements(self):
-        return range(self.size)
 
 
 def _relabel_table(table, perm):
@@ -191,20 +181,10 @@ def element_power(M: Monoid, s: int, n: int) -> int:
     return acc
 
 
-def right_relation(M: Monoid, s: int) -> Relation:
-    """r(s) = {(x, y) : s*x = s*y}, the kernel of left translation by s."""
-    row = M.table[s]
-    pairs = [
-        (x, y) for x in range(M.size) for y in range(M.size) if row[x] == row[y]
-    ]
-    return Relation.from_pairs(M.size, pairs)
-
-
 def row_partition(M: Monoid, s: int):
-    """r(s) in partition form: the fibers of x -> s*x.
-
-    Same relation as `right_relation`, but O(n) space; used for chain
-    indices on large product monoids.
+    """r(s) = {(x, y) : s*x = s*y} in partition form: the fibers of
+    x -> s*x, in O(n) space; used for chain indices on large product
+    monoids.
     """
     return label_classes(least_labels(M.table[s]))
 

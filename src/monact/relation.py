@@ -1,63 +1,12 @@
-"""Binary relations and partitions on finite carriers {0..n-1}.
+"""Partitions on finite carriers {0..n-1}.
 
-Relations are plain sets of index pairs.  Partitions are stored as
-least-member label tuples: `labels[a]` is the smallest member of a's
-class, so equal partitions have equal labels.  `label_classes` reads
-the classes off (members ascending, classes by smallest member), the
-form `Relation.to_partition` returns.
+Partitions are stored as least-member label tuples: `labels[a]` is the
+smallest member of a's class, so equal partitions have equal labels.
+`label_classes` reads the classes off (members ascending, classes by
+smallest member).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .errors import NotAnEquivalence
-
-__all__ = ["Relation", "least_labels", "label_classes"]
-
-
-@dataclass(frozen=True)
-class Relation:
-    """A binary relation on {0..size-1}, kept as a set of pairs."""
-
-    size: int
-    pairs: frozenset
-
-    @staticmethod
-    def from_pairs(size: int, pairs) -> Relation:
-        return Relation(size, frozenset((int(a), int(b)) for a, b in pairs))
-
-    def has(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-    def is_reflexive(self) -> bool:
-        return all((a, a) in self.pairs for a in range(self.size))
-
-    def is_symmetric(self) -> bool:
-        return all((b, a) in self.pairs for a, b in self.pairs)
-
-    def is_transitive(self) -> bool:
-        succ = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, set()).add(b)
-        for a, b in self.pairs:
-            for c in succ.get(b, ()):
-                if (a, c) not in self.pairs:
-                    return False
-        return True
-
-    def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
-
-    def to_partition(self):
-        """Classes of an equivalence relation, in canonical form.
-
-        Raises NotAnEquivalence for any other relation.
-        """
-        if not self.is_equivalence():
-            raise NotAnEquivalence("relation is not reflexive, symmetric and transitive")
-        points = range(self.size)
-        return label_classes([min(b for b in points if (a, b) in self.pairs) for a in points])
+__all__ = ["least_labels", "label_classes"]
 
 
 def least_labels(keys):

@@ -15,10 +15,11 @@ homomorphism powers.
 import json
 from itertools import combinations, permutations, product
 
-from monact.act import enumerate_subacts, power, quotient_by_congruence, subact_as_act
+from monact.act import ActHom, enumerate_subacts, quotient_by_congruence, subact_as_act
 from monact.congruence import enumerate_congruences, image_congruence, kernel_congruence
 from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first
+from monact.errors import SourceTargetMismatch
 from monact.harness import monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
@@ -108,15 +109,67 @@ def brute_force_acts(M, m):
             for t in range(n)
         ):
             continue
-        # relabel a -> p[a]: row p[a] of the new table is p applied to row a
-        forms.add(min(
-            tuple(
-                tuple(p[action[a][s]] for s in range(n))
-                for a in sorted(range(m), key=p.__getitem__)
-            )
-            for p in permutations(range(m))
-        ))
+        forms.add(act_canonical_form(action))
     return sorted(forms)
+
+
+def act_canonical_form(action):
+    """The least relabeling of an action table, over all m! carrier
+    permutations p: relabeling a -> p[a] makes row p[a] of the new table
+    p applied to row a."""
+    m, n = len(action), len(action[0])
+    return min(
+        tuple(
+            tuple(p[action[a][s]] for s in range(n))
+            for a in sorted(range(m), key=p.__getitem__)
+        )
+        for p in permutations(range(m))
+    )
+
+
+def acts_isomorphic(A, B):
+    return (
+        A.monoid == B.monoid
+        and A.size == B.size
+        and act_canonical_form(A.action) == act_canonical_form(B.action)
+    )
+
+
+def act_hom(source, target, mapping):
+    """The map as an ActHom, once f(a*s) = f(a)*s is checked at every
+    (a, s); the hom search builds its maps without this check."""
+    if source.monoid != target.monoid:
+        raise SourceTargetMismatch("acts live over different monoids")
+    mapping = tuple(mapping)
+    for a in range(source.size):
+        for s in range(source.monoid.size):
+            if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
+                raise AssertionError(f"not equivariant at (a={a}, s={s})")
+    return ActHom(source, target, mapping)
+
+
+def compose(g, f):
+    """(g o f)(a) = g(f(a))."""
+    if f.target != g.source:
+        raise SourceTargetMismatch("inner map's target differs from outer's source")
+    return ActHom(f.source, g.target, tuple(g.mapping[b] for b in f.mapping))
+
+
+def power(f, n):
+    """The n-fold composite of an endomorphism, n >= 1, by `compose`."""
+    acc = f
+    for _ in range(n - 1):
+        acc = compose(f, acc)
+    return acc
+
+
+def right_relation(M, s):
+    """r(s) = {(x, y) : s*x = s*y} built as a set of pairs, its classes
+    read off it: the class of x is every y paired with x."""
+    row = M.table[s]
+    points = range(M.size)
+    pairs = {(x, y) for x in points for y in points if row[x] == row[y]}
+    return canon_sorted({tuple(y for y in points if (x, y) in pairs) for x in points})
 
 
 def all_partitions(n):

@@ -11,23 +11,23 @@ import time
 
 import pytest
 
-from monact.act import power, regular_act, validate_act
+from monact.act import regular_act, validate_act
 from monact.cli import main, suite_json
 from monact.congruence import congruence_closure, enumerate_congruences, join, kernel_congruence
-from monact.congruence import congruence_refines
 from monact.deciders import (
-    i_chain_index,
     is_strongly_co_hopfian,
     is_strongly_hopfian,
-    k_chain_index,
     monoid_hopf_properties,
+    power_profile,
     r_chain_index,
 )
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, recheck_verdict, run_suite
 from monact.monoid import prime_power_product, zmod_mult_monoid
 
-from oracles import brute_force_congruences, brute_force_homs, chain_join_oracle
+from oracles import (
+    brute_force_congruences, brute_force_homs, chain_join_oracle, power, refines_oracle,
+)
 
 # sha256 of `monact suite --json` on the default corpus; a change to it is
 # a change to a verdict, a report or the document format
@@ -198,14 +198,13 @@ def test_acceptance_6_stabilization_bounds(full_suite):
     for per in result.corpus.acts:
         for A in per:
             for f in homomorphisms(A, A):
-                k = k_chain_index(f)
-                i = i_chain_index(f)
-                if not (1 <= k <= A.size and 1 <= i <= A.size):
+                p = power_profile(f)
+                if not (1 <= p.k_index <= A.size and 1 <= p.i_index <= A.size):
                     ok = False
                 for n in range(1, 2 * A.size + 1):
                     ker_n = kernel_congruence(power(f, n))
                     ker_n1 = kernel_congruence(power(f, n + 1))
-                    if not congruence_refines(ker_n, ker_n1):
+                    if not refines_oracle(ker_n.classes, ker_n1.classes):
                         ok = False
                     if not set(power(f, n + 1).mapping) <= set(power(f, n).mapping):
                         ok = False

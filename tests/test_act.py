@@ -5,37 +5,35 @@ import pytest
 from monact import monoid
 from monact.act import (
     ActHom,
-    act_hom,
-    compose,
     enumerate_subacts,
-    identity_hom,
-    image_subact,
     minimal_generating_set,
-    power,
     quotient_by_congruence,
-    rees_quotient,
     regular_act,
     subact,
     subact_as_act,
     subact_generated,
     validate_act,
 )
-from monact.congruence import Congruence, enumerate_congruences, kernel_congruence
+from monact.congruence import Congruence, enumerate_congruences, kernel_congruence, rees_congruence
 from monact.endo import homomorphisms
 from monact.errors import (
     AssociativityAxiomFails,
     EntryOutOfRange,
     IdentityAxiomFails,
     NotACongruence,
-    NotEquivariant,
     SourceTargetMismatch,
 )
-from monact.harness import (
-    CorpusSpec, acts_isomorphic, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
-)
+from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids, random_acts
 from monact.monoid import zmod_mult_monoid
 from monact.relation import least_labels
-from oracles import first_act_axiom_failure, minimal_generating_set_oracle
+from oracles import (
+    act_hom,
+    acts_isomorphic,
+    compose,
+    first_act_axiom_failure,
+    minimal_generating_set_oracle,
+    power,
+)
 
 
 def test_validate_act_accepts_a2(m2, a2):
@@ -138,11 +136,11 @@ def test_regular_act_is_table_copy(z4, trivial):
     R = regular_act(z4)
     assert R.action == z4.table
     idx = z4.relabeling
-    assert R.act(idx[2], idx[2]) == idx[0]
+    assert R.action[idx[2]][idx[2]] == idx[0]
 
 
 def test_compose_and_power(a2, reg_z4, z4):
-    ident = identity_hom(a2)
+    ident = ActHom(a2, a2, (0, 1))
     assert power(ident, 7).mapping == ident.mapping
     c_y = ActHom(a2, a2, (1, 1))
     assert power(c_y, 2).mapping == (1, 1)
@@ -162,25 +160,26 @@ def test_compose_mismatch(a2, singleton):
 
 
 def test_act_hom_validates_equivariance(a2):
-    with pytest.raises(NotEquivariant):
+    with pytest.raises(AssertionError, match="not equivariant"):
         act_hom(a2, a2, (0, 0))  # would need x*e = x
     ok = act_hom(a2, a2, (1, 1))
     assert ok.mapping == (1, 1)
 
 
 def test_image_subact(a2, reg_z4, z4):
-    assert image_subact(identity_hom(a2)).members == (0, 1)
-    assert image_subact(ActHom(a2, a2, (1, 1))).members == (1,)
+    # the set image of a hom is action-closed, so `subact` accepts it
+    assert subact(a2, (0, 1)).members == (0, 1)
+    assert subact(a2, ActHom(a2, a2, (1, 1)).mapping).members == (1,)
     idx = z4.relabeling
     lam2 = ActHom(reg_z4, reg_z4, tuple(z4.table[idx[2]]))
-    assert image_subact(lam2).members == tuple(sorted({idx[0], idx[2]}))
+    assert subact(reg_z4, lam2.mapping).members == tuple(sorted({idx[0], idx[2]}))
 
 
 def test_image_subact_closure_invariant():
     for M in enumerate_monoids(2):
         for A in enumerate_acts(M, 3):
             for f in homomorphisms(A, A):
-                B = image_subact(f)  # constructor raises if not closed
+                B = subact(A, f.mapping)  # constructor raises if not closed
                 assert set(B.members) == set(f.mapping)
 
 
@@ -220,26 +219,43 @@ def test_minimal_generating_set_matches_subset_search():
         assert minimal_generating_set(A) == minimal_generating_set_oracle(A)
 
 
+def rees_factor(A, members):
+    return quotient_by_congruence(A, rees_congruence(A, subact(A, members)))
+
+
 def test_rees_quotient_a2(a2):
-    B = subact(a2, [1])
-    Q, pi = rees_quotient(a2, B)
-    assert Q.size == 2
-    # collapsed class takes index 0; x keeps moving into it under e
-    assert pi.mapping == (1, 0)
-    assert Q.action == ((0, 0), (1, 0))
+    # {y} is one class already: the factor is a2 itself
+    Q, pi = rees_factor(a2, [1])
+    assert Q == a2 and pi.mapping == (0, 1)
 
 
 def test_rees_quotient_whole_act(a2):
-    Q, pi = rees_quotient(a2, subact(a2, [0, 1]))
+    Q, pi = rees_factor(a2, [0, 1])
     assert Q.size == 1 and set(pi.mapping) == {0}
 
 
 def test_rees_quotient_regular_z4(reg_z4, z4):
     idx = z4.relabeling
-    B = subact(reg_z4, [idx[0], idx[2]])
-    Q, pi = rees_quotient(reg_z4, B)
+    Q, pi = rees_factor(reg_z4, [idx[0], idx[2]])
     assert Q.size == 3
     assert len(set(pi.mapping)) == 3
+    assert pi.mapping[idx[0]] == pi.mapping[idx[2]]
+
+
+def test_rees_factors_of_every_subact():
+    # A/B by the Rees congruence: |A| - |B| + 1 points, B's members
+    # and only those in one class, and an equivariant projection
+    checked = 0
+    for per in build_corpus(CorpusSpec()).acts:
+        for A in per:
+            for B in enumerate_subacts(A):
+                Q, pi = quotient_by_congruence(A, rees_congruence(A, B))
+                assert Q.size == A.size - len(B.members) + 1
+                collapsed = pi.mapping[B.members[0]]
+                assert [a for a in range(A.size) if pi.mapping[a] == collapsed] == list(B.members)
+                act_hom(A, Q, pi.mapping)
+                checked += 1
+    assert checked == 853
 
 
 def test_quotient_by_diagonal_is_identity(a2):
@@ -288,7 +304,7 @@ def test_homomorphism_theorem_small_instances():
         for A in enumerate_acts(M, 4):
             for f in homomorphisms(A, A):
                 Q, _ = quotient_by_congruence(A, kernel_congruence(f))
-                image_act, _ = subact_as_act(image_subact(f))
+                image_act, _ = subact_as_act(subact(A, f.mapping))
                 assert acts_isomorphic(Q, image_act)
 
 

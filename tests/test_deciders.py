@@ -1,31 +1,33 @@
+import time
+
 import pytest
 
-from monact.act import ActHom, identity_hom, power, regular_act, validate_act
+from monact.act import ActHom, regular_act, validate_act
 from monact.congruence import kernel_congruence
 from monact.deciders import (
     CRITERIA,
+    ActAnalysis,
     chain_conditions,
     chain_reports,
     classify_act,
-    i_chain_index,
     is_co_hopfian,
-    is_fitting,
     is_hopfian,
     is_quasi_injective,
     is_quasi_projective,
     is_strongly_co_hopfian,
     is_strongly_hopfian,
-    k_chain_index,
     monoid_hopf_properties,
+    power_profile,
     power_stabilizer,
     r_chain_index,
 )
 from monact.endo import homomorphisms
+from monact.errors import CarrierTooLarge
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import element_power, prime_power_product
 
 from oracles import (
-    bell_number, brute_force_congruences, longest_chain_oracle, quasi_injective_oracle,
+    bell_number, brute_force_congruences, longest_chain_oracle, power, quasi_injective_oracle,
 )
 
 
@@ -41,24 +43,22 @@ def lam(reg, z4, residue):
 
 
 def test_chain_indices_identity(a2):
-    ident = identity_hom(a2)
-    assert k_chain_index(ident) == 1
-    assert i_chain_index(ident) == 1
+    p = power_profile(ActHom(a2, a2, (0, 1)))
+    assert (p.k_index, p.i_index) == (1, 1)
 
 
 def test_chain_indices_lambda2(reg_z4, z4):
     lam2 = lam(reg_z4, z4, 2)
-    assert k_chain_index(lam2) == 2
-    assert i_chain_index(lam2) == 2
+    p = power_profile(lam2)
+    assert (p.k_index, p.i_index) == (2, 2)
     # oracle: image sizes along the powers are 2, 1, 1
     sizes = [len(set(power(lam2, n).mapping)) for n in (1, 2, 3)]
     assert sizes == [2, 1, 1]
 
 
 def test_chain_indices_constant(a2):
-    c_y = ActHom(a2, a2, (1, 1))
-    assert k_chain_index(c_y) == 1
-    assert i_chain_index(c_y) == 1
+    p = power_profile(ActHom(a2, a2, (1, 1)))
+    assert (p.k_index, p.i_index) == (1, 1)
 
 
 def test_hopfian_co_hopfian_literal(a2, reg_z4, singleton):
@@ -83,7 +83,7 @@ def test_strongly_co_hopfian_criteria(a2, reg_z4, singleton):
 
 def test_fitting(a2, reg_z4, singleton):
     for A in (a2, reg_z4, singleton):
-        assert is_fitting(A)
+        assert classify_act(A).fitting
 
 
 def test_chain_conditions(a2, singleton, trivial):
@@ -94,6 +94,15 @@ def test_chain_conditions(a2, singleton, trivial):
     assert size == bell_number(3) == 5
     assert chain == 3  # diagonal < one merged pair < universal
     assert chain_conditions(a2) == (True, True, 2, 2)
+
+
+def test_subacts_refuse_a_large_carrier(trivial):
+    # 2^20 subsets: refused before any is tried
+    A = validate_act(trivial, 20, [[a] for a in range(20)])
+    start = time.perf_counter()
+    with pytest.raises(CarrierTooLarge, match="subact enumeration"):
+        ActAnalysis(A).subacts
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -159,7 +168,7 @@ def test_monoid_level_matches_act_level():
             # corresponding left translations
             for s in range(M.size):
                 lam_s = ActHom(R, R, tuple(M.table[s]))
-                assert rep.r_indices[s] == k_chain_index(lam_s)
+                assert rep.r_indices[s] == power_profile(lam_s).k_index
 
 
 def test_chain_family_scaling():
@@ -172,7 +181,7 @@ def test_surjective_endo_with_stable_kernel_is_injective():
     for A in small_corpus(2, 4):
         for f in homomorphisms(A, A):
             if f.is_surjective():
-                n = k_chain_index(f)
+                n = power_profile(f).k_index
                 assert power(f, n).is_injective() or f.is_injective()
                 assert f.is_injective()  # the finite-carrier conclusion
 
@@ -187,8 +196,9 @@ def test_injective_endo_with_stable_image_is_surjective():
 def test_indices_bounded_by_carrier():
     for A in small_corpus(2, 4):
         for f in homomorphisms(A, A):
-            assert 1 <= k_chain_index(f) <= A.size
-            assert 1 <= i_chain_index(f) <= A.size
+            p = power_profile(f)
+            assert 1 <= p.k_index <= A.size
+            assert 1 <= p.i_index <= A.size
 
 
 def test_chain_reports_structure(reg_z4, z4):

@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from monact import endo
-from monact.act import ActHom, act_hom, subact, validate_act
+from monact.act import ActHom, quotient_by_congruence, subact, validate_act
+from monact.congruence import rees_congruence
 from monact.endo import (
     end_monoid,
     has_section,
@@ -18,7 +19,7 @@ from monact.errors import SearchBudgetExceeded, SizeOverflow
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
-from oracles import brute_force_homs
+from oracles import act_hom, brute_force_homs
 
 
 def test_homs_a2(a2):
@@ -207,8 +208,6 @@ def test_induced_endomorphisms_via_identity(a2):
 
 
 def test_induced_endomorphisms_on_quotient(a2):
-    from monact.act import rees_quotient
-
-    Q, pi = rees_quotient(a2, subact(a2, [1]))
+    Q, pi = quotient_by_congruence(a2, rees_congruence(a2, subact(a2, [1])))
     ok, _ = induces_all_endomorphisms(pi, homomorphisms(a2, a2), homomorphisms(Q, Q))
     assert ok

