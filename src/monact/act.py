@@ -17,7 +17,7 @@ from .errors import (
     IdentityAxiomFails,
     NotACongruence,
 )
-from .monoid import Monoid, light_test_failure
+from .monoid import Monoid, check_shape, light_test_failure
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,7 @@ def validate_act(M: Monoid, size: int, action) -> Act:
     action = tuple(tuple(row) for row in action)
     if size < 1:
         raise EntryOutOfRange("carrier must be non-empty")
-    if len(action) != size:
-        raise EntryOutOfRange(f"expected {size} rows, got {len(action)}")
-    for a, row in enumerate(action):
-        if len(row) != M.size:
-            raise EntryOutOfRange(f"row {a} has {len(row)} entries, expected {M.size}")
-        for s, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
-                raise EntryOutOfRange(f"entry ({a},{s}) = {v!r} not in [0,{size})")
+    check_shape(action, size, M.size)
     for a in range(size):
         if action[a][0] != a:
             raise IdentityAxiomFails(a)

@@ -56,6 +56,7 @@ class ActAnalysis:
         self.act = act
         self._homs = {}
         self._lifts = {}
+        self._quotients = {}
 
     def homs(self, B: Act):
         """The homs from the act into B, sorted by map."""
@@ -96,6 +97,12 @@ class ActAnalysis:
     @cached_property
     def subacts(self):
         return enumerate_subacts(self.act)
+
+    def quotient(self, rho: Congruence):
+        """The factor act A/rho and its projection, built once per rho."""
+        if rho.labels not in self._quotients:
+            self._quotients[rho.labels] = quotient_by_congruence(self.act, rho)
+        return self._quotients[rho.labels]
 
     def lifts(self, rho: Congruence) -> bool:
         """Whether every hom A -> A/rho lifts through p_rho: one bool per
@@ -294,7 +301,7 @@ def is_quasi_injective(A: Act | ActAnalysis):
 def _unlifted_hom(an: ActAnalysis, rho: Congruence):
     """The first hom A -> A/rho, in map order, that is p_rho o g for no
     endomorphism g, or None; maps compare by their generator images."""
-    quotient, proj = quotient_by_congruence(an.act, rho)
+    quotient, proj = an.quotient(rho)
     gens = an.act.generators
     lifted = {tuple(proj.mapping[g.mapping[x]] for x in gens) for g in an.endos}
     homs = homomorphisms(an.act, quotient)

@@ -7,7 +7,8 @@ drops a partial table at its first failed associativity instance.  Acts
 come from a propagating backtrack over the generator cells of the
 action table, which random sampling shares; a complete, conflict-free
 table is an action and is not re-validated.  Each isomorphism class is
-relabeled once, into a seen set that absorbs its other labelled copies.
+relabeled once, as flat `bytes` renamed by `bytes.translate` (m <= 9),
+into a seen set that absorbs its other labelled copies.
 Every registered theorem is evaluated as a universally quantified
 implication over the corpus, reading one `deciders.ActAnalysis` per
 act; each single-act implication is one `_act_check` call.  A failing
@@ -24,7 +25,7 @@ from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, quotient_by_congruence, regular_act, subact, subact_as_act, validate_act
+from .act import Act, regular_act, subact, subact_as_act, validate_act
 from .congruence import kernel_congruence, rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
@@ -45,30 +46,32 @@ def monoid_canonical_form(M: Monoid):
     )
 
 
-def _relabel(action, perm, n):
-    """The action table with every carrier element a renamed perm[a]."""
-    inv = [0] * len(perm)
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return tuple(tuple(perm[action[old][s]] for s in range(n)) for old in inv)
-
-
-def _orbit(action, n):
-    """Every relabeling of an action table, as a set: the closure of the
-    table under a transposition and an m-cycle, which generate all m!
-    permutations, so the cost is two relabelings per distinct table."""
-    m = len(action)
-    moves = ((1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)) if m > 1 else ()
-    orbit = {action}
-    frontier = [action]
+def _orbit(table, m, n):
+    """Every relabeling of a flat action table (row a at a*n .. a*n+n-1),
+    as a set: its closure under a transposition and an m-cycle, which
+    generate all m! permutations.  A move by perm takes the row slices in
+    inverse-permutation order and renames them by one `bytes.translate`.
+    Entries fit a byte: m <= 9, since 10! relabelings exceed
+    ACT_ENUM_WORK_CAP and are charged before any orbit is built."""
+    moves = []
+    for perm in ((1, 0, *range(2, m)), (*range(1, m), 0)) if m > 1 else ():
+        rows = [slice(a * n, a * n + n) for a in sorted(range(m), key=perm.__getitem__)]
+        moves.append((bytes(perm).ljust(256, b"\0"), rows))
+    orbit = {table}
+    frontier = [table]
     while frontier:
         table = frontier.pop()
-        for perm in moves:
-            image = _relabel(table, perm, n)
+        for names, rows in moves:
+            image = b"".join([table[r] for r in rows]).translate(names)
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
     return orbit
+
+
+def _rows(cells, n):
+    """A flat table as a tuple of rows of n entries."""
+    return tuple(zip(*[iter(cells)] * n))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -206,18 +209,14 @@ class _ActSearch:
             holders[table[cell]].pop()
             table[cell] = -1
 
-    def rows(self):
-        """The current table as a tuple of rows, one per carrier point."""
-        return tuple(zip(*[iter(self.table)] * self.n))
-
     def tables(self, k=0):
-        """Yield every complete labelled action table, one search node
-        charged per value tried at a generator cell."""
+        """Yield every complete labelled action table, flat as `bytes`,
+        one search node charged per value tried at a generator cell."""
         branch, table = self.branch, self.table
         while k < len(branch) and table[branch[k]] >= 0:
             k += 1
         if k == len(branch):
-            yield self.rows()
+            yield bytes(self.table)
             return
         for value in range(self.m):
             self.charge(nodes=1)
@@ -236,19 +235,21 @@ def enumerate_acts(M: Monoid, m: int):
     orbit goes into `seen` and the orbit's minimum is kept as the class
     representative; later tables of the class cost one set lookup.
     Search nodes and relabelings share the ACT_ENUM_WORK_CAP budget.
+    Tables stay flat `bytes` until the kept representatives: rows all
+    have n entries, so byte order is the order of the tuple rows.
     """
     search = _ActSearch(M, m)
     per_class = factorial(m)
     seen = set()
     classes = []
-    for action in search.tables():
-        if action in seen:
+    for table in search.tables():
+        if table in seen:
             continue
         search.charge(relabelings=per_class)
-        orbit = _orbit(action, M.size)
+        orbit = _orbit(table, m, M.size)
         seen |= orbit
         classes.append(min(orbit))
-    return [Act(M, m, t) for t in sorted(classes)]
+    return [Act(M, m, _rows(t, M.size)) for t in sorted(classes)]
 
 
 def random_acts(M: Monoid, m: int, count: int, rng: random.Random):
@@ -264,7 +265,7 @@ def random_acts(M: Monoid, m: int, count: int, rng: random.Random):
         search.undo(0)
         drawn = (col[a] for a in range(m) for col in cols)  # cell a*g in branch order
         if all(map(search.assign, search.branch, drawn)):
-            out.append(Act(M, m, search.rows()))
+            out.append(Act(M, m, _rows(search.table, search.n)))
     return out
 
 
@@ -491,7 +492,7 @@ def _check_t9(ctx, inst):
     if not is_fully_invariant(B, ctx.analysis(A).endos):
         return False, True, None, {}
     B_act, _ = subact_as_act(B)
-    Q, _ = quotient_by_congruence(A, rees_congruence(A, B))
+    Q, _ = ctx.analysis(A).quotient(rees_congruence(A, B))
     hyp = ctx.strongly_hopfian(B_act) and ctx.strongly_hopfian(Q)
     if not hyp:
         return False, True, None, {}
@@ -543,9 +544,8 @@ def _check_t12(ctx, A):
 
 
 def _factor_acts(ctx, A):
-    return [
-        quotient_by_congruence(A, rho)[0] for rho in ctx.analysis(A).congruences
-    ]
+    an = ctx.analysis(A)
+    return [an.quotient(rho)[0] for rho in an.congruences]
 
 
 def _check_t13(ctx, A):

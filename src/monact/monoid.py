@@ -65,15 +65,14 @@ def _identity_first_perm(n, identity):
     return tuple(perm)
 
 
-def _check_shape(size, table):
-    if size < 1:
-        raise EntryOutOfRange("size must be >= 1")
+def check_shape(table, size, width):
+    """`size` rows of `width` entries, each an int in [0, size)."""
     if len(table) != size:
         raise EntryOutOfRange(f"expected {size} rows, got {len(table)}")
     labels = frozenset(range(size))
     for s, row in enumerate(table):
-        if len(row) != size:
-            raise EntryOutOfRange(f"row {s} has {len(row)} entries, expected {size}")
+        if len(row) != width:
+            raise EntryOutOfRange(f"row {s} has {len(row)} entries, expected {width}")
         # fast path for a valid row; bool is not int, so True cannot pass as 1
         if set(map(type, row)) == {int} and labels.issuperset(row):
             continue
@@ -144,7 +143,9 @@ def validate_monoid(size: int, table) -> Monoid:
     triple in the caller's labels).
     """
     table = tuple(tuple(row) for row in table)
-    _check_shape(size, table)
+    if size < 1:
+        raise EntryOutOfRange("size must be >= 1")
+    check_shape(table, size, size)
     identity = None
     for e in range(size):
         if all(table[e][x] == x == table[x][e] for x in range(size)):

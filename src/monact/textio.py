@@ -33,6 +33,14 @@ def _tokens(text):
             yield lineno, line.split()
 
 
+def _int(word, message, lineno, col):
+    """int(word), or InputSyntaxError(message) at (lineno, col)."""
+    try:
+        return int(word)
+    except ValueError:
+        raise InputSyntaxError(message, lineno, col) from None
+
+
 def _read_int_rows(rows_iter, count, width, what, header_line):
     out = []
     for _ in range(count):
@@ -46,15 +54,11 @@ def _read_int_rows(rows_iter, count, width, what, header_line):
             raise InputSyntaxError(
                 f"{what}: expected {width} entries per row, got {len(words)}", lineno
             )
-        row = []
-        for col, w in enumerate(words, start=1):
-            try:
-                row.append(int(w))
-            except ValueError:
-                raise InputSyntaxError(
-                    f"{what}: {w!r} is not an integer", lineno, col
-                ) from None
-        out.append(tuple(row))
+        try:
+            out.append(tuple(map(int, words)))
+        except ValueError:
+            for col, w in enumerate(words, start=1):
+                _int(w, f"{what}: {w!r} is not an integer", lineno, col)
     return out
 
 
@@ -69,10 +73,7 @@ def parse_input(text: str) -> InputDocument:
             name = words[1]
             if name in doc.monoids or name in doc.acts:
                 raise DuplicateName(name, lineno)
-            try:
-                n = int(words[2])
-            except ValueError:
-                raise InputSyntaxError(f"bad size {words[2]!r}", lineno, 3) from None
+            n = _int(words[2], f"bad size {words[2]!r}", lineno, 3)
             table = _read_int_rows(lines, n, n, f"monoid {name}", lineno)
             M = validate_monoid(n, table)
             if M.relabeling != tuple(range(n)):
@@ -91,10 +92,7 @@ def parse_input(text: str) -> InputDocument:
                 raise DuplicateName(name, lineno)
             if mname not in doc.monoids:
                 raise UnknownMonoidReference(mname, lineno)
-            try:
-                m = int(words[4])
-            except ValueError:
-                raise InputSyntaxError(f"bad size {words[4]!r}", lineno, 5) from None
+            m = _int(words[4], f"bad size {words[4]!r}", lineno, 5)
             M = doc.monoids[mname]
             action = _read_int_rows(lines, m, M.size, f"act {name}", lineno)
             doc.acts[name] = (mname, validate_act(M, m, action))

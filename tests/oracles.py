@@ -113,18 +113,23 @@ def brute_force_acts(M, m):
     return sorted(forms)
 
 
-def act_canonical_form(action):
-    """The least relabeling of an action table, over all m! carrier
+def act_relabelings(action):
+    """Every relabeling of an action table, over all m! carrier
     permutations p: relabeling a -> p[a] makes row p[a] of the new table
     p applied to row a."""
     m, n = len(action), len(action[0])
-    return min(
+    return {
         tuple(
             tuple(p[action[a][s]] for s in range(n))
             for a in sorted(range(m), key=p.__getitem__)
         )
         for p in permutations(range(m))
-    )
+    }
+
+
+def act_canonical_form(action):
+    """The least relabeling of an action table."""
+    return min(act_relabelings(action))
 
 
 def acts_isomorphic(A, B):

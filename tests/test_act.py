@@ -60,8 +60,11 @@ def test_validate_act_identity_axiom(m2):
 
 
 def test_validate_act_entry_range(m2):
-    with pytest.raises(EntryOutOfRange):
+    with pytest.raises(EntryOutOfRange, match=r"entry \(0,1\) = 2 "):
         validate_act(m2, 2, [[0, 2], [1, 1]])
+    # bool is an int subclass, but True is not the point 1
+    with pytest.raises(EntryOutOfRange, match=r"entry \(1,1\) = True "):
+        validate_act(m2, 2, [[0, 1], [1, True]])
 
 
 def _perturbed(action, rng, count):

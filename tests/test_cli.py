@@ -61,6 +61,13 @@ def test_parse_bad_arity_reports_line():
     assert err.value.line == 3
 
 
+def test_parse_non_integer_names_line_and_column():
+    bad = "monoid M 2\n0 1\n1 1\n\nact A over M 2\n0 1\n1 x\n"
+    with pytest.raises(InputSyntaxError, match="'x' is not an integer") as err:
+        parse_input(bad)
+    assert (err.value.line, err.value.col) == (7, 2)
+
+
 def test_parse_identity_must_be_first():
     bad = "monoid M 2\n1 0\n0 1\n"  # identity is element 1 here
     with pytest.raises(InputSyntaxError):

@@ -24,7 +24,8 @@ from monact.harness import (
 )
 from monact.monoid import validate_monoid
 from oracles import (
-    act_canonical_form, acts_isomorphic, brute_force_acts, brute_force_monoids, partition_number,
+    act_canonical_form, act_relabelings, acts_isomorphic, brute_force_acts, brute_force_monoids,
+    partition_number,
 )
 
 
@@ -159,16 +160,45 @@ def test_act_counts_closed_forms(trivial, m2):
     assert _closed_form_mismatches(trivial, m2) == []
 
 
+# sha256 over repr(A.action) of every act up to 4/4 and 3/5, monoids by
+# size, then acts by size, in enumeration order
+ACT_TABLES = {
+    (4, 4): (1205, "b79745c6bcbf1007d6b150fb83901d2618a8b1c35ab5362b96ebcd6c7b85a3db"),
+    (3, 5): (277, "3415c490228003a16d2a5aecf5c7afa65d95e36ab01c2c75562914672f9e4928"),
+}
+
+
 def test_act_totals_up_to_4_4_and_3_5():
     monoids = {n: enumerate_monoids(n) for n in range(1, 5)}
-    total = lambda max_n, max_m: sum(
-        len(enumerate_acts(M, m))
-        for n in range(1, max_n + 1)
-        for M in monoids[n]
-        for m in range(1, max_m + 1)
-    )
-    assert total(4, 4) == 1205
-    assert total(3, 5) == 277
+    for (max_n, max_m), (count, sha256) in ACT_TABLES.items():
+        acts = [
+            A
+            for n in range(1, max_n + 1)
+            for M in monoids[n]
+            for m in range(1, max_m + 1)
+            for A in enumerate_acts(M, m)
+        ]
+        assert len(acts) == count
+        tables = b"".join(repr(A.action).encode() for A in acts)
+        assert hashlib.sha256(tables).hexdigest() == sha256, (max_n, max_m)
+
+
+def _flat(action):
+    return bytes(v for row in action for v in row)
+
+
+def test_orbit_is_every_relabeling():
+    # every act of the 3/4 corpus and of the 2/5 pairs: the two moves
+    # reach all m! relabelings and nothing else
+    checked = 0
+    for n, m in ORACLE_PAIRS:
+        for M in enumerate_monoids(n):
+            for A in enumerate_acts(M, m):
+                orbit = harness._orbit(_flat(A.action), m, n)
+                assert orbit == {_flat(t) for t in act_relabelings(A.action)}
+                assert min(orbit) == _flat(act_canonical_form(A.action))
+                checked += 1
+    assert checked == 142 + 1 + 3 + 7  # 3/4, then 1/5 and 2/5 by the closed forms
 
 
 def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivial, m2):
@@ -188,16 +218,16 @@ def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivi
 
 def test_planted_changed_table_cell_is_caught(monkeypatch, oracle_acts, trivial, m2):
     # the first labelled table of every search over two or more points
-    # comes out with its last cell moved to the next point; nothing
+    # comes out with its last byte moved to the next point; nothing
     # re-checks the act axioms on it
     real = harness._ActSearch.tables
 
     def planted(self, k=0):
         tables = real(self, k)
         if k == 0 and self.m > 1:
-            rows = [list(row) for row in next(tables)]
-            rows[-1][-1] = (rows[-1][-1] + 1) % self.m
-            yield tuple(map(tuple, rows))
+            table = bytearray(next(tables))
+            table[-1] = (table[-1] + 1) % self.m
+            yield bytes(table)
         yield from tables
 
     monkeypatch.setattr(harness._ActSearch, "tables", planted)

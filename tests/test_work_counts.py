@@ -1,7 +1,7 @@
 """Each per-act quantity is computed once per act: End(A), the
 endomorphisms, their power profiles, the congruence lattice, the
-subacts, the Hopfian flags and the generating set, in the suite and in
-`monact classify`; End(A) is not kept.
+subacts, the factor acts, the Hopfian flags and the generating set, in
+the suite and in `monact classify`; End(A) is not kept.
 Calls are counted by wrappers bound in every namespace of the package
 that holds the original function.  Congruence
 enumeration makes a bounded number of closures, and act enumeration
@@ -144,6 +144,16 @@ def test_suite_decides_each_lift_flag_once(count):
     assert len(rebuilt) == 20
     assert checks - rebuilt == Counter(dict.fromkeys(checks, 1))
     assert rebuilt <= checks
+
+
+def test_suite_builds_each_factor_act_once(count):
+    """T9's Rees factors, T13/T14's factor acts and the lift checks read
+    one quotient per (act, rho)."""
+    quotients = count(act, "quotient_by_congruence", lambda A, rho: (_key(A), rho.labels))
+    result = run_suite(CorpusSpec())
+    assert all(v.passed for v in result.verdicts)
+    assert len(quotients) == 957
+    assert set(quotients.values()) == {1}
 
 
 def _reachable(root):
