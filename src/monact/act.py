@@ -56,9 +56,6 @@ class ActHom:
     def is_surjective(self) -> bool:
         return len(set(self.mapping)) == self.target.size
 
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
 
 def validate_act(M: Monoid, size: int, action) -> Act:
     """Checked constructor: both act axioms, witnesses in the input labels.

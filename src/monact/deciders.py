@@ -7,12 +7,19 @@ decider terminates with an exact index.  Criteria 1 and 2 and the chain
 reports read each endomorphism's PowerProfile, one walk of its powers;
 criterion 3 stays literal: it meets or joins the image and kernel labels
 of each power map, once per map and decider call.
+
+`ActAnalysis.maps` holds the endomorphisms as `bytes` (so at most 255
+points), and each composition is one C call: f o x for fixed f is
+`x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
+fixed g an `itemgetter` gather (restrictions).  `classify_act` still
+builds the End(A) table for two flags (`endo.end_monoid`, ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import cache, cached_property
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -33,6 +40,7 @@ from .endo import (
     is_commutative,
     is_strongly_pi_regular,
 )
+from .errors import SizeTooLarge
 from .monoid import Monoid, element_power, row_partition
 from .relation import least_labels
 
@@ -49,11 +57,16 @@ class ActAnalysis:
     `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
-    one analysis shares the work.
+    one analysis shares the work.  `acts` keys factor acts by (monoid
+    table, action), one Act each; SuiteContext shares it across a run.
     """
 
     def __init__(self, act: Act):
+        if act.size > 255:
+            raise SizeTooLarge(
+                f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
+        self.acts = {}
         self._homs = {}
         self._lifts = {}
         self._quotients = {}
@@ -71,6 +84,11 @@ class ActAnalysis:
         return self.homs(self.act)
 
     @cached_property
+    def maps(self):
+        """Each endomorphism's map as `bytes`, in `endos` order."""
+        return [bytes(f.mapping) for f in self.endos]
+
+    @cached_property
     def profiles(self):
         """One PowerProfile per endomorphism, in `endos` order."""
         return [power_profile(f) for f in self.endos]
@@ -79,12 +97,8 @@ class ActAnalysis:
     def flags(self):
         """(hopfian, co_hopfian, (strongly_hopfian, index),
         (strongly_co_hopfian, index)), the strong pairs by criterion 1."""
-        return (
-            is_hopfian(self),
-            is_co_hopfian(self),
-            is_strongly_hopfian(self, 1),
-            is_strongly_co_hopfian(self, 1),
-        )
+        return (is_hopfian(self), is_co_hopfian(self),
+                is_strongly_hopfian(self, 1), is_strongly_co_hopfian(self, 1))
 
     @cached_property
     def report(self):
@@ -101,7 +115,9 @@ class ActAnalysis:
     def quotient(self, rho: Congruence):
         """The factor act A/rho and its projection, built once per rho."""
         if rho.labels not in self._quotients:
-            self._quotients[rho.labels] = quotient_by_congruence(self.act, rho)
+            Q, proj = quotient_by_congruence(self.act, rho)
+            Q = self.acts.setdefault((Q.monoid.table, Q.action), Q)
+            self._quotients[rho.labels] = Q, ActHom(self.act, Q, proj.mapping)
         return self._quotients[rho.labels]
 
     def lifts(self, rho: Congruence) -> bool:
@@ -146,19 +162,26 @@ def _settle(chain):
     return n, all(x == chain[n - 1] for x in chain[n:])
 
 
+def _powers(m):
+    """The byte maps of f, f^2, f^3, .. for f's byte map m: each power is
+    the last one translated through m's rename table."""
+    step = m.ljust(256, b"\0")
+    while True:
+        yield m
+        m = m.translate(step)
+
+
 def power_profile(f: ActHom) -> PowerProfile:
     """f's profile from one walk f, f^2, .. up to the first repeated
     power, comparing kernel labels and image sets; the powers themselves
     are not kept."""
-    cur = m = tuple(f.mapping)
     seen, kernels, images = set(), [], []
-    while True:
+    for cur in _powers(bytes(f.mapping)):
         kernels.append(least_labels(cur))
         images.append(frozenset(cur))
         if cur in seen:
             break
         seen.add(cur)
-        cur = tuple(map(m.__getitem__, cur))
     k, k_tail = _settle(kernels)
     i, i_tail = _settle(images)
     return PowerProfile(k, i, k_tail, i_tail)
@@ -189,22 +212,20 @@ def is_co_hopfian(A: Act | ActAnalysis) -> bool:
     return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
 
 
-def _endo_index(f, criterion, index, tail, settled):
-    """Least n satisfying the chosen criterion for one endomorphism f:
-    criteria 1 and 2 read `index` and `tail`, the chain's entries in f's
-    power profile; criterion 3 is `settled(f^n)` on the map tuple of f^n,
-    for n <= 2|A|, each power one lookup through f's map."""
+def _endo_index(m, criterion, index, tail, settled):
+    """Least n satisfying the chosen criterion for one endomorphism f
+    with byte map m: criteria 1 and 2 read `index` and `tail`, the
+    chain's entries in f's power profile; criterion 3 is `settled(f^n)`
+    on the byte map of f^n, for n <= 2|A|."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if criterion == 1 and not tail:
         raise AssertionError("chain tail not constant after stabilization")
     if criterion != 3:
         return index
-    f_n = m = f.mapping
-    for n in range(1, 2 * len(m) + 1):
+    for n, f_n in zip(range(1, 2 * len(m) + 1), _powers(m)):
         if settled(f_n):
             return n
-        f_n = tuple(map(m.__getitem__, f_n))
     return None
 
 
@@ -235,8 +256,8 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
         return _meet_labels(_collapse_labels(len(f_n), f_n), least_labels(f_n)) == delta
 
     return _worst(
-        _endo_index(f, criterion, p.k_index, p.k_tail, settled)
-        for f, p in zip(an.endos, an.profiles)
+        _endo_index(m, criterion, p.k_index, p.k_tail, settled)
+        for m, p in zip(an.maps, an.profiles)
     )
 
 
@@ -255,8 +276,8 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
         return _merge(_collapse_labels(len(f_n), f_n), enumerate(least_labels(f_n)))[0] == full
 
     return _worst(
-        _endo_index(f, criterion, p.i_index, p.i_tail, settled)
-        for f, p in zip(an.endos, an.profiles)
+        _endo_index(m, criterion, p.i_index, p.i_tail, settled)
+        for m, p in zip(an.maps, an.profiles)
     )
 
 
@@ -291,7 +312,7 @@ def is_quasi_injective(A: Act | ActAnalysis):
         sub, members = subact_as_act(B)
         gens = sub.generators
         at_sub, at_parent = itemgetter(*gens), itemgetter(*(members[x] for x in gens))
-        restrictions = {at_parent(h.mapping) for h in an.endos}
+        restrictions = set(map(at_parent, an.maps))
         for f in homomorphisms(sub, an.act):
             if at_sub(f.mapping) not in restrictions:
                 return False, (B, f)
@@ -300,12 +321,11 @@ def is_quasi_injective(A: Act | ActAnalysis):
 
 def _unlifted_hom(an: ActAnalysis, rho: Congruence):
     """The first hom A -> A/rho, in map order, that is p_rho o g for no
-    endomorphism g, or None; maps compare by their generator images."""
+    endomorphism g, or None; the lift set is one translate per g."""
     quotient, proj = an.quotient(rho)
-    gens = an.act.generators
-    lifted = {tuple(proj.mapping[g.mapping[x]] for x in gens) for g in an.endos}
+    lifted = set(map(bytes.translate, an.maps, repeat(bytes(proj.mapping).ljust(256, b"\0"))))
     homs = homomorphisms(an.act, quotient)
-    return next((f for f in homs if tuple(f.mapping[x] for x in gens) not in lifted), None)
+    return next((f for f in homs if bytes(f.mapping) not in lifted), None)
 
 
 def is_quasi_projective(A: Act | ActAnalysis):
@@ -430,12 +450,8 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
 
 
 def _map_power(m, n):
-    """The map tuple of f^n, n >= 1, for f's map tuple m: each step one
-    lookup through m, as in criterion 3."""
-    f_n = m
-    for _ in range(n - 1):
-        f_n = tuple(map(m.__getitem__, f_n))
-    return f_n
+    """The byte map of f^n, n >= 1, for f's byte map m."""
+    return next(islice(_powers(m), n - 1, None))
 
 
 def chain_reports(A: Act | ActAnalysis):
@@ -445,11 +461,11 @@ def chain_reports(A: Act | ActAnalysis):
     one class)."""
     an = analyse(A)
     act, size = an.act, an.act.size
-    profile = {f.mapping: p for f, p in zip(an.endos, an.profiles)}
+    profile = {f.mapping: (m, p) for f, m, p in zip(an.endos, an.maps, an.profiles)}
     reports = []
     for n, f in enumerate(identity_first(an.endos)):
-        m, p = f.mapping, profile[f.mapping]
+        m, p = profile[f.mapping]
         kernel = Congruence(act, least_labels(_map_power(m, p.k_index)))
         image = Congruence(act, _collapse_labels(size, _map_power(m, p.i_index)))
-        reports.append(ChainReport(n, m, p.k_index, p.i_index, kernel, image))
+        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
     return reports

@@ -2,16 +2,18 @@
 
 Enumeration backtracks over images of a minimal generating set of the
 source; every chosen image is propagated through the action, so a
-candidate either collapses to a full map or dies on a conflict.
+candidate either collapses to a full map or dies on a conflict.  Maps
+are tuples; compositions run in C, on `bytes` maps or by `itemgetter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from .act import Act, ActHom, Subact
-from .errors import SearchBudgetExceeded, SizeOverflow, SourceTargetMismatch
+from .errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge, SourceTargetMismatch
 from .monoid import SIZE_CAP, Monoid, validate_monoid
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -103,15 +105,21 @@ def identity_first(endos):
 
 def end_monoid(A: Act, endos=None) -> EndMonoid:
     """End(A), built from `endos` when the caller already holds
-    `endomorphisms(A)`; the hom search keeps it within SIZE_CAP."""
+    `endomorphisms(A)`; the hom search keeps it within SIZE_CAP.
+
+    Row f of the table, f o g over every g, is one `bytes.translate`
+    per cell through f's rename table, so carriers stop at 255 points.
+    `classify_act` builds the table only to read the commutativity and
+    strong pi-regularity flags; ROADMAP item 1 reads them off the maps.
+    """
+    if A.size > 255:
+        raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")
     if endos is None:
         endos = endomorphisms(A)
     elements = identity_first(endos)
-    # after_g(f.mapping) is the map of f o g; after the identity it is the
-    # map itself, in the same form (a bare int when |A| = 1)
-    getters = [itemgetter(*g.mapping) for g in elements]
-    index = {getters[0](f.mapping): i for i, f in enumerate(elements)}
-    raw = [[index[after_g(f.mapping)] for after_g in getters] for f in elements]
+    maps = [bytes(f.mapping) for f in elements]
+    idx = {m: i for i, m in enumerate(maps)}.__getitem__
+    raw = [tuple(map(idx, map(bytes.translate, maps, repeat(f.ljust(256, b"\0"))))) for f in maps]
     # identity already first, so the checked constructor relabels nothing
     return EndMonoid(validate_monoid(len(elements), raw), elements, A)
 
@@ -142,10 +150,12 @@ def is_retract_of(into, back):
     for gamma in into:
         if not gamma.is_injective():
             continue
-        ident = tuple(range(gamma.source.size))
+        # pi o gamma = id iff pi agrees with gamma's inverse on its image
+        at_image = itemgetter(*gamma.mapping)
+        ident = at_image(dict(zip(gamma.mapping, range(gamma.source.size))))
         for pi in back:
-            if tuple(pi.mapping[b] for b in gamma.mapping) == ident:
-                return Retract(gamma, pi, not gamma.is_bijective())
+            if at_image(pi.mapping) == ident:
+                return Retract(gamma, pi, not gamma.is_surjective())
     return None
 
 
@@ -184,14 +194,15 @@ def is_fully_invariant(B: Subact, endos) -> bool:
     return all(f.mapping[b] in members for f in endos for b in B.members)
 
 
-def induces_all_endomorphisms(h: ActHom, source_endos, target_endos):
-    """For surjective h: A -> B, with `source_endos` = End(A) and
-    `target_endos` = End(B): check every f in End(B) lifts to some g in
-    End(A) with f o h = h o g.  Returns (flag, first failing f)."""
-    hm = h.mapping
-    liftable = {tuple(hm[a] for a in g.mapping) for g in source_endos}
-    for f in target_endos:
-        if tuple(f.mapping[b] for b in hm) not in liftable:
+def induces_all_endomorphisms(h: ActHom, source_maps, target_maps):
+    """For surjective h: A -> B, with `source_maps` and `target_maps` the
+    maps of End(A) and End(B) as `bytes`: check every f in End(B) lifts
+    to some g in End(A) with f o h = h o g.  Returns (flag, the first
+    failing f's map)."""
+    hm = bytes(h.mapping)
+    liftable = set(map(bytes.translate, source_maps, repeat(hm.ljust(256, b"\0"))))
+    for f in target_maps:
+        if hm.translate(f.ljust(256, b"\0")) not in liftable:
             return False, f
     return True, None
 
@@ -199,5 +210,5 @@ def induces_all_endomorphisms(h: ActHom, source_endos, target_endos):
 def has_section(h: ActHom, back) -> bool:
     """True iff some s in `back`, the homs B -> A for h: A -> B,
     satisfies h o s = id_B."""
-    ident = tuple(range(h.target.size))
-    return any(tuple(h.mapping[a] for a in s.mapping) == ident for s in back)
+    rename, ident = bytes(h.mapping).ljust(256, b"\0"), bytes(range(h.target.size))
+    return any(bytes(s.mapping).translate(rename) == ident for s in back)

@@ -322,11 +322,14 @@ class SuiteContext:
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
         self._analyses = {}
+        self._acts = {}
 
     def analysis(self, A) -> ActAnalysis:
+        """A's analysis, one per table; all share one factor-act dict."""
         key = (A.monoid.table, A.action)
         if key not in self._analyses:
-            self._analyses[key] = ActAnalysis(A)
+            an = self._analyses[key] = ActAnalysis(self._acts.setdefault(key, A))
+            an.acts = self._acts
         return self._analyses[key]
 
     def _flag(self, name, A, i):
@@ -350,15 +353,12 @@ class SuiteContext:
 
 # -- witnesses ----------------------------------------------------------------
 
-def _monoid_payload(M: Monoid):
-    return [list(row) for row in M.table]
-
-def _act_payload(A: Act):
-    return [list(row) for row in A.action]
+def _payload(rows):
+    return [list(row) for row in rows]
 
 
 def _witness(tid, M, flags, **extra):
-    w = {"theorem": tid, "monoid": _monoid_payload(M), "flags": flags}
+    w = {"theorem": tid, "monoid": _payload(M.table), "flags": flags}
     w.update(extra)
     return w
 
@@ -373,7 +373,7 @@ def _act_check(tid, A, hyp, concl, flags):
         return False, True, None, {}
     if concl:
         return True, True, None, {}
-    return True, False, _witness(tid, A.monoid, flags, act=_act_payload(A)), {}
+    return True, False, _witness(tid, A.monoid, flags, act=_payload(A.action)), {}
 
 
 def _check_t1(ctx, A):
@@ -412,7 +412,7 @@ def _criteria_check(tid, decide, A, ctx):
         "criterion_bools": bools,
         "criterion_indices": idx,
     }
-    return True, False, _witness(tid, A.monoid, flags, act=_act_payload(A)), details
+    return True, False, _witness(tid, A.monoid, flags, act=_payload(A.action)), details
 
 
 def _check_t4(ctx, A):
@@ -449,7 +449,7 @@ def _check_t7(ctx, pair):
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
     w = _witness(
         "T7", A.monoid, flags,
-        act=_act_payload(A), act_b=_act_payload(B),
+        act=_payload(A.action), act_b=_payload(B.action),
         gamma=list(found.gamma.mapping), pi=list(found.pi.mapping),
     )
     return True, False, w, {}
@@ -470,7 +470,7 @@ def _check_t8(ctx, pair):
         rho = kernel_congruence(h)
         if rho.labels not in induces:
             induces[rho.labels] = ctx.analysis(A).lifts(rho) or induces_all_endomorphisms(
-                h, ctx.analysis(A).endos, ctx.analysis(B).endos)[0]
+                h, ctx.analysis(A).maps, ctx.analysis(B).maps)[0]
         if not induces[rho.labels] or not ctx.strongly_co_hopfian(A):
             continue
         induced += 1
@@ -481,7 +481,7 @@ def _check_t8(ctx, pair):
             flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
             w = _witness(
                 "T8", A.monoid, flags,
-                act=_act_payload(A), act_b=_act_payload(B), h=list(h.mapping),
+                act=_payload(A.action), act_b=_payload(B.action), h=list(h.mapping),
             )
             return True, False, w, {"induced_surjections": induced, "with_section": sections}
     return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
@@ -504,7 +504,7 @@ def _check_t9(ctx, inst):
         "quotient_strongly_hopfian": True,
         "A_strongly_hopfian": False,
     }
-    w = _witness("T9", A.monoid, flags, act=_act_payload(A), subact=list(B.members))
+    w = _witness("T9", A.monoid, flags, act=_payload(A.action), subact=list(B.members))
     return True, False, w, {}
 
 
@@ -669,8 +669,8 @@ def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
                 "act": f"M{mi}.A{ai}",
                 "monoid_size": M.size,
                 "act_size": A.size,
-                "monoid_table": _monoid_payload(M),
-                "action": _act_payload(A),
+                "monoid_table": _payload(M.table),
+                "action": _payload(A.action),
                 "properties": rep.to_dict(),
             }
             reports.append(entry)

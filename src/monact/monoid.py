@@ -19,11 +19,12 @@ entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import itemgetter
+from itertools import chain, combinations, compress, count
+from math import isqrt
+from operator import itemgetter, ne
 
 from .errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
-from .relation import label_classes, least_labels
+from .relation import label_classes
 
 SIZE_CAP = 4096
 
@@ -55,14 +56,7 @@ def _relabel_table(table, perm):
 
 def _identity_first_perm(n, identity):
     """Old->new permutation moving `identity` to 0, others keep order."""
-    perm = [0] * n
-    perm[identity] = 0
-    new = 1
-    for old in range(n):
-        if old != identity:
-            perm[old] = new
-            new += 1
-    return tuple(perm)
+    return tuple(0 if x == identity else x + (x < identity) for x in range(n))
 
 
 def check_shape(table, size, width):
@@ -119,14 +113,16 @@ def light_test_failure(table, identity, rows):
     or None if there is none.  With rows = table it tests associativity.
 
     A one-element table has no generators, so `itemgetter` below always
-    gets two or more indices and returns a tuple.
+    gets two or more indices and returns a tuple.  The rows are compared
+    by chained maps, lazily and in C.
     """
     for g in _greedy_generators(table, identity):
         # times_g(row) = (row[g*0], row[g*1], ...): r*(g*u) over u
         times_g = itemgetter(*table[g])
-        for r, row in enumerate(rows):
-            if times_g(row) != rows[row[g]]:
-                return r, g
+        fails = map(ne, map(times_g, rows), map(rows.__getitem__, map(itemgetter(g), rows)))
+        r = next(compress(count(), fails), None)
+        if r is not None:
+            return r, g
     return None
 
 
@@ -184,10 +180,10 @@ def element_power(M: Monoid, s: int, n: int) -> int:
 
 def row_partition(M: Monoid, s: int):
     """r(s) = {(x, y) : s*x = s*y} in partition form: the fibers of
-    x -> s*x, in O(n) space; used for chain indices on large product
-    monoids.
+    x -> s*x, grouped by value in one pass; used for chain indices on
+    large product monoids.
     """
-    return label_classes(least_labels(M.table[s]))
+    return label_classes(M.table[s])
 
 
 def _product_table(left, right):
@@ -244,14 +240,7 @@ def zmod_mult_monoid(m: int) -> Monoid:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def prime_power_product(p: int, n_factors: int):
@@ -277,21 +266,15 @@ def prime_power_product(p: int, n_factors: int):
 
 
 def generated_submonoid(M: Monoid, gens):
-    """Closure of {identity} | gens under the product."""
+    """Closure of {identity} | gens under right products: all words."""
     seen = {0}
     frontier = [0]
     gens = tuple(gens)
     while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = M.table[a][g]
+        for b in map(M.table[frontier.pop()].__getitem__, gens):
             if b not in seen:
                 seen.add(b)
                 frontier.append(b)
-            c = M.table[g][a]
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
     return seen
 
 

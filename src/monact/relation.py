@@ -17,9 +17,9 @@ def least_labels(keys):
 
 
 def label_classes(labels):
-    """The classes of a least-member labelling, in one pass: members
-    ascending, classes in order of their smallest member (the label,
-    which first occurs at its own index)."""
+    """The fibers of a label sequence, in one pass: members ascending,
+    classes in order of their smallest member, so any labels of one
+    partition give the same classes."""
     classes = {}
     for a, lead in enumerate(labels):
         classes.setdefault(lead, []).append(a)

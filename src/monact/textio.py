@@ -107,10 +107,9 @@ def serialize_document(doc: InputDocument) -> str:
     for kind, name in doc.entries:
         if kind == "monoid":
             M = doc.monoids[name]
-            rows = "\n".join(" ".join(str(v) for v in row) for row in M.table)
-            chunks.append(f"monoid {name} {M.size}\n{rows}\n")
+            head, rows = f"monoid {name} {M.size}", M.table
         else:
             mname, A = doc.acts[name]
-            rows = "\n".join(" ".join(str(v) for v in row) for row in A.action)
-            chunks.append(f"act {name} over {mname} {A.size}\n{rows}\n")
+            head, rows = f"act {name} over {mname} {A.size}", A.action
+        chunks.append(head + "\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
     return "\n".join(chunks)

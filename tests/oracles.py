@@ -9,7 +9,9 @@ homs, subacts and congruence lattice from the library and redo only
 the extending or lifting, on whole maps.  So is the chain-report
 oracle, `chain_reports_oracle`, which takes the endomorphisms and
 power profiles from the library and rebuilds each report through
-homomorphism powers.
+homomorphism powers.  The composition oracles (the End(A) table, the
+lift and liftable sets, retracts and sections) take their maps from the
+library too and compose them one tuple at a time with `compose`.
 """
 
 import json
@@ -504,3 +506,40 @@ def t8_oracle(ctx, pair):
             }
             return True, False, witness, details
     return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
+
+
+def end_table_oracle(elements):
+    """The End(A) table over `elements` (canonical order), cell (i, j)
+    the index of elements[i] o elements[j] by `compose`."""
+    index = {f.mapping: i for i, f in enumerate(elements)}
+    return tuple(tuple(index[compose(f, g).mapping] for g in elements) for f in elements)
+
+
+def unlifted_hom_oracle(A, rho):
+    """The first hom A -> A/rho, in map order, outside {p o g : g in
+    End(A)}, each p o g by `compose`, or None."""
+    quotient, proj = quotient_by_congruence(A, rho)
+    lifted = {compose(proj, g).mapping for g in homomorphisms(A, A)}
+    return next((f for f in homomorphisms(A, quotient) if f.mapping not in lifted), None)
+
+
+def induces_oracle(h, source_endos, target_endos):
+    """Whether every f in End(B) has f o h = h o g for some g in End(A),
+    both sides by `compose`."""
+    liftable = {compose(h, g).mapping for g in source_endos}
+    return all(compose(f, h).mapping in liftable for f in target_endos)
+
+
+def retract_oracle(into, back):
+    """The first (gamma, pi), gamma then pi in list order, with
+    pi o gamma the identity by `compose`, or None."""
+    for gamma in into:
+        for pi in back:
+            if compose(pi, gamma).mapping == tuple(range(gamma.source.size)):
+                return gamma, pi
+    return None
+
+
+def section_oracle(h, back):
+    """Whether h o s is the identity, by `compose`, for some s in `back`."""
+    return any(compose(h, s).mapping == tuple(range(h.target.size)) for s in back)

@@ -1,0 +1,152 @@
+"""Compositions on byte maps.  An analysis keeps each endomorphism's map
+as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
+`itemgetter` gather (a fixed right factor).  The End(A) table, the lift
+sets, the T8 liftable sets and the retract and section tests are each
+compared with a tuple-composition oracle built on `oracles.compose`."""
+
+import random
+
+import pytest
+
+from monact import harness
+from monact.act import ActHom, regular_act
+from monact.deciders import ActAnalysis, _unlifted_hom, is_quasi_projective
+from monact.endo import end_monoid, has_section, induces_all_endomorphisms, is_retract_of
+from monact.errors import SizeTooLarge
+from monact.harness import CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts
+from monact.monoid import zmod_mult_monoid
+from oracles import (
+    end_table_oracle,
+    induces_oracle,
+    quasi_projective_oracle,
+    retract_oracle,
+    section_oracle,
+    t8_oracle,
+    unlifted_hom_oracle,
+)
+
+SMALL = CorpusSpec(max_monoid_size=2, max_act_size=3)
+
+
+def _acts(spec):
+    return [A for per in build_corpus(spec).acts for A in per]
+
+
+def _five_point_acts():
+    """Seeded 5-point acts over the monoids of size 2 and 3."""
+    rng = random.Random(55)
+    return [A for n in (2, 3) for M in enumerate_monoids(n) for A in random_acts(M, 5, 1, rng)]
+
+
+def _pairs(kind, spec):
+    ctx = SuiteContext()
+    return ctx, list(harness._instances_for(kind, build_corpus(spec), ctx))
+
+
+def test_maps_are_the_endomorphisms_as_bytes():
+    for A in _acts(SMALL):
+        an = ActAnalysis(A)
+        assert an.maps == [bytes(f.mapping) for f in an.endos]
+
+
+def test_end_table_matches_compose_oracle():
+    acts = _acts(CorpusSpec()) + _five_point_acts()
+    sizes = []
+    for A in acts:
+        E = end_monoid(A)
+        assert E.monoid.table == end_table_oracle(E.elements), A
+        sizes.append(E.monoid.size)
+    assert len(acts) == 142 + 4
+    assert max(sizes) == 320
+
+
+def test_lift_sets_match_compose_oracle():
+    checked = 0
+    for A in _acts(CorpusSpec()):
+        an = ActAnalysis(A)
+        for rho in an.congruences[1:]:
+            assert _unlifted_hom(an, rho) == unlifted_hom_oracle(A, rho), (A, rho)
+            checked += 1
+    assert checked == 957 - 142
+
+
+def test_t8_liftable_sets_match_compose_oracle():
+    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
+    outcomes = set()
+    for A, B in pairs:
+        an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+        for h in an_a.homs(B):
+            if h.is_surjective():
+                got = induces_all_endomorphisms(h, an_a.maps, an_b.maps)[0]
+                assert got == induces_oracle(h, an_a.endos, an_b.endos), (A, B, h)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_retracts_match_compose_oracle():
+    ctx, pairs = _pairs("act_pair_up", CorpusSpec())
+    found = 0
+    for A, B in pairs:
+        into, back = ctx.analysis(A).homs(B), ctx.analysis(B).homs(A)
+        got = is_retract_of(into, back)
+        want = retract_oracle(into, back)
+        assert (got and (got.gamma, got.pi)) == want, (A, B)
+        found += got is not None
+    assert 0 < found < len(pairs)
+
+
+def test_sections_match_compose_oracle():
+    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
+    outcomes = set()
+    for A, B in pairs:
+        back = ctx.analysis(B).homs(A)
+        for h in ctx.analysis(A).homs(B):
+            if h.is_surjective():
+                assert has_section(h, back) == section_oracle(h, back), (A, B, h)
+                outcomes.add(section_oracle(h, back))
+    assert outcomes == {True, False}
+
+
+def test_analysis_refuses_carriers_past_the_byte_maps():
+    an = ActAnalysis(regular_act(zmod_mult_monoid(255)))
+    assert len(an.maps) == 255
+    with pytest.raises(SizeTooLarge, match="act analysis: carrier size 256"):
+        ActAnalysis(regular_act(zmod_mult_monoid(256)))
+
+
+def test_suite_keeps_one_act_per_factor_table(monkeypatch):
+    made = []
+
+    class Recording(SuiteContext):
+        def __init__(self, overrides=None):
+            super().__init__(overrides)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "SuiteContext", Recording)
+    result = harness.run_suite(CorpusSpec())
+    assert all(v.passed for v in result.verdicts)
+    (ctx,) = made
+    factors = []
+    for A in (A for per in result.corpus.acts for A in per):
+        an = ctx.analysis(A)
+        factors.extend(an.quotient(rho)[0] for rho in an.congruences)
+    tables = {(Q.monoid.table, Q.action) for Q in factors}
+    assert len(factors) == 957
+    assert len({id(Q) for Q in factors}) == len(tables) == 156
+    # each factor's analysis reads that same Act
+    assert all(ctx.analysis(Q).act is Q for Q in factors)
+
+
+def test_planted_shifted_projection_is_caught(monkeypatch):
+    # p_rho's rename table built from its map rotated by one point
+    real = ActAnalysis.quotient
+
+    def shifted(an, rho):
+        Q, proj = real(an, rho)
+        return Q, ActHom(an.act, Q, proj.mapping[1:] + proj.mapping[:1])
+
+    monkeypatch.setattr(ActAnalysis, "quotient", shifted)
+    acts = _acts(CorpusSpec())
+    assert any(is_quasi_projective(A) != quasi_projective_oracle(A) for A in acts)
+    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
+    assert any(harness._check_t8(ctx, p) != t8_oracle(ctx, p) for p in pairs)

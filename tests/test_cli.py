@@ -342,6 +342,20 @@ def _trivial_act_file(tmp_path, m):
     return str(path)
 
 
+def test_classify_refuses_a_carrier_past_the_byte_maps(tmp_path, capsys):
+    path = _trivial_act_file(tmp_path, 256)
+    assert main(["classify", path, "--act", "A"]) == 3
+    assert "act analysis: carrier size 256 exceeds the byte-map cap of 255" in capsys.readouterr().err
+
+
+def test_endos_lists_300_maps_without_an_analysis(capsys):
+    # `endos` prints the hom search's tuple maps; no byte maps are made
+    assert main(["endos", "--regular", "Z300"]) == 0
+    out = capsys.readouterr().out
+    assert "endomorphisms of regular(Z300) over Z300: 300" in out
+    assert "  299: " in out
+
+
 OVERFLOW_MESSAGE = "more than 4096 homomorphisms: search stopped at map 4097"
 
 

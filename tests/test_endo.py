@@ -199,15 +199,19 @@ def test_fully_invariant(a2, reg_z4, z4):
     assert is_fully_invariant(subact(reg_z4, [idx[0], idx[2]]), endos)
 
 
+def _maps(homs):
+    return [bytes(f.mapping) for f in homs]
+
+
 def test_induced_endomorphisms_via_identity(a2):
     ident = ActHom(a2, a2, (0, 1))
     endos = homomorphisms(a2, a2)
-    ok, _ = induces_all_endomorphisms(ident, endos, endos)
+    ok, _ = induces_all_endomorphisms(ident, _maps(endos), _maps(endos))
     assert ok
     assert has_section(ident, endos)
 
 
 def test_induced_endomorphisms_on_quotient(a2):
     Q, pi = quotient_by_congruence(a2, rees_congruence(a2, subact(a2, [1])))
-    ok, _ = induces_all_endomorphisms(pi, homomorphisms(a2, a2), homomorphisms(Q, Q))
+    ok, _ = induces_all_endomorphisms(pi, _maps(homomorphisms(a2, a2)), _maps(homomorphisms(Q, Q)))
     assert ok

@@ -226,8 +226,8 @@ def test_planted_unpowered_criterion_3_is_caught(monkeypatch):
     endo_index = deciders._endo_index
     monkeypatch.setattr(
         deciders, "_endo_index",
-        lambda f, criterion, index, tail, settled: endo_index(
-            f, criterion, index, tail, lambda f_n: settled(f.mapping)),
+        lambda m, criterion, index, tail, settled: endo_index(
+            m, criterion, index, tail, lambda f_n: settled(m)),
     )
     bad = oracle_mismatches(corpus_acts(2, 3))
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
