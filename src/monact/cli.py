@@ -256,7 +256,7 @@ def cmd_suite(args):
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     spec = CorpusSpec(max_monoid_size=args.max_monoid, max_act_size=args.max_act,
                       theorems=theorems, seed=args.seed, samples=args.samples)
-    result = run_suite(spec)  # refuses an unknown theorem id before the corpus is built
+    result = run_suite(spec)
     failures = [v for v in result.verdicts if not v.passed]
     if args.json:
         sys.stdout.write(suite_json(result))

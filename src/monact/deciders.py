@@ -68,7 +68,7 @@ class ActAnalysis:
         self.act = act
         self.acts = {}
         self._homs = {}
-        self._lifts = {}
+        self.unlifted = {}
         self._quotients = {}
 
     def homs(self, B: Act):
@@ -121,15 +121,16 @@ class ActAnalysis:
         return self._quotients[rho.labels]
 
     def lifts(self, rho: Congruence) -> bool:
-        """Whether every hom A -> A/rho lifts through p_rho: one bool per
-        congruence, keyed by its labels.  If so, every surjection h: A -> B
+        """Whether every hom A -> A/rho lifts through p_rho: one search per
+        congruence, `unlifted` keeping its first unlifted hom or None by
+        the labels.  If so, every surjection h: A -> B
         with kernel rho induces all of End(B): h = i o p_rho for an
         isomorphism i, and i^-1 o f o h = p_rho o g gives f o h = h o g."""
-        if rho.labels not in self._lifts:
+        if rho.labels not in self.unlifted:
             # p_diagonal is an isomorphism: no second End(A) search for it
             diag = rho == diagonal(self.act)
-            self._lifts[rho.labels] = diag or _unlifted_hom(self, rho) is None
-        return self._lifts[rho.labels]
+            self.unlifted[rho.labels] = None if diag else _unlifted_hom(self, rho)
+        return self.unlifted[rho.labels] is None
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:
@@ -334,14 +335,14 @@ def is_quasi_projective(A: Act | ActAnalysis):
     Surjections g: A -> B are covered by the canonical projections
     A -> A/rho: any surjection factors through A/ker(g) by an
     isomorphism.  The diagonal is skipped: A -> A/diagonal is the
-    identity, through which every endomorphism lifts.  Only the first
-    false lift flag's counterexample is rebuilt.  Returns (flag,
+    identity, through which every endomorphism lifts.  The counterexample
+    is the hom the lift flag's search kept.  Returns (flag,
     counterexample).
     """
     an = analyse(A)
     for rho in an.congruences[1:]:
         if not an.lifts(rho):
-            return False, (rho, _unlifted_hom(an, rho))
+            return False, (rho, an.unlifted[rho.labels])
     return True, None
 
 

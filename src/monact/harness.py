@@ -10,16 +10,17 @@ table is an action and is not re-validated.  Each isomorphism class is
 relabeled once, as flat `bytes` renamed by `bytes.translate` (m <= 9),
 into a seen set that absorbs its other labelled copies.
 Every registered theorem is evaluated as a universally quantified
-implication over the corpus, reading one `deciders.ActAnalysis` per
-act; each single-act implication is one `_act_check` call.  A failing
-instance produces a verdict whose witness carries the full tables,
-enough to re-run the check.
+implication over the corpus, one monoid at a time: each monoid gets a
+fresh `SuiteContext` (one `deciders.ActAnalysis` per act), dropped
+before the next, and every theorem's instance is one `_implication`
+call.  A failing instance produces a verdict whose witness names the
+instance by its full tables, enough to re-run the check.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 from math import factorial
 from operator import ge, le
@@ -285,6 +286,9 @@ class CorpusSpec:
     def __post_init__(self):
         if min(self.max_monoid_size, self.max_act_size) < 1 or self.samples < 0:
             raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
+        for tid in self.theorems:
+            if tid not in REGISTRY:
+                raise UnknownTheorem(tid)
 
 
 @dataclass
@@ -315,9 +319,11 @@ def build_corpus(spec: CorpusSpec) -> Corpus:
 # -- shared evaluation context ------------------------------------------------
 
 class SuiteContext:
-    """One ActAnalysis per act, shared by every theorem.  The four flag
-    methods answer from a test-only override table where it names their
-    decider, and from the analysis' `flags` otherwise."""
+    """One ActAnalysis per act, shared by every theorem.  `run_suite`
+    makes one per monoid (no theorem instance reaches past its monoid's
+    acts) and drops it before the next.  The four flag methods answer
+    from a test-only override table where it names their decider, and
+    from the analysis' `flags` otherwise."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
@@ -357,40 +363,65 @@ def _payload(rows):
     return [list(row) for row in rows]
 
 
-def _witness(tid, M, flags, **extra):
-    w = {"theorem": tid, "monoid": _payload(M.table), "flags": flags}
-    w.update(extra)
-    return w
+def _instance_fields(instance):
+    """The witness fields naming an instance: the monoid's table, plus
+    `act` for an Act, `act`/`act_b` for an (Act, Act) pair and
+    `act`/`subact` for an (Act, Subact) pair.  `rebuild_instance` reads
+    the same keys back."""
+    if isinstance(instance, Monoid):
+        return {"monoid": _payload(instance.table)}
+    if isinstance(instance, Act):
+        return {"monoid": _payload(instance.monoid.table), "act": _payload(instance.action)}
+    A, B = instance
+    fields = _instance_fields(A)
+    if isinstance(B, Act):
+        fields["act_b"] = _payload(B.action)
+    else:
+        fields["subact"] = list(B.members)
+    return fields
+
+
+def rebuild_instance(witness: dict):
+    """Reconstruct a checkable instance from a failure witness."""
+    M = validate_monoid(len(witness["monoid"]), witness["monoid"])
+    if "act" not in witness:
+        return M
+    A = validate_act(M, len(witness["act"]), witness["act"])
+    if "act_b" in witness:
+        return A, validate_act(M, len(witness["act_b"]), witness["act_b"])
+    if "subact" in witness:
+        return A, subact(A, witness["subact"])
+    return A
 
 
 # -- theorem checks ------------------------------------------------------------
 # Each check returns (nonvacuous, passed, witness_or_None, details_dict).
 
-def _act_check(tid, A, hyp, concl, flags):
-    """One act's instance of hyp => concl: vacuous without hyp, failed
-    with a witness carrying `flags` when concl is false."""
-    if not hyp:
-        return False, True, None, {}
-    if concl:
-        return True, True, None, {}
-    return True, False, _witness(tid, A.monoid, flags, act=_payload(A.action)), {}
+def _implication(tid, instance, hyp, concl, flags, details={}, **extra):
+    """One instance of hyp => concl: vacuous without hyp, failed when
+    concl is false, with a witness that names the instance and carries
+    `flags` and the `extra` evidence.  `details` passes through."""
+    if not hyp or concl:
+        return bool(hyp), True, None, details
+    witness = {"theorem": tid, "flags": flags, **_instance_fields(instance), **extra}
+    return True, False, witness, details
 
 
 def _check_t1(ctx, A):
     noe, h = ctx.analysis(A).report.noetherian, ctx.hopfian(A)
-    return _act_check("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
+    return _implication("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
 
 
 def _check_t2(ctx, A):
     art, co = ctx.analysis(A).report.artinian, ctx.co_hopfian(A)
-    return _act_check("T2", A, art, co, {"artinian": art, "co_hopfian": co})
+    return _implication("T2", A, art, co, {"artinian": art, "co_hopfian": co})
 
 
 def _check_t3(ctx, A):
     h, co = ctx.hopfian(A), ctx.co_hopfian(A)
     sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
     flags = {"strongly_hopfian": sh, "hopfian": h, "strongly_co_hopfian": sch, "co_hopfian": co}
-    return _act_check("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
+    return _implication("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
 
 
 def _criteria_check(tid, decide, A, ctx):
@@ -406,13 +437,8 @@ def _criteria_check(tid, decide, A, ctx):
         "criterion3_index_mismatches": int(idx[2] != idx[1]),
         "max_stabilization_index": idx[1] or 0,
     }
-    if passed:
-        return True, True, None, details
-    flags = {
-        "criterion_bools": bools,
-        "criterion_indices": idx,
-    }
-    return True, False, _witness(tid, A.monoid, flags, act=_payload(A.action)), details
+    flags = {"criterion_bools": bools, "criterion_indices": idx}
+    return _implication(tid, A, True, passed, flags, details)
 
 
 def _check_t4(ctx, A):
@@ -426,33 +452,20 @@ def _check_t5(ctx, A):
 def _check_t6(ctx, M):
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
-    act_sh = ctx.strongly_hopfian(R)
-    act_sch = ctx.strongly_co_hopfian(R)
-    passed = mono.strongly_hopfian == act_sh and mono.strongly_co_hopfian == act_sch
-    if passed:
-        return True, True, None, {}
-    flags = {
-        "monoid_level": [mono.strongly_hopfian, mono.strongly_co_hopfian],
-        "act_level": [act_sh, act_sch],
-    }
-    return True, False, _witness("T6", M, flags), {}
+    monoid_level = [mono.strongly_hopfian, mono.strongly_co_hopfian]
+    act_level = [ctx.strongly_hopfian(R), ctx.strongly_co_hopfian(R)]
+    flags = {"monoid_level": monoid_level, "act_level": act_level}
+    return _implication("T6", M, True, monoid_level == act_level, flags)
 
 
 def _check_t7(ctx, pair):
     A, B = pair
     found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
-    hyp = found is not None and found.proper and ctx.strongly_hopfian(B)
-    if not hyp:
-        return False, True, None, {}
-    if ctx.strongly_hopfian(A):
-        return True, True, None, {}
+    proper = found is not None and found.proper
+    maps = {"gamma": list(found.gamma.mapping), "pi": list(found.pi.mapping)} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
-    w = _witness(
-        "T7", A.monoid, flags,
-        act=_payload(A.action), act_b=_payload(B.action),
-        gamma=list(found.gamma.mapping), pi=list(found.pi.mapping),
-    )
-    return True, False, w, {}
+    hyp = proper and ctx.strongly_hopfian(B)
+    return _implication("T7", pair, hyp, ctx.strongly_hopfian(A), flags, **maps)
 
 
 def _check_t8(ctx, pair):
@@ -460,59 +473,57 @@ def _check_t8(ctx, pair):
     h and h' = s o h (s in Aut(B)) share a kernel, f o h' = h' o g iff
     (s^-1 f s) o h = h o g, f -> s^-1 f s permutes End(B), and t is a
     section of h iff t o s^-1 is one of h'.  Where A's lift flag at
-    ker h holds, h induces all of End(B) (`ActAnalysis.lifts`)."""
+    ker h holds, h induces all of End(B) (`ActAnalysis.lifts`).  A
+    failure stops at the first induced surjection, its witness h."""
     A, B = pair
+    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    concl = ctx.strongly_co_hopfian(B)
     induces, section = {}, {}
     sections = induced = 0
-    for h in ctx.analysis(A).homs(B):
+    witness_h = []
+    for h in an_a.homs(B):
         if len(set(h.mapping)) != B.size:
             continue
         rho = kernel_congruence(h)
         if rho.labels not in induces:
-            induces[rho.labels] = ctx.analysis(A).lifts(rho) or induces_all_endomorphisms(
-                h, ctx.analysis(A).maps, ctx.analysis(B).maps)[0]
+            induces[rho.labels] = an_a.lifts(rho) or induces_all_endomorphisms(
+                h, an_a.maps, an_b.maps)[0]
         if not induces[rho.labels] or not ctx.strongly_co_hopfian(A):
             continue
         induced += 1
         if rho.labels not in section:
-            section[rho.labels] = has_section(h, ctx.analysis(B).homs(A))
+            section[rho.labels] = has_section(h, an_b.homs(A))
         sections += section[rho.labels]
-        if not ctx.strongly_co_hopfian(B):
-            flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
-            w = _witness(
-                "T8", A.monoid, flags,
-                act=_payload(A.action), act_b=_payload(B.action), h=list(h.mapping),
-            )
-            return True, False, w, {"induced_surjections": induced, "with_section": sections}
-    return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
+        if not concl:
+            witness_h = list(h.mapping)
+            break
+    flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
+    details = {"induced_surjections": induced, "with_section": sections}
+    return _implication("T8", pair, induced, concl, flags, details, h=witness_h)
 
 
 def _check_t9(ctx, inst):
     A, B = inst
-    if not is_fully_invariant(B, ctx.analysis(A).endos):
-        return False, True, None, {}
-    B_act, _ = subact_as_act(B)
-    Q, _ = ctx.analysis(A).quotient(rees_congruence(A, B))
-    hyp = ctx.strongly_hopfian(B_act) and ctx.strongly_hopfian(Q)
-    if not hyp:
-        return False, True, None, {}
-    if ctx.strongly_hopfian(A):
-        return True, True, None, {}
+    an = ctx.analysis(A)
+    hyp = (
+        is_fully_invariant(B, an.endos)
+        and ctx.strongly_hopfian(subact_as_act(B)[0])
+        and ctx.strongly_hopfian(an.quotient(rees_congruence(A, B))[0])
+    )
     flags = {
         "fully_invariant": True,
         "subact_strongly_hopfian": True,
         "quotient_strongly_hopfian": True,
         "A_strongly_hopfian": False,
     }
-    w = _witness("T9", A.monoid, flags, act=_payload(A.action), subact=list(B.members))
-    return True, False, w, {}
+    return _implication("T9", inst, hyp, ctx.strongly_hopfian(A), flags)
 
 
 def _check_t10(ctx, A):
     pi = ctx.analysis(A).report.end_strongly_pi_regular
     sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
     flags = {"end_strongly_pi_regular": pi, "strongly_hopfian": sh, "strongly_co_hopfian": sch}
-    return _act_check("T10", A, pi, sh and sch, flags)
+    return _implication("T10", A, pi, sh and sch, flags)
 
 
 def _check_t11(ctx, A):
@@ -526,7 +537,7 @@ def _check_t11(ctx, A):
         "end_strongly_pi_regular": rep.end_strongly_pi_regular,
     }
     hyp = rep.quasi_injective and sh and rep.end_commutative
-    return _act_check("T11", A, hyp, sch and rep.end_strongly_pi_regular, flags)
+    return _implication("T11", A, hyp, sch and rep.end_strongly_pi_regular, flags)
 
 
 def _check_t12(ctx, A):
@@ -540,7 +551,7 @@ def _check_t12(ctx, A):
         "end_strongly_pi_regular": rep.end_strongly_pi_regular,
     }
     hyp = rep.quasi_projective and sch and rep.end_commutative
-    return _act_check("T12", A, hyp, sh and rep.end_strongly_pi_regular, flags)
+    return _implication("T12", A, hyp, sh and rep.end_strongly_pi_regular, flags)
 
 
 def _factor_acts(ctx, A):
@@ -553,7 +564,7 @@ def _check_t13(ctx, A):
     all_co = all(ctx.co_hopfian(Q) for Q in factors)
     all_strong = all(ctx.strongly_co_hopfian(Q) for Q in factors)
     flags = {"all_factors_co_hopfian": all_co, "all_factors_strongly_co_hopfian": all_strong}
-    return _act_check("T13", A, True, all_co == all_strong, flags)
+    return _implication("T13", A, True, all_co == all_strong, flags)
 
 
 def _check_t14(ctx, A):
@@ -563,7 +574,7 @@ def _check_t14(ctx, A):
         ctx.strongly_hopfian(Q) and ctx.strongly_co_hopfian(Q) for Q in factors
     )
     flags = {"all_factors_hopfian_co_hopfian": all_plain, "all_factors_fitting": all_fitting}
-    return _act_check("T14", A, True, all_plain == all_fitting, flags)
+    return _implication("T14", A, True, all_plain == all_fitting, flags)
 
 
 REGISTRY = {
@@ -588,44 +599,38 @@ REGISTRY = {
 class Verdict:
     theorem: str
     title: str
-    instances: int
-    nonvacuous: int
-    passed: bool
+    instances: int = 0
+    nonvacuous: int = 0
+    passed: bool = True
     witness: dict | None = None
     details: dict = field(default_factory=dict)
 
+    def add(self, nonvacuous, passed, witness, details):
+        """Fold in one instance's check result; the first failure's
+        witness is kept."""
+        self.instances += 1
+        self.nonvacuous += int(nonvacuous)
+        for k, v in details.items():
+            # max_-prefixed detail keys aggregate by maximum, the rest count
+            old = self.details.get(k, 0)
+            self.details[k] = max(old, v) if k.startswith("max_") else old + v
+        if not passed and self.passed:
+            self.passed, self.witness = False, witness
+
     def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "title": self.title,
-            "instances": self.instances,
-            "nonvacuous": self.nonvacuous,
-            "passed": self.passed,
-            "witness": self.witness,
-            "details": dict(sorted(self.details.items())),
-        }
+        return asdict(self)
 
 
-def _instances_for(kind, corpus, ctx):
+def _instances_for(kind, M, per, ctx):
+    """The instances of one theorem kind over monoid M and its acts `per`."""
     if kind == "act":
-        for per in corpus.acts:
-            yield from per
-    elif kind == "monoid":
-        yield from corpus.monoids
-    elif kind in ("act_pair_up", "act_pair_down"):
-        keep = le if kind == "act_pair_up" else ge
-        for per in corpus.acts:
-            for A in per:
-                for B in per:
-                    if keep(A.size, B.size):
-                        yield (A, B)
-    elif kind == "act_subact":
-        for per in corpus.acts:
-            for A in per:
-                for B in ctx.analysis(A).subacts:
-                    yield (A, B)
-    else:
-        raise AssertionError(kind)
+        return per
+    if kind == "monoid":
+        return [M]
+    if kind == "act_subact":
+        return ((A, B) for A in per for B in ctx.analysis(A).subacts)
+    keep = {"act_pair_up": le, "act_pair_down": ge}[kind]
+    return ((A, B) for A in per for B in per if keep(A.size, B.size))
 
 
 def check_theorem(tid: str, instance, overrides=None) -> Verdict:
@@ -637,8 +642,9 @@ def check_theorem(tid: str, instance, overrides=None) -> Verdict:
     if tid not in REGISTRY:
         raise UnknownTheorem(tid)
     title, _, fn = REGISTRY[tid]
-    nonvac, passed, witness, details = fn(SuiteContext(overrides), instance)
-    return Verdict(tid, title, 1, int(nonvac), passed, witness, details)
+    verdict = Verdict(tid, title)
+    verdict.add(*fn(SuiteContext(overrides), instance))
+    return verdict
 
 
 @dataclass
@@ -650,68 +656,34 @@ class SuiteResult:
 
 
 def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
-    """Check every requested theorem over the whole corpus.
+    """Check every requested theorem over the whole corpus, one monoid at
+    a time: a fresh SuiteContext per monoid reads its acts' reports and
+    instances, and each theorem's Verdict folds them in place.
 
     Deterministic given the spec (including the sampling seed): corpus
     order is canonical and verdicts aggregate in iteration order.
     """
-    for tid in spec.theorems:
-        if tid not in REGISTRY:
-            raise UnknownTheorem(tid)
     corpus = build_corpus(spec)
-    ctx = SuiteContext(overrides)
+    tids = sorted(spec.theorems, key=lambda t: int(t[1:]))
+    verdicts = [Verdict(tid, REGISTRY[tid][0]) for tid in tids]
     reports = []
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
+        ctx = SuiteContext(overrides)
         for ai, A in enumerate(per):
-            rep = ctx.analysis(A).report
-            entry = {
+            reports.append({
                 "monoid": f"M{mi}",
                 "act": f"M{mi}.A{ai}",
                 "monoid_size": M.size,
                 "act_size": A.size,
                 "monoid_table": _payload(M.table),
                 "action": _payload(A.action),
-                "properties": rep.to_dict(),
-            }
-            reports.append(entry)
-    verdicts = []
-    for tid in sorted(spec.theorems, key=lambda t: int(t[1:])):
-        title, kind, fn = REGISTRY[tid]
-        total = 0
-        nonvac = 0
-        passed = True
-        witness = None
-        details = {}
-        for instance in _instances_for(kind, corpus, ctx):
-            total += 1
-            nv, ok, w, d = fn(ctx, instance)
-            nonvac += int(nv)
-            for k, v in d.items():
-                # max_-prefixed detail keys aggregate by maximum, the rest count
-                if k.startswith("max_"):
-                    details[k] = max(details.get(k, 0), v)
-                else:
-                    details[k] = details.get(k, 0) + v
-            if not ok and passed:
-                passed = False
-                witness = w
-        verdicts.append(Verdict(tid, title, total, nonvac, passed, witness, details))
+                "properties": ctx.analysis(A).report.to_dict(),
+            })
+        for verdict in verdicts:
+            _, kind, fn = REGISTRY[verdict.theorem]
+            for instance in _instances_for(kind, M, per, ctx):
+                verdict.add(*fn(ctx, instance))
     return SuiteResult(spec, corpus, verdicts, reports)
-
-
-def rebuild_instance(tid: str, witness: dict):
-    """Reconstruct a checkable instance from a failure witness."""
-    kind = REGISTRY[tid][1]
-    M = validate_monoid(len(witness["monoid"]), witness["monoid"])
-    if kind == "monoid":
-        return M
-    A = validate_act(M, len(witness["act"]), witness["act"])
-    if kind in ("act_pair_up", "act_pair_down"):
-        B = validate_act(M, len(witness["act_b"]), witness["act_b"])
-        return (A, B)
-    if kind == "act_subact":
-        return (A, subact(A, witness["subact"]))
-    return A
 
 
 def recheck_verdict(verdict: Verdict, overrides=None) -> bool:
@@ -722,6 +694,5 @@ def recheck_verdict(verdict: Verdict, overrides=None) -> bool:
     """
     if verdict.witness is None:
         return False
-    instance = rebuild_instance(verdict.theorem, verdict.witness)
-    redo = check_theorem(verdict.theorem, instance, overrides)
+    redo = check_theorem(verdict.theorem, rebuild_instance(verdict.witness), overrides)
     return not redo.passed

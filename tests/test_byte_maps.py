@@ -39,8 +39,9 @@ def _five_point_acts():
 
 
 def _pairs(kind, spec):
-    ctx = SuiteContext()
-    return ctx, list(harness._instances_for(kind, build_corpus(spec), ctx))
+    ctx, corpus = SuiteContext(), build_corpus(spec)
+    return ctx, [p for M, per in zip(corpus.monoids, corpus.acts)
+                 for p in harness._instances_for(kind, M, per, ctx)]
 
 
 def test_maps_are_the_endomorphisms_as_bytes():
@@ -125,16 +126,18 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     monkeypatch.setattr(harness, "SuiteContext", Recording)
     result = harness.run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
-    (ctx,) = made
+    # one context per monoid, made in corpus order
+    assert len(made) == len(result.corpus.monoids)
     factors = []
-    for A in (A for per in result.corpus.acts for A in per):
-        an = ctx.analysis(A)
-        factors.extend(an.quotient(rho)[0] for rho in an.congruences)
-    tables = {(Q.monoid.table, Q.action) for Q in factors}
+    for ctx, per in zip(made, result.corpus.acts):
+        for A in per:
+            an = ctx.analysis(A)
+            factors.extend((ctx, an.quotient(rho)[0]) for rho in an.congruences)
+    tables = {(Q.monoid.table, Q.action) for _, Q in factors}
     assert len(factors) == 957
-    assert len({id(Q) for Q in factors}) == len(tables) == 156
+    assert len({id(Q) for _, Q in factors}) == len(tables) == 156
     # each factor's analysis reads that same Act
-    assert all(ctx.analysis(Q).act is Q for Q in factors)
+    assert all(ctx.analysis(Q).act is Q for ctx, Q in factors)
 
 
 def test_planted_shifted_projection_is_caught(monkeypatch):

@@ -269,6 +269,8 @@ def test_check_theorem_single_instances(a2, reg_z4):
 def test_check_theorem_unknown():
     with pytest.raises(UnknownTheorem):
         check_theorem("T99", None)
+    with pytest.raises(UnknownTheorem, match="T99"):
+        CorpusSpec(theorems=("T1", "T99"))
 
 
 @pytest.mark.parametrize("fields", [
@@ -346,10 +348,35 @@ def test_rebuild_instance_round_trip(a2):
     assert v.passed
     v = check_theorem("T1", a2, {"is_hopfian": lambda A: False})
     assert not v.passed
-    rebuilt = rebuild_instance("T1", v.witness)
+    rebuilt = rebuild_instance(v.witness)
     assert isinstance(rebuilt, Act)
     assert rebuilt.action == a2.action
     assert rebuilt.monoid.table == a2.monoid.table
+
+
+# T6: the regular act of the 2-element monoids; T7: a 1-point proper
+# retract; T8: a 2-point image of a 3-point act; T9: a 3-point act with a
+# fully invariant 2-point subact, whose Rees quotient has 2 points
+SMALL_SH = {"is_strongly_hopfian": lambda X: X.size < 3}
+POINT_SH = {"is_strongly_hopfian": lambda X: X.size != 1}
+PAIR_SCH = {"is_strongly_co_hopfian": lambda X: X.size != 2}
+
+
+@pytest.mark.parametrize("tid, overrides, fields", [
+    ("T6", PAIR_SCH, {"monoid"}),
+    ("T7", POINT_SH, {"monoid", "act", "act_b"}),
+    ("T8", PAIR_SCH, {"monoid", "act", "act_b"}),
+    ("T9", SMALL_SH, {"monoid", "act", "subact"}),
+])
+def test_rebuild_instance_round_trip_every_shape(tid, overrides, fields):
+    spec = CorpusSpec(max_monoid_size=2, max_act_size=3, theorems=(tid,))
+    (v,) = run_suite(spec, overrides).verdicts
+    assert not v.passed
+    rebuilt = rebuild_instance(v.witness)
+    written = harness._instance_fields(rebuilt)
+    assert set(written) == fields
+    assert {k: v.witness[k] for k in fields} == written
+    assert recheck_verdict(v, overrides)
 
 
 def test_verdict_to_dict_is_json_ready():

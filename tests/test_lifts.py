@@ -21,9 +21,12 @@ def _acts(spec):
 
 def _t8_results(spec, overrides=None):
     """(check, oracle) results on every act_pair_down pair of the corpus."""
-    ctx = SuiteContext(overrides)
-    pairs = harness._instances_for("act_pair_down", build_corpus(spec), ctx)
-    return [(harness._check_t8(ctx, p), t8_oracle(ctx, p)) for p in pairs]
+    corpus, results = build_corpus(spec), []
+    for M, per in zip(corpus.monoids, corpus.acts):
+        ctx = SuiteContext(overrides)
+        pairs = harness._instances_for("act_pair_down", M, per, ctx)
+        results += [(harness._check_t8(ctx, p), t8_oracle(ctx, p)) for p in pairs]
+    return results
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["2-3", "default"])
