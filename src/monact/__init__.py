@@ -54,7 +54,6 @@ from .endo import (
     is_commutative,
     is_fully_invariant,
     is_retract_of,
-    is_strongly_pi_regular,
 )
 from .harness import (
     CorpusSpec,

@@ -19,6 +19,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 
 from .act import regular_act
@@ -235,17 +236,7 @@ def cmd_congruences(args):
 
 def suite_json(result) -> str:
     """The `suite --json` document of a run_suite result."""
-    spec = result.spec
-    spec_blob = json.dumps(
-        {
-            "max_monoid_size": spec.max_monoid_size,
-            "max_act_size": spec.max_act_size,
-            "theorems": list(spec.theorems),
-            "seed": spec.seed,
-            "samples": spec.samples,
-        },
-        sort_keys=True,
-    )
+    spec_blob = json.dumps(asdict(result.spec), sort_keys=True)
     verdicts = [v.to_dict() for v in result.verdicts]
     return _json_doc(_digest(spec_blob.encode()), result.reports, verdicts)
 
@@ -281,6 +272,8 @@ def cmd_suite(args):
 def cmd_family36(args):
     if not is_prime(args.p):
         raise NotPrime(f"{args.p} is not prime")
+    if args.max_n < 1:
+        raise InputError("--max-n must be at least 1")
     print(f"p={args.p}: truncation depth N vs chain index of the distinguished element")
     for n in range(1, args.max_n + 1):
         S, x = prime_power_product(args.p, n)

@@ -11,8 +11,9 @@ of each power map, once per map and decider call.
 `ActAnalysis.maps` holds the endomorphisms as `bytes` (so at most 255
 points), and each composition is one C call: f o x for fixed f is
 `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
-fixed g an `itemgetter` gather (restrictions).  `classify_act` still
-builds the End(A) table for two flags (`endo.end_monoid`, ROADMAP item 1).
+fixed g an `itemgetter` gather (restrictions).  Strong pi-regularity
+of End(A) is checked on each power walk; `classify_act` still builds
+the End(A) table for its size and commutativity (`endo.end_monoid`).
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .congruence import (
     diagonal,
     enumerate_congruences,
 )
-from .endo import (
-    end_monoid,
-    homomorphisms,
-    identity_first,
-    is_commutative,
-    is_strongly_pi_regular,
-)
+from .endo import end_monoid, homomorphisms, identity_first, is_commutative
 from .errors import SizeTooLarge
 from .monoid import Monoid, element_power, row_partition
 from .relation import least_labels
@@ -57,8 +52,7 @@ class ActAnalysis:
     `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
-    one analysis shares the work.  `acts` keys factor acts by (monoid
-    table, action), one Act each; SuiteContext shares it across a run.
+    one analysis shares the work.
     """
 
     def __init__(self, act: Act):
@@ -66,7 +60,6 @@ class ActAnalysis:
             raise SizeTooLarge(
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
-        self.acts = {}
         self._homs = {}
         self.unlifted = {}
         self._quotients = {}
@@ -115,9 +108,7 @@ class ActAnalysis:
     def quotient(self, rho: Congruence):
         """The factor act A/rho and its projection, built once per rho."""
         if rho.labels not in self._quotients:
-            Q, proj = quotient_by_congruence(self.act, rho)
-            Q = self.acts.setdefault((Q.monoid.table, Q.action), Q)
-            self._quotients[rho.labels] = Q, ActHom(self.act, Q, proj.mapping)
+            self._quotients[rho.labels] = quotient_by_congruence(self.act, rho)
         return self._quotients[rho.labels]
 
     def lifts(self, rho: Congruence) -> bool:
@@ -147,12 +138,16 @@ class PowerProfile(NamedTuple):
     (image) stays the same from that index through f^(c+p), where
     f^(c+p) = f^c is the first repeated power: every later power repeats
     one of f^c .. f^(c+p-1), so that stretch is the whole tail.
+    `pi_regular` says whether g = f^(p-1) (the identity when p = 1)
+    satisfies f^c = g o f^(c+1) = f^(c+1) o g, so that f is strongly
+    pi-regular in End(A) (Drazin's pseudo-inverse of a finite monoid).
     """
 
     k_index: int
     i_index: int
     k_tail: bool
     i_tail: bool
+    pi_regular: bool
 
 
 def _settle(chain):
@@ -174,18 +169,24 @@ def _powers(m):
 
 def power_profile(f: ActHom) -> PowerProfile:
     """f's profile from one walk f, f^2, .. up to the first repeated
-    power, comparing kernel labels and image sets; the powers themselves
+    power f^(c+p) = f^c, comparing kernel labels and image sets and
+    checking the pi-regularity witness on the walk's own powers, which
     are not kept."""
-    seen, kernels, images = set(), [], []
-    for cur in _powers(bytes(f.mapping)):
+    seen, kernels, images = {}, [], []
+    for n, cur in enumerate(_powers(bytes(f.mapping)), 1):
         kernels.append(least_labels(cur))
         images.append(frozenset(cur))
         if cur in seen:
             break
-        seen.add(cur)
+        seen[cur] = n
+    c, p = seen[cur], n - seen[cur]
+    walk = [*seen, cur]  # walk[k] is f^(k+1)
+    g = walk[p - 2] if p > 1 else bytes(range(len(cur)))
+    f_c1 = walk[c]
+    pi = f_c1.translate(g.ljust(256, b"\0")) == cur == g.translate(f_c1.ljust(256, b"\0"))
     k, k_tail = _settle(kernels)
     i, i_tail = _settle(images)
-    return PowerProfile(k, i, k_tail, i_tail)
+    return PowerProfile(k, i, k_tail, i_tail, pi)
 
 
 @dataclass(frozen=True)
@@ -439,7 +440,7 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
         quasi_injective=is_quasi_injective(an)[0],
         quasi_projective=is_quasi_projective(an)[0],
         end_commutative=is_commutative(E),
-        end_strongly_pi_regular=is_strongly_pi_regular(E)[0],
+        end_strongly_pi_regular=all(p.pi_regular for p in an.profiles),
         end_size=E.monoid.size,
         congruence_count=n_congs,
         congruence_max_chain=max_chain,

@@ -109,8 +109,8 @@ def end_monoid(A: Act, endos=None) -> EndMonoid:
 
     Row f of the table, f o g over every g, is one `bytes.translate`
     per cell through f's rename table, so carriers stop at 255 points.
-    `classify_act` builds the table only to read the commutativity and
-    strong pi-regularity flags; ROADMAP item 1 reads them off the maps.
+    `classify_act` builds the table only for its size and commutativity
+    flag; strong pi-regularity is read off the power profiles.
     """
     if A.size > 255:
         raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")
@@ -157,34 +157,6 @@ def is_retract_of(into, back):
             if at_image(pi.mapping) == ident:
                 return Retract(gamma, pi, not gamma.is_surjective())
     return None
-
-
-def is_strongly_pi_regular(E: EndMonoid):
-    """(flag, witnesses): witnesses[f] = first (n, g) with
-    f^n = g*f^(n+1) = f^(n+1)*g, searching n ascending then g in
-    canonical element order.  n <= |E| always suffices on a finite
-    monoid, so a miss means False.
-    """
-    M = E.monoid
-    table = M.table
-    witnesses = []
-    ok = True
-    for f in range(M.size):
-        found = None
-        fn = f
-        for n in range(1, M.size + 1):
-            fn1 = table[fn][f]
-            for g in range(M.size):
-                if table[g][fn1] == fn == table[fn1][g]:
-                    found = (n, g)
-                    break
-            if found:
-                break
-            fn = fn1
-        if found is None:
-            ok = False
-        witnesses.append(found)
-    return ok, tuple(witnesses)
 
 
 def is_fully_invariant(B: Subact, endos) -> bool:

@@ -286,6 +286,8 @@ class CorpusSpec:
     def __post_init__(self):
         if min(self.max_monoid_size, self.max_act_size) < 1 or self.samples < 0:
             raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
+        if not self.theorems:
+            raise InputError("no theorem to check: --theorems names none")
         for tid in self.theorems:
             if tid not in REGISTRY:
                 raise UnknownTheorem(tid)
@@ -328,14 +330,12 @@ class SuiteContext:
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
         self._analyses = {}
-        self._acts = {}
 
     def analysis(self, A) -> ActAnalysis:
-        """A's analysis, one per table; all share one factor-act dict."""
+        """A's analysis, one per table."""
         key = (A.monoid.table, A.action)
         if key not in self._analyses:
-            an = self._analyses[key] = ActAnalysis(self._acts.setdefault(key, A))
-            an.acts = self._acts
+            self._analyses[key] = ActAnalysis(A)
         return self._analyses[key]
 
     def _flag(self, name, A, i):

@@ -11,7 +11,8 @@ oracle, `chain_reports_oracle`, which takes the endomorphisms and
 power profiles from the library and rebuilds each report through
 homomorphism powers.  The composition oracles (the End(A) table, the
 lift and liftable sets, retracts and sections) take their maps from the
-library too and compose them one tuple at a time with `compose`.
+library too and compose them one tuple at a time with `compose`; the
+strong pi-regularity oracle scans the library's End(A) table.
 """
 
 import json
@@ -513,6 +514,34 @@ def end_table_oracle(elements):
     the index of elements[i] o elements[j] by `compose`."""
     index = {f.mapping: i for i, f in enumerate(elements)}
     return tuple(tuple(index[compose(f, g).mapping] for g in elements) for f in elements)
+
+
+def is_strongly_pi_regular(E):
+    """(flag, witnesses) for End(A) `E` from its composition table:
+    witnesses[f] = first (n, g) with f^n = g*f^(n+1) = f^(n+1)*g,
+    searching n ascending then g in canonical element order.  n <= |E|
+    always suffices on a finite monoid, so a miss means False.
+    """
+    M = E.monoid
+    table = M.table
+    witnesses = []
+    ok = True
+    for f in range(M.size):
+        found = None
+        fn = f
+        for n in range(1, M.size + 1):
+            fn1 = table[fn][f]
+            for g in range(M.size):
+                if table[g][fn1] == fn == table[fn1][g]:
+                    found = (n, g)
+                    break
+            if found:
+                break
+            fn = fn1
+        if found is None:
+            ok = False
+        witnesses.append(found)
+    return ok, tuple(witnesses)
 
 
 def unlifted_hom_oracle(A, rho):

