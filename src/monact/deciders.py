@@ -11,9 +11,9 @@ of each power map, once per map and decider call.
 `ActAnalysis.maps` holds the endomorphisms as `bytes` (so at most 255
 points), and each composition is one C call: f o x for fixed f is
 `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
-fixed g an `itemgetter` gather (restrictions).  Strong pi-regularity
-of End(A) is checked on each power walk; `classify_act` still builds
-the End(A) table for its size and commutativity (`endo.end_monoid`).
+fixed g an `itemgetter` gather (restrictions).  End(A) is finite, so
+it is strongly pi-regular (Drazin); `classify_act` still builds the
+End(A) table for its size and commutativity (`endo.end_monoid`).
 """
 
 from __future__ import annotations
@@ -138,16 +138,12 @@ class PowerProfile(NamedTuple):
     (image) stays the same from that index through f^(c+p), where
     f^(c+p) = f^c is the first repeated power: every later power repeats
     one of f^c .. f^(c+p-1), so that stretch is the whole tail.
-    `pi_regular` says whether g = f^(p-1) (the identity when p = 1)
-    satisfies f^c = g o f^(c+1) = f^(c+1) o g, so that f is strongly
-    pi-regular in End(A) (Drazin's pseudo-inverse of a finite monoid).
     """
 
     k_index: int
     i_index: int
     k_tail: bool
     i_tail: bool
-    pi_regular: bool
 
 
 def _settle(chain):
@@ -169,24 +165,18 @@ def _powers(m):
 
 def power_profile(f: ActHom) -> PowerProfile:
     """f's profile from one walk f, f^2, .. up to the first repeated
-    power f^(c+p) = f^c, comparing kernel labels and image sets and
-    checking the pi-regularity witness on the walk's own powers, which
+    power, comparing kernel labels and image sets; the powers themselves
     are not kept."""
-    seen, kernels, images = {}, [], []
-    for n, cur in enumerate(_powers(bytes(f.mapping)), 1):
+    seen, kernels, images = set(), [], []
+    for cur in _powers(bytes(f.mapping)):
         kernels.append(least_labels(cur))
         images.append(frozenset(cur))
         if cur in seen:
             break
-        seen[cur] = n
-    c, p = seen[cur], n - seen[cur]
-    walk = [*seen, cur]  # walk[k] is f^(k+1)
-    g = walk[p - 2] if p > 1 else bytes(range(len(cur)))
-    f_c1 = walk[c]
-    pi = f_c1.translate(g.ljust(256, b"\0")) == cur == g.translate(f_c1.ljust(256, b"\0"))
+        seen.add(cur)
     k, k_tail = _settle(kernels)
     i, i_tail = _settle(images)
-    return PowerProfile(k, i, k_tail, i_tail, pi)
+    return PowerProfile(k, i, k_tail, i_tail)
 
 
 @dataclass(frozen=True)
@@ -440,7 +430,10 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
         quasi_injective=is_quasi_injective(an)[0],
         quasi_projective=is_quasi_projective(an)[0],
         end_commutative=is_commutative(E),
-        end_strongly_pi_regular=all(p.pi_regular for p in an.profiles),
+        # Drazin (1958): every element f of a finite monoid is strongly
+        # pi-regular, with g = f^(p-1) where f's powers first repeat at
+        # f^(c+p) = f^c; tests/oracles.py keeps the End(A) table scan
+        end_strongly_pi_regular=True,
         end_size=E.monoid.size,
         congruence_count=n_congs,
         congruence_max_chain=max_chain,

@@ -110,7 +110,7 @@ def end_monoid(A: Act, endos=None) -> EndMonoid:
     Row f of the table, f o g over every g, is one `bytes.translate`
     per cell through f's rename table, so carriers stop at 255 points.
     `classify_act` builds the table only for its size and commutativity
-    flag; strong pi-regularity is read off the power profiles.
+    flag; a finite monoid is always strongly pi-regular (Drazin).
     """
     if A.size > 255:
         raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")

@@ -3,8 +3,8 @@ as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
 `itemgetter` gather (a fixed right factor).  The End(A) table, the lift
 sets, the T8 liftable sets and the retract and section tests are each
 compared with a tuple-composition oracle built on `oracles.compose`, and
-each power profile's strong pi-regularity flag with the End(A) table
-scan `oracles.is_strongly_pi_regular`."""
+the End(A) table scan `oracles.is_strongly_pi_regular` backs the
+report's constant strong pi-regularity flag."""
 
 import random
 
@@ -64,18 +64,17 @@ def test_end_table_matches_compose_oracle():
     assert max(sizes) == 320
 
 
-def test_pi_regular_flags_match_table_oracle():
+def test_table_oracle_finds_a_pi_witness_for_every_endomorphism():
+    # Drazin: f^c = g o f^(c+1) = f^(c+1) o g for g = f^(p-1), so
+    # classify_act reports End(A) strongly pi-regular without a search
     acts = _acts(CorpusSpec()) + _five_point_acts()
     checked = 0
     for A in acts:
         an = ActAnalysis(A)
-        E = end_monoid(A, an.endos)
-        ok, witnesses = is_strongly_pi_regular(E)
-        want = {f.mapping: w is not None for f, w in zip(E.elements, witnesses)}
-        for f, p in zip(an.endos, an.profiles):
-            assert p.pi_regular == want[f.mapping], (A, f.mapping)
-            checked += 1
-        assert classify_act(an).end_strongly_pi_regular == ok, A
+        ok, witnesses = is_strongly_pi_regular(end_monoid(A, an.endos))
+        assert ok and None not in witnesses, A
+        assert classify_act(an).end_strongly_pi_regular, A
+        checked += len(witnesses)
     assert len(acts) == 142 + 4
     assert checked == 4451 + 524
 
@@ -135,6 +134,8 @@ def test_analysis_refuses_carriers_past_the_byte_maps():
 
 
 def test_suite_keeps_one_act_per_factor_table(monkeypatch):
+    """Each monoid's context holds one analysis per factor table, and
+    that analysis reads an act equal to every factor with the table."""
     made = []
 
     class Recording(SuiteContext):
@@ -151,8 +152,11 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     for ctx, per in zip(made, result.corpus.acts):
         for A in per:
             an = ctx.analysis(A)
-            factors.extend(an.quotient(rho)[0] for rho in an.congruences)
+            factors.extend((ctx, an.quotient(rho)[0]) for rho in an.congruences)
+    tables = {(Q.monoid.table, Q.action) for _, Q in factors}
     assert len(factors) == 957
+    assert len({id(ctx.analysis(Q)) for ctx, Q in factors}) == len(tables) == 156
+    assert all(ctx.analysis(Q).act == Q for ctx, Q in factors)
 
 
 def test_planted_shifted_projection_is_caught(monkeypatch):
