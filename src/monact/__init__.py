@@ -38,8 +38,6 @@ from .deciders import (
     PropertyReport,
     chain_reports,
     classify_act,
-    is_co_hopfian,
-    is_hopfian,
     is_quasi_injective,
     is_quasi_projective,
     is_strongly_co_hopfian,

@@ -28,7 +28,7 @@ def homomorphisms(A: Act, B: Act):
     Each (generator, image) attempt costs one node; more than
     DEFAULT_SEARCH_BUDGET nodes raise SearchBudgetExceeded, and a map
     past the first SIZE_CAP raises SizeOverflow, so no hom list (End(A)
-    included) grows beyond the cap.
+    included) grows beyond the cap.  Both messages name the search.
     """
     if A.monoid != B.monoid:
         raise SourceTargetMismatch("acts live over different monoids")
@@ -38,13 +38,16 @@ def homomorphisms(A: Act, B: Act):
     results = []
     nodes = 0
     budget = DEFAULT_SEARCH_BUDGET
+    search = (f"hom search from a {A.size}-point act to a {B.size}-point act "
+              f"over a {n_s}-element monoid")
 
     def backtrack(k):
         nonlocal nodes
         if k == len(gens):
             if len(results) == SIZE_CAP:
                 raise SizeOverflow(
-                    f"more than {SIZE_CAP} homomorphisms: search stopped at map {SIZE_CAP + 1}"
+                    f"{search}: more than {SIZE_CAP} homomorphisms: "
+                    f"search stopped at map {SIZE_CAP + 1}"
                 )
             results.append(tuple(mapping))
             return
@@ -53,7 +56,7 @@ def homomorphisms(A: Act, B: Act):
         for img in range(B.size):
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(f"over {budget} backtrack nodes")
+                raise SearchBudgetExceeded(f"{search}: over {budget} backtrack nodes")
             row_img = B.action[img]
             undo = []
             ok = True

@@ -11,10 +11,12 @@ relabeled once, as flat `bytes` renamed by `bytes.translate` (m <= 9),
 into a seen set that absorbs its other labelled copies.
 Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
-fresh `SuiteContext` (one `deciders.ActAnalysis` per act), dropped
-before the next, and every theorem's instance is one `_implication`
-call.  A failing instance produces a verdict whose witness names the
-instance by its full tables, enough to re-run the check.
+fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
+dropped before the next, and every theorem's instance is one
+`_implication` call.  A failing instance produces a verdict whose
+witness names the instance by its full tables, enough to re-run the
+check.  The Hopfian-type flags are constants on finite carriers, so
+only T4-T6, which compare indices, can fail without a test's override.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, regular_act, subact, subact_as_act, validate_act
+from .act import Act, ActHom, regular_act, subact, subact_as_act, validate_act
 from .congruence import kernel_congruence, rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
-from .deciders import ActAnalysis, monoid_hopf_properties
+from .deciders import ActAnalysis, monoid_hopf_properties, power_profile
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
@@ -320,41 +322,34 @@ def build_corpus(spec: CorpusSpec) -> Corpus:
 
 # -- shared evaluation context ------------------------------------------------
 
+FLAGS = H, CO, SH, SCH = (
+    "is_hopfian", "is_co_hopfian", "is_strongly_hopfian", "is_strongly_co_hopfian")
+
+
 class SuiteContext:
     """One ActAnalysis per act, shared by every theorem.  `run_suite`
     makes one per monoid (no theorem instance reaches past its monoid's
-    acts) and drops it before the next.  The four flag methods answer
-    from a test-only override table where it names their decider, and
-    from the analysis' `flags` otherwise."""
+    acts) and drops it before the next.  `flag(name, A)` reads one of
+    the Hopfian-type FLAGS: True on every finite act (pigeonhole,
+    Fitting's lemma), without analysing A, unless a test-only override
+    names it.  An override naming none of FLAGS is refused."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
-        self._analyses = {}
+        unknown = sorted(set(self.overrides) - set(FLAGS))
+        if unknown:
+            raise ValueError(f"overrides name no flag in {FLAGS}: {unknown}")
+        self.analyses = {}
 
     def analysis(self, A) -> ActAnalysis:
-        """A's analysis, one per table."""
+        """A's analysis, one per table, kept in `analyses`."""
         key = (A.monoid.table, A.action)
-        if key not in self._analyses:
-            self._analyses[key] = ActAnalysis(A)
-        return self._analyses[key]
+        if key not in self.analyses:
+            self.analyses[key] = ActAnalysis(A)
+        return self.analyses[key]
 
-    def _flag(self, name, A, i):
-        if name in self.overrides:
-            return self.overrides[name](A)
-        flag = self.analysis(A).flags[i]
-        return flag[0] if i > 1 else flag  # the strong flags carry an index
-
-    def hopfian(self, A):
-        return self._flag("is_hopfian", A, 0)
-
-    def co_hopfian(self, A):
-        return self._flag("is_co_hopfian", A, 1)
-
-    def strongly_hopfian(self, A):
-        return self._flag("is_strongly_hopfian", A, 2)
-
-    def strongly_co_hopfian(self, A):
-        return self._flag("is_strongly_co_hopfian", A, 3)
+    def flag(self, name, A) -> bool:
+        return self.overrides[name](A) if name in self.overrides else True
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -408,18 +403,18 @@ def _implication(tid, instance, hyp, concl, flags, details={}, **extra):
 
 
 def _check_t1(ctx, A):
-    noe, h = ctx.analysis(A).report.noetherian, ctx.hopfian(A)
+    noe, h = ctx.analysis(A).report.noetherian, ctx.flag(H, A)
     return _implication("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
 
 
 def _check_t2(ctx, A):
-    art, co = ctx.analysis(A).report.artinian, ctx.co_hopfian(A)
+    art, co = ctx.analysis(A).report.artinian, ctx.flag(CO, A)
     return _implication("T2", A, art, co, {"artinian": art, "co_hopfian": co})
 
 
 def _check_t3(ctx, A):
-    h, co = ctx.hopfian(A), ctx.co_hopfian(A)
-    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    h, co = ctx.flag(H, A), ctx.flag(CO, A)
+    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
     flags = {"strongly_hopfian": sh, "hopfian": h, "strongly_co_hopfian": sch, "co_hopfian": co}
     return _implication("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
 
@@ -450,12 +445,23 @@ def _check_t5(ctx, A):
 
 
 def _check_t6(ctx, M):
+    """The monoid-level tests agree with the regular act R, flag by flag
+    and element by element: lambda_s: x -> s*x is an endomorphism of R
+    with ker lambda_s^n = r(s^n) and im lambda_s^n = s^n S, so s's
+    r-chain index is its kernel index and the n of s^n = s^(n+1)*t its
+    image index."""
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
+    # R is not analysed here; a corpus act's analysis lends its profiles
+    an = ctx.analyses.get((M.table, R.action))
+    known = dict(zip(an.maps, an.profiles)) if an else {}
+    profiles = [known.get(bytes(row)) or power_profile(ActHom(R, R, row)) for row in M.table]
+    indices = [(p.k_index, p.i_index) for p in profiles]
     monoid_level = [mono.strongly_hopfian, mono.strongly_co_hopfian]
-    act_level = [ctx.strongly_hopfian(R), ctx.strongly_co_hopfian(R)]
+    act_level = [ctx.flag(SH, R), ctx.flag(SCH, R)]
     flags = {"monoid_level": monoid_level, "act_level": act_level}
-    return _implication("T6", M, True, monoid_level == act_level, flags)
+    agree = indices == [(r, w[0]) for r, w in zip(mono.r_indices, mono.power_witnesses)]
+    return _implication("T6", M, True, monoid_level == act_level and agree, flags)
 
 
 def _check_t7(ctx, pair):
@@ -464,8 +470,8 @@ def _check_t7(ctx, pair):
     proper = found is not None and found.proper
     maps = {"gamma": list(found.gamma.mapping), "pi": list(found.pi.mapping)} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
-    hyp = proper and ctx.strongly_hopfian(B)
-    return _implication("T7", pair, hyp, ctx.strongly_hopfian(A), flags, **maps)
+    hyp = proper and ctx.flag(SH, B)
+    return _implication("T7", pair, hyp, ctx.flag(SH, A), flags, **maps)
 
 
 def _check_t8(ctx, pair):
@@ -477,7 +483,7 @@ def _check_t8(ctx, pair):
     failure stops at the first induced surjection, its witness h."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
-    concl = ctx.strongly_co_hopfian(B)
+    concl = ctx.flag(SCH, B)
     induces, section = {}, {}
     sections = induced = 0
     witness_h = []
@@ -488,7 +494,7 @@ def _check_t8(ctx, pair):
         if rho.labels not in induces:
             induces[rho.labels] = an_a.lifts(rho) or induces_all_endomorphisms(
                 h, an_a.maps, an_b.maps)[0]
-        if not induces[rho.labels] or not ctx.strongly_co_hopfian(A):
+        if not induces[rho.labels] or not ctx.flag(SCH, A):
             continue
         induced += 1
         if rho.labels not in section:
@@ -507,8 +513,8 @@ def _check_t9(ctx, inst):
     an = ctx.analysis(A)
     hyp = (
         is_fully_invariant(B, an.endos)
-        and ctx.strongly_hopfian(subact_as_act(B)[0])
-        and ctx.strongly_hopfian(an.quotient(rees_congruence(A, B))[0])
+        and ctx.flag(SH, subact_as_act(B)[0])
+        and ctx.flag(SH, an.quotient(rees_congruence(A, B))[0])
     )
     flags = {
         "fully_invariant": True,
@@ -516,19 +522,19 @@ def _check_t9(ctx, inst):
         "quotient_strongly_hopfian": True,
         "A_strongly_hopfian": False,
     }
-    return _implication("T9", inst, hyp, ctx.strongly_hopfian(A), flags)
+    return _implication("T9", inst, hyp, ctx.flag(SH, A), flags)
 
 
 def _check_t10(ctx, A):
     pi = ctx.analysis(A).report.end_strongly_pi_regular
-    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
     flags = {"end_strongly_pi_regular": pi, "strongly_hopfian": sh, "strongly_co_hopfian": sch}
     return _implication("T10", A, pi, sh and sch, flags)
 
 
 def _check_t11(ctx, A):
     rep = ctx.analysis(A).report
-    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
     flags = {
         "quasi_injective": rep.quasi_injective,
         "strongly_hopfian": sh,
@@ -542,7 +548,7 @@ def _check_t11(ctx, A):
 
 def _check_t12(ctx, A):
     rep = ctx.analysis(A).report
-    sh, sch = ctx.strongly_hopfian(A), ctx.strongly_co_hopfian(A)
+    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
     flags = {
         "quasi_projective": rep.quasi_projective,
         "strongly_co_hopfian": sch,
@@ -561,18 +567,16 @@ def _factor_acts(ctx, A):
 
 def _check_t13(ctx, A):
     factors = _factor_acts(ctx, A)
-    all_co = all(ctx.co_hopfian(Q) for Q in factors)
-    all_strong = all(ctx.strongly_co_hopfian(Q) for Q in factors)
+    all_co = all(ctx.flag(CO, Q) for Q in factors)
+    all_strong = all(ctx.flag(SCH, Q) for Q in factors)
     flags = {"all_factors_co_hopfian": all_co, "all_factors_strongly_co_hopfian": all_strong}
     return _implication("T13", A, True, all_co == all_strong, flags)
 
 
 def _check_t14(ctx, A):
     factors = _factor_acts(ctx, A)
-    all_plain = all(ctx.hopfian(Q) and ctx.co_hopfian(Q) for Q in factors)
-    all_fitting = all(
-        ctx.strongly_hopfian(Q) and ctx.strongly_co_hopfian(Q) for Q in factors
-    )
+    all_plain = all(ctx.flag(H, Q) and ctx.flag(CO, Q) for Q in factors)
+    all_fitting = all(ctx.flag(SH, Q) and ctx.flag(SCH, Q) for Q in factors)
     flags = {"all_factors_hopfian_co_hopfian": all_plain, "all_factors_fitting": all_fitting}
     return _implication("T14", A, True, all_plain == all_fitting, flags)
 

@@ -12,7 +12,11 @@ power profiles from the library and rebuilds each report through
 homomorphism powers.  The composition oracles (the End(A) table, the
 lift and liftable sets, retracts and sections) take their maps from the
 library too and compose them one tuple at a time with `compose`; the
-strong pi-regularity oracle scans the library's End(A) table.
+strong pi-regularity oracle scans the library's End(A) table.  The
+literal Hopfian and co-Hopfian deciders also take the endomorphisms
+from the library: on a finite carrier both hold by pigeonhole, and the
+library reports them as True without a check, so these loops are what
+a test compares that constant with.
 """
 
 import json
@@ -23,7 +27,7 @@ from monact.congruence import enumerate_congruences, image_congruence, kernel_co
 from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first
 from monact.errors import SourceTargetMismatch
-from monact.harness import monoid_canonical_form
+from monact.harness import SCH, monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
 
@@ -490,13 +494,13 @@ def t8_oracle(ctx, pair):
         liftable = {tuple(hm[a] for a in g.mapping) for g in an_a.endos}
         if any(tuple(f.mapping[b] for b in hm) not in liftable for f in an_b.endos):
             continue
-        if not ctx.strongly_co_hopfian(A):
+        if not ctx.flag(SCH, A):
             continue
         induced += 1
         ident = tuple(range(B.size))
         sections += any(tuple(hm[a] for a in s.mapping) == ident for s in an_b.homs(A))
         details = {"induced_surjections": induced, "with_section": sections}
-        if not ctx.strongly_co_hopfian(B):
+        if not ctx.flag(SCH, B):
             witness = {
                 "theorem": "T8",
                 "monoid": [list(row) for row in A.monoid.table],
@@ -507,6 +511,17 @@ def t8_oracle(ctx, pair):
             }
             return True, False, witness, details
     return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
+
+
+def is_hopfian(A):
+    """Every surjective endomorphism of A (an Act or its analysis) is
+    injective, map by map."""
+    return all(f.is_injective() for f in analyse(A).endos if f.is_surjective())
+
+
+def is_co_hopfian(A):
+    """Every injective endomorphism of A is surjective, map by map."""
+    return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
 
 
 def end_table_oracle(elements):

@@ -2,16 +2,18 @@
 as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
 `itemgetter` gather (a fixed right factor).  The End(A) table, the lift
 sets, the T8 liftable sets and the retract and section tests are each
-compared with a tuple-composition oracle built on `oracles.compose`, and
-the End(A) table scan `oracles.is_strongly_pi_regular` backs the
-report's constant strong pi-regularity flag."""
+compared with a tuple-composition oracle built on `oracles.compose`.  The
+End(A) table scan `oracles.is_strongly_pi_regular` backs the report's
+constant strong pi-regularity flag, and the literal loops
+`oracles.is_hopfian` and `oracles.is_co_hopfian` back the constant
+Hopfian and co-Hopfian flags."""
 
 import random
 
 import pytest
 
 from monact import harness
-from monact.act import ActHom, regular_act
+from monact.act import ActHom, regular_act, subact_as_act
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.endo import end_monoid, has_section, induces_all_endomorphisms, is_retract_of
 from monact.errors import SizeTooLarge
@@ -20,6 +22,8 @@ from monact.monoid import zmod_mult_monoid
 from oracles import (
     end_table_oracle,
     induces_oracle,
+    is_co_hopfian,
+    is_hopfian,
     is_strongly_pi_regular,
     quasi_projective_oracle,
     retract_oracle,
@@ -77,6 +81,23 @@ def test_table_oracle_finds_a_pi_witness_for_every_endomorphism():
         checked += len(witnesses)
     assert len(acts) == 142 + 4
     assert checked == 4451 + 524
+
+
+def test_literal_hopfian_loops_hold_where_the_flags_are_constant():
+    # pigeonhole: a self-map of a finite set is surjective iff injective,
+    # so the report and the suite read both flags as True without a check
+    acts = _acts(CorpusSpec())
+    five = _five_point_acts()
+    factors, subacts = [], []
+    for A in acts:
+        an = ActAnalysis(A)
+        factors += [an.quotient(rho)[0] for rho in an.congruences]
+        subacts += [subact_as_act(B)[0] for B in an.subacts]
+    for A in acts + five + factors + subacts:
+        assert is_hopfian(A) and is_co_hopfian(A), A
+    assert len(five) == 4
+    assert len(factors) == 957
+    assert len(subacts) == 853
 
 
 def test_lift_sets_match_compose_oracle():

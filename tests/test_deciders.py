@@ -10,8 +10,6 @@ from monact.deciders import (
     chain_conditions,
     chain_reports,
     classify_act,
-    is_co_hopfian,
-    is_hopfian,
     is_quasi_injective,
     is_quasi_projective,
     is_strongly_co_hopfian,
@@ -27,7 +25,8 @@ from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_m
 from monact.monoid import element_power, prime_power_product
 
 from oracles import (
-    bell_number, brute_force_congruences, longest_chain_oracle, power, quasi_injective_oracle,
+    bell_number, brute_force_congruences, is_co_hopfian, is_hopfian, longest_chain_oracle, power,
+    quasi_injective_oracle,
 )
 
 
@@ -158,17 +157,22 @@ def test_monoid_hopf_z4(z4):
 
 
 def test_monoid_level_matches_act_level():
-    for n in (1, 2, 3):
+    elements = 0
+    for n in (1, 2, 3, 4):
         for M in enumerate_monoids(n):
             rep = monoid_hopf_properties(M)
             R = regular_act(M)
             assert rep.strongly_hopfian == is_strongly_hopfian(R, 2)[0]
             assert rep.strongly_co_hopfian == is_strongly_co_hopfian(R, 2)[0]
             # per-element indices agree with the chain indices of the
-            # corresponding left translations
+            # corresponding left translations: the r-index with the
+            # kernel index, the power stabilizer's n with the image index
             for s in range(M.size):
-                lam_s = ActHom(R, R, tuple(M.table[s]))
-                assert rep.r_indices[s] == power_profile(lam_s).k_index
+                p = power_profile(ActHom(R, R, tuple(M.table[s])))
+                assert rep.r_indices[s] == p.k_index
+                assert rep.power_witnesses[s][0] == p.i_index
+                elements += 1
+    assert elements == 1 + 2 * 2 + 7 * 3 + 35 * 4
 
 
 def test_chain_family_scaling():

@@ -109,6 +109,23 @@ def test_hom_list_stops_at_size_cap(trivial, monkeypatch):
     assert len(homomorphisms(A, A)) == 3125
 
 
+def test_search_errors_name_the_search(trivial, monkeypatch):
+    # 3^4 = 81 homs from a 4-point act to a 3-point one; the old message
+    # text stays as the suffix
+    A = validate_act(trivial, 4, [[a] for a in range(4)])
+    B = validate_act(trivial, 3, [[a] for a in range(3)])
+    search = "hom search from a 4-point act to a 3-point act over a 1-element monoid: "
+    monkeypatch.setattr(endo, "DEFAULT_SEARCH_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        homomorphisms(A, B)
+    assert str(exc.value) == search + "over 10 backtrack nodes"
+    monkeypatch.undo()
+    monkeypatch.setattr(endo, "SIZE_CAP", 10)
+    with pytest.raises(SizeOverflow) as exc:
+        homomorphisms(A, B)
+    assert str(exc.value) == search + "more than 10 homomorphisms: search stopped at map 11"
+
+
 def test_end_monoid_a2(a2, m2):
     E = end_monoid(a2)
     assert E.monoid.table == m2.table

@@ -5,13 +5,15 @@ import time
 
 import pytest
 
-from monact import harness
+from monact import deciders, harness
 from monact.act import Act, subact, validate_act
 from monact.cli import suite_json
 from monact.errors import InputError, SizeTooLarge, UnknownTheorem
 from monact.harness import (
     ALL_THEOREMS,
+    FLAGS,
     CorpusSpec,
+    SuiteContext,
     build_corpus,
     check_theorem,
     enumerate_acts,
@@ -339,6 +341,47 @@ def test_forced_false_decider_fails_its_theorems(decider, failing, digest):
     assert [v.theorem for v in failed] == failing
     assert hashlib.sha256(suite_json(result).encode()).hexdigest()[:12] == digest
     assert all(recheck_verdict(v, overrides) for v in failed)
+
+
+@pytest.mark.parametrize("key", ["is_hopfain", "hopfian", "is_noetherian"])
+def test_override_naming_no_flag_is_refused(a2, key):
+    # a misspelt override would otherwise leave every flag True and the
+    # mutation it stands for untested
+    overrides = {key: lambda A: False}
+    with pytest.raises(ValueError, match=key):
+        SuiteContext(overrides)
+    with pytest.raises(ValueError, match=key):
+        check_theorem("T1", a2, overrides)
+    with pytest.raises(ValueError, match=key):
+        run_suite(CorpusSpec(max_monoid_size=1, max_act_size=1), overrides)
+    assert SuiteContext({name: lambda A: False for name in FLAGS}).flag(FLAGS[0], a2) is False
+
+
+def _r_index_plus_one(real):
+    return lambda M, s: real(M, s) + 1
+
+
+def _stabilizer_n_plus_one(real):
+    def planted(M, s):
+        n, t = real(M, s)
+        return n + 1, t
+    return planted
+
+
+@pytest.mark.parametrize("name, plant", [
+    ("r_chain_index", _r_index_plus_one),
+    ("power_stabilizer", _stabilizer_n_plus_one),
+])
+def test_t6_catches_a_planted_monoid_level_index(monkeypatch, name, plant):
+    # both flags stay True, so only T6's per-element index comparison
+    # sees the planted bug
+    monkeypatch.setattr(deciders, name, plant(getattr(deciders, name)))
+    result = run_suite(CorpusSpec())
+    failed = [v for v in result.verdicts if not v.passed]
+    assert [v.theorem for v in failed] == ["T6"]
+    (v,) = failed
+    assert v.witness["flags"] == {"monoid_level": [True, True], "act_level": [True, True]}
+    assert recheck_verdict(v)
 
 
 def test_rebuild_instance_round_trip(a2):
