@@ -17,8 +17,9 @@ End(A) table for its size and commutativity (`endo.end_monoid`).
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and
-image chain settles (Fitting's lemma).  So `flags` returns True for all
-four, with the strong indices; the literal loops are test oracles.
+image chain settles (Fitting's lemma).  So `classify_act` reports True
+for all four, with the strong indices; the literal loops are test
+oracles.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), power profiles, congruences, subacts, lift flags, the strong
-    chain indices and the property report.  End(A) is not kept:
+    them), power profiles, congruences, subacts, lift flags and the
+    property report.  End(A) is not kept:
     `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
@@ -90,14 +91,6 @@ class ActAnalysis:
     def profiles(self):
         """One PowerProfile per endomorphism, in `endos` order."""
         return [power_profile(f) for f in self.endos]
-
-    @cached_property
-    def flags(self):
-        """(hopfian, co_hopfian, (strongly_hopfian, index),
-        (strongly_co_hopfian, index)), the strong pairs by criterion 1."""
-        # pigeonhole: a finite self-map is surjective iff injective, so
-        # both plain flags hold; the strong ones hold by Fitting's lemma
-        return True, True, is_strongly_hopfian(self, 1), is_strongly_co_hopfian(self, 1)
 
     @cached_property
     def report(self):
@@ -411,10 +404,13 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     # the congruence cap refuses an oversized act before End(A) is built
     noe, art, n_congs, max_chain = chain_conditions(an)
     E = end_monoid(an.act, an.endos)
-    hopfian, co_hopfian, (sh, sh_index), (sch, sch_index) = an.flags
+    sh, sh_index = is_strongly_hopfian(an, 1)
+    sch, sch_index = is_strongly_co_hopfian(an, 1)
     return PropertyReport(
-        hopfian=hopfian,
-        co_hopfian=co_hopfian,
+        # pigeonhole: a finite self-map is surjective iff injective, so
+        # both plain flags hold; the strong ones hold by Fitting's lemma
+        hopfian=True,
+        co_hopfian=True,
         strongly_hopfian=sh,
         strongly_hopfian_index=sh_index,
         strongly_co_hopfian=sch,

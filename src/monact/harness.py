@@ -339,14 +339,14 @@ class SuiteContext:
         unknown = sorted(set(self.overrides) - set(FLAGS))
         if unknown:
             raise ValueError(f"overrides name no flag in {FLAGS}: {unknown}")
-        self.analyses = {}
+        self._analyses = {}
 
     def analysis(self, A) -> ActAnalysis:
-        """A's analysis, one per table, kept in `analyses`."""
+        """A's analysis, one per table."""
         key = (A.monoid.table, A.action)
-        if key not in self.analyses:
-            self.analyses[key] = ActAnalysis(A)
-        return self.analyses[key]
+        if key not in self._analyses:
+            self._analyses[key] = ActAnalysis(A)
+        return self._analyses[key]
 
     def flag(self, name, A) -> bool:
         return self.overrides[name](A) if name in self.overrides else True
@@ -452,11 +452,8 @@ def _check_t6(ctx, M):
     image index."""
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
-    # R is not analysed here; a corpus act's analysis lends its profiles
-    an = ctx.analyses.get((M.table, R.action))
-    known = dict(zip(an.maps, an.profiles)) if an else {}
-    profiles = [known.get(bytes(row)) or power_profile(ActHom(R, R, row)) for row in M.table]
-    indices = [(p.k_index, p.i_index) for p in profiles]
+    indices = [(p.k_index, p.i_index)
+               for p in (power_profile(ActHom(R, R, row)) for row in M.table)]
     monoid_level = [mono.strongly_hopfian, mono.strongly_co_hopfian]
     act_level = [ctx.flag(SH, R), ctx.flag(SCH, R)]
     flags = {"monoid_level": monoid_level, "act_level": act_level}

@@ -17,7 +17,7 @@ import pytest
 
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
-from monact.act import validate_act
+from monact.act import regular_act, validate_act
 from monact.deciders import ActAnalysis
 from monact.endo import EndMonoid, homomorphisms
 from monact.harness import (
@@ -124,15 +124,18 @@ def _profile_key(f):
 
 
 def test_suite_profiles_each_endomorphism_once(count):
+    """Each corpus act's analysis profiles each endomorphism once, and T6
+    profiles each left translation of each monoid's regular act once
+    more, without analysing the regular act."""
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
-    acts = [A for per in build_corpus(spec).acts for A in per]
+    corpus = build_corpus(spec)
+    acts = [A for per in corpus.acts for A in per]
     profiles = count(deciders, "power_profile", _profile_key)
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
-    assert set(profiles.values()) == {1}
-    for A in acts:
-        for f in homomorphisms(A, A):
-            assert profiles[_profile_key(f)] == 1
+    expected = Counter(_profile_key(f) for A in acts for f in homomorphisms(A, A))
+    expected.update((_key(regular_act(M)), row) for M in corpus.monoids for row in M.table)
+    assert profiles == expected
 
 
 def test_classify_profiles_each_endomorphism_once(count, tmp_path):
@@ -199,7 +202,7 @@ def test_classify_keeps_no_end_monoid():
             for A in per]
     for A in acts:
         an = ActAnalysis(A)
-        an.report, an.flags
+        an.report
         assert an.endos and an.profiles
         assert not any(isinstance(x, EndMonoid) for x in _reachable(vars(an)))
 
