@@ -50,7 +50,6 @@ from .endo import (
     endomorphisms,
     homomorphisms,
     is_commutative,
-    is_fully_invariant,
     is_retract_of,
 )
 from .harness import (

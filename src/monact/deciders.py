@@ -37,7 +37,6 @@ from .congruence import (
     _collapse_labels,
     _meet_labels,
     _merge,
-    diagonal,
     enumerate_congruences,
 )
 from .endo import end_monoid, homomorphisms, identity_first, is_commutative
@@ -53,8 +52,8 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), power profiles, congruences, subacts, lift flags and the
-    property report.  End(A) is not kept:
+    them), power profiles, endomorphism orbits, congruences, subacts,
+    factor acts and the property report.  End(A) is not kept:
     `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
@@ -67,7 +66,6 @@ class ActAnalysis:
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
         self._homs = {}
-        self.unlifted = {}
         self._quotients = {}
 
     def homs(self, B: Act):
@@ -86,6 +84,11 @@ class ActAnalysis:
     def maps(self):
         """Each endomorphism's map as `bytes`, in `endos` order."""
         return [bytes(f.mapping) for f in self.endos]
+
+    @cached_property
+    def orbits(self):
+        """orbits[a]: the set of f(a) over every endomorphism f."""
+        return [frozenset(column) for column in zip(*self.maps)]
 
     @cached_property
     def profiles(self):
@@ -109,18 +112,6 @@ class ActAnalysis:
         if rho.labels not in self._quotients:
             self._quotients[rho.labels] = quotient_by_congruence(self.act, rho)
         return self._quotients[rho.labels]
-
-    def lifts(self, rho: Congruence) -> bool:
-        """Whether every hom A -> A/rho lifts through p_rho: one search per
-        congruence, `unlifted` keeping its first unlifted hom or None by
-        the labels.  If so, every surjection h: A -> B
-        with kernel rho induces all of End(B): h = i o p_rho for an
-        isomorphism i, and i^-1 o f o h = p_rho o g gives f o h = h o g."""
-        if rho.labels not in self.unlifted:
-            # p_diagonal is an isomorphism: no second End(A) search for it
-            diag = rho == diagonal(self.act)
-            self.unlifted[rho.labels] = None if diag else _unlifted_hom(self, rho)
-        return self.unlifted[rho.labels] is None
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:
@@ -314,14 +305,14 @@ def is_quasi_projective(A: Act | ActAnalysis):
     Surjections g: A -> B are covered by the canonical projections
     A -> A/rho: any surjection factors through A/ker(g) by an
     isomorphism.  The diagonal is skipped: A -> A/diagonal is the
-    identity, through which every endomorphism lifts.  The counterexample
-    is the hom the lift flag's search kept.  Returns (flag,
-    counterexample).
+    identity, through which every endomorphism lifts.  Returns (flag,
+    counterexample): the first rho with an unlifted hom, and that hom.
     """
     an = analyse(A)
     for rho in an.congruences[1:]:
-        if not an.lifts(rho):
-            return False, (rho, an.unlifted[rho.labels])
+        f = _unlifted_hom(an, rho)
+        if f is not None:
+            return False, (rho, f)
     return True, None
 
 
@@ -329,8 +320,6 @@ def is_quasi_projective(A: Act | ActAnalysis):
 
 @dataclass(frozen=True)
 class MonoidHopfReport:
-    strongly_hopfian: bool
-    strongly_co_hopfian: bool
     r_indices: tuple
     power_witnesses: tuple
 
@@ -349,27 +338,24 @@ def r_chain_index(M: Monoid, s: int) -> int:
 
 
 def power_stabilizer(M: Monoid, s: int):
-    """First (n, t) with s^n = s^(n+1)*t, n ascending then t; None if
-    nothing shows up within n <= |S| (cannot happen on a monoid)."""
+    """First (n, t) with s^n = s^(n+1)*t, n ascending then t."""
     for n in range(1, M.size + 1):
         sn = element_power(M, s, n)
         sn1 = M.table[sn][s]
         for t in range(M.size):
             if M.table[sn1][t] == sn:
                 return n, t
-    return None
+    raise AssertionError("s^n = s^(n+1)*t must hold for some n <= |S|")
 
 
 def monoid_hopf_properties(M: Monoid) -> MonoidHopfReport:
-    """Strong Hopfian-type tests for the regular act, computed directly
-    on the multiplication table."""
-    r_indices = tuple(r_chain_index(M, s) for s in range(M.size))
-    witnesses = tuple(power_stabilizer(M, s) for s in range(M.size))
+    """The indices of the strong Hopfian-type tests for the regular act,
+    per element, computed directly on the multiplication table.  Both
+    tests hold on every finite monoid: each search raises if its chain
+    does not settle within |S| steps."""
     return MonoidHopfReport(
-        strongly_hopfian=all(n is not None for n in r_indices),
-        strongly_co_hopfian=all(w is not None for w in witnesses),
-        r_indices=r_indices,
-        power_witnesses=witnesses,
+        r_indices=tuple(r_chain_index(M, s) for s in range(M.size)),
+        power_witnesses=tuple(power_stabilizer(M, s) for s in range(M.size)),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .act import Act, ActHom, Subact
+from .act import Act, ActHom
 from .errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge, SourceTargetMismatch
 from .monoid import SIZE_CAP, Monoid, validate_monoid
 
@@ -160,13 +160,6 @@ def is_retract_of(into, back):
             if at_image(pi.mapping) == ident:
                 return Retract(gamma, pi, not gamma.is_surjective())
     return None
-
-
-def is_fully_invariant(B: Subact, endos) -> bool:
-    """True iff every endomorphism in `endos`, the endomorphisms of
-    B's parent act, maps B into B."""
-    members = set(B.members)
-    return all(f.mapping[b] in members for f in endos for b in B.members)
 
 
 def induces_all_endomorphisms(h: ActHom, source_maps, target_maps):

@@ -54,7 +54,8 @@ class NotPrime(AlgebraError):
 
 
 class UnknownTheorem(AlgebraError):
-    pass
+    def __init__(self, tid, known):
+        super().__init__(f"unknown theorem {tid!r}: the ids are {', '.join(known)}")
 
 
 # -- budgets and caps ------------------------------------------------------

@@ -15,8 +15,9 @@ fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
 dropped before the next, and every theorem's instance is one
 `_implication` call.  A failing instance produces a verdict whose
 witness names the instance by its full tables, enough to re-run the
-check.  The Hopfian-type flags are constants on finite carriers, so
-only T4-T6, which compare indices, can fail without a test's override.
+check.  Every Hopfian-type flag is read through `flag`, which is True
+on finite carriers without looking at the acts it is handed, so only
+T4-T6, which compare indices, can fail while `flag` is the default.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import ge, le
 from . import deciders
 from .act import Act, ActHom, regular_act, subact, subact_as_act, validate_act
 from .congruence import kernel_congruence, rees_congruence
-from .endo import has_section, induces_all_endomorphisms, is_fully_invariant, is_retract_of
+from .endo import has_section, induces_all_endomorphisms, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties, power_profile
@@ -288,11 +289,16 @@ class CorpusSpec:
     def __post_init__(self):
         if min(self.max_monoid_size, self.max_act_size) < 1 or self.samples < 0:
             raise InputError("--max-monoid and --max-act must be at least 1, --samples at least 0")
+        if self.samples and self.seed is None:
+            raise InputError("--samples needs --seed, or the sampled acts are not reproducible")
         if not self.theorems:
             raise InputError("no theorem to check: --theorems names none")
         for tid in self.theorems:
             if tid not in REGISTRY:
-                raise UnknownTheorem(tid)
+                raise UnknownTheorem(tid, ALL_THEOREMS)
+        twice = sorted({t for t in self.theorems if self.theorems.count(t) > 1})
+        if twice:
+            raise InputError(f"--theorems names {', '.join(twice)} more than once")
 
 
 @dataclass
@@ -326,19 +332,23 @@ FLAGS = H, CO, SH, SCH = (
     "is_hopfian", "is_co_hopfian", "is_strongly_hopfian", "is_strongly_co_hopfian")
 
 
+def flag(name, acts) -> bool:
+    """Whether every act in `acts` has the Hopfian-type property `name`,
+    one of FLAGS.  On a finite act all four hold: a self-map of a finite
+    carrier is surjective iff it is injective (pigeonhole), and the
+    kernel and image chains of its powers settle (Fitting's lemma).  So
+    the answer is True and `acts` is never read; checks hand over lazy
+    iterables, whose acts are built only if a test replaces this
+    function with a decider that reads them."""
+    return True
+
+
 class SuiteContext:
     """One ActAnalysis per act, shared by every theorem.  `run_suite`
     makes one per monoid (no theorem instance reaches past its monoid's
-    acts) and drops it before the next.  `flag(name, A)` reads one of
-    the Hopfian-type FLAGS: True on every finite act (pigeonhole,
-    Fitting's lemma), without analysing A, unless a test-only override
-    names it.  An override naming none of FLAGS is refused."""
+    acts) and drops it before the next."""
 
-    def __init__(self, overrides=None):
-        self.overrides = dict(overrides or {})
-        unknown = sorted(set(self.overrides) - set(FLAGS))
-        if unknown:
-            raise ValueError(f"overrides name no flag in {FLAGS}: {unknown}")
+    def __init__(self):
         self._analyses = {}
 
     def analysis(self, A) -> ActAnalysis:
@@ -347,9 +357,6 @@ class SuiteContext:
         if key not in self._analyses:
             self._analyses[key] = ActAnalysis(A)
         return self._analyses[key]
-
-    def flag(self, name, A) -> bool:
-        return self.overrides[name](A) if name in self.overrides else True
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -403,18 +410,18 @@ def _implication(tid, instance, hyp, concl, flags, details={}, **extra):
 
 
 def _check_t1(ctx, A):
-    noe, h = ctx.analysis(A).report.noetherian, ctx.flag(H, A)
+    noe, h = ctx.analysis(A).report.noetherian, flag(H, [A])
     return _implication("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
 
 
 def _check_t2(ctx, A):
-    art, co = ctx.analysis(A).report.artinian, ctx.flag(CO, A)
+    art, co = ctx.analysis(A).report.artinian, flag(CO, [A])
     return _implication("T2", A, art, co, {"artinian": art, "co_hopfian": co})
 
 
 def _check_t3(ctx, A):
-    h, co = ctx.flag(H, A), ctx.flag(CO, A)
-    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
+    h, co = flag(H, [A]), flag(CO, [A])
+    sh, sch = flag(SH, [A]), flag(SCH, [A])
     flags = {"strongly_hopfian": sh, "hopfian": h, "strongly_co_hopfian": sch, "co_hopfian": co}
     return _implication("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
 
@@ -449,16 +456,16 @@ def _check_t6(ctx, M):
     and element by element: lambda_s: x -> s*x is an endomorphism of R
     with ker lambda_s^n = r(s^n) and im lambda_s^n = s^n S, so s's
     r-chain index is its kernel index and the n of s^n = s^(n+1)*t its
-    image index."""
+    image index.  Both monoid-level tests hold on every finite monoid
+    (`monoid_hopf_properties` raises otherwise)."""
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
     indices = [(p.k_index, p.i_index)
                for p in (power_profile(ActHom(R, R, row)) for row in M.table)]
-    monoid_level = [mono.strongly_hopfian, mono.strongly_co_hopfian]
-    act_level = [ctx.flag(SH, R), ctx.flag(SCH, R)]
-    flags = {"monoid_level": monoid_level, "act_level": act_level}
+    act_level = [flag(SH, [R]), flag(SCH, [R])]
+    flags = {"monoid_level": [True, True], "act_level": act_level}
     agree = indices == [(r, w[0]) for r, w in zip(mono.r_indices, mono.power_witnesses)]
-    return _implication("T6", M, True, monoid_level == act_level and agree, flags)
+    return _implication("T6", M, True, act_level == [True, True] and agree, flags)
 
 
 def _check_t7(ctx, pair):
@@ -467,20 +474,19 @@ def _check_t7(ctx, pair):
     proper = found is not None and found.proper
     maps = {"gamma": list(found.gamma.mapping), "pi": list(found.pi.mapping)} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
-    hyp = proper and ctx.flag(SH, B)
-    return _implication("T7", pair, hyp, ctx.flag(SH, A), flags, **maps)
+    hyp = proper and flag(SH, [B])
+    return _implication("T7", pair, hyp, flag(SH, [A]), flags, **maps)
 
 
 def _check_t8(ctx, pair):
     """Surjections are counted one by one but decided once per kernel:
     h and h' = s o h (s in Aut(B)) share a kernel, f o h' = h' o g iff
     (s^-1 f s) o h = h o g, f -> s^-1 f s permutes End(B), and t is a
-    section of h iff t o s^-1 is one of h'.  Where A's lift flag at
-    ker h holds, h induces all of End(B) (`ActAnalysis.lifts`).  A
-    failure stops at the first induced surjection, its witness h."""
+    section of h iff t o s^-1 is one of h'.  A failure stops at the
+    first induced surjection, its witness h."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
-    concl = ctx.flag(SCH, B)
+    concl = flag(SCH, [B])
     induces, section = {}, {}
     sections = induced = 0
     witness_h = []
@@ -489,9 +495,8 @@ def _check_t8(ctx, pair):
             continue
         rho = kernel_congruence(h)
         if rho.labels not in induces:
-            induces[rho.labels] = an_a.lifts(rho) or induces_all_endomorphisms(
-                h, an_a.maps, an_b.maps)[0]
-        if not induces[rho.labels] or not ctx.flag(SCH, A):
+            induces[rho.labels] = induces_all_endomorphisms(h, an_a.maps, an_b.maps)[0]
+        if not induces[rho.labels] or not flag(SCH, [A]):
             continue
         induced += 1
         if rho.labels not in section:
@@ -505,13 +510,21 @@ def _check_t8(ctx, pair):
     return _implication("T8", pair, induced, concl, flags, details, h=witness_h)
 
 
+def _subact_and_rees_factor(an, B):
+    """B as an act, then the Rees factor A/B, each built on demand."""
+    yield subact_as_act(B)[0]
+    yield an.quotient(rees_congruence(an.act, B))[0]
+
+
 def _check_t9(ctx, inst):
+    """B is fully invariant iff the endomorphism orbit of each member
+    stays in B."""
     A, B = inst
     an = ctx.analysis(A)
+    members = set(B.members)
     hyp = (
-        is_fully_invariant(B, an.endos)
-        and ctx.flag(SH, subact_as_act(B)[0])
-        and ctx.flag(SH, an.quotient(rees_congruence(A, B))[0])
+        all(an.orbits[b] <= members for b in B.members)
+        and flag(SH, _subact_and_rees_factor(an, B))
     )
     flags = {
         "fully_invariant": True,
@@ -519,19 +532,19 @@ def _check_t9(ctx, inst):
         "quotient_strongly_hopfian": True,
         "A_strongly_hopfian": False,
     }
-    return _implication("T9", inst, hyp, ctx.flag(SH, A), flags)
+    return _implication("T9", inst, hyp, flag(SH, [A]), flags)
 
 
 def _check_t10(ctx, A):
     pi = ctx.analysis(A).report.end_strongly_pi_regular
-    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
+    sh, sch = flag(SH, [A]), flag(SCH, [A])
     flags = {"end_strongly_pi_regular": pi, "strongly_hopfian": sh, "strongly_co_hopfian": sch}
     return _implication("T10", A, pi, sh and sch, flags)
 
 
 def _check_t11(ctx, A):
     rep = ctx.analysis(A).report
-    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
+    sh, sch = flag(SH, [A]), flag(SCH, [A])
     flags = {
         "quasi_injective": rep.quasi_injective,
         "strongly_hopfian": sh,
@@ -545,7 +558,7 @@ def _check_t11(ctx, A):
 
 def _check_t12(ctx, A):
     rep = ctx.analysis(A).report
-    sh, sch = ctx.flag(SH, A), ctx.flag(SCH, A)
+    sh, sch = flag(SH, [A]), flag(SCH, [A])
     flags = {
         "quasi_projective": rep.quasi_projective,
         "strongly_co_hopfian": sch,
@@ -557,23 +570,24 @@ def _check_t12(ctx, A):
     return _implication("T12", A, hyp, sh and rep.end_strongly_pi_regular, flags)
 
 
-def _factor_acts(ctx, A):
-    an = ctx.analysis(A)
-    return [an.quotient(rho)[0] for rho in an.congruences]
+def _factor_acts(an):
+    """A fresh iterable over the factor acts A/rho, each built on demand;
+    one per flag read, since a spent generator reads as empty."""
+    return (an.quotient(rho)[0] for rho in an.congruences)
 
 
 def _check_t13(ctx, A):
-    factors = _factor_acts(ctx, A)
-    all_co = all(ctx.flag(CO, Q) for Q in factors)
-    all_strong = all(ctx.flag(SCH, Q) for Q in factors)
+    an = ctx.analysis(A)
+    all_co = flag(CO, _factor_acts(an))
+    all_strong = flag(SCH, _factor_acts(an))
     flags = {"all_factors_co_hopfian": all_co, "all_factors_strongly_co_hopfian": all_strong}
     return _implication("T13", A, True, all_co == all_strong, flags)
 
 
 def _check_t14(ctx, A):
-    factors = _factor_acts(ctx, A)
-    all_plain = all(ctx.flag(H, Q) and ctx.flag(CO, Q) for Q in factors)
-    all_fitting = all(ctx.flag(SH, Q) and ctx.flag(SCH, Q) for Q in factors)
+    an = ctx.analysis(A)
+    all_plain = flag(H, _factor_acts(an)) and flag(CO, _factor_acts(an))
+    all_fitting = flag(SH, _factor_acts(an)) and flag(SCH, _factor_acts(an))
     flags = {"all_factors_hopfian_co_hopfian": all_plain, "all_factors_fitting": all_fitting}
     return _implication("T14", A, True, all_plain == all_fitting, flags)
 
@@ -634,17 +648,17 @@ def _instances_for(kind, M, per, ctx):
     return ((A, B) for A in per for B in per if keep(A.size, B.size))
 
 
-def check_theorem(tid: str, instance, overrides=None) -> Verdict:
+def check_theorem(tid: str, instance) -> Verdict:
     """Evaluate one theorem on one instance.
 
     Instance shape depends on the theorem: a single Act, a Monoid (T6),
     an (Act, Act) pair (T7/T8), or an (Act, Subact) pair (T9).
     """
     if tid not in REGISTRY:
-        raise UnknownTheorem(tid)
+        raise UnknownTheorem(tid, ALL_THEOREMS)
     title, _, fn = REGISTRY[tid]
     verdict = Verdict(tid, title)
-    verdict.add(*fn(SuiteContext(overrides), instance))
+    verdict.add(*fn(SuiteContext(), instance))
     return verdict
 
 
@@ -656,7 +670,7 @@ class SuiteResult:
     reports: list
 
 
-def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
+def run_suite(spec: CorpusSpec) -> SuiteResult:
     """Check every requested theorem over the whole corpus, one monoid at
     a time: a fresh SuiteContext per monoid reads its acts' reports and
     instances, and each theorem's Verdict folds them in place.
@@ -669,7 +683,7 @@ def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
     verdicts = [Verdict(tid, REGISTRY[tid][0]) for tid in tids]
     reports = []
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
-        ctx = SuiteContext(overrides)
+        ctx = SuiteContext()
         for ai, A in enumerate(per):
             reports.append({
                 "monoid": f"M{mi}",
@@ -687,7 +701,7 @@ def run_suite(spec: CorpusSpec, overrides=None) -> SuiteResult:
     return SuiteResult(spec, corpus, verdicts, reports)
 
 
-def recheck_verdict(verdict: Verdict, overrides=None) -> bool:
+def recheck_verdict(verdict: Verdict) -> bool:
     """Re-evaluate a failing verdict from its witness alone.
 
     Returns True iff the violation reproduces under an independent
@@ -695,5 +709,5 @@ def recheck_verdict(verdict: Verdict, overrides=None) -> bool:
     """
     if verdict.witness is None:
         return False
-    redo = check_theorem(verdict.theorem, rebuild_instance(verdict.witness), overrides)
+    redo = check_theorem(verdict.theorem, rebuild_instance(verdict.witness))
     return not redo.passed

@@ -1,7 +1,27 @@
 import pytest
 
+from monact import harness
 from monact.act import Act, regular_act, validate_act
 from monact.monoid import Monoid, validate_monoid, zmod_mult_monoid
+
+
+@pytest.fixture
+def forced_flags(monkeypatch):
+    """forced_flags({FLAG: pred}) replaces `harness.flag` for the test: a
+    flag named there holds for a group of acts iff pred holds on each of
+    them, and the others stay True.  A key outside `harness.FLAGS` is
+    refused: a misspelt one would leave every flag True and the mutation
+    it stands for untested."""
+
+    def install(preds):
+        unknown = sorted(set(preds) - set(harness.FLAGS))
+        if unknown:
+            raise ValueError(f"forced flags name no flag in {harness.FLAGS}: {unknown}")
+        monkeypatch.setattr(
+            harness, "flag",
+            lambda name, acts: all(map(preds[name], acts)) if name in preds else True)
+
+    return install
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ power profiles from the library and rebuilds each report through
 homomorphism powers.  The composition oracles (the End(A) table, the
 lift and liftable sets, retracts and sections) take their maps from the
 library too and compose them one tuple at a time with `compose`; the
-strong pi-regularity oracle scans the library's End(A) table.  The
+strong pi-regularity oracle scans the library's End(A) table, and the
+full invariance oracle reads the endomorphisms one map at a time.  The
 literal Hopfian and co-Hopfian deciders also take the endomorphisms
 from the library: on a finite carrier both hold by pigeonhole, and the
 library reports them as True without a check, so these loops are what
@@ -27,6 +28,7 @@ from monact.congruence import enumerate_congruences, image_congruence, kernel_co
 from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first
 from monact.errors import SourceTargetMismatch
+from monact import harness
 from monact.harness import SCH, monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
@@ -481,9 +483,9 @@ def quasi_projective_oracle(A):
 def t8_oracle(ctx, pair):
     """The T8 check surjection by surjection: for each surjection h, the
     whole-map set {h o g : g in End(A)}, End(B) tested against it, and a
-    search of the homs B -> A for a section.  The homs and the flags
-    come from the SuiteContext `ctx`.  Returns what the suite's check
-    does: (nonvacuous, passed, witness, details)."""
+    search of the homs B -> A for a section.  The homs come from the
+    SuiteContext `ctx` and the flags from `harness.flag`.  Returns what
+    the suite's check does: (nonvacuous, passed, witness, details)."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     induced = sections = 0
@@ -494,13 +496,13 @@ def t8_oracle(ctx, pair):
         liftable = {tuple(hm[a] for a in g.mapping) for g in an_a.endos}
         if any(tuple(f.mapping[b] for b in hm) not in liftable for f in an_b.endos):
             continue
-        if not ctx.flag(SCH, A):
+        if not harness.flag(SCH, [A]):
             continue
         induced += 1
         ident = tuple(range(B.size))
         sections += any(tuple(hm[a] for a in s.mapping) == ident for s in an_b.homs(A))
         details = {"induced_surjections": induced, "with_section": sections}
-        if not ctx.flag(SCH, B):
+        if not harness.flag(SCH, [B]):
             witness = {
                 "theorem": "T8",
                 "monoid": [list(row) for row in A.monoid.table],
@@ -522,6 +524,13 @@ def is_hopfian(A):
 def is_co_hopfian(A):
     """Every injective endomorphism of A is surjective, map by map."""
     return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
+
+
+def is_fully_invariant(B, endos):
+    """True iff every endomorphism in `endos`, the endomorphisms of
+    B's parent act, maps B into B."""
+    members = set(B.members)
+    return all(f.mapping[b] in members for f in endos for b in B.members)
 
 
 def end_table_oracle(elements):

@@ -11,18 +11,13 @@ import time
 
 import pytest
 
-from monact.act import regular_act, validate_act
+from monact import deciders
+from monact.act import ActHom, regular_act, validate_act
 from monact.cli import main, suite_json
 from monact.congruence import congruence_closure, enumerate_congruences, join, kernel_congruence
-from monact.deciders import (
-    is_strongly_co_hopfian,
-    is_strongly_hopfian,
-    monoid_hopf_properties,
-    power_profile,
-    r_chain_index,
-)
+from monact.deciders import monoid_hopf_properties, power_profile, r_chain_index
 from monact.endo import homomorphisms
-from monact.harness import CorpusSpec, recheck_verdict, run_suite
+from monact.harness import CorpusSpec, enumerate_monoids, recheck_verdict, run_suite
 from monact.monoid import prime_power_product, zmod_mult_monoid
 
 from oracles import (
@@ -108,22 +103,43 @@ def test_acceptance_3_chain_family_scaling():
     )
 
 
+def _index_mismatches(monoids):
+    """(M, s) wherever s's monoid-level indices differ from those of
+    lambda_s: x -> s*x on the regular act: the r-chain index from the
+    kernel index, the power stabilizer's n from the image index."""
+    mismatches = []
+    for M in monoids:
+        rep = monoid_hopf_properties(M)
+        R = regular_act(M)
+        for s, row in enumerate(M.table):
+            p = power_profile(ActHom(R, R, row))
+            if (rep.r_indices[s], rep.power_witnesses[s][0]) != (p.k_index, p.i_index):
+                mismatches.append((M, s))
+    return mismatches
+
+
 def test_acceptance_4_monoid_vs_act_level(full_suite):
     result, _ = full_suite
     by_id = {v.theorem: v for v in result.verdicts}
     verdict_ok = by_id["T6"].passed and by_id["T6"].instances == len(
         result.corpus.monoids
     )
-    direct_ok = True
-    for M in result.corpus.monoids:
-        rep = monoid_hopf_properties(M)
-        R = regular_act(M)
-        if rep.strongly_hopfian != is_strongly_hopfian(R, 2)[0]:
-            direct_ok = False
-        if rep.strongly_co_hopfian != is_strongly_co_hopfian(R, 2)[0]:
-            direct_ok = False
+    direct_ok = not _index_mismatches(result.corpus.monoids)
     ok = verdict_ok and direct_ok
-    assert _report(4, "monoid-level tests equal act-level deciders", ok)
+    assert _report(4, "monoid-level indices equal act-level indices", ok)
+
+
+PLANTED_INDEX_BUGS = {
+    "r_chain_index": lambda real: lambda M, s: real(M, s) + 1,
+    "power_stabilizer": lambda real: lambda M, s: (real(M, s)[0] + 1, real(M, s)[1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_INDEX_BUGS))
+def test_acceptance_4_catches_planted_index_bugs(monkeypatch, name):
+    monkeypatch.setattr(deciders, name, PLANTED_INDEX_BUGS[name](getattr(deciders, name)))
+    monoids = [M for n in (1, 2, 3) for M in enumerate_monoids(n)]
+    assert _index_mismatches(monoids)
 
 
 def test_acceptance_5_oracle_equivalence(full_suite):
@@ -211,7 +227,7 @@ def test_acceptance_6_stabilization_bounds(full_suite):
     assert _report(6, "chain indices bounded by |A|, chains monotone", ok)
 
 
-def test_acceptance_7_determinism_and_mutation(capsys):
+def test_acceptance_7_determinism_and_mutation(capsys, forced_flags, monkeypatch):
     flags = ["suite", "--max-monoid", "2", "--max-act", "3",
              "--seed", "7", "--samples", "3", "--json"]
     assert main(flags) == 0
@@ -220,14 +236,16 @@ def test_acceptance_7_determinism_and_mutation(capsys):
     second = capsys.readouterr().out
     deterministic = first == second and json.loads(first)["schema_version"] == "1"
 
-    overrides = {"is_hopfian": lambda A: False}
+    forced_flags({"is_hopfian": lambda A: False})
     spec = CorpusSpec(max_monoid_size=2, max_act_size=2, theorems=("T1",))
-    mutated = run_suite(spec, overrides)
+    mutated = run_suite(spec)
     verdict = mutated.verdicts[0]
+    reproduced = verdict.witness is not None and recheck_verdict(verdict)
+    monkeypatch.undo()  # the decider is sound again
     mutation_ok = (
         not verdict.passed
         and verdict.witness is not None
-        and recheck_verdict(verdict, overrides)
+        and reproduced
         and not recheck_verdict(verdict)
     )
     ok = deterministic and mutation_ok

@@ -6,23 +6,28 @@ compared with a tuple-composition oracle built on `oracles.compose`.  The
 End(A) table scan `oracles.is_strongly_pi_regular` backs the report's
 constant strong pi-regularity flag, and the literal loops
 `oracles.is_hopfian` and `oracles.is_co_hopfian` back the constant
-Hopfian and co-Hopfian flags."""
+Hopfian and co-Hopfian flags, and a recording `harness.flag` checks that
+the suite still names every act those flags are read on."""
 
 import random
 
 import pytest
 
 from monact import harness
-from monact.act import ActHom, regular_act, subact_as_act
+from monact.act import ActHom, quotient_by_congruence, regular_act, subact_as_act
+from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.endo import end_monoid, has_section, induces_all_endomorphisms, is_retract_of
 from monact.errors import SizeTooLarge
-from monact.harness import CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts
+from monact.harness import (
+    CO, H, SCH, SH, CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts,
+)
 from monact.monoid import zmod_mult_monoid
 from oracles import (
     end_table_oracle,
     induces_oracle,
     is_co_hopfian,
+    is_fully_invariant,
     is_hopfian,
     is_strongly_pi_regular,
     quasi_projective_oracle,
@@ -37,6 +42,10 @@ SMALL = CorpusSpec(max_monoid_size=2, max_act_size=3)
 
 def _acts(spec):
     return [A for per in build_corpus(spec).acts for A in per]
+
+
+def _key(A):
+    return (A.monoid.table, A.action)
 
 
 def _five_point_acts():
@@ -160,8 +169,8 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     made = []
 
     class Recording(SuiteContext):
-        def __init__(self, overrides=None):
-            super().__init__(overrides)
+        def __init__(self):
+            super().__init__()
             made.append(self)
 
     monkeypatch.setattr(harness, "SuiteContext", Recording)
@@ -180,6 +189,35 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     assert all(ctx.analysis(Q).act == Q for ctx, Q in factors)
 
 
+def test_flag_reads_hand_over_subacts_and_factor_acts(monkeypatch):
+    """A replaced `harness.flag` sees every act the theorems name: T9
+    hands over B as an act and then A/B for each fully invariant B, and
+    each flag read of T13 and T14 every factor act of A, 957 at 3/4."""
+    reads = []
+
+    def recording(name, acts):
+        reads.append((name, [_key(Q) for Q in acts]))
+        return True
+
+    monkeypatch.setattr(harness, "flag", recording)
+    t9, t13, t14 = [], [], []
+    for A in _acts(CorpusSpec()):
+        an = ActAnalysis(A)
+        factors = [quotient_by_congruence(A, rho)[0] for rho in an.congruences]
+        t13 += [(name, [_key(Q) for Q in factors]) for name in (CO, SCH)]
+        t14 += [(name, [_key(Q) for Q in factors]) for name in (H, CO, SH, SCH)]
+        for B in an.subacts:
+            if is_fully_invariant(B, an.endos):
+                rees = quotient_by_congruence(A, rees_congruence(A, B))[0]
+                t9.append((SH, [_key(subact_as_act(B)[0]), _key(rees)]))
+            t9.append((SH, [_key(A)]))
+    assert len(t9) - 853 == 268 and sum(len(acts) for _, acts in t13) == 2 * 957
+    for tid, expected in (("T9", t9), ("T13", t13), ("T14", t14)):
+        reads.clear()
+        harness.run_suite(CorpusSpec(theorems=(tid,)))
+        assert reads == expected, tid
+
+
 def test_planted_shifted_projection_is_caught(monkeypatch):
     # p_rho's rename table built from its map rotated by one point
     real = ActAnalysis.quotient
@@ -191,5 +229,6 @@ def test_planted_shifted_projection_is_caught(monkeypatch):
     monkeypatch.setattr(ActAnalysis, "quotient", shifted)
     acts = _acts(CorpusSpec())
     assert any(is_quasi_projective(A) != quasi_projective_oracle(A) for A in acts)
+    # T8 composes with the surjections themselves, never with p_rho
     ctx, pairs = _pairs("act_pair_down", CorpusSpec())
-    assert any(harness._check_t8(ctx, p) != t8_oracle(ctx, p) for p in pairs)
+    assert all(harness._check_t8(ctx, p) == t8_oracle(ctx, p) for p in pairs)

@@ -258,6 +258,23 @@ def test_suite_theorem_filter(capsys):
 
 def test_suite_unknown_theorem(capsys):
     assert main(["suite", "--theorems", "T99"]) == 2
+    assert "T1, T2, T3, T4, T5, T6, T7, T8, T9, T10, T11, T12, T13, T14" in capsys.readouterr().err
+
+
+def test_suite_refuses_a_theorem_named_twice(capsys):
+    assert main(["suite", "--max-monoid", "1", "--max-act", "1", "--theorems", "T1,T1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "T1 more than once" in captured.err
+
+
+def test_suite_refuses_samples_without_a_seed(capsys):
+    argv = ["suite", "--json", "--samples", "3", "--max-monoid", "2", "--max-act", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples needs --seed" in captured.err
+    assert main([*argv, "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("ids", [",", " , ,"])
@@ -417,7 +434,7 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     import monact.cli as cli
     from monact.harness import Corpus, SuiteResult, Verdict
 
-    def fake_run_suite(spec, overrides=None):
+    def fake_run_suite(spec):
         verdict = Verdict("T1", "stub", 1, 1, False, {"theorem": "T1"}, {})
         return SuiteResult(spec, Corpus([], []), [verdict], [])
 

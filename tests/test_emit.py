@@ -47,9 +47,10 @@ def test_suite_documents_match_json(emitted, spec):
 @pytest.mark.parametrize("decider", [
     "is_hopfian", "is_co_hopfian", "is_strongly_hopfian", "is_strongly_co_hopfian",
 ])
-def test_forced_false_suite_documents_match_json(emitted, decider):
+def test_forced_false_suite_documents_match_json(forced_flags, emitted, decider):
     # failing verdicts carry witness payloads: nested tables, flags, maps
-    result = run_suite(CorpusSpec(max_monoid_size=2, max_act_size=3), {decider: lambda A: False})
+    forced_flags({decider: lambda A: False})
+    result = run_suite(CorpusSpec(max_monoid_size=2, max_act_size=3))
     assert any(not v.passed for v in result.verdicts)
     cli.suite_json(result)
     assert mismatches(emitted) == []

@@ -11,14 +11,13 @@ from monact.endo import (
     homomorphisms,
     induces_all_endomorphisms,
     is_commutative,
-    is_fully_invariant,
     is_retract_of,
 )
 from monact.errors import SearchBudgetExceeded, SizeOverflow
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
-from oracles import act_hom, brute_force_homs, is_strongly_pi_regular
+from oracles import act_hom, brute_force_homs, is_fully_invariant, is_strongly_pi_regular
 
 
 def test_homs_a2(a2):

@@ -13,7 +13,6 @@ from monact.harness import (
     ALL_THEOREMS,
     FLAGS,
     CorpusSpec,
-    SuiteContext,
     build_corpus,
     check_theorem,
     enumerate_acts,
@@ -27,7 +26,7 @@ from monact.harness import (
 from monact.monoid import validate_monoid
 from oracles import (
     act_canonical_form, act_relabelings, acts_isomorphic, brute_force_acts, brute_force_monoids,
-    partition_number,
+    is_fully_invariant, partition_number,
 )
 
 
@@ -268,11 +267,53 @@ def test_check_theorem_single_instances(a2, reg_z4):
     assert v.passed
 
 
+def _t9_against_oracle(spec):
+    """(mismatches, non-vacuous count): T9 is non-vacuous on (A, B)
+    exactly when B is fully invariant, since its flags are True, and
+    `oracles.is_fully_invariant` tests that one endomorphism at a time."""
+    corpus, mismatches, nonvacuous = build_corpus(spec), [], 0
+    for M, per in zip(corpus.monoids, corpus.acts):
+        ctx = harness.SuiteContext()
+        for A, B in harness._instances_for("act_subact", M, per, ctx):
+            got = harness._check_t9(ctx, (A, B))[0]
+            if got != is_fully_invariant(B, ctx.analysis(A).endos):
+                mismatches.append((A, B))
+            nonvacuous += got
+    return mismatches, nonvacuous
+
+
+def test_t9_full_invariance_matches_oracle():
+    assert _t9_against_oracle(CorpusSpec()) == ([], 268)
+
+
+def test_planted_orbit_without_the_last_map_is_caught(monkeypatch):
+    # every orbit misses the image of the last endomorphism in map order
+    monkeypatch.setattr(deciders.ActAnalysis, "orbits", property(
+        lambda an: [frozenset(m[a] for m in an.maps[:-1]) for a in range(an.act.size)]))
+    mismatches, nonvacuous = _t9_against_oracle(CorpusSpec())
+    assert len(mismatches) == nonvacuous - 268 == 8
+    digest = hashlib.sha256(suite_json(run_suite(CorpusSpec())).encode()).hexdigest()
+    assert digest[:12] == "67883dc5ffb2"
+
+
 def test_check_theorem_unknown():
     with pytest.raises(UnknownTheorem):
         check_theorem("T99", None)
     with pytest.raises(UnknownTheorem, match="T99"):
         CorpusSpec(theorems=("T1", "T99"))
+    with pytest.raises(UnknownTheorem, match=f"'t2': the ids are {', '.join(ALL_THEOREMS)}$"):
+        CorpusSpec(theorems=("t2",))
+
+
+def test_sampling_without_a_seed_is_refused():
+    # an unseeded sample differs from run to run, and so would the report
+    with pytest.raises(InputError, match="--samples needs --seed"):
+        CorpusSpec(max_monoid_size=2, max_act_size=2, samples=3)
+
+
+def test_duplicate_theorem_ids_are_refused():
+    with pytest.raises(InputError, match="T1 more than once"):
+        CorpusSpec(theorems=("T1", "T4", "T1"))
 
 
 @pytest.mark.parametrize("fields", [
@@ -315,16 +356,17 @@ def test_sampling_extends_act_sizes():
     assert max(sizes) == 3  # sampled acts go one past the exhaustive range
 
 
-def test_mutation_hook_fails_t1_with_reverifiable_witness(a2):
-    overrides = {"is_hopfian": lambda A: False}
+def test_mutation_hook_fails_t1_with_reverifiable_witness(forced_flags, monkeypatch):
+    forced_flags({"is_hopfian": lambda A: False})
     spec = CorpusSpec(max_monoid_size=2, max_act_size=2, theorems=("T1",))
-    result = run_suite(spec, overrides)
+    result = run_suite(spec)
     verdict = result.verdicts[0]
     assert not verdict.passed
     assert verdict.witness is not None
     # the witness re-checks as a violation under the same corruption...
-    assert recheck_verdict(verdict, overrides)
+    assert recheck_verdict(verdict)
     # ...and is vindicated once the corruption is removed
+    monkeypatch.undo()
     assert not recheck_verdict(verdict)
 
 
@@ -334,27 +376,25 @@ def test_mutation_hook_fails_t1_with_reverifiable_witness(a2):
     ("is_strongly_hopfian", ["T6", "T10", "T12", "T14"], "cb03842a75e5"),
     ("is_strongly_co_hopfian", ["T6", "T10", "T11", "T13", "T14"], "269d47073bbf"),
 ])
-def test_forced_false_decider_fails_its_theorems(decider, failing, digest):
-    overrides = {decider: lambda A: False}
-    result = run_suite(CorpusSpec(max_monoid_size=2, max_act_size=3), overrides)
+def test_forced_false_decider_fails_its_theorems(forced_flags, decider, failing, digest):
+    forced_flags({decider: lambda A: False})
+    result = run_suite(CorpusSpec(max_monoid_size=2, max_act_size=3))
     failed = [v for v in result.verdicts if not v.passed]
     assert [v.theorem for v in failed] == failing
     assert hashlib.sha256(suite_json(result).encode()).hexdigest()[:12] == digest
-    assert all(recheck_verdict(v, overrides) for v in failed)
+    assert all(recheck_verdict(v) for v in failed)
 
 
 @pytest.mark.parametrize("key", ["is_hopfain", "hopfian", "is_noetherian"])
-def test_override_naming_no_flag_is_refused(a2, key):
-    # a misspelt override would otherwise leave every flag True and the
+def test_override_naming_no_flag_is_refused(forced_flags, a2, key):
+    # a misspelt flag would otherwise leave every flag True and the
     # mutation it stands for untested
-    overrides = {key: lambda A: False}
     with pytest.raises(ValueError, match=key):
-        SuiteContext(overrides)
-    with pytest.raises(ValueError, match=key):
-        check_theorem("T1", a2, overrides)
-    with pytest.raises(ValueError, match=key):
-        run_suite(CorpusSpec(max_monoid_size=1, max_act_size=1), overrides)
-    assert SuiteContext({name: lambda A: False for name in FLAGS}).flag(FLAGS[0], a2) is False
+        forced_flags({key: lambda A: False})
+    assert check_theorem("T1", a2).passed
+    forced_flags({name: lambda A: False for name in FLAGS})
+    assert harness.flag(FLAGS[0], [a2]) is False
+    assert not check_theorem("T1", a2).passed
 
 
 def _r_index_plus_one(real):
@@ -384,12 +424,13 @@ def test_t6_catches_a_planted_monoid_level_index(monkeypatch, name, plant):
     assert recheck_verdict(v)
 
 
-def test_rebuild_instance_round_trip(a2):
-    overrides = {"is_strongly_hopfian": lambda A: False}
-    v = check_theorem("T3", a2, overrides)
-    # strongly-hopfian override makes T3's hypothesis false, so it passes
+def test_rebuild_instance_round_trip(forced_flags, a2):
+    forced_flags({"is_strongly_hopfian": lambda A: False})
+    v = check_theorem("T3", a2)
+    # a false strongly-hopfian flag makes T3's hypothesis false, so it passes
     assert v.passed
-    v = check_theorem("T1", a2, {"is_hopfian": lambda A: False})
+    forced_flags({"is_hopfian": lambda A: False})
+    v = check_theorem("T1", a2)
     assert not v.passed
     rebuilt = rebuild_instance(v.witness)
     assert isinstance(rebuilt, Act)
@@ -411,15 +452,16 @@ PAIR_SCH = {"is_strongly_co_hopfian": lambda X: X.size != 2}
     ("T8", PAIR_SCH, {"monoid", "act", "act_b"}),
     ("T9", SMALL_SH, {"monoid", "act", "subact"}),
 ])
-def test_rebuild_instance_round_trip_every_shape(tid, overrides, fields):
+def test_rebuild_instance_round_trip_every_shape(forced_flags, tid, overrides, fields):
+    forced_flags(overrides)
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3, theorems=(tid,))
-    (v,) = run_suite(spec, overrides).verdicts
+    (v,) = run_suite(spec).verdicts
     assert not v.passed
     rebuilt = rebuild_instance(v.witness)
     written = harness._instance_fields(rebuilt)
     assert set(written) == fields
     assert {k: v.witness[k] for k in fields} == written
-    assert recheck_verdict(v, overrides)
+    assert recheck_verdict(v)
 
 
 def test_verdict_to_dict_is_json_ready():

@@ -151,9 +151,9 @@ def test_classify_profiles_each_endomorphism_once(count, tmp_path):
 
 
 def test_suite_decides_each_lift_flag_once(count):
-    """Quasi-projectivity and T8 share one lift search per (act, rho);
-    the counterexample of an act that is not quasi-projective is the hom
-    kept by the search at its first failing rho, which runs once too."""
+    """Quasi-projectivity runs one lift search per (act, rho), and T8
+    none; the counterexample of an act that is not quasi-projective is
+    the hom found by the search at its first failing rho."""
     spec = CorpusSpec()
     failing = set()
     for A in (A for per in build_corpus(spec).acts for A in per):
@@ -169,13 +169,40 @@ def test_suite_decides_each_lift_flag_once(count):
 
 
 def test_suite_builds_each_factor_act_once(count):
-    """T9's Rees factors, T13/T14's factor acts and the lift checks read
-    one quotient per (act, rho)."""
+    """Only the quasi-projectivity lift checks build factor acts: one per
+    (act, rho) past the diagonal, up to the first rho with an unlifted
+    hom.  T9, T13 and T14 hand their factor acts to `harness.flag`
+    unbuilt, the default `flag` does not build them, and T8 composes with
+    the surjections themselves."""
+    expected = set()
+    for A in (A for per in build_corpus(CorpusSpec()).acts for A in per):
+        labels = [rho.labels for rho in congruence.enumerate_congruences(A)[1:]]
+        flag, counterexample = quasi_projective_oracle(A)
+        stop = len(labels) if flag else labels.index(counterexample[0].labels) + 1
+        expected |= {(_key(A), rho) for rho in labels[:stop]}
     quotients = count(act, "quotient_by_congruence", lambda A, rho: (_key(A), rho.labels))
     result = run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
-    assert len(quotients) == 957
+    assert quotients.keys() == expected and len(expected) == 739
     assert set(quotients.values()) == {1}
+
+
+def test_flag_reads_build_no_act(count):
+    """T9, T13 and T14 build no subact act, Rees congruence or factor act
+    beyond those the property reports build."""
+    built = [count(act, "subact_as_act", lambda *args: "calls"),
+             count(act, "quotient_by_congruence", lambda *args: "calls"),
+             count(congruence, "rees_congruence", lambda *args: "calls")]
+
+    def run(theorems):
+        for c in built:
+            c.clear()
+        run_suite(CorpusSpec(max_monoid_size=2, max_act_size=4, theorems=theorems))
+        return [c["calls"] for c in built]
+
+    reports_only = run(("T1",))
+    assert reports_only[0] and reports_only[1] and not reports_only[2]
+    assert run(("T9", "T13", "T14")) == reports_only
 
 
 def _reachable(root):
