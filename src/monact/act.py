@@ -44,17 +44,14 @@ class Subact:
 
 @dataclass(frozen=True)
 class ActHom:
-    """An equivariant map, stored as the image tuple over the source carrier."""
+    """An equivariant map with its source and target, stored as the image
+    tuple over the source carrier: the projection `quotient_by_congruence`
+    returns, and the input of `kernel_congruence` and `image_congruence`.
+    The hom search returns bare map tuples."""
 
     source: Act
     target: Act
     mapping: tuple
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
 
 
 def validate_act(M: Monoid, size: int, action) -> Act:

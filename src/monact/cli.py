@@ -221,7 +221,7 @@ def cmd_endos(args):
     endos = identity_first(endomorphisms(A))
     print(f"endomorphisms of {label} over {mlabel}: {len(endos)}")
     for i, f in enumerate(endos):
-        print(f"  {i}: {f.mapping}")
+        print(f"  {i}: {f}")
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ reports read each endomorphism's PowerProfile, one walk of its powers;
 criterion 3 stays literal: it meets or joins the image and kernel labels
 of each power map, once per map and decider call.
 
-`ActAnalysis.maps` holds the endomorphisms as `bytes` (so at most 255
-points), and each composition is one C call: f o x for fixed f is
+`ActAnalysis.homs` keeps each hom as a plain `bytes` map (so at most
+255 points), converted once from the search's tuples; `endos` are the
+homs into the act itself.  Each composition is one C call: f o x for fixed f is
 `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
 fixed g an `itemgetter` gather (restrictions).  End(A) is finite, so
 it is strongly pi-regular (Drazin); `classify_act` still builds the
@@ -30,7 +31,7 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .act import Act, ActHom, enumerate_subacts
+from .act import Act, enumerate_subacts
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -69,31 +70,26 @@ class ActAnalysis:
         self._quotients = {}
 
     def homs(self, B: Act):
-        """The homs from the act into B, sorted by map."""
+        """The byte maps of the homs from the act into B, sorted."""
         key = (B.monoid.table, B.action)
         if key not in self._homs:
-            self._homs[key] = homomorphisms(self.act, B)
+            self._homs[key] = list(map(bytes, homomorphisms(self.act, B)))
         return self._homs[key]
 
     @property
     def endos(self):
-        """The endomorphisms, sorted by map."""
+        """The byte maps of the endomorphisms, sorted."""
         return self.homs(self.act)
-
-    @cached_property
-    def maps(self):
-        """Each endomorphism's map as `bytes`, in `endos` order."""
-        return [bytes(f.mapping) for f in self.endos]
 
     @cached_property
     def orbits(self):
         """orbits[a]: the set of f(a) over every endomorphism f."""
-        return [frozenset(column) for column in zip(*self.maps)]
+        return [frozenset(column) for column in zip(*self.endos)]
 
     @cached_property
     def profiles(self):
         """One PowerProfile per endomorphism, in `endos` order."""
-        return [power_profile(f) for f in self.endos]
+        return list(map(power_profile, self.endos))
 
     @cached_property
     def report(self):
@@ -108,9 +104,13 @@ class ActAnalysis:
         return enumerate_subacts(self.act)
 
     def quotient(self, rho: Congruence):
-        """The factor act A/rho and its projection, built once per rho."""
+        """The factor act A/rho and its projection's byte map, built once
+        per rho: like `quotient_by_congruence`, the projection numbers the
+        classes in the order of their least members, rho's labels."""
         if rho.labels not in self._quotients:
-            self._quotients[rho.labels] = quotient_by_congruence(self.act, rho)
+            leaders = sorted(set(rho.labels))
+            self._quotients[rho.labels] = (quotient_by_congruence(self.act, rho)[0],
+                                           bytes(map(leaders.index, rho.labels)))
         return self._quotients[rho.labels]
 
 
@@ -153,12 +153,12 @@ def _powers(m):
         m = m.translate(step)
 
 
-def power_profile(f: ActHom) -> PowerProfile:
-    """f's profile from one walk f, f^2, .. up to the first repeated
-    power, comparing kernel labels and image sets; the powers themselves
-    are not kept."""
+def power_profile(m) -> PowerProfile:
+    """The profile of the endomorphism with byte map m, from one walk
+    f, f^2, .. up to the first repeated power, comparing kernel labels
+    and image sets; the powers themselves are not kept."""
     seen, kernels, images = set(), [], []
-    for cur in _powers(bytes(f.mapping)):
+    for cur in _powers(m):
         kernels.append(least_labels(cur))
         images.append(frozenset(cur))
         if cur in seen:
@@ -228,7 +228,7 @@ def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
 
     return _worst(
         _endo_index(m, criterion, p.k_index, p.k_tail, settled)
-        for m, p in zip(an.maps, an.profiles)
+        for m, p in zip(an.endos, an.profiles)
     )
 
 
@@ -248,7 +248,7 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
 
     return _worst(
         _endo_index(m, criterion, p.i_index, p.i_tail, settled)
-        for m, p in zip(an.maps, an.profiles)
+        for m, p in zip(an.endos, an.profiles)
     )
 
 
@@ -276,27 +276,29 @@ def is_quasi_injective(A: Act | ActAnalysis):
     invariant under that isomorphism.  The whole carrier is skipped: its
     homs into A are the endomorphisms themselves.  A hom out of B is
     fixed by its images on B's generating set, so maps compare there.
-    Returns (flag, counterexample).
+    Returns (flag, counterexample): the first proper subact B with a hom
+    that does not extend, and that hom's map tuple over B's points.
     """
     an = analyse(A)
     for B in an.subacts[:-1]:
         sub, members = subact_as_act(B)
         gens = sub.generators
         at_sub, at_parent = itemgetter(*gens), itemgetter(*(members[x] for x in gens))
-        restrictions = set(map(at_parent, an.maps))
+        restrictions = set(map(at_parent, an.endos))
         for f in homomorphisms(sub, an.act):
-            if at_sub(f.mapping) not in restrictions:
+            if at_sub(f) not in restrictions:
                 return False, (B, f)
     return True, None
 
 
 def _unlifted_hom(an: ActAnalysis, rho: Congruence):
-    """The first hom A -> A/rho, in map order, that is p_rho o g for no
-    endomorphism g, or None; the lift set is one translate per g."""
+    """The map tuple of the first hom A -> A/rho, in map order, that is
+    p_rho o g for no endomorphism g, or None; the lift set is one
+    translate per g.  The homs into A/rho are searched afresh, not kept."""
     quotient, proj = an.quotient(rho)
-    lifted = set(map(bytes.translate, an.maps, repeat(bytes(proj.mapping).ljust(256, b"\0"))))
+    lifted = set(map(bytes.translate, an.endos, repeat(proj.ljust(256, b"\0"))))
     homs = homomorphisms(an.act, quotient)
-    return next((f for f in homs if bytes(f.mapping) not in lifted), None)
+    return next((f for f in homs if bytes(f) not in lifted), None)
 
 
 def is_quasi_projective(A: Act | ActAnalysis):
@@ -306,7 +308,8 @@ def is_quasi_projective(A: Act | ActAnalysis):
     A -> A/rho: any surjection factors through A/ker(g) by an
     isomorphism.  The diagonal is skipped: A -> A/diagonal is the
     identity, through which every endomorphism lifts.  Returns (flag,
-    counterexample): the first rho with an unlifted hom, and that hom.
+    counterexample): the first rho with an unlifted hom, and that hom's
+    map tuple.
     """
     an = analyse(A)
     for rho in an.congruences[1:]:
@@ -429,11 +432,11 @@ def chain_reports(A: Act | ActAnalysis):
     one class)."""
     an = analyse(A)
     act, size = an.act, an.act.size
-    profile = {f.mapping: (m, p) for f, m, p in zip(an.endos, an.maps, an.profiles)}
+    profile = dict(zip(an.endos, an.profiles))
     reports = []
-    for n, f in enumerate(identity_first(an.endos)):
-        m, p = profile[f.mapping]
+    for n, m in enumerate(identity_first(an.endos)):
+        p = profile[m]
         kernel = Congruence(act, least_labels(_map_power(m, p.k_index)))
         image = Congruence(act, _collapse_labels(size, _map_power(m, p.i_index)))
-        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
+        reports.append(ChainReport(n, tuple(m), p.k_index, p.i_index, kernel, image))
     return reports

@@ -2,8 +2,11 @@
 
 Enumeration backtracks over images of a minimal generating set of the
 source; every chosen image is propagated through the action, so a
-candidate either collapses to a full map or dies on a conflict.  Maps
-are tuples; compositions run in C, on `bytes` maps or by `itemgetter`.
+candidate either collapses to a full map or dies on a conflict.  A hom
+is a plain map: the search returns tuples of images, which any carrier
+size fits; `deciders.ActAnalysis` keeps them as `bytes` (at most 255
+points), and the functions here that compose maps take byte maps and
+compose in C, by `bytes.translate` or an `itemgetter` gather.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .act import Act, ActHom
+from .act import Act
 from .errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge, SourceTargetMismatch
 from .monoid import SIZE_CAP, Monoid, validate_monoid
 
@@ -20,7 +23,7 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 
 def homomorphisms(A: Act, B: Act):
-    """All equivariant maps A -> B, sorted by their full map tuple.
+    """All equivariant maps A -> B as image tuples, sorted.
 
     Every point a is g*s for a generator g, and the image img chosen for
     g sets f(a) = img*s, conflict-checked; for lawful A and B this gives
@@ -76,7 +79,7 @@ def homomorphisms(A: Act, B: Act):
 
     backtrack(0)
     results.sort()
-    return [ActHom(A, B, m) for m in results]
+    return results
 
 
 def endomorphisms(A: Act):
@@ -87,9 +90,9 @@ def endomorphisms(A: Act):
 class EndMonoid:
     """End(A) under composition (f*g)(a) = f(g(a)).
 
-    `elements[i]` is the endomorphism behind monoid index i; the identity
-    endomorphism sits at index 0 and the rest keep lexicographic map
-    order, matching the monoid normal form.
+    `elements[i]` is the byte map of the endomorphism behind monoid index
+    i; the identity endomorphism sits at index 0 and the rest keep
+    lexicographic map order, matching the monoid normal form.
     """
 
     monoid: Monoid
@@ -98,17 +101,16 @@ class EndMonoid:
 
 
 def identity_first(endos):
-    """`endos` (in map order) with the identity endomorphism moved to the
-    front: the canonical End(A) element order, read off without building
-    the composition table."""
-    ident = tuple(range(len(endos[0].mapping)))
-    k = next(i for i, f in enumerate(endos) if f.mapping == ident)
-    return (endos[k],) + tuple(endos[:k]) + tuple(endos[k + 1 :])
+    """`endos` (maps in map order, all tuples or all `bytes`) with the
+    identity moved to the front: the canonical End(A) element order,
+    read off without building the composition table."""
+    k = endos.index(type(endos[0])(range(len(endos[0]))))
+    return (endos[k], *endos[:k], *endos[k + 1 :])
 
 
 def end_monoid(A: Act, endos=None) -> EndMonoid:
-    """End(A), built from `endos` when the caller already holds
-    `endomorphisms(A)`; the hom search keeps it within SIZE_CAP.
+    """End(A), built from `endos` when the caller already holds the
+    endomorphisms as byte maps; the hom search keeps it within SIZE_CAP.
 
     Row f of the table, f o g over every g, is one `bytes.translate`
     per cell through f's rename table, so carriers stop at 255 points.
@@ -118,11 +120,11 @@ def end_monoid(A: Act, endos=None) -> EndMonoid:
     if A.size > 255:
         raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")
     if endos is None:
-        endos = endomorphisms(A)
+        endos = list(map(bytes, endomorphisms(A)))
     elements = identity_first(endos)
-    maps = [bytes(f.mapping) for f in elements]
-    idx = {m: i for i, m in enumerate(maps)}.__getitem__
-    raw = [tuple(map(idx, map(bytes.translate, maps, repeat(f.ljust(256, b"\0"))))) for f in maps]
+    idx = {m: i for i, m in enumerate(elements)}.__getitem__
+    raw = [tuple(map(idx, map(bytes.translate, elements, repeat(f.ljust(256, b"\0")))))
+           for f in elements]
     # identity already first, so the checked constructor relabels nothing
     return EndMonoid(validate_monoid(len(elements), raw), elements, A)
 
@@ -133,50 +135,41 @@ def is_commutative(E: EndMonoid) -> bool:
     return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True)
-class Retract:
-    """Witness that gamma's source is a retract of its target."""
-
-    gamma: ActHom
-    pi: ActHom
-    proper: bool
-
-
 def is_retract_of(into, back):
-    """First (gamma, pi) with pi o gamma = id_A, or None.
+    """The first (gamma, pi) with pi o gamma = id_A, or None.
 
-    `into` holds the homs A -> B and `back` the homs B -> A, each in map
-    order; the search takes gamma in that order, then pi.  `proper` flags
-    a non-bijective gamma; since pi o gamma = id forces gamma injective,
-    properness depends only on the carrier sizes.
+    `into` holds the byte maps of the homs A -> B and `back` those of the
+    homs B -> A, each in map order; the search takes gamma in that
+    order, then pi.  pi o gamma = id forces gamma injective, so the
+    retract is proper (gamma not onto B) iff |A| < |B|.
     """
     for gamma in into:
-        if not gamma.is_injective():
+        if len(set(gamma)) < len(gamma):
             continue
         # pi o gamma = id iff pi agrees with gamma's inverse on its image
-        at_image = itemgetter(*gamma.mapping)
-        ident = at_image(dict(zip(gamma.mapping, range(gamma.source.size))))
+        at_image = itemgetter(*gamma)
+        ident = at_image(dict(zip(gamma, range(len(gamma)))))
         for pi in back:
-            if at_image(pi.mapping) == ident:
-                return Retract(gamma, pi, not gamma.is_surjective())
+            if at_image(pi) == ident:
+                return gamma, pi
     return None
 
 
-def induces_all_endomorphisms(h: ActHom, source_maps, target_maps):
-    """For surjective h: A -> B, with `source_maps` and `target_maps` the
-    maps of End(A) and End(B) as `bytes`: check every f in End(B) lifts
-    to some g in End(A) with f o h = h o g.  Returns (flag, the first
-    failing f's map)."""
-    hm = bytes(h.mapping)
-    liftable = set(map(bytes.translate, source_maps, repeat(hm.ljust(256, b"\0"))))
+def induces_all_endomorphisms(h, source_maps, target_maps):
+    """For surjective h: A -> B, with h and the maps of End(A)
+    (`source_maps`) and End(B) (`target_maps`) all `bytes`: check every
+    f in End(B) lifts to some g in End(A) with f o h = h o g.  Returns
+    (flag, the first failing f's map)."""
+    liftable = set(map(bytes.translate, source_maps, repeat(h.ljust(256, b"\0"))))
     for f in target_maps:
-        if hm.translate(f.ljust(256, b"\0")) not in liftable:
+        if h.translate(f.ljust(256, b"\0")) not in liftable:
             return False, f
     return True, None
 
 
-def has_section(h: ActHom, back) -> bool:
-    """True iff some s in `back`, the homs B -> A for h: A -> B,
-    satisfies h o s = id_B."""
-    rename, ident = bytes(h.mapping).ljust(256, b"\0"), bytes(range(h.target.size))
-    return any(bytes(s.mapping).translate(rename) == ident for s in back)
+def has_section(h, back) -> bool:
+    """True iff some s in `back`, the byte maps of the homs B -> A for
+    the byte map h: A -> B, satisfies h o s = id_B.  That needs h onto
+    B, so B's points are h's values; otherwise the lengths differ."""
+    rename, ident = h.ljust(256, b"\0"), bytes(range(len(set(h))))
+    return any(s.translate(rename) == ident for s in back)

@@ -29,12 +29,13 @@ from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, ActHom, regular_act, subact, subact_as_act, validate_act
-from .congruence import kernel_congruence, rees_congruence
+from .act import Act, regular_act, subact, subact_as_act, validate_act
+from .congruence import rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties, power_profile
+from .relation import least_labels
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
@@ -460,8 +461,7 @@ def _check_t6(ctx, M):
     (`monoid_hopf_properties` raises otherwise)."""
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
-    indices = [(p.k_index, p.i_index)
-               for p in (power_profile(ActHom(R, R, row)) for row in M.table)]
+    indices = [(p.k_index, p.i_index) for p in (power_profile(bytes(row)) for row in M.table)]
     act_level = [flag(SH, [R]), flag(SCH, [R])]
     flags = {"monoid_level": [True, True], "act_level": act_level}
     agree = indices == [(r, w[0]) for r, w in zip(mono.r_indices, mono.power_witnesses)]
@@ -471,8 +471,8 @@ def _check_t6(ctx, M):
 def _check_t7(ctx, pair):
     A, B = pair
     found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
-    proper = found is not None and found.proper
-    maps = {"gamma": list(found.gamma.mapping), "pi": list(found.pi.mapping)} if proper else {}
+    proper = found is not None and A.size < B.size
+    maps = {"gamma": list(found[0]), "pi": list(found[1])} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
     hyp = proper and flag(SH, [B])
     return _implication("T7", pair, hyp, flag(SH, [A]), flags, **maps)
@@ -491,19 +491,19 @@ def _check_t8(ctx, pair):
     sections = induced = 0
     witness_h = []
     for h in an_a.homs(B):
-        if len(set(h.mapping)) != B.size:
+        if len(set(h)) != B.size:
             continue
-        rho = kernel_congruence(h)
-        if rho.labels not in induces:
-            induces[rho.labels] = induces_all_endomorphisms(h, an_a.maps, an_b.maps)[0]
-        if not induces[rho.labels] or not flag(SCH, [A]):
+        kernel = least_labels(h)
+        if kernel not in induces:
+            induces[kernel] = induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]
+        if not induces[kernel] or not flag(SCH, [A]):
             continue
         induced += 1
-        if rho.labels not in section:
-            section[rho.labels] = has_section(h, an_b.homs(A))
-        sections += section[rho.labels]
+        if kernel not in section:
+            section[kernel] = has_section(h, an_b.homs(A))
+        sections += section[kernel]
         if not concl:
-            witness_h = list(h.mapping)
+            witness_h = list(h)
             break
     flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
     details = {"induced_surjections": induced, "with_section": sections}

@@ -11,7 +11,7 @@ oracle, `chain_reports_oracle`, which takes the endomorphisms and
 power profiles from the library and rebuilds each report through
 homomorphism powers.  The composition oracles (the End(A) table, the
 lift and liftable sets, retracts and sections) take their maps from the
-library too and compose them one tuple at a time with `compose`; the
+library too and compose them one tuple at a time with `compose_maps`; the
 strong pi-regularity oracle scans the library's End(A) table, and the
 full invariance oracle reads the endomorphisms one map at a time.  The
 literal Hopfian and co-Hopfian deciders also take the endomorphisms
@@ -162,11 +162,16 @@ def act_hom(source, target, mapping):
     return ActHom(source, target, mapping)
 
 
+def compose_maps(g, f):
+    """(g o f)(a) = g(f(a)) on plain maps (tuples or `bytes`), as a tuple."""
+    return tuple(g[b] for b in f)
+
+
 def compose(g, f):
-    """(g o f)(a) = g(f(a))."""
+    """g o f on ActHoms, whose sources and targets must chain."""
     if f.target != g.source:
         raise SourceTargetMismatch("inner map's target differs from outer's source")
-    return ActHom(f.source, g.target, tuple(g.mapping[b] for b in f.mapping))
+    return ActHom(f.source, g.target, compose_maps(g.mapping, f.mapping))
 
 
 def power(f, n):
@@ -371,10 +376,10 @@ def chain_reports_oracle(A):
     `kernel_congruence` and `image_congruence`.  The indices come from
     the library's power profiles."""
     an = analyse(A)
-    profile = {f.mapping: p for f, p in zip(an.endos, an.profiles)}
+    profile = dict(zip(an.endos, an.profiles))
     reports = []
-    for n, f in enumerate(identity_first(an.endos)):
-        p = profile[f.mapping]
+    for n, m in enumerate(identity_first(an.endos)):
+        p, f = profile[m], ActHom(an.act, an.act, tuple(m))
         kernel = kernel_congruence(power(f, p.k_index))
         image = image_congruence(power(f, p.i_index))
         reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
@@ -458,9 +463,9 @@ def quasi_injective_oracle(A):
     endos = homomorphisms(A, A)
     for B in enumerate_subacts(A)[:-1]:
         sub, members = subact_as_act(B)
-        restrictions = {tuple(h.mapping[b] for b in members) for h in endos}
+        restrictions = {tuple(h[b] for b in members) for h in endos}
         for f in homomorphisms(sub, A):
-            if tuple(f.mapping) not in restrictions:
+            if f not in restrictions:
                 return False, (B, f)
     return True, None
 
@@ -473,9 +478,9 @@ def quasi_projective_oracle(A):
     endos = homomorphisms(A, A)
     for rho in enumerate_congruences(A)[1:]:
         quotient, proj = quotient_by_congruence(A, rho)
-        lifted = {tuple(proj.mapping[a] for a in g.mapping) for g in endos}
+        lifted = {tuple(proj.mapping[a] for a in g) for g in endos}
         for f in homomorphisms(A, quotient):
-            if tuple(f.mapping) not in lifted:
+            if f not in lifted:
                 return False, (rho, f)
     return True, None
 
@@ -489,18 +494,17 @@ def t8_oracle(ctx, pair):
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     induced = sections = 0
-    for h in an_a.homs(B):
-        hm = h.mapping
+    for hm in an_a.homs(B):
         if len(set(hm)) != B.size:
             continue
-        liftable = {tuple(hm[a] for a in g.mapping) for g in an_a.endos}
-        if any(tuple(f.mapping[b] for b in hm) not in liftable for f in an_b.endos):
+        liftable = {tuple(hm[a] for a in g) for g in an_a.endos}
+        if any(tuple(f[b] for b in hm) not in liftable for f in an_b.endos):
             continue
         if not harness.flag(SCH, [A]):
             continue
         induced += 1
         ident = tuple(range(B.size))
-        sections += any(tuple(hm[a] for a in s.mapping) == ident for s in an_b.homs(A))
+        sections += any(tuple(hm[a] for a in s) == ident for s in an_b.homs(A))
         details = {"induced_surjections": induced, "with_section": sections}
         if not harness.flag(SCH, [B]):
             witness = {
@@ -518,26 +522,28 @@ def t8_oracle(ctx, pair):
 def is_hopfian(A):
     """Every surjective endomorphism of A (an Act or its analysis) is
     injective, map by map."""
-    return all(f.is_injective() for f in analyse(A).endos if f.is_surjective())
+    return all(len(set(f)) == len(f) for f in analyse(A).endos
+               if set(f) == set(range(len(f))))
 
 
 def is_co_hopfian(A):
     """Every injective endomorphism of A is surjective, map by map."""
-    return all(f.is_surjective() for f in analyse(A).endos if f.is_injective())
+    return all(set(f) == set(range(len(f))) for f in analyse(A).endos
+               if len(set(f)) == len(f))
 
 
 def is_fully_invariant(B, endos):
-    """True iff every endomorphism in `endos`, the endomorphisms of
-    B's parent act, maps B into B."""
+    """True iff every endomorphism in `endos`, the maps of the
+    endomorphisms of B's parent act, maps B into B."""
     members = set(B.members)
-    return all(f.mapping[b] in members for f in endos for b in B.members)
+    return all(f[b] in members for f in endos for b in B.members)
 
 
 def end_table_oracle(elements):
-    """The End(A) table over `elements` (canonical order), cell (i, j)
-    the index of elements[i] o elements[j] by `compose`."""
-    index = {f.mapping: i for i, f in enumerate(elements)}
-    return tuple(tuple(index[compose(f, g).mapping] for g in elements) for f in elements)
+    """The End(A) table over the maps `elements` (canonical order), cell
+    (i, j) the index of elements[i] o elements[j] by `compose_maps`."""
+    index = {tuple(f): i for i, f in enumerate(elements)}
+    return tuple(tuple(index[compose_maps(f, g)] for g in elements) for f in elements)
 
 
 def is_strongly_pi_regular(E):
@@ -570,29 +576,30 @@ def is_strongly_pi_regular(E):
 
 def unlifted_hom_oracle(A, rho):
     """The first hom A -> A/rho, in map order, outside {p o g : g in
-    End(A)}, each p o g by `compose`, or None."""
+    End(A)}, each p o g by `compose_maps`, or None."""
     quotient, proj = quotient_by_congruence(A, rho)
-    lifted = {compose(proj, g).mapping for g in homomorphisms(A, A)}
-    return next((f for f in homomorphisms(A, quotient) if f.mapping not in lifted), None)
+    lifted = {compose_maps(proj.mapping, g) for g in homomorphisms(A, A)}
+    return next((f for f in homomorphisms(A, quotient) if f not in lifted), None)
 
 
 def induces_oracle(h, source_endos, target_endos):
     """Whether every f in End(B) has f o h = h o g for some g in End(A),
-    both sides by `compose`."""
-    liftable = {compose(h, g).mapping for g in source_endos}
-    return all(compose(f, h).mapping in liftable for f in target_endos)
+    both sides by `compose_maps`."""
+    liftable = {compose_maps(h, g) for g in source_endos}
+    return all(compose_maps(f, h) in liftable for f in target_endos)
 
 
 def retract_oracle(into, back):
     """The first (gamma, pi), gamma then pi in list order, with
-    pi o gamma the identity by `compose`, or None."""
+    pi o gamma the identity by `compose_maps`, or None."""
     for gamma in into:
         for pi in back:
-            if compose(pi, gamma).mapping == tuple(range(gamma.source.size)):
+            if compose_maps(pi, gamma) == tuple(range(len(gamma))):
                 return gamma, pi
     return None
 
 
 def section_oracle(h, back):
-    """Whether h o s is the identity, by `compose`, for some s in `back`."""
-    return any(compose(h, s).mapping == tuple(range(h.target.size)) for s in back)
+    """Whether h o s is the identity on B, by `compose_maps`, for some
+    s in `back`, the homs B -> A."""
+    return any(compose_maps(h, s) == tuple(range(len(s))) for s in back)

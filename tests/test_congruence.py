@@ -87,9 +87,9 @@ def test_image_congruence_examples(a2, reg_z4, z4):
 def test_kernel_and_image_congruences_of_every_endo_power_are_compatible():
     # the two constructors trust their input; the oracle checks what they build
     for A in small_corpus():
-        for f in homomorphisms(A, A):
+        for m in homomorphisms(A, A):
             seen = set()
-            fn = f
+            fn = f = ActHom(A, A, m)
             while fn.mapping not in seen:
                 seen.add(fn.mapping)
                 assert is_compatible_partition(A, kernel_congruence(fn).classes)
@@ -203,7 +203,8 @@ def test_join_is_least_upper_bound():
 
 def test_kernel_image_chains_are_monotone():
     for A in small_corpus(2, 3):
-        for f in homomorphisms(A, A):
+        for m in homomorphisms(A, A):
+            f = ActHom(A, A, m)
             for n in range(1, A.size + 2):
                 k_n = kernel_congruence(power(f, n))
                 k_n1 = kernel_congruence(power(f, n + 1))

@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from monact import endo
-from monact.act import ActHom, quotient_by_congruence, subact, validate_act
+from monact.act import quotient_by_congruence, subact, validate_act
 from monact.congruence import rees_congruence
+from monact.deciders import ActAnalysis
 from monact.endo import (
     end_monoid,
     has_section,
@@ -21,20 +22,19 @@ from oracles import act_hom, brute_force_homs, is_fully_invariant, is_strongly_p
 
 
 def test_homs_a2(a2):
-    assert [f.mapping for f in homomorphisms(a2, a2)] == [(0, 1), (1, 1)]
+    assert homomorphisms(a2, a2) == [(0, 1), (1, 1)]
 
 
 def test_homs_regular_act_are_left_translations(z4, reg_z4):
     homs = homomorphisms(reg_z4, reg_z4)
     assert len(homs) == 4
-    assert {f.mapping for f in homs} == {tuple(z4.table[a]) for a in range(4)}
+    assert set(homs) == {tuple(z4.table[a]) for a in range(4)}
 
 
 def test_homs_from_singleton_hit_fixed_points(singleton, trivial, m2, a2):
     one = validate_act(m2, 1, [[0, 0]])
-    maps = [f.mapping for f in homomorphisms(one, a2)]
     # only y is fixed by e
-    assert maps == [(1,)]
+    assert homomorphisms(one, a2) == [(1,)]
 
 
 def same_monoid_pairs(max_monoid, max_act):
@@ -46,7 +46,7 @@ def hom_mismatches(pairs):
     """The pairs whose hom search differs from the brute-force filter."""
     return [
         (A, B) for A, B in pairs
-        if [f.mapping for f in endo.homomorphisms(A, B)] != brute_force_homs(A, B)
+        if endo.homomorphisms(A, B) != brute_force_homs(A, B)
     ]
 
 
@@ -68,10 +68,10 @@ def test_planted_extra_hom_is_caught(monkeypatch):
     # the first map in product order that the search did not return,
     # which is not equivariant since the search returns all that are
     def extra(A, B, homs):
-        found = {f.mapping for f in homs}
+        found = set(homs)
         for mapping in product(range(B.size), repeat=A.size):
             if mapping not in found:
-                return sorted(homs + [ActHom(A, B, mapping)], key=lambda f: f.mapping)
+                return sorted(homs + [mapping])
         return homs
 
     pairs = same_monoid_pairs(2, 3)
@@ -87,7 +87,7 @@ def test_planted_missing_hom_is_caught(monkeypatch):
 
 def test_homs_pass_equivariance(a2, reg_z4):
     for f in homomorphisms(reg_z4, reg_z4):
-        act_hom(f.source, f.target, f.mapping)
+        act_hom(reg_z4, reg_z4, f)
 
 
 def test_budget_exceeded(trivial, monkeypatch):
@@ -128,7 +128,7 @@ def test_search_errors_name_the_search(trivial, monkeypatch):
 def test_end_monoid_a2(a2, m2):
     E = end_monoid(a2)
     assert E.monoid.table == m2.table
-    assert E.elements[0].mapping == (0, 1)  # identity endomorphism first
+    assert E.elements[0] == bytes((0, 1))  # identity endomorphism first
     assert is_commutative(E)
 
 
@@ -152,27 +152,29 @@ def test_end_monoid_composition_is_associative():
             # table consistent with pointwise composition
             for i, f in enumerate(E.elements):
                 for j, g in enumerate(E.elements):
-                    comp = tuple(f.mapping[g.mapping[a]] for a in range(A.size))
-                    assert E.elements[E.monoid.table[i][j]].mapping == comp
+                    comp = bytes(f[g[a]] for a in range(A.size))
+                    assert E.elements[E.monoid.table[i][j]] == comp
 
 
 def _retract(A, B):
-    return is_retract_of(homomorphisms(A, B), homomorphisms(B, A))
+    return is_retract_of(ActAnalysis(A).homs(B), ActAnalysis(B).homs(A))
 
 
 def test_retract_of_itself(a2):
     r = _retract(a2, a2)
     assert r is not None
-    assert r.gamma.mapping == (0, 1) and r.pi.mapping == (0, 1)
-    assert not r.proper
+    gamma, pi = r
+    assert gamma == pi == bytes((0, 1))
+    assert set(gamma) == {0, 1}  # onto a2: not a proper retract
 
 
 def test_singleton_is_proper_retract_of_a2(m2, a2):
     one = validate_act(m2, 1, [[0, 0]])
     r = _retract(one, a2)
-    assert r is not None and r.proper
-    assert r.gamma.mapping == (1,)  # embeds onto the fixed point y
-    assert tuple(r.pi.mapping[b] for b in r.gamma.mapping) == (0,)
+    assert r is not None
+    gamma, pi = r
+    assert gamma == bytes((1,))  # embeds onto the fixed point y, not onto a2
+    assert bytes(pi[b] for b in gamma) == bytes((0,))
 
 
 def test_no_retract_into_smaller(m2, a2):
@@ -190,7 +192,7 @@ def test_pi_regular_a2(a2):
     ok, witnesses = is_strongly_pi_regular(E)
     assert ok
     # the idempotent constant map has witness n=1, g=identity
-    c_y_index = [i for i, f in enumerate(E.elements) if f.mapping == (1, 1)][0]
+    c_y_index = E.elements.index(bytes((1, 1)))
     assert witnesses[c_y_index] == (1, 0)
 
 
@@ -199,9 +201,7 @@ def test_pi_regular_regular_z4(reg_z4, z4):
     ok, witnesses = is_strongly_pi_regular(E)
     assert ok
     idx = z4.relabeling
-    lam2_index = [
-        i for i, f in enumerate(E.elements) if f.mapping == tuple(z4.table[idx[2]])
-    ][0]
+    lam2_index = E.elements.index(bytes(z4.table[idx[2]]))
     n, _ = witnesses[lam2_index]
     assert n == 2  # 2^2 = 2^3 = 0 mod 4, nothing works at n=1
 
@@ -214,19 +214,15 @@ def test_fully_invariant(a2, reg_z4, z4):
     assert is_fully_invariant(subact(reg_z4, [idx[0], idx[2]]), endos)
 
 
-def _maps(homs):
-    return [bytes(f.mapping) for f in homs]
-
-
 def test_induced_endomorphisms_via_identity(a2):
-    ident = ActHom(a2, a2, (0, 1))
-    endos = homomorphisms(a2, a2)
-    ok, _ = induces_all_endomorphisms(ident, _maps(endos), _maps(endos))
+    ident = bytes((0, 1))
+    endos = ActAnalysis(a2).endos
+    ok, _ = induces_all_endomorphisms(ident, endos, endos)
     assert ok
     assert has_section(ident, endos)
 
 
 def test_induced_endomorphisms_on_quotient(a2):
     Q, pi = quotient_by_congruence(a2, rees_congruence(a2, subact(a2, [1])))
-    ok, _ = induces_all_endomorphisms(pi, _maps(homomorphisms(a2, a2)), _maps(homomorphisms(Q, Q)))
+    ok, _ = induces_all_endomorphisms(bytes(pi.mapping), ActAnalysis(a2).endos, ActAnalysis(Q).endos)
     assert ok

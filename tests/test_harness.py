@@ -289,7 +289,7 @@ def test_t9_full_invariance_matches_oracle():
 def test_planted_orbit_without_the_last_map_is_caught(monkeypatch):
     # every orbit misses the image of the last endomorphism in map order
     monkeypatch.setattr(deciders.ActAnalysis, "orbits", property(
-        lambda an: [frozenset(m[a] for m in an.maps[:-1]) for a in range(an.act.size)]))
+        lambda an: [frozenset(m[a] for m in an.endos[:-1]) for a in range(an.act.size)]))
     mismatches, nonvacuous = _t9_against_oracle(CorpusSpec())
     assert len(mismatches) == nonvacuous - 268 == 8
     digest = hashlib.sha256(suite_json(run_suite(CorpusSpec())).encode()).hexdigest()

@@ -14,6 +14,7 @@ planted bugs show which check catches which fault.
 import sys
 
 from monact import congruence as congruence_module
+from monact.act import ActHom
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, build_corpus, run_suite
 
@@ -53,10 +54,11 @@ def label_op_mismatches(acts):
                     ("join", cm.join(rho, sigma).classes, chain_join_oracle(A.size, rp, sp)),
                 )
                 bad.extend((A, what, got, want) for what, got, want in checks if got != want)
-        for f in homomorphisms(A, A):
+        for m in homomorphisms(A, A):
+            f = ActHom(A, A, m)
             checks = (
-                ("kernel", cm.kernel_congruence(f).classes, fibers(f.mapping)),
-                ("image", cm.image_congruence(f).classes, image_classes(f.mapping)),
+                ("kernel", cm.kernel_congruence(f).classes, fibers(m)),
+                ("image", cm.image_congruence(f).classes, image_classes(m)),
             )
             bad.extend((A, what, got, want) for what, got, want in checks if got != want)
     return bad

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from monact import monoid
-from monact.act import regular_act
+from monact.act import ActHom, regular_act
 from monact.congruence import kernel_congruence
 from monact.endo import homomorphisms
 from monact.errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
@@ -156,7 +156,7 @@ def test_right_relation_examples(z4):
 def test_right_relation_is_equivalence_and_matches_translation_kernel():
     for M in enumerate_monoids(3):
         R = regular_act(M)
-        translations = {f.mapping: f for f in homomorphisms(R, R)}
+        translations = {m: ActHom(R, R, m) for m in homomorphisms(R, R)}
         for s in range(M.size):
             classes = right_relation(M, s)
             # the classes read off the pairs partition the carrier

@@ -57,20 +57,20 @@ def oracle_mismatches(acts):
     bad = []
     for A in acts:
         an = ActAnalysis(A)
-        for f, p in zip(an.endos, an.profiles):
+        for f, p in zip(map(tuple, an.endos), an.profiles):
             got = (p.k_index, p.i_index)
-            want = (chain_index_oracle(f.mapping, "kernel"), chain_index_oracle(f.mapping, "image"))
+            want = (chain_index_oracle(f, "kernel"), chain_index_oracle(f, "image"))
             if got != want:
-                bad.append((A, f"profile of {f.mapping}", got, want))
+                bad.append((A, f"profile of {f}", got, want))
         for family, decide in (("kernel", is_strongly_hopfian), ("image", is_strongly_co_hopfian)):
             for c in CRITERIA:
-                per = [criterion_index_oracle(f.mapping, family, c) for f in an.endos]
+                per = [criterion_index_oracle(f, family, c) for f in an.endos]
                 want = (False, None) if None in per else (True, max(per))
                 got = decide(an, c)
                 if got != want:
                     bad.append((A, f"{family} criterion {c}", got, want))
         ident = tuple(range(A.size))
-        order = [ident] + [f.mapping for f in an.endos if f.mapping != ident]
+        order = [ident] + [f for f in map(tuple, an.endos) if f != ident]
         for n, rep in enumerate(chain_reports(an)):
             got = (rep.endo, rep.mapping, rep.k_index, rep.i_index,
                    rep.kernel.classes, rep.image.classes)
@@ -87,11 +87,11 @@ def rank_identity_failures(acts):
     for A in acts:
         an = ActAnalysis(A)
         for f, p in zip(an.endos, an.profiles):
-            ranks = [len(set(q)) for q in map_powers(f.mapping, A.size + 1)]
+            ranks = [len(set(q)) for q in map_powers(f, A.size + 1)]
             n = next(n for n in range(1, A.size + 1) if ranks[n - 1] == ranks[n])
             checked += 1
             if not p.k_index == p.i_index == n:
-                bad.append((A, f.mapping, p, n))
+                bad.append((A, tuple(f), p, n))
     return bad, checked
 
 
