@@ -2,7 +2,7 @@
 as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
 `itemgetter` gather (a fixed right factor).  The End(A) table, the lift
 sets, the T8 liftable sets and the retract and section tests are each
-compared with a tuple-composition oracle built on `oracles.compose`.  The
+compared with a tuple-composition oracle built on `oracles.compose_maps`.  The
 End(A) table scan `oracles.is_strongly_pi_regular` backs the report's
 constant strong pi-regularity flag, and the literal loops
 `oracles.is_hopfian` and `oracles.is_co_hopfian` back the constant

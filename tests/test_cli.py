@@ -225,9 +225,20 @@ def test_classify_unknown_act(sample_file, capsys):
 
 
 def test_endos_command(sample_file, capsys):
+    # maps print as tuples, identity first, the rest in map order
     assert main(["endos", sample_file, "--act", "A2"]) == 0
-    out = capsys.readouterr().out
-    assert "endomorphisms of A2 over M2: 2" in out
+    assert capsys.readouterr().out == "endomorphisms of A2 over M2: 2\n  0: (0, 1)\n  1: (1, 1)\n"
+
+
+def test_endos_of_a_regular_act(capsys):
+    assert main(["endos", "--regular", "Z4"]) == 0
+    assert capsys.readouterr().out == (
+        "endomorphisms of regular(Z4) over Z4: 4\n"
+        "  0: (0, 1, 2, 3)\n"
+        "  1: (1, 1, 1, 1)\n"
+        "  2: (2, 1, 1, 2)\n"
+        "  3: (3, 1, 2, 0)\n"
+    )
 
 
 def test_congruences_command(sample_file, capsys):

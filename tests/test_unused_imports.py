@@ -1,0 +1,37 @@
+"""Every module of the package reads each name it imports.  `__init__`
+is the exception: it imports to re-export.  A name counts as read when
+it appears as a bare name anywhere in the module, annotations included,
+so `mod.attr` reads `mod`."""
+
+import ast
+from pathlib import Path
+
+import monact
+
+PACKAGE = Path(monact.__file__).parent
+
+
+def unused_imports(source):
+    """The names `source` imports but never reads, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_modules_read_every_imported_name():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    unused = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_a_dropped_read_is_caught():
+    assert unused_imports("from .act import Act, ActHom\n\nx: Act = None\n") == ["ActHom"]
+    assert unused_imports("import os.path\nimport json as js\n\nos.sep\n") == ["js"]
+    assert unused_imports("from __future__ import annotations\n") == []
