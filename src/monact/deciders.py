@@ -12,9 +12,10 @@ of each power map, once per map and decider call.
 255 points), converted once from the search's tuples; `endos` are the
 homs into the act itself.  Each composition is one C call: f o x for
 fixed f is `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets),
-x o g for fixed g an `itemgetter` gather (restrictions).  End(A) is finite, so
-it is strongly pi-regular (Drazin); `classify_act` still builds the
-End(A) table for its size and commutativity (`endo.end_monoid`).
+x o g for fixed g an `itemgetter` gather (restrictions).  End(A) is
+finite, so it is strongly pi-regular (Drazin); `classify_act` still
+builds the End(A) table for its size and commutativity
+(`endo.end_monoid`).
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and

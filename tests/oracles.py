@@ -11,8 +11,8 @@ oracle, `chain_reports_oracle`, which takes the endomorphisms and
 power profiles from the library and rebuilds each report through
 homomorphism powers.  The composition oracles (the End(A) table, the
 lift and liftable sets, retracts and sections) take their maps from the
-library too and compose them one tuple at a time with `compose_maps`; the
-strong pi-regularity oracle scans the library's End(A) table, and the
+library too and compose them one tuple at a time with `compose_maps`;
+the strong pi-regularity oracle scans the library's End(A) table, and the
 full invariance oracle reads the endomorphisms one map at a time.  The
 literal Hopfian and co-Hopfian deciders also take the endomorphisms
 from the library: on a finite carrier both hold by pigeonhole, and the
