@@ -105,13 +105,11 @@ class ActAnalysis:
         return enumerate_subacts(self.act)
 
     def quotient(self, rho: Congruence):
-        """The factor act A/rho and its projection's byte map, built once
-        per rho: like `quotient_by_congruence`, the projection numbers the
-        classes in the order of their least members, rho's labels."""
+        """The factor act A/rho and the byte map of its projection from
+        `quotient_by_congruence`, built once per rho."""
         if rho.labels not in self._quotients:
-            leaders = sorted(set(rho.labels))
-            self._quotients[rho.labels] = (quotient_by_congruence(self.act, rho)[0],
-                                           bytes(map(leaders.index, rho.labels)))
+            Q, proj = quotient_by_congruence(self.act, rho)
+            self._quotients[rho.labels] = (Q, bytes(proj.mapping))
         return self._quotients[rho.labels]
 
 

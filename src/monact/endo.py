@@ -110,7 +110,8 @@ def identity_first(endos):
 
 def end_monoid(A: Act, endos=None) -> EndMonoid:
     """End(A), built from `endos` when the caller already holds the
-    endomorphisms as byte maps; the hom search keeps it within SIZE_CAP.
+    endomorphisms, as tuples or byte maps; the hom search keeps it within
+    SIZE_CAP.
 
     Row f of the table, f o g over every g, is one `bytes.translate`
     per cell through f's rename table, so carriers stop at 255 points.
@@ -119,8 +120,7 @@ def end_monoid(A: Act, endos=None) -> EndMonoid:
     """
     if A.size > 255:
         raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")
-    if endos is None:
-        endos = list(map(bytes, endomorphisms(A)))
+    endos = list(map(bytes, endomorphisms(A) if endos is None else endos))
     elements = identity_first(endos)
     idx = {m: i for i, m in enumerate(elements)}.__getitem__
     raw = [tuple(map(idx, map(bytes.translate, elements, repeat(f.ljust(256, b"\0")))))

@@ -143,6 +143,19 @@ def test_end_monoid_singleton(singleton):
     assert E.monoid.size == 1
 
 
+def test_end_monoid_takes_the_search_tuples_or_byte_maps():
+    """`end_monoid` builds the same End(A) from `endomorphisms(A)` (map
+    tuples), from the analysis's byte maps and from the search it runs
+    itself."""
+    for M in enumerate_monoids(2):
+        for A in enumerate_acts(M, 3):
+            E = end_monoid(A)
+            for endos in (endo.endomorphisms(A), ActAnalysis(A).endos):
+                given = end_monoid(A, endos)
+                assert given.monoid.table == E.monoid.table
+                assert given.elements == E.elements
+
+
 def test_end_monoid_composition_is_associative():
     for M in enumerate_monoids(2):
         for A in enumerate_acts(M, 3):

@@ -12,12 +12,13 @@ import contextlib
 import io
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
-from monact.act import validate_act
+from monact.act import regular_act, validate_act
 from monact.deciders import ActAnalysis
 from monact.endo import EndMonoid, homomorphisms
 from monact.harness import (
@@ -119,32 +120,57 @@ def test_searches_share_one_generating_set(count):
     assert gens == Counter({_key(A): 1})
 
 
-def test_suite_profiles_each_endomorphism_once(count):
+@pytest.fixture
+def count_profiles(count, monkeypatch):
+    """Tallies `power_profile` calls by (act, byte map).  The act is the
+    one whose `ActAnalysis.profiles` is being listed; outside a listing
+    it is the regular act the harness built last, whose left
+    translations T6 profiles."""
+    current = [None]
+    listing = ActAnalysis.profiles.func
+
+    def profiles(self):
+        outer, current[0] = current[0], self.act
+        try:
+            return listing(self)
+        finally:
+            current[0] = outer
+
+    def regular(M):
+        current[0] = regular_act(M)
+        return current[0]
+
+    prop = cached_property(profiles)
+    prop.__set_name__(ActAnalysis, "profiles")
+    monkeypatch.setattr(ActAnalysis, "profiles", prop)
+    monkeypatch.setattr(harness, "regular_act", regular)
+    return count(deciders, "power_profile", lambda m: (current[0], bytes(m)))
+
+
+def test_suite_profiles_each_endomorphism_once(count_profiles):
     """Each corpus act's analysis profiles each endomorphism once, and T6
     profiles each left translation of each monoid's regular act once
-    more, without analysing the regular act.  A profile is taken of a
-    bare byte map, so the calls are tallied by map over all acts."""
+    more, without analysing the regular act."""
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
     corpus = build_corpus(spec)
     acts = [A for per in corpus.acts for A in per]
-    profiles = count(deciders, "power_profile", bytes)
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
-    expected = Counter(bytes(f) for A in acts for f in homomorphisms(A, A))
-    expected.update(bytes(row) for M in corpus.monoids for row in M.table)
-    assert profiles == expected
+    expected = Counter((A, bytes(f)) for A in acts for f in homomorphisms(A, A))
+    expected.update((regular_act(M), bytes(row)) for M in corpus.monoids for row in M.table)
+    assert count_profiles == expected
 
 
-def test_classify_profiles_each_endomorphism_once(count, tmp_path):
+def test_classify_profiles_each_endomorphism_once(count_profiles, tmp_path):
     path = tmp_path / "a.act"
     path.write_text("monoid M 2\n0 1\n1 1\n\nact A over M 3\n0 1\n1 1\n2 1\n")
-    profiles = count(deciders, "power_profile", bytes)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["classify", str(path), "--act", "A", "--json"]) == 0
-    A = validate_act(validate_monoid(2, [[0, 1], [1, 1]]), 3, [[0, 1], [1, 1], [2, 1]])
+    (A,) = {a for a, _ in count_profiles}
+    assert A == validate_act(validate_monoid(2, [[0, 1], [1, 1]]), 3, [[0, 1], [1, 1], [2, 1]])
     endos = homomorphisms(A, A)
     assert len(endos) > 1
-    assert profiles == Counter(map(bytes, endos))
+    assert count_profiles == Counter((A, bytes(f)) for f in endos)
 
 
 def test_suite_decides_each_lift_flag_once(count):
