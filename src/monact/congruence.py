@@ -5,7 +5,10 @@ the smallest member of a's class.  Every operation works on that array
 form (Freese, "Computing congruences efficiently", Algebra Universalis
 59, 2008): meet labels the pairs of labels, and a join is a partition
 join, `_merge`.  Only seeds that are not congruences are closed under the
-action, by `_close`.  Enumeration joins each congruence found with the
+action, by `_close`.  Inside these two kernels the labels are `bytes`, so
+a class merge is one `bytes.replace` and carriers stop at 255 points
+(`congruence_closure` and `join` refuse larger ones); `Congruence.labels`
+stays a tuple.  Enumeration joins each congruence found with the
 distinct principal congruences only, and reads the longest chain off
 those join steps.  The classes are derived from the labels on demand.
 """
@@ -16,13 +19,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import CarrierTooLarge, NotACongruence, ParentMismatch
+from .errors import CarrierTooLarge, NotACongruence, ParentMismatch, SizeTooLarge
 from .relation import label_classes, least_labels
 
 if TYPE_CHECKING:
     from .act import Act, ActHom, Subact
 
 CONGRUENCE_ENUM_CAP = 8
+BYTE = [bytes((i,)) for i in range(256)]  # label i as a one-byte string
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,8 @@ def universal(A: Act) -> Congruence:
     return Congruence(A, (0,) * A.size)
 
 
-def _close(A: Act, labels, pairs):
-    """Labels of the least congruence containing a congruence and pairs.
+def _close(A: Act, labels: bytes, pairs) -> bytes:
+    """Byte labels of the least congruence containing a congruence and pairs.
 
     `labels[x]` is the least member of x's class in a congruence, so the
     start is already action-compatible and only a new merge of (a, b)
@@ -83,7 +87,6 @@ def _close(A: Act, labels, pairs):
     the larger root to the smaller one (quick-find), so the labels stay
     least-member labels: canonical and hashable.
     """
-    labels = list(labels)
     action = A.action
     work = list(pairs)
     while work:
@@ -93,29 +96,32 @@ def _close(A: Act, labels, pairs):
             continue
         if ra > rb:
             ra, rb = rb, ra
-        labels = [ra if x == rb else x for x in labels]
+        labels = labels.replace(BYTE[rb], BYTE[ra])
         work.extend(zip(action[a], action[b]))
-    return tuple(labels)
+    return labels
 
 
-def _merge(labels, pairs):
-    """(labels, merges): the partition join of labels and pairs by the
-    relabel of `_close`, pushing no translations, and its merge count."""
-    labels = list(labels)
+def _merge(labels: bytes, pairs):
+    """(labels, merges): the partition join of byte labels and pairs by
+    the relabel of `_close`, pushing no translations, and its merge count."""
     merges = 0
     for a, b in pairs:
         ra, rb = labels[a], labels[b]
         if ra != rb:
             if ra > rb:
                 ra, rb = rb, ra
-            labels = [ra if x == rb else x for x in labels]
+            labels = labels.replace(BYTE[rb], BYTE[ra])
             merges += 1
-    return tuple(labels), merges
+    return labels, merges
 
 
 def congruence_closure(A: Act, pairs) -> Congruence:
     """Least congruence containing the given pairs."""
-    return Congruence(A, _close(A, range(A.size), [(int(a), int(b)) for a, b in pairs]))
+    if A.size > 255:
+        raise SizeTooLarge(
+            f"congruence closure: carrier size {A.size} exceeds the byte-label cap of 255")
+    seeds = [(int(a), int(b)) for a, b in pairs]
+    return Congruence(A, tuple(_close(A, bytes(range(A.size)), seeds)))
 
 
 def kernel_congruence(f: ActHom) -> Congruence:
@@ -162,7 +168,10 @@ def join(rho: Congruence, sigma: Congruence) -> Congruence:
     chain a*s = c0*s rho c1*s sigma c2*s ... b*s."""
     if rho.act != sigma.act:
         raise ParentMismatch("congruences on different acts")
-    return Congruence(rho.act, _merge(rho.labels, enumerate(sigma.labels))[0])
+    if rho.act.size > 255:
+        raise SizeTooLarge(
+            f"join: carrier size {rho.act.size} exceeds the byte-label cap of 255")
+    return Congruence(rho.act, tuple(_merge(bytes(rho.labels), enumerate(sigma.labels))[0]))
 
 
 def enumerate_congruences(A: Act):
@@ -184,26 +193,28 @@ def enumerate_congruences(A: Act):
     if A.size > CONGRUENCE_ENUM_CAP:
         raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}")
     n = A.size
-    bottom = tuple(range(n))
+    bottom = bytes(range(n))
     generators = {}  # Cg(a, b) -> a, b and its pairs (x, label of x) off the diagonal
     for a in range(n):
         for b in range(a + 1, n):
             cg = _close(A, bottom, [(a, b)])
             generators.setdefault(cg, (a, b, [(x, lx) for x, lx in enumerate(cg) if x != lx]))
+    generators = list(generators.values())
     height = {bottom: 1}
     by_classes = [[] for _ in range(n + 1)]
     by_classes[n].append(bottom)
     for count in range(n, 0, -1):
         for theta in by_classes[count]:
             up = height[theta] + 1
-            for a, b, pairs in generators.values():
+            for a, b, pairs in generators:
                 if theta[a] == theta[b]:
                     continue
                 psi, merges = _merge(theta, pairs)
-                if psi not in height:
+                h = height.get(psi)
+                if h is None:
                     by_classes[count - merges].append(psi)
-                height[psi] = max(height.get(psi, 0), up)
-    congs = [Congruence(A, labels, h) for labels, h in height.items()]
+                if h is None or h < up:
+                    height[psi] = up
+    congs = [Congruence(A, tuple(labels), h) for labels, h in height.items()]
     congs.sort(key=lambda c: (-len(c.classes), c.classes))
     return congs
-

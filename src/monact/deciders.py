@@ -239,11 +239,12 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     congruence's; each map is decided once per call, as for the kernels.
     """
     an = analyse(A)
-    full = (0,) * an.act.size
+    full = bytes(an.act.size)
 
     @cache
     def settled(f_n):
-        return _merge(_collapse_labels(len(f_n), f_n), enumerate(least_labels(f_n)))[0] == full
+        image = bytes(_collapse_labels(len(f_n), f_n))
+        return _merge(image, enumerate(least_labels(f_n)))[0] == full
 
     return _worst(
         _endo_index(m, criterion, p.i_index, p.i_tail, settled)

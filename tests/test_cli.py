@@ -9,6 +9,7 @@ import pytest
 
 import monact
 from monact.cli import build_parser, main
+from monact.deciders import chain_conditions
 from monact.errors import DuplicateName, InputSyntaxError, UnknownMonoidReference
 from monact.monoid import zmod_mult_monoid
 from monact.textio import parse_input, serialize_document
@@ -341,11 +342,19 @@ def test_family36_budget(capsys):
 
 
 def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
-    # only the identity acts: all Bell(8) = 4140 partitions are congruences
-    assert main(["congruences", _trivial_act_file(tmp_path, 8), "--act", "A"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    # only the identity acts: all Bell(8) = 4140 partitions are congruences;
+    # the digest pins the listing order, and a longest chain merges two
+    # classes at a time
+    path = _trivial_act_file(tmp_path, 8)
+    assert main(["congruences", path, "--act", "A"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert lines[0] == "congruences of A over T: 4140"
     assert len(lines) == 1 + 4140
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "aca047293071"
+    with open(path) as fh:
+        _, A = parse_input(fh.read()).acts["A"]
+    assert chain_conditions(A) == (True, True, 4140, 8)
 
 
 def test_classify_budget_exit(capsys):

@@ -21,7 +21,7 @@ from monact.congruence import (
 )
 from monact.act import subact
 from monact.endo import homomorphisms
-from monact.errors import CarrierTooLarge, NotACongruence, ParentMismatch
+from monact.errors import CarrierTooLarge, NotACongruence, ParentMismatch, SizeTooLarge
 from monact.harness import enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
@@ -179,6 +179,27 @@ def test_dropped_translation_in_closure_is_caught(monkeypatch):
         if sorted(c.classes for c in enumerate_congruences(A)) != brute_force_congruences(A)
     ]
     assert caught
+
+
+def test_closure_and_join_refuse_a_carrier_past_the_byte_labels(monkeypatch):
+    # byte labels hold 0..255: 255 points close and join, 256 are refused
+    # before either kernel builds a label
+    t = validate_monoid(1, [[0]])
+    A = validate_act(t, 255, [[a] for a in range(255)])
+    assert congruence_closure(A, [(0, 254)]).classes[0] == (0, 254)
+    assert join(diagonal(A), universal(A)) == universal(A)
+    B = validate_act(t, 256, [[a] for a in range(256)])
+
+    def refuse(*args):
+        raise AssertionError("a label kernel ran past the cap")
+
+    monkeypatch.setattr(congruence_module, "_close", refuse)
+    monkeypatch.setattr(congruence_module, "_merge", refuse)
+    cap = "carrier size 256 exceeds the byte-label cap of 255"
+    with pytest.raises(SizeTooLarge, match=f"congruence closure: {cap}"):
+        congruence_closure(B, [(0, 1)])
+    with pytest.raises(SizeTooLarge, match=f"join: {cap}"):
+        join(diagonal(B), universal(B))
 
 
 def test_enumerate_cap(monkeypatch):

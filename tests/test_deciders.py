@@ -122,11 +122,13 @@ def test_chain_conditions_trivial_monoid_closed_form(trivial, m):
 
 
 def test_longest_chain_matches_oracle():
-    # the default corpus (monoids <= 3, acts <= 4) holds the 2/4 corpus
-    for per in build_corpus(CorpusSpec()).acts:
-        for A in per:
-            expected = longest_chain_oracle(brute_force_congruences(A))
-            assert chain_conditions(A)[3] == expected
+    # the default corpus (monoids <= 3, acts <= 4), then the 5-point acts
+    # over the monoids of size <= 2
+    for spec in (CorpusSpec(), CorpusSpec(max_monoid_size=2, max_act_size=5)):
+        for per in build_corpus(spec).acts:
+            for A in per:
+                expected = longest_chain_oracle(brute_force_congruences(A))
+                assert chain_conditions(A)[3] == expected
 
 
 def test_quasi_injective(a2, reg_z4, singleton):

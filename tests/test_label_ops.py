@@ -148,6 +148,28 @@ def test_planted_merge_dropping_last_pair_is_caught(monkeypatch):
     assert join_incompatibilities(acts)[1]
 
 
+def test_planted_merge_relabelling_one_member_is_caught(monkeypatch):
+    # the classic `bytes.replace` slip: count 1 relabels only the first
+    # member of the larger root's class
+    def merge_first_only(labels, pairs):
+        merges = 0
+        for a, b in pairs:
+            ra, rb = labels[a], labels[b]
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                labels = labels.replace(congruence_module.BYTE[rb], congruence_module.BYTE[ra], 1)
+                merges += 1
+        return labels, merges
+
+    _plant(monkeypatch, congruence_module, "_merge", merge_first_only)
+    acts = corpus_acts(2, 4)
+    bad = label_op_mismatches(acts)
+    assert {what for _, what, _, _ in bad} == {"join"}
+    assert enumeration_mismatches(acts)
+    assert join_incompatibilities(acts)[1]
+
+
 def test_planted_principal_congruence_without_closure_is_caught(monkeypatch):
     # Cg(a, b) taken as the bare partition {a, b}: the seed is merged
     # but never pushed through the action

@@ -212,11 +212,15 @@ def test_planted_tail_flag_forced_true_is_caught_by_the_oracles(monkeypatch):
 
 def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
     # criterion 3's label kernels swapped: the kernel family joins the
-    # image and kernel labels, the image family meets them
+    # image and kernel labels, the image family meets them.  Each fake
+    # returns the label type of the kernel it replaces (a tuple for the
+    # meet, bytes for the join), so criterion 3 fails by the swap and not
+    # by comparing a tuple with bytes.
     meet, merge = deciders._meet_labels, deciders._merge
-    monkeypatch.setattr(deciders, "_meet_labels", lambda rho, sigma: merge(rho, enumerate(sigma))[0])
+    monkeypatch.setattr(deciders, "_meet_labels",
+                        lambda rho, sigma: tuple(merge(bytes(rho), enumerate(sigma))[0]))
     monkeypatch.setattr(deciders, "_merge",
-                        lambda labels, pairs: (meet(labels, [lab for _, lab in pairs]), None))
+                        lambda labels, pairs: (bytes(meet(labels, [lab for _, lab in pairs])), None))
     bad = oracle_mismatches(corpus_acts(2, 3))
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
 
