@@ -10,7 +10,6 @@ corpus of small instances.
 
 from .act import (
     Act,
-    ActHom,
     Subact,
     minimal_generating_set,
     quotient_by_congruence,

@@ -1,6 +1,6 @@
-"""Finite right acts over a monoid: carriers, subacts, equivariant maps,
-and the factor act by a congruence (the Rees factor A/B is the factor
-by `congruence.rees_congruence`).
+"""Finite right acts over a monoid: carriers, subacts, and the factor
+act by a congruence with its projection, a plain map tuple like every
+hom (the Rees factor A/B is the factor by `congruence.rees_congruence`).
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ class Subact:
 
     parent: Act
     members: tuple
-
-
-@dataclass(frozen=True)
-class ActHom:
-    """An equivariant map with its source and target, stored as the image
-    tuple over the source carrier: the projection `quotient_by_congruence`
-    returns, and the input of `kernel_congruence` and `image_congruence`.
-    The hom search returns bare map tuples."""
-
-    source: Act
-    target: Act
-    mapping: tuple
 
 
 def validate_act(M: Monoid, size: int, action) -> Act:
@@ -158,7 +146,8 @@ def enumerate_subacts(A: Act):
 
 
 def quotient_by_congruence(A: Act, rho: Congruence):
-    """Factor act A/rho plus the canonical projection.
+    """Factor act A/rho plus the canonical projection, as the tuple of
+    class indices over A's carrier.
 
     Classes are indexed by their smallest original element.  Raises
     NotACongruence if the partition is not action-compatible.
@@ -172,4 +161,4 @@ def quotient_by_congruence(A: Act, rho: Congruence):
     if any(rows[a] != rows[lead] for a, lead in enumerate(rho.labels)):
         raise NotACongruence("partition is not action-compatible")
     quotient = Act(A.monoid, len(leaders), tuple(rows[lead] for lead in leaders))
-    return quotient, ActHom(A, quotient, class_of)
+    return quotient, class_of

@@ -23,7 +23,7 @@ from .errors import CarrierTooLarge, NotACongruence, ParentMismatch, SizeTooLarg
 from .relation import label_classes, least_labels
 
 if TYPE_CHECKING:
-    from .act import Act, ActHom, Subact
+    from .act import Act, Subact
 
 CONGRUENCE_ENUM_CAP = 8
 BYTE = [bytes((i,)) for i in range(256)]  # label i as a one-byte string
@@ -124,9 +124,16 @@ def congruence_closure(A: Act, pairs) -> Congruence:
     return Congruence(A, tuple(_close(A, bytes(range(A.size)), seeds)))
 
 
-def kernel_congruence(f: ActHom) -> Congruence:
-    """Pairs identified by f, as a congruence on the source."""
-    return Congruence(f.source, least_labels(f.mapping))
+def _check_map(A: Act, f, what):
+    if len(f) != A.size:
+        raise ParentMismatch(f"{what}: map has {len(f)} points, the act {A.size}")
+
+
+def kernel_congruence(A: Act, f) -> Congruence:
+    """Pairs identified by the hom f out of A (a tuple or `bytes` map),
+    as a congruence on A."""
+    _check_map(A, f, "kernel congruence")
+    return Congruence(A, least_labels(f))
 
 
 def _collapse_labels(size, members):
@@ -136,11 +143,13 @@ def _collapse_labels(size, members):
     return tuple(lead if a in members else a for a in range(size))
 
 
-def image_congruence(f: ActHom) -> Congruence:
-    """(im f x im f) | diagonal, for an endomorphism f."""
-    if f.source != f.target:
+def image_congruence(A: Act, f) -> Congruence:
+    """(im f x im f) | diagonal, for an endomorphism f of A (a tuple or
+    `bytes` map)."""
+    _check_map(A, f, "image congruence")
+    if min(f) < 0 or max(f) >= A.size:
         raise ParentMismatch("image congruence needs an endomorphism")
-    return Congruence(f.source, _collapse_labels(f.source.size, f.mapping))
+    return Congruence(A, _collapse_labels(A.size, f))
 
 
 def rees_congruence(A: Act, B: Subact) -> Congruence:

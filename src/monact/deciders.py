@@ -12,10 +12,11 @@ of each power map, once per map and decider call.
 255 points), converted once from the search's tuples; `endos` are the
 homs into the act itself.  Each composition is one C call: f o x for
 fixed f is `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets),
-x o g for fixed g an `itemgetter` gather (restrictions).  End(A) is
-finite, so it is strongly pi-regular (Drazin); `classify_act` still
-builds the End(A) table for its size and commutativity
-(`endo.end_monoid`).
+x o g for fixed g an `itemgetter` gather (restrictions).  A factor act
+and its projection are built per lift check, by
+`quotient_by_congruence`, and not kept.  End(A) is finite, so it is
+strongly pi-regular (Drazin); `classify_act` still builds the End(A)
+table for its size and commutativity (`endo.end_monoid`).
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and
@@ -40,6 +41,8 @@ from .congruence import (
     _meet_labels,
     _merge,
     enumerate_congruences,
+    image_congruence,
+    kernel_congruence,
 )
 from .endo import end_monoid, homomorphisms, identity_first, is_commutative
 from .errors import SizeTooLarge
@@ -54,9 +57,9 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), power profiles, endomorphism orbits, congruences, subacts,
-    factor acts and the property report.  End(A) is not kept:
-    `classify_act` builds and drops it.
+    them), power profiles, endomorphism orbits, congruences, subacts and
+    the property report.  End(A) is not kept: `classify_act` builds and
+    drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -68,7 +71,6 @@ class ActAnalysis:
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
         self._homs = {}
-        self._quotients = {}
 
     def homs(self, B: Act):
         """The byte maps of the homs from the act into B, sorted."""
@@ -103,14 +105,6 @@ class ActAnalysis:
     @cached_property
     def subacts(self):
         return enumerate_subacts(self.act)
-
-    def quotient(self, rho: Congruence):
-        """The factor act A/rho and the byte map of its projection from
-        `quotient_by_congruence`, built once per rho."""
-        if rho.labels not in self._quotients:
-            Q, proj = quotient_by_congruence(self.act, rho)
-            self._quotients[rho.labels] = (Q, bytes(proj.mapping))
-        return self._quotients[rho.labels]
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:
@@ -294,9 +288,10 @@ def is_quasi_injective(A: Act | ActAnalysis):
 def _unlifted_hom(an: ActAnalysis, rho: Congruence):
     """The map tuple of the first hom A -> A/rho, in map order, that is
     p_rho o g for no endomorphism g, or None; the lift set is one
-    translate per g.  The homs into A/rho are searched afresh, not kept."""
-    quotient, proj = an.quotient(rho)
-    lifted = set(map(bytes.translate, an.endos, repeat(proj.ljust(256, b"\0"))))
+    translate per g.  The factor act and the homs into it are built
+    afresh, not kept."""
+    quotient, proj = quotient_by_congruence(an.act, rho)
+    lifted = set(map(bytes.translate, an.endos, repeat(bytes(proj).ljust(256, b"\0"))))
     homs = homomorphisms(an.act, quotient)
     return next((f for f in homs if bytes(f) not in lifted), None)
 
@@ -431,12 +426,11 @@ def chain_reports(A: Act | ActAnalysis):
     fibers of its map) and the image congruence of f^i (its image as
     one class)."""
     an = analyse(A)
-    act, size = an.act, an.act.size
     profile = dict(zip(an.endos, an.profiles))
     reports = []
     for n, m in enumerate(identity_first(an.endos)):
         p = profile[m]
-        kernel = Congruence(act, least_labels(_map_power(m, p.k_index)))
-        image = Congruence(act, _collapse_labels(size, _map_power(m, p.i_index)))
+        kernel = kernel_congruence(an.act, _map_power(m, p.k_index))
+        image = image_congruence(an.act, _map_power(m, p.i_index))
         reports.append(ChainReport(n, tuple(m), p.k_index, p.i_index, kernel, image))
     return reports

@@ -29,7 +29,7 @@ from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, regular_act, subact, subact_as_act, validate_act
+from .act import Act, quotient_by_congruence, regular_act, subact, subact_as_act, validate_act
 from .congruence import rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
@@ -469,9 +469,13 @@ def _check_t6(ctx, M):
 
 
 def _check_t7(ctx, pair):
+    """T7 needs a proper retract, which has fewer points than B, so the
+    homs between A and B are searched only when A is smaller."""
     A, B = pair
-    found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
-    proper = found is not None and A.size < B.size
+    found = None
+    if A.size < B.size:
+        found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
+    proper = found is not None
     maps = {"gamma": list(found[0]), "pi": list(found[1])} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
     hyp = proper and flag(SH, [B])
@@ -513,7 +517,7 @@ def _check_t8(ctx, pair):
 def _subact_and_rees_factor(an, B):
     """B as an act, then the Rees factor A/B, each built on demand."""
     yield subact_as_act(B)[0]
-    yield an.quotient(rees_congruence(an.act, B))[0]
+    yield quotient_by_congruence(an.act, rees_congruence(an.act, B))[0]
 
 
 def _check_t9(ctx, inst):
@@ -573,7 +577,7 @@ def _check_t12(ctx, A):
 def _factor_acts(an):
     """A fresh iterable over the factor acts A/rho, each built on demand;
     one per flag read, since a spent generator reads as empty."""
-    return (an.quotient(rho)[0] for rho in an.congruences)
+    return (quotient_by_congruence(an.act, rho)[0] for rho in an.congruences)
 
 
 def _check_t13(ctx, A):

@@ -8,10 +8,11 @@ quasi-projectivity and T8 oracles are the exception: they take the
 homs, subacts and congruence lattice from the library and redo only
 the extending or lifting, on whole maps.  So is the chain-report
 oracle, `chain_reports_oracle`, which takes the endomorphisms and
-power profiles from the library and rebuilds each report through
-homomorphism powers.  The composition oracles (the End(A) table, the
-lift and liftable sets, retracts and sections) take their maps from the
-library too and compose them one tuple at a time with `compose_maps`;
+power profiles from the library and rebuilds each report from the
+fibers and the image of a tuple power of the map.  The composition
+oracles (the End(A) table, the lift and liftable sets, retracts and
+sections) take their maps from the library too and compose them one
+tuple at a time with `compose_maps`;
 the strong pi-regularity oracle scans the library's End(A) table, and the
 full invariance oracle reads the endomorphisms one map at a time.  The
 literal Hopfian and co-Hopfian deciders also take the endomorphisms
@@ -23,8 +24,8 @@ a test compares that constant with.
 import json
 from itertools import combinations, permutations, product
 
-from monact.act import ActHom, enumerate_subacts, quotient_by_congruence, subact_as_act
-from monact.congruence import enumerate_congruences, image_congruence, kernel_congruence
+from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
+from monact.congruence import Congruence, enumerate_congruences
 from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first
 from monact.errors import SourceTargetMismatch
@@ -150,7 +151,7 @@ def acts_isomorphic(A, B):
 
 
 def act_hom(source, target, mapping):
-    """The map as an ActHom, once f(a*s) = f(a)*s is checked at every
+    """The map as a tuple, once f(a*s) = f(a)*s is checked at every
     (a, s); the hom search builds its maps without this check."""
     if source.monoid != target.monoid:
         raise SourceTargetMismatch("acts live over different monoids")
@@ -159,27 +160,12 @@ def act_hom(source, target, mapping):
         for s in range(source.monoid.size):
             if mapping[source.action[a][s]] != target.action[mapping[a]][s]:
                 raise AssertionError(f"not equivariant at (a={a}, s={s})")
-    return ActHom(source, target, mapping)
+    return mapping
 
 
 def compose_maps(g, f):
     """(g o f)(a) = g(f(a)) on plain maps (tuples or `bytes`), as a tuple."""
     return tuple(g[b] for b in f)
-
-
-def compose(g, f):
-    """g o f on ActHoms, whose sources and targets must chain."""
-    if f.target != g.source:
-        raise SourceTargetMismatch("inner map's target differs from outer's source")
-    return ActHom(f.source, g.target, compose_maps(g.mapping, f.mapping))
-
-
-def power(f, n):
-    """The n-fold composite of an endomorphism, n >= 1, by `compose`."""
-    acc = f
-    for _ in range(n - 1):
-        acc = compose(f, acc)
-    return acc
 
 
 def right_relation(M, s):
@@ -371,18 +357,19 @@ def chain_report_oracle(mapping):
 
 
 def chain_reports_oracle(A):
-    """The chain reports through whole homomorphisms: f^k and f^i by
-    `power` (repeated `compose`), their congruences by
-    `kernel_congruence` and `image_congruence`.  The indices come from
-    the library's power profiles."""
+    """The chain reports through tuple powers: f^k and f^i by
+    `map_powers`, their congruences labelled from the classes `fibers`
+    and `image_classes` give.  The indices come from the library's power
+    profiles."""
     an = analyse(A)
     profile = dict(zip(an.endos, an.profiles))
     reports = []
     for n, m in enumerate(identity_first(an.endos)):
-        p, f = profile[m], ActHom(an.act, an.act, tuple(m))
-        kernel = kernel_congruence(power(f, p.k_index))
-        image = image_congruence(power(f, p.i_index))
-        reports.append(ChainReport(n, f.mapping, p.k_index, p.i_index, kernel, image))
+        p = profile[m]
+        powers = map_powers(m, max(p.k_index, p.i_index))
+        kernel = Congruence(an.act, partition_labels(fibers(powers[p.k_index - 1])))
+        image = Congruence(an.act, partition_labels(image_classes(powers[p.i_index - 1])))
+        reports.append(ChainReport(n, tuple(m), p.k_index, p.i_index, kernel, image))
     return reports
 
 
@@ -478,7 +465,7 @@ def quasi_projective_oracle(A):
     endos = homomorphisms(A, A)
     for rho in enumerate_congruences(A)[1:]:
         quotient, proj = quotient_by_congruence(A, rho)
-        lifted = {tuple(proj.mapping[a] for a in g) for g in endos}
+        lifted = {tuple(proj[a] for a in g) for g in endos}
         for f in homomorphisms(A, quotient):
             if f not in lifted:
                 return False, (rho, f)
@@ -578,7 +565,7 @@ def unlifted_hom_oracle(A, rho):
     """The first hom A -> A/rho, in map order, outside {p o g : g in
     End(A)}, each p o g by `compose_maps`, or None."""
     quotient, proj = quotient_by_congruence(A, rho)
-    lifted = {compose_maps(proj.mapping, g) for g in homomorphisms(A, A)}
+    lifted = {compose_maps(proj, g) for g in homomorphisms(A, A)}
     return next((f for f in homomorphisms(A, quotient) if f not in lifted), None)
 
 

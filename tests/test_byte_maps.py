@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from monact import harness
+from monact import deciders, harness
 from monact.act import quotient_by_congruence, regular_act, subact_as_act
 from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
@@ -110,7 +110,7 @@ def test_literal_hopfian_loops_hold_where_the_flags_are_constant():
     factors, subacts = [], []
     for A in acts:
         an = ActAnalysis(A)
-        factors += [an.quotient(rho)[0] for rho in an.congruences]
+        factors += [quotient_by_congruence(A, rho)[0] for rho in an.congruences]
         subacts += [subact_as_act(B)[0] for B in an.subacts]
     for A in acts + five + factors + subacts:
         assert is_hopfian(A) and is_co_hopfian(A), A
@@ -192,7 +192,7 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     for ctx, per in zip(made, result.corpus.acts):
         for A in per:
             an = ctx.analysis(A)
-            factors.extend((ctx, an.quotient(rho)[0]) for rho in an.congruences)
+            factors.extend((ctx, quotient_by_congruence(A, rho)[0]) for rho in an.congruences)
     tables = {(Q.monoid.table, Q.action) for _, Q in factors}
     assert len(factors) == 957
     assert len({id(ctx.analysis(Q)) for ctx, Q in factors}) == len(tables) == 156
@@ -230,13 +230,13 @@ def test_flag_reads_hand_over_subacts_and_factor_acts(monkeypatch):
 
 def test_planted_shifted_projection_is_caught(monkeypatch):
     # p_rho's rename table built from its map rotated by one point
-    real = ActAnalysis.quotient
+    real = deciders.quotient_by_congruence
 
-    def shifted(an, rho):
-        Q, proj = real(an, rho)
+    def shifted(A, rho):
+        Q, proj = real(A, rho)
         return Q, proj[1:] + proj[:1]
 
-    monkeypatch.setattr(ActAnalysis, "quotient", shifted)
+    monkeypatch.setattr(deciders, "quotient_by_congruence", shifted)
     acts = _acts(CorpusSpec())
     assert any(is_quasi_projective(A) != quasi_projective_oracle(A) for A in acts)
     # T8 composes with the surjections themselves, never with p_rho

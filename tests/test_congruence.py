@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monact import congruence as congruence_module
-from monact.act import Act, ActHom, validate_act
+from monact.act import Act, validate_act
 from monact.congruence import (
     Congruence,
     congruence,
@@ -30,10 +30,10 @@ from oracles import (
     bell_number,
     brute_force_congruences,
     chain_join_oracle,
-    compose,
+    compose_maps,
     is_compatible_partition,
+    map_powers,
     partition_labels,
-    power,
     refines_oracle,
     right_relation,
 )
@@ -65,20 +65,18 @@ def test_closure_on_regular_z4(reg_z4, z4):
 
 
 def test_kernel_congruence_examples(a2, reg_z4, z4):
-    assert kernel_congruence(ActHom(a2, a2, (0, 1))) == diagonal(a2)
-    assert kernel_congruence(ActHom(a2, a2, (1, 1))) == universal(a2)
+    assert kernel_congruence(a2, (0, 1)) == diagonal(a2)
+    assert kernel_congruence(a2, b"\1\1") == universal(a2)
     idx = z4.relabeling
-    lam2 = ActHom(reg_z4, reg_z4, tuple(z4.table[idx[2]]))
-    ker = kernel_congruence(lam2)
+    ker = kernel_congruence(reg_z4, z4.table[idx[2]])
     assert ker.classes == right_relation(z4, idx[2])
 
 
 def test_image_congruence_examples(a2, reg_z4, z4):
-    assert image_congruence(ActHom(a2, a2, (0, 1))) == universal(a2)
-    assert image_congruence(ActHom(a2, a2, (1, 1))) == diagonal(a2)
+    assert image_congruence(a2, (0, 1)) == universal(a2)
+    assert image_congruence(a2, b"\1\1") == diagonal(a2)
     idx = z4.relabeling
-    lam2 = ActHom(reg_z4, reg_z4, tuple(z4.table[idx[2]]))
-    img = image_congruence(lam2)
+    img = image_congruence(reg_z4, z4.table[idx[2]])
     assert sorted(map(len, img.classes)) == [1, 1, 2]
     big = max(img.classes, key=len)
     assert set(big) == {idx[0], idx[2]}
@@ -89,12 +87,12 @@ def test_kernel_and_image_congruences_of_every_endo_power_are_compatible():
     for A in small_corpus():
         for m in homomorphisms(A, A):
             seen = set()
-            fn = f = ActHom(A, A, m)
-            while fn.mapping not in seen:
-                seen.add(fn.mapping)
-                assert is_compatible_partition(A, kernel_congruence(fn).classes)
-                assert is_compatible_partition(A, image_congruence(fn).classes)
-                fn = compose(f, fn)
+            fn = m
+            while fn not in seen:
+                seen.add(fn)
+                assert is_compatible_partition(A, kernel_congruence(A, fn).classes)
+                assert is_compatible_partition(A, image_congruence(A, fn).classes)
+                fn = compose_maps(m, fn)
 
 
 def test_rees_congruence_examples(a2, reg_z4, z4):
@@ -114,20 +112,35 @@ def test_join_meet_unit_laws(a2, reg_z4):
 
 def test_join_example_on_regular_z4(reg_z4, z4):
     idx = z4.relabeling
-    lam2 = ActHom(reg_z4, reg_z4, tuple(z4.table[idx[2]]))
-    k = kernel_congruence(lam2)
-    i = image_congruence(lam2)
+    lam2 = z4.table[idx[2]]
+    k = kernel_congruence(reg_z4, lam2)
+    i = image_congruence(reg_z4, lam2)
     assert join(k, i) == k  # image classes sit inside the kernel classes
 
 
 def test_join_on_a2(a2):
-    c_y = ActHom(a2, a2, (1, 1))
-    assert join(kernel_congruence(c_y), image_congruence(c_y)) == universal(a2)
+    c_y = (1, 1)
+    assert join(kernel_congruence(a2, c_y), image_congruence(a2, c_y)) == universal(a2)
 
 
 def test_parent_mismatch(a2, singleton):
     with pytest.raises(ParentMismatch):
         join(diagonal(a2), diagonal(singleton))
+
+
+def test_kernel_and_image_congruences_refuse_foreign_maps(a2, reg_z4):
+    # a map must have one image per carrier point; an endomorphism's
+    # images must lie on the carrier too (a hom's kernel needs no such bound)
+    for bad in [(0,), (0, 1, 1), b"\0\1\0", ()]:
+        with pytest.raises(ParentMismatch, match="kernel congruence: map has"):
+            kernel_congruence(a2, bad)
+        with pytest.raises(ParentMismatch, match="image congruence: map has"):
+            image_congruence(a2, bad)
+    for off in [(0, 2), b"\0\2", (-1, 1)]:
+        with pytest.raises(ParentMismatch, match="needs an endomorphism"):
+            image_congruence(a2, off)
+    assert kernel_congruence(a2, (3, 3)) == universal(a2)
+    assert image_congruence(reg_z4, (0, 0, 0, 0)) == diagonal(reg_z4)
 
 
 def test_congruence_constructor_rejects_incompatible(reg_z4, z4):
@@ -225,14 +238,12 @@ def test_join_is_least_upper_bound():
 def test_kernel_image_chains_are_monotone():
     for A in small_corpus(2, 3):
         for m in homomorphisms(A, A):
-            f = ActHom(A, A, m)
-            for n in range(1, A.size + 2):
-                k_n = kernel_congruence(power(f, n))
-                k_n1 = kernel_congruence(power(f, n + 1))
+            powers = map_powers(m, A.size + 2)
+            for f_n, f_n1 in zip(powers, powers[1:]):
+                k_n = kernel_congruence(A, f_n)
+                k_n1 = kernel_congruence(A, f_n1)
                 assert refines_oracle(k_n.classes, k_n1.classes)
-                im_n = set(power(f, n).mapping)
-                im_n1 = set(power(f, n + 1).mapping)
-                assert im_n1 <= im_n
+                assert set(f_n1) <= set(f_n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -237,5 +237,5 @@ def test_induced_endomorphisms_via_identity(a2):
 
 def test_induced_endomorphisms_on_quotient(a2):
     Q, pi = quotient_by_congruence(a2, rees_congruence(a2, subact(a2, [1])))
-    ok, _ = induces_all_endomorphisms(bytes(pi.mapping), ActAnalysis(a2).endos, ActAnalysis(Q).endos)
+    ok, _ = induces_all_endomorphisms(bytes(pi), ActAnalysis(a2).endos, ActAnalysis(Q).endos)
     assert ok

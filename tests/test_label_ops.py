@@ -1,7 +1,8 @@
 """The label-tuple congruence operations against class-based oracles.
 
 A congruence is stored as least-member labels; `meet`, `join`,
-`kernel_congruence` and `image_congruence` work on that form.  Here every pair of congruences of every act of the
+`kernel_congruence` and `image_congruence` work on that form, the last
+two from a plain map.  Here every pair of congruences of every act of the
 default corpus, found by the partition filter in `oracles`, is checked
 against the partition computations there, with the oracles' input
 partitions read off the labels by `oracles.fibers`, independently of
@@ -14,7 +15,6 @@ planted bugs show which check catches which fault.
 import sys
 
 from monact import congruence as congruence_module
-from monact.act import ActHom
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, build_corpus, run_suite
 
@@ -55,10 +55,9 @@ def label_op_mismatches(acts):
                 )
                 bad.extend((A, what, got, want) for what, got, want in checks if got != want)
         for m in homomorphisms(A, A):
-            f = ActHom(A, A, m)
             checks = (
-                ("kernel", cm.kernel_congruence(f).classes, fibers(m)),
-                ("image", cm.image_congruence(f).classes, image_classes(m)),
+                ("kernel", cm.kernel_congruence(A, m).classes, fibers(m)),
+                ("image", cm.image_congruence(A, m).classes, image_classes(m)),
             )
             bad.extend((A, what, got, want) for what, got, want in checks if got != want)
     return bad

@@ -64,7 +64,7 @@ def test_quasi_projective_counterexamples_fail_to_lift():
         quotient, proj = quotient_by_congruence(A, rho)
         assert f in brute_force_homs(A, quotient)
         for g in brute_force_homs(A, A):
-            assert tuple(proj.mapping[a] for a in g) != f
+            assert tuple(proj[a] for a in g) != f
 
 
 def test_planted_lift_flag_forced_true_is_caught(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from monact import monoid
-from monact.act import ActHom, regular_act
+from monact.act import regular_act
 from monact.congruence import kernel_congruence
 from monact.endo import homomorphisms
 from monact.errors import EntryOutOfRange, NoIdentity, NotAssociative, NotPrime, SizeOverflow
@@ -156,14 +156,15 @@ def test_right_relation_examples(z4):
 def test_right_relation_is_equivalence_and_matches_translation_kernel():
     for M in enumerate_monoids(3):
         R = regular_act(M)
-        translations = {m: ActHom(R, R, m) for m in homomorphisms(R, R)}
+        translations = set(homomorphisms(R, R))
         for s in range(M.size):
             classes = right_relation(M, s)
             # the classes read off the pairs partition the carrier
             assert sorted(a for cls in classes for a in cls) == list(range(M.size))
             assert row_partition(M, s) == classes
-            lam = translations[tuple(M.table[s])]
-            assert kernel_congruence(lam).classes == classes
+            lam = tuple(M.table[s])
+            assert lam in translations
+            assert kernel_congruence(R, lam).classes == classes
 
 
 def test_row_partition_matches_least_label_classes():

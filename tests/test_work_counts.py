@@ -72,9 +72,10 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
     others = set()
     for A in (A for per in corpus.acts for A in per):
         an = ActAnalysis(A)
-        others |= {_key(an.quotient(rho)[0]) for rho in an.congruences}
+        factor = act.quotient_by_congruence
+        others |= {_key(factor(A, rho)[0]) for rho in an.congruences}
         others |= {_key(act.subact_as_act(B)[0]) for B in an.subacts}
-        others |= {_key(an.quotient(congruence.rees_congruence(A, B))[0]) for B in an.subacts}
+        others |= {_key(factor(A, congruence.rees_congruence(A, B))[0]) for B in an.subacts}
     analysed = Counter()
     init = ActAnalysis.__init__
 
@@ -98,6 +99,18 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
     assert congs == Counter(acts)
     assert subs == Counter(acts)
     assert Counter({a: n for (a, b), n in homs.items() if a == b}) == Counter(acts)
+
+
+def test_t7_searches_no_pair_of_one_size(count):
+    """A proper retract has fewer points than B, so a T7-only run
+    searches no hom between two distinct acts of one size; the 142
+    endomorphism searches are the property reports'."""
+    homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B), A.size, B.size))
+    result = run_suite(CorpusSpec(theorems=("T7",)))
+    assert all(v.passed for v in result.verdicts)
+    assert [k for k in homs if k[0] != k[1] and k[2] == k[3]] == []
+    assert sum(k[0] == k[1] for k in homs) == 142
+    assert sum(homs.values()) == 3085
 
 
 def test_classify_builds_end_once(count, tmp_path):
