@@ -1,10 +1,11 @@
 """Property deciders for finite acts and monoids.
 
 Everything here reduces to chains of kernel and image congruences of
-endomorphism powers.  On finite carriers both chain families stabilize
-within |A| steps (kernel class counts fall, image sizes fall), so every
-decider terminates with an exact index.  Criteria 1 and 2 and the chain
-reports read each endomorphism's PowerProfile, one walk of its powers;
+endomorphism powers.  On a finite carrier both chains of f take their
+first equal step at one n, the least with |im f^n| = |im f^(n+1)|, and
+neither moves again (Fitting's lemma); n <= |A|.  So each endomorphism
+has one settle index, found by a walk of its powers that stops there
+(`settle_index`).  Criteria 1 and 2 and the chain reports read it;
 criterion 3 stays literal: it meets or joins the image and kernel labels
 of each power map, once per map and decider call.
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass, asdict
 from functools import cache, cached_property
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from .act import Act, enumerate_subacts
 from .act import quotient_by_congruence, subact_as_act
@@ -57,9 +57,9 @@ CRITERIA = (1, 2, 3)
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), power profiles, endomorphism orbits, congruences, subacts and
-    the property report.  End(A) is not kept: `classify_act` builds and
-    drops it.
+    them), their settle indices, endomorphism orbits, congruences,
+    subacts and the property report.  End(A) is not kept: `classify_act`
+    builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -91,8 +91,8 @@ class ActAnalysis:
 
     @cached_property
     def profiles(self):
-        """One PowerProfile per endomorphism, in `endos` order."""
-        return list(map(power_profile, self.endos))
+        """The settle index of each endomorphism, in `endos` order."""
+        return list(map(settle_index, self.endos))
 
     @cached_property
     def report(self):
@@ -112,30 +112,7 @@ def analyse(A: Act | ActAnalysis) -> ActAnalysis:
     return A if isinstance(A, ActAnalysis) else ActAnalysis(A)
 
 
-# -- power profiles ----------------------------------------------------------
-
-class PowerProfile(NamedTuple):
-    """How the kernel and image chains of one endomorphism f settle:
-    `k_index` (`i_index`) is the least n >= 1 with ker f^n = ker f^(n+1)
-    (im f^n = im f^(n+1)).  `k_tail` (`i_tail`) says whether the kernel
-    (image) stays the same from that index through f^(c+p), where
-    f^(c+p) = f^c is the first repeated power: every later power repeats
-    one of f^c .. f^(c+p-1), so that stretch is the whole tail.
-    """
-
-    k_index: int
-    i_index: int
-    k_tail: bool
-    i_tail: bool
-
-
-def _settle(chain):
-    """(n, tail) for the kernels or images of f^1 .. f^(c+p): the least
-    n with chain[n-1] == chain[n], and whether every later entry equals
-    chain[n-1] too."""
-    n = next(n for n in range(1, len(chain)) if chain[n - 1] == chain[n])
-    return n, all(x == chain[n - 1] for x in chain[n:])
-
+# -- settle indices ----------------------------------------------------------
 
 def _powers(m):
     """The byte maps of f, f^2, f^3, .. for f's byte map m: each power is
@@ -146,20 +123,22 @@ def _powers(m):
         m = m.translate(step)
 
 
-def power_profile(m) -> PowerProfile:
-    """The profile of the endomorphism with byte map m, from one walk
-    f, f^2, .. up to the first repeated power, comparing kernel labels
-    and image sets; the powers themselves are not kept."""
-    seen, kernels, images = set(), [], []
-    for cur in _powers(m):
-        kernels.append(least_labels(cur))
-        images.append(frozenset(cur))
-        if cur in seen:
-            break
-        seen.add(cur)
-    k, k_tail = _settle(kernels)
-    i, i_tail = _settle(images)
-    return PowerProfile(k, i, k_tail, i_tail)
+def settle_index(m) -> int:
+    """The least n >= 1 with |im f^n| = |im f^(n+1)| for the endomorphism
+    with byte map m: the n where both its kernel chain and its image
+    chain take their first equal step.  ker f^n has |im f^n| classes,
+    ker f^n <= ker f^(n+1) and im f^(n+1) <= im f^n, so equal ranks mean
+    equal kernels and equal images; from there f is a bijection on
+    im f^n and neither chain moves again (Fitting's lemma).  The rank
+    falls at every earlier step, so n <= |A|."""
+    step = m.ljust(256, b"\0")
+    rank, n = len(set(m)), 1
+    while True:
+        m = m.translate(step)
+        next_rank = len(set(m))
+        if next_rank == rank:
+            return n
+        rank, n = next_rank, n + 1
 
 
 @dataclass(frozen=True)
@@ -176,17 +155,9 @@ class ChainReport:
 
 # -- Hopfian family ---------------------------------------------------------
 
-def _endo_index(m, criterion, index, tail, settled):
-    """Least n satisfying the chosen criterion for one endomorphism f
-    with byte map m: criteria 1 and 2 read `index` and `tail`, the
-    chain's entries in f's power profile; criterion 3 is `settled(f^n)`
-    on the byte map of f^n, for n <= 2|A|."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
-    if criterion == 1 and not tail:
-        raise AssertionError("chain tail not constant after stabilization")
-    if criterion != 3:
-        return index
+def _first_settled(m, settled):
+    """Criterion 3 for one endomorphism f with byte map m: the least
+    n <= 2|A| with `settled(f^n)` on the byte map of f^n, or None."""
     for n, f_n in zip(range(1, 2 * len(m) + 1), _powers(m)):
         if settled(f_n):
             return n
@@ -203,26 +174,35 @@ def _worst(indices):
     return True, worst
 
 
+def _decide(an: ActAnalysis, criterion: int, settled):
+    """(flag, index) of one chain family under the chosen criterion: the
+    worst endomorphism's least n.  A chain that takes one equal step
+    stays constant from there (`settle_index`), so criteria 1 and 2 hold
+    at each settle index.  Criterion 3 is `settled` on the powers; they
+    are elements of End(A), so each map is decided once, in a memo that
+    lives for this call only."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
+    if criterion != 3:
+        return True, max(an.profiles)
+    settled = cache(settled)
+    return _worst(_first_settled(m, settled) for m in an.endos)
+
+
 def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
     """(flag, index): kernel chains of all endomorphisms stabilize.
 
     criterion 1 demands a constant tail, 2 one adjacent equality, 3 the
     trivial-intersection condition: the labels of im f^n (one class) and
-    ker f^n meet in the diagonal; index is the worst endomorphism's least
-    n for the chosen criterion.  Powers are elements of End(A), so each
-    map is decided once, in a memo that lives for this call only.
+    ker f^n meet in the diagonal.
     """
     an = analyse(A)
     delta = tuple(range(an.act.size))
 
-    @cache
     def settled(f_n):
         return _meet_labels(_collapse_labels(len(f_n), f_n), least_labels(f_n)) == delta
 
-    return _worst(
-        _endo_index(m, criterion, p.k_index, p.k_tail, settled)
-        for m, p in zip(an.endos, an.profiles)
-    )
+    return _decide(an, criterion, settled)
 
 
 def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
@@ -230,20 +210,16 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
 
     criterion 3 is the join condition: the labels of im f^n and ker f^n,
     partition-joined as `congruence.join` does, give the universal
-    congruence's; each map is decided once per call, as for the kernels.
+    congruence's.
     """
     an = analyse(A)
     full = bytes(an.act.size)
 
-    @cache
     def settled(f_n):
         image = bytes(_collapse_labels(len(f_n), f_n))
         return _merge(image, enumerate(least_labels(f_n)))[0] == full
 
-    return _worst(
-        _endo_index(m, criterion, p.i_index, p.i_tail, settled)
-        for m, p in zip(an.endos, an.profiles)
-    )
+    return _decide(an, criterion, settled)
 
 
 # -- congruence chains ------------------------------------------------------
@@ -421,16 +397,16 @@ def _map_power(m, n):
 
 
 def chain_reports(A: Act | ActAnalysis):
-    """ChainReport per endomorphism, in canonical End(A) order: the
-    indices from its power profile, the kernel congruence of f^k (the
-    fibers of its map) and the image congruence of f^i (its image as
-    one class)."""
+    """ChainReport per endomorphism, in canonical End(A) order: its settle
+    index n as both k_index and i_index, and the kernel and image
+    congruences of the one power f^n (the fibers of its map, and its
+    image as one class)."""
     an = analyse(A)
-    profile = dict(zip(an.endos, an.profiles))
+    index = dict(zip(an.endos, an.profiles))
     reports = []
-    for n, m in enumerate(identity_first(an.endos)):
-        p = profile[m]
-        kernel = kernel_congruence(an.act, _map_power(m, p.k_index))
-        image = image_congruence(an.act, _map_power(m, p.i_index))
-        reports.append(ChainReport(n, tuple(m), p.k_index, p.i_index, kernel, image))
+    for e, m in enumerate(identity_first(an.endos)):
+        n = index[m]
+        f_n = _map_power(m, n)
+        kernel, image = kernel_congruence(an.act, f_n), image_congruence(an.act, f_n)
+        reports.append(ChainReport(e, tuple(m), n, n, kernel, image))
     return reports

@@ -34,7 +34,7 @@ from .congruence import rees_congruence
 from .endo import has_section, induces_all_endomorphisms, is_retract_of
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
-from .deciders import ActAnalysis, monoid_hopf_properties, power_profile
+from .deciders import ActAnalysis, monoid_hopf_properties
 from .relation import least_labels
 
 MONOID_ENUM_MAX = 4
@@ -456,15 +456,16 @@ def _check_t6(ctx, M):
     """The monoid-level tests agree with the regular act R, flag by flag
     and element by element: lambda_s: x -> s*x is an endomorphism of R
     with ker lambda_s^n = r(s^n) and im lambda_s^n = s^n S, so s's
-    r-chain index is its kernel index and the n of s^n = s^(n+1)*t its
-    image index.  Both monoid-level tests hold on every finite monoid
+    r-chain index and the n of s^n = s^(n+1)*t both equal the one
+    settle index of lambda_s, where its kernel and image chains settle
+    together.  Both monoid-level tests hold on every finite monoid
     (`monoid_hopf_properties` raises otherwise)."""
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
-    indices = [(p.k_index, p.i_index) for p in (power_profile(bytes(row)) for row in M.table)]
+    indices = [deciders.settle_index(bytes(row)) for row in M.table]
     act_level = [flag(SH, [R]), flag(SCH, [R])]
     flags = {"monoid_level": [True, True], "act_level": act_level}
-    agree = indices == [(r, w[0]) for r, w in zip(mono.r_indices, mono.power_witnesses)]
+    agree = all(r == w[0] == n for r, w, n in zip(mono.r_indices, mono.power_witnesses, indices))
     return _implication("T6", M, True, act_level == [True, True] and agree, flags)
 
 

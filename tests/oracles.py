@@ -8,8 +8,11 @@ quasi-projectivity and T8 oracles are the exception: they take the
 homs, subacts and congruence lattice from the library and redo only
 the extending or lifting, on whole maps.  So is the chain-report
 oracle, `chain_reports_oracle`, which takes the endomorphisms and
-power profiles from the library and rebuilds each report from the
-fibers and the image of a tuple power of the map.  The composition
+settle indices from the library and rebuilds each report from the
+fibers and the image of a tuple power of the map.  `power_walk_oracle`
+is the library's former per-endomorphism walk: it follows the powers
+to the first repeat and settles the kernel and image chains apart,
+where the library stops at the first equal rank.  The composition
 oracles (the End(A) table, the lift and liftable sets, retracts and
 sections) take their maps from the library too and compose them one
 tuple at a time with `compose_maps`;
@@ -348,6 +351,35 @@ def criterion_index_oracle(mapping, family, criterion):
     return None
 
 
+def _settle(chain):
+    """(n, tail) for a chain of kernels or images: the least n with
+    chain[n-1] == chain[n], and whether every later entry equals
+    chain[n-1] too."""
+    n = next(n for n in range(1, len(chain)) if chain[n - 1] == chain[n])
+    return n, all(x == chain[n - 1] for x in chain[n:])
+
+
+def power_walk_oracle(mapping):
+    """(k_index, i_index, k_tail, i_tail) of one endomorphism f, from a
+    walk f, f^2, .. up to the first repeated power f^(c+p) = f^c:
+    `k_index` (`i_index`) is the least n >= 1 with ker f^n = ker f^(n+1)
+    (im f^n = im f^(n+1)), and `k_tail` (`i_tail`) says whether the
+    kernel (image) stays the same from there through f^(c+p).  Every
+    later power repeats one of f^c .. f^(c+p-1), so that stretch is the
+    whole tail."""
+    seen, kernels, images = set(), [], []
+    cur = tuple(mapping)
+    while True:
+        kernels.append(fibers(cur))
+        images.append(frozenset(cur))
+        if cur in seen:
+            break
+        seen.add(cur)
+        cur = tuple(cur[a] for a in mapping)
+    (k, k_tail), (i, i_tail) = _settle(kernels), _settle(images)
+    return k, i, k_tail, i_tail
+
+
 def chain_report_oracle(mapping):
     """(k_index, i_index, kernel classes of f^k, image classes of f^i)."""
     k = chain_index_oracle(mapping, "kernel")
@@ -357,19 +389,19 @@ def chain_report_oracle(mapping):
 
 
 def chain_reports_oracle(A):
-    """The chain reports through tuple powers: f^k and f^i by
-    `map_powers`, their congruences labelled from the classes `fibers`
-    and `image_classes` give.  The indices come from the library's power
-    profiles."""
+    """The chain reports through tuple powers: f^n by `map_powers`, its
+    kernel and image congruences labelled from the classes `fibers` and
+    `image_classes` give.  The index n comes from the library's settle
+    indices, as both k_index and i_index."""
     an = analyse(A)
-    profile = dict(zip(an.endos, an.profiles))
+    index = dict(zip(an.endos, an.profiles))
     reports = []
-    for n, m in enumerate(identity_first(an.endos)):
-        p = profile[m]
-        powers = map_powers(m, max(p.k_index, p.i_index))
-        kernel = Congruence(an.act, partition_labels(fibers(powers[p.k_index - 1])))
-        image = Congruence(an.act, partition_labels(image_classes(powers[p.i_index - 1])))
-        reports.append(ChainReport(n, tuple(m), p.k_index, p.i_index, kernel, image))
+    for e, m in enumerate(identity_first(an.endos)):
+        n = index[m]
+        f_n = map_powers(m, n)[-1]
+        kernel = Congruence(an.act, partition_labels(fibers(f_n)))
+        image = Congruence(an.act, partition_labels(image_classes(f_n)))
+        reports.append(ChainReport(e, tuple(m), n, n, kernel, image))
     return reports
 
 

@@ -15,7 +15,7 @@ from monact import deciders
 from monact.act import regular_act, validate_act
 from monact.cli import main, suite_json
 from monact.congruence import congruence_closure, enumerate_congruences, join, kernel_congruence
-from monact.deciders import monoid_hopf_properties, power_profile, r_chain_index
+from monact.deciders import monoid_hopf_properties, r_chain_index, settle_index
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, enumerate_monoids, recheck_verdict, run_suite
 from monact.monoid import prime_power_product, zmod_mult_monoid
@@ -104,15 +104,16 @@ def test_acceptance_3_chain_family_scaling():
 
 
 def _index_mismatches(monoids):
-    """(M, s) wherever s's monoid-level indices differ from those of
-    lambda_s: x -> s*x on the regular act: the r-chain index from the
-    kernel index, the power stabilizer's n from the image index."""
+    """(M, s) wherever s's monoid-level indices differ from the settle
+    index n of lambda_s: x -> s*x on the regular act, where its kernel
+    and image chains both settle: the r-chain index or the power
+    stabilizer's n is not n."""
     mismatches = []
     for M in monoids:
         rep = monoid_hopf_properties(M)
         for s, row in enumerate(M.table):
-            p = power_profile(bytes(row))
-            if (rep.r_indices[s], rep.power_witnesses[s][0]) != (p.k_index, p.i_index):
+            n = settle_index(bytes(row))
+            if (rep.r_indices[s], rep.power_witnesses[s][0]) != (n, n):
                 mismatches.append((M, s))
     return mismatches
 
@@ -211,8 +212,8 @@ def test_acceptance_6_stabilization_bounds(full_suite):
     for per in result.corpus.acts:
         for A in per:
             for m in homomorphisms(A, A):
-                p, powers = power_profile(bytes(m)), map_powers(m, 2 * A.size + 1)
-                if not (1 <= p.k_index <= A.size and 1 <= p.i_index <= A.size):
+                n, powers = settle_index(bytes(m)), map_powers(m, 2 * A.size + 1)
+                if not 1 <= n <= A.size:
                     ok = False
                 for f_n, f_n1 in zip(powers, powers[1:]):
                     ker_n = kernel_congruence(A, f_n)

@@ -17,6 +17,7 @@ from monact.congruence import Congruence, enumerate_congruences, kernel_congruen
 from monact.endo import homomorphisms
 from monact.errors import (
     AssociativityAxiomFails,
+    CarrierTooLarge,
     EntryOutOfRange,
     IdentityAxiomFails,
     NotACongruence,
@@ -130,6 +131,16 @@ def test_planted_skipped_generator_is_caught(monkeypatch, act_axiom_cases):
 def test_trivial_monoid_allows_any_carrier(trivial):
     A = validate_act(trivial, 3, [[0], [1], [2]])
     assert A.size == 3
+
+
+def test_subact_enumeration_cap_boundary(trivial):
+    # every non-empty subset of the 8-point trivial act is a subact;
+    # 9 points pass the cap of 8
+    A = validate_act(trivial, 8, [[a] for a in range(8)])
+    assert len(enumerate_subacts(A)) == 2**8 - 1
+    B = validate_act(trivial, 9, [[a] for a in range(9)])
+    with pytest.raises(CarrierTooLarge, match="subact enumeration: carrier size 9 exceeds cap 8"):
+        enumerate_subacts(B)
 
 
 def test_regular_act_is_table_copy(z4, trivial):

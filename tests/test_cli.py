@@ -432,7 +432,7 @@ def test_classify_seven_point_overflow_stops_early(tmp_path, capsys):
 
 def test_classify_oversized_regular_act_is_refused_early(capsys):
     # 1024 points: the congruence cap refuses the act before End(A) or
-    # any power profile is built
+    # any settle index is computed
     start = time.perf_counter()
     assert main(["classify", "--regular", "Z1024"]) == 3
     assert time.perf_counter() - start < 5.0

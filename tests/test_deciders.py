@@ -14,9 +14,9 @@ from monact.deciders import (
     is_strongly_co_hopfian,
     is_strongly_hopfian,
     monoid_hopf_properties,
-    power_profile,
     power_stabilizer,
     r_chain_index,
+    settle_index,
 )
 from monact.endo import homomorphisms
 from monact.errors import CarrierTooLarge
@@ -50,22 +50,19 @@ def surjective(m):
 
 
 def test_chain_indices_identity(a2):
-    p = power_profile(bytes((0, 1)))
-    assert (p.k_index, p.i_index) == (1, 1)
+    assert settle_index(bytes((0, 1))) == 1
 
 
 def test_chain_indices_lambda2(z4):
     lam2 = lam(z4, 2)
-    p = power_profile(lam2)
-    assert (p.k_index, p.i_index) == (2, 2)
+    assert settle_index(lam2) == 2
     # oracle: image sizes along the powers are 2, 1, 1
     sizes = [len(set(m)) for m in map_powers(lam2, 3)]
     assert sizes == [2, 1, 1]
 
 
 def test_chain_indices_constant(a2):
-    p = power_profile(bytes((1, 1)))
-    assert (p.k_index, p.i_index) == (1, 1)
+    assert settle_index(bytes((1, 1))) == 1
 
 
 def test_hopfian_co_hopfian_literal(a2, reg_z4, singleton):
@@ -169,13 +166,14 @@ def test_monoid_level_matches_act_level():
     for n in (1, 2, 3, 4):
         for M in enumerate_monoids(n):
             rep = monoid_hopf_properties(M)
-            # per-element indices agree with the chain indices of the
-            # corresponding left translations: the r-index with the
-            # kernel index, the power stabilizer's n with the image index
+            # per-element indices agree with the settle index of the
+            # corresponding left translation, where both its kernel
+            # chain (the r-index) and its image chain (the power
+            # stabilizer's n) settle
             for s in range(M.size):
-                p = power_profile(bytes(M.table[s]))
-                assert rep.r_indices[s] == p.k_index
-                assert rep.power_witnesses[s][0] == p.i_index
+                n = settle_index(bytes(M.table[s]))
+                assert rep.r_indices[s] == n
+                assert rep.power_witnesses[s][0] == n
                 elements += 1
     assert elements == 1 + 2 * 2 + 7 * 3 + 35 * 4
 
@@ -190,7 +188,7 @@ def test_surjective_endo_with_stable_kernel_is_injective():
     for A in small_corpus(2, 4):
         for f in homomorphisms(A, A):
             if surjective(f):
-                n = power_profile(bytes(f)).k_index
+                n = settle_index(bytes(f))
                 assert injective(map_powers(f, n)[-1]) or injective(f)
                 assert injective(f)  # the finite-carrier conclusion
 
@@ -205,9 +203,7 @@ def test_injective_endo_with_stable_image_is_surjective():
 def test_indices_bounded_by_carrier():
     for A in small_corpus(2, 4):
         for f in homomorphisms(A, A):
-            p = power_profile(bytes(f))
-            assert 1 <= p.k_index <= A.size
-            assert 1 <= p.i_index <= A.size
+            assert 1 <= settle_index(bytes(f)) <= A.size
 
 
 def test_chain_reports_structure(reg_z4, z4):

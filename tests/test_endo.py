@@ -14,7 +14,7 @@ from monact.endo import (
     is_commutative,
     is_retract_of,
 )
-from monact.errors import SearchBudgetExceeded, SizeOverflow
+from monact.errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 
@@ -95,6 +95,29 @@ def test_budget_exceeded(trivial, monkeypatch):
     monkeypatch.setattr(endo, "DEFAULT_SEARCH_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded):
         homomorphisms(A, A)
+
+
+def test_search_budget_boundary(trivial, monkeypatch):
+    # the 27 endomorphisms of the 3-point act over the trivial monoid
+    # take 3 + 9 + 27 = 39 nodes: a budget of 39 holds them, 38 does not
+    A = validate_act(trivial, 3, [[a] for a in range(3)])
+    monkeypatch.setattr(endo, "DEFAULT_SEARCH_BUDGET", 39)
+    assert len(homomorphisms(A, A)) == 27
+    monkeypatch.setattr(endo, "DEFAULT_SEARCH_BUDGET", 38)
+    with pytest.raises(SearchBudgetExceeded, match="over 38 backtrack nodes"):
+        homomorphisms(A, A)
+
+
+def test_end_monoid_byte_map_cap_boundary(trivial):
+    # the identity alone spans End(A); 255 points fit a byte map, 256 do not
+    for n in (255, 256):
+        A = validate_act(trivial, n, [[a] for a in range(n)])
+        ident = tuple(range(n))
+        if n == 255:
+            assert end_monoid(A, [ident]).monoid.size == 1
+        else:
+            with pytest.raises(SizeTooLarge, match="carrier size 256 exceeds the byte-map cap of 255"):
+                end_monoid(A, [ident])
 
 
 def test_hom_list_stops_at_size_cap(trivial, monkeypatch):

@@ -1,9 +1,12 @@
-"""Power profiles against the literal chain computations.
+"""Settle indices against the literal chain computations.
 
-Criteria 1 and 2 and the chain reports read one PowerProfile per
-endomorphism; `oracles` holds the partition-by-partition loops they
-replaced, and the chain reports built from whole homomorphism powers.
-The planted bugs show which check catches which fault.
+Criteria 1 and 2 and the chain reports read one settle index per
+endomorphism, the least n with |im f^n| = |im f^(n+1)|; `oracles` holds
+the partition-by-partition loops they replaced, the walk to the first
+repeated power that settles the kernel and image chains apart
+(`power_walk_oracle`), and the chain reports built from whole
+homomorphism powers.  The planted bugs show which check catches which
+fault.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from oracles import (
     chain_report_oracle,
     chain_reports_oracle,
     criterion_index_oracle,
-    map_powers,
+    power_walk_oracle,
 )
 
 
@@ -52,16 +55,15 @@ def six_point_acts():
 
 
 def oracle_mismatches(acts):
-    """Every place where a profile, a criterion index or a chain report
-    differs from its oracle, as (act, what, got, expected)."""
+    """Every place where a settle index, a criterion index or a chain
+    report differs from its oracle, as (act, what, got, expected)."""
     bad = []
     for A in acts:
         an = ActAnalysis(A)
-        for f, p in zip(map(tuple, an.endos), an.profiles):
-            got = (p.k_index, p.i_index)
+        for f, n in zip(map(tuple, an.endos), an.profiles):
             want = (chain_index_oracle(f, "kernel"), chain_index_oracle(f, "image"))
-            if got != want:
-                bad.append((A, f"profile of {f}", got, want))
+            if (n, n) != want:
+                bad.append((A, f"settle index of {f}", (n, n), want))
         for family, decide in (("kernel", is_strongly_hopfian), ("image", is_strongly_co_hopfian)):
             for c in CRITERIA:
                 per = [criterion_index_oracle(f, family, c) for f in an.endos]
@@ -80,18 +82,18 @@ def oracle_mismatches(acts):
     return bad
 
 
-def rank_identity_failures(acts):
-    """Endomorphisms whose profile indices are not both the least n
-    with |im f^n| = |im f^(n+1)|, and the number checked."""
+def walk_mismatches(acts):
+    """Endomorphisms whose walk to the first repeated power does not
+    settle both chains at the settle index n with constant tails, that
+    is, does not give (n, n, True, True); and the number checked."""
     bad, checked = [], 0
     for A in acts:
         an = ActAnalysis(A)
-        for f, p in zip(an.endos, an.profiles):
-            ranks = [len(set(q)) for q in map_powers(f, A.size + 1)]
-            n = next(n for n in range(1, A.size + 1) if ranks[n - 1] == ranks[n])
+        for f, n in zip(an.endos, an.profiles):
+            walk = power_walk_oracle(f)
             checked += 1
-            if not p.k_index == p.i_index == n:
-                bad.append((A, tuple(f), p, n))
+            if walk != (n, n, True, True):
+                bad.append((A, tuple(f), n, walk))
     return bad, checked
 
 
@@ -114,100 +116,52 @@ def test_chain_reports_match_the_powered_oracle():
 
 
 def test_kernel_and_image_indices_are_the_rank_index():
-    bad, checked = rank_identity_failures(corpus_acts(3, 4))
-    assert checked == 4451
-    assert bad == []
+    """The walk to the first repeated power settles the kernel and the
+    image chain at the settle index, with constant tails, on every
+    endomorphism of 3/4, of the 34 acts of 2/5 and of the seeded 5-point
+    acts."""
+    two_five = corpus_acts(2, 5)
+    assert len(two_five) == 34
+    for acts, checked in ((corpus_acts(3, 4), 4451), (two_five, 11903), (five_point_acts(), 3439)):
+        assert walk_mismatches(acts) == ([], checked)
 
 
 def test_profile_keeps_no_powers():
     an = ActAnalysis(corpus_acts(2, 3)[-1])
-    for p in an.profiles:
-        assert all(isinstance(v, (int, bool)) for v in p)
+    assert len(an.profiles) == len(an.endos)
+    assert all(type(n) is int for n in an.profiles)
 
 
 # -- planted bugs ------------------------------------------------------------
 
-def _plant_off_by_one(monkeypatch, field):
-    build = deciders.power_profile
-    monkeypatch.setattr(
-        deciders, "power_profile",
-        lambda f: build(f)._replace(**{field: getattr(build(f), field) + 1}),
-    )
+def _suite_verdicts(spec, tids):
+    return {v.theorem: v for v in run_suite(CorpusSpec(*spec, theorems=tids)).verdicts}
 
 
-def _suite_verdict(tid):
-    (verdict,) = run_suite(CorpusSpec(2, 3, theorems=(tid,))).verdicts
-    return verdict
-
-
-def test_planted_k_index_off_by_one_is_caught(monkeypatch):
-    _plant_off_by_one(monkeypatch, "k_index")
+def test_planted_settle_index_off_by_one_is_caught(monkeypatch):
+    settle = deciders.settle_index
+    monkeypatch.setattr(deciders, "settle_index", lambda m: settle(m) + 1)
     acts = corpus_acts(2, 3)
     assert oracle_mismatches(acts)
-    bad, checked = rank_identity_failures(acts)
-    assert len(bad) == checked  # the kernel index now disagrees with the image index
+    bad, checked = walk_mismatches(acts)
+    assert len(bad) == checked  # the walk settles every map one power earlier
     # criteria 1 and 2 read the planted index, criterion 3 does not
-    verdict = _suite_verdict("T4")
-    assert not verdict.passed
-    flags = verdict.witness["flags"]
-    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
-
-
-def test_planted_i_index_off_by_one_is_caught(monkeypatch):
-    _plant_off_by_one(monkeypatch, "i_index")
-    acts = corpus_acts(2, 3)
-    assert oracle_mismatches(acts)
-    verdict = _suite_verdict("T5")
-    assert not verdict.passed
-    flags = verdict.witness["flags"]
-    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
+    verdicts = _suite_verdicts((3, 4), ("T4", "T5", "T6"))
+    for tid in ("T4", "T5"):
+        assert not verdicts[tid].passed
+        flags = verdicts[tid].witness["flags"]
+        assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
+    # and the regular acts' indices leave the monoid-level ones
+    assert not verdicts["T6"].passed
 
 
 def test_planted_unpowered_chain_report_is_caught(monkeypatch):
-    # f's own map where the report needs the maps of f^k and f^i
+    # f's own map where the report needs the map of f^n
     monkeypatch.setattr(deciders, "_map_power", lambda m, n: m)
     acts = corpus_acts(2, 3)
     bad = oracle_mismatches(acts)
     assert bad and all(what.startswith("chain report") for _, what, _, _ in bad)
     assert any(chain_reports(A) != chain_reports_oracle(A) for A in acts)
-
-
-def _early_settle(force_tail):
-    """A settle step that stops one power early where it can; the tail
-    from there is not constant.  `force_tail` reports it constant
-    anyway."""
-    settle = deciders._settle
-
-    def planted(chain):
-        n, tail = settle(chain)
-        if n == 1:
-            return n, tail
-        early = n - 1
-        return early, force_tail or all(x == chain[early - 1] for x in chain[early:])
-
-    return planted
-
-
-def test_planted_early_settle_trips_the_tail_check(monkeypatch):
-    monkeypatch.setattr(deciders, "_settle", _early_settle(force_tail=False))
-    caught = 0
-    for A in corpus_acts(2, 3):
-        try:
-            is_strongly_hopfian(A, 1)
-        except AssertionError:
-            caught += 1
-    assert caught
-
-
-def test_planted_tail_flag_forced_true_is_caught_by_the_oracles(monkeypatch):
-    monkeypatch.setattr(deciders, "_settle", _early_settle(force_tail=True))
-    acts = corpus_acts(2, 3)
-    for A in acts:  # the tail check is silenced
-        is_strongly_hopfian(A, 1)
-        is_strongly_co_hopfian(A, 1)
-    bad = oracle_mismatches(acts)
-    assert any(what == "kernel criterion 1" for _, what, _, _ in bad)
-    assert any(what == "image criterion 1" for _, what, _, _ in bad)
 
 
 def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
@@ -227,16 +181,16 @@ def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
 
 def test_planted_unpowered_criterion_3_is_caught(monkeypatch):
     # the power step hands criterion 3 f's own map at every n
-    endo_index = deciders._endo_index
+    first_settled = deciders._first_settled
     monkeypatch.setattr(
-        deciders, "_endo_index",
-        lambda m, criterion, index, tail, settled: endo_index(
-            m, criterion, index, tail, lambda f_n: settled(m)),
+        deciders, "_first_settled",
+        lambda m, settled: first_settled(m, lambda f_n: settled(m)),
     )
     bad = oracle_mismatches(corpus_acts(2, 3))
     assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
-    assert not _suite_verdict("T4").passed
-    assert not _suite_verdict("T5").passed
+    verdicts = _suite_verdicts((2, 3), ("T4", "T5"))
+    assert not verdicts["T4"].passed
+    assert not verdicts["T5"].passed
 
 
 def test_planted_memo_shared_by_both_families_is_an_equivalent_mutant(monkeypatch):

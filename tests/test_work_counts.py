@@ -1,5 +1,5 @@
 """Each per-act quantity is computed once per act: End(A), the
-endomorphisms, their power profiles, the congruence lattice, the
+endomorphisms, their settle indices, the congruence lattice, the
 subacts, the factor acts and the generating set, in the suite and in
 `monact classify`; End(A) is not kept, and the suite analyses only the
 corpus acts.
@@ -135,10 +135,10 @@ def test_searches_share_one_generating_set(count):
 
 @pytest.fixture
 def count_profiles(count, monkeypatch):
-    """Tallies `power_profile` calls by (act, byte map).  The act is the
+    """Tallies `settle_index` calls by (act, byte map).  The act is the
     one whose `ActAnalysis.profiles` is being listed; outside a listing
     it is the regular act the harness built last, whose left
-    translations T6 profiles."""
+    translations T6 walks."""
     current = [None]
     listing = ActAnalysis.profiles.func
 
@@ -157,12 +157,12 @@ def count_profiles(count, monkeypatch):
     prop.__set_name__(ActAnalysis, "profiles")
     monkeypatch.setattr(ActAnalysis, "profiles", prop)
     monkeypatch.setattr(harness, "regular_act", regular)
-    return count(deciders, "power_profile", lambda m: (current[0], bytes(m)))
+    return count(deciders, "settle_index", lambda m: (current[0], bytes(m)))
 
 
 def test_suite_profiles_each_endomorphism_once(count_profiles):
-    """Each corpus act's analysis profiles each endomorphism once, and T6
-    profiles each left translation of each monoid's regular act once
+    """Each corpus act's analysis walks each endomorphism once, and T6
+    walks each left translation of each monoid's regular act once
     more, without analysing the regular act."""
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
     corpus = build_corpus(spec)
