@@ -138,20 +138,37 @@ def _suite_verdicts(spec, tids):
     return {v.theorem: v for v in run_suite(CorpusSpec(*spec, theorems=tids)).verdicts}
 
 
-def test_planted_settle_index_off_by_one_is_caught(monkeypatch):
+def _plant_settle_off_by_one(monkeypatch):
     settle = deciders.settle_index
     monkeypatch.setattr(deciders, "settle_index", lambda m: settle(m) + 1)
+
+
+def test_planted_k_index_off_by_one_is_caught(monkeypatch):
+    """The kernel index is the settle index: one power too late there
+    shows in the kernel criteria, the walk oracle and T4."""
+    _plant_settle_off_by_one(monkeypatch)
     acts = corpus_acts(2, 3)
-    assert oracle_mismatches(acts)
+    assert any(what.startswith("kernel criterion") for _, what, _, _ in oracle_mismatches(acts))
     bad, checked = walk_mismatches(acts)
     assert len(bad) == checked  # the walk settles every map one power earlier
     # criteria 1 and 2 read the planted index, criterion 3 does not
-    verdicts = _suite_verdicts((3, 4), ("T4", "T5", "T6"))
-    for tid in ("T4", "T5"):
-        assert not verdicts[tid].passed
-        flags = verdicts[tid].witness["flags"]
-        assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
-    # and the regular acts' indices leave the monoid-level ones
+    verdicts = _suite_verdicts((3, 4), ("T4",))
+    assert not verdicts["T4"].passed
+    flags = verdicts["T4"].witness["flags"]
+    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
+
+
+def test_planted_i_index_off_by_one_is_caught(monkeypatch):
+    """The image index is the same settle index: the plant shows in the
+    image criteria, in T5 and in the regular acts' indices of T6."""
+    _plant_settle_off_by_one(monkeypatch)
+    acts = corpus_acts(2, 3)
+    assert any(what.startswith("image criterion") for _, what, _, _ in oracle_mismatches(acts))
+    verdicts = _suite_verdicts((3, 4), ("T5", "T6"))
+    assert not verdicts["T5"].passed
+    flags = verdicts["T5"].witness["flags"]
+    assert flags["criterion_indices"][0] == flags["criterion_indices"][2] + 1
+    # the regular acts' indices leave the monoid-level ones
     assert not verdicts["T6"].passed
 
 
