@@ -110,8 +110,15 @@ def _json_doc(input_digest, reports, verdicts) -> str:
 
 
 def _load_document(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The parsed document and the digest of its text, with newlines
+    read as text mode reads them.  A file that is not UTF-8 is an input
+    error that names the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
     return parse_input(text), _digest(text.encode("utf-8"))
 
 

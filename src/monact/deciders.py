@@ -5,9 +5,11 @@ endomorphism powers.  On a finite carrier both chains of f take their
 first equal step at one n, the least with |im f^n| = |im f^(n+1)|, and
 neither moves again (Fitting's lemma); n <= |A|.  So each endomorphism
 has one settle index, found by a walk of its powers that stops there
-(`settle_index`).  Criteria 1 and 2 and the chain reports read it;
-criterion 3 stays literal: it meets or joins the image and kernel labels
-of each power map, once per map and decider call.
+(`settle_index`).  The strong Hopfian pair and the chain reports read
+it, as criteria 1 and 2 (a constant tail, one adjacent equality) hold
+there.  `meet_index` and `join_index` keep criterion 3 literal, the
+evidence T4 and T5 test the pair against: they meet or join the image
+and kernel labels of each power map, once per map and call.
 
 `ActAnalysis.homs` keeps each hom as a plain `bytes` map (so at most
 255 points), converted once from the search's tuples; `endos` are the
@@ -48,9 +50,6 @@ from .endo import end_monoid, homomorphisms, identity_first, is_commutative
 from .errors import SizeTooLarge
 from .monoid import Monoid, element_power, row_partition
 from .relation import least_labels
-
-CRITERIA = (1, 2, 3)
-
 
 # -- per-act analysis --------------------------------------------------------
 
@@ -164,54 +163,49 @@ def _first_settled(m, settled):
     return None
 
 
-def _worst(indices):
-    """(flag, index): False at the first None, else the largest index."""
-    worst = 0
-    for n in indices:
+def _literal_index(an: ActAnalysis, settled):
+    """(flag, index) by criterion 3: False if some endomorphism's powers
+    never satisfy `settled`, else the largest first n that does.  The
+    powers are elements of End(A), so each map is decided once, in a
+    memo that lives for this call only."""
+    settled, worst = cache(settled), 0
+    for m in an.endos:
+        n = _first_settled(m, settled)
         if n is None:
             return False, None
         worst = max(worst, n)
     return True, worst
 
 
-def _decide(an: ActAnalysis, criterion: int, settled):
-    """(flag, index) of one chain family under the chosen criterion: the
-    worst endomorphism's least n.  A chain that takes one equal step
-    stays constant from there (`settle_index`), so criteria 1 and 2 hold
-    at each settle index.  Criterion 3 is `settled` on the powers; they
-    are elements of End(A), so each map is decided once, in a memo that
-    lives for this call only."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
-    if criterion != 3:
-        return True, max(an.profiles)
-    settled = cache(settled)
-    return _worst(_first_settled(m, settled) for m in an.endos)
+def is_strongly_hopfian(A: Act | ActAnalysis):
+    """(flag, index): the kernel chain of every endomorphism stabilizes,
+    at its settle index, so the index is the largest settle index."""
+    return True, max(analyse(A).profiles)
 
 
-def is_strongly_hopfian(A: Act | ActAnalysis, criterion: int = 1):
-    """(flag, index): kernel chains of all endomorphisms stabilize.
+def is_strongly_co_hopfian(A: Act | ActAnalysis):
+    """(flag, index): the image chain of every endomorphism stabilizes,
+    at the same settle index as its kernel chain."""
+    return True, max(analyse(A).profiles)
 
-    criterion 1 demands a constant tail, 2 one adjacent equality, 3 the
-    trivial-intersection condition: the labels of im f^n (one class) and
-    ker f^n meet in the diagonal.
-    """
+
+def meet_index(A: Act | ActAnalysis):
+    """(flag, index) of the strongly Hopfian property by criterion 3,
+    the trivial-intersection condition: the labels of im f^n (one class)
+    and ker f^n meet in the diagonal."""
     an = analyse(A)
     delta = tuple(range(an.act.size))
 
     def settled(f_n):
         return _meet_labels(_collapse_labels(len(f_n), f_n), least_labels(f_n)) == delta
 
-    return _decide(an, criterion, settled)
+    return _literal_index(an, settled)
 
 
-def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
-    """(flag, index): image chains of all endomorphisms stabilize.
-
-    criterion 3 is the join condition: the labels of im f^n and ker f^n,
-    partition-joined as `congruence.join` does, give the universal
-    congruence's.
-    """
+def join_index(A: Act | ActAnalysis):
+    """(flag, index) of the strongly co-Hopfian property by criterion 3:
+    the labels of im f^n and ker f^n, partition-joined as
+    `congruence.join` does, give the universal congruence's."""
     an = analyse(A)
     full = bytes(an.act.size)
 
@@ -219,7 +213,7 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis, criterion: int = 1):
         image = bytes(_collapse_labels(len(f_n), f_n))
         return _merge(image, enumerate(least_labels(f_n)))[0] == full
 
-    return _decide(an, criterion, settled)
+    return _literal_index(an, settled)
 
 
 # -- congruence chains ------------------------------------------------------
@@ -364,8 +358,8 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     # the congruence cap refuses an oversized act before End(A) is built
     noe, art, n_congs, max_chain = chain_conditions(an)
     E = end_monoid(an.act, an.endos)
-    sh, sh_index = is_strongly_hopfian(an, 1)
-    sch, sch_index = is_strongly_co_hopfian(an, 1)
+    sh, sh_index = is_strongly_hopfian(an)
+    sch, sch_index = is_strongly_co_hopfian(an)
     return PropertyReport(
         # pigeonhole: a finite self-map is surjective iff injective, so
         # both plain flags hold; the strong ones hold by Fitting's lemma

@@ -427,29 +427,27 @@ def _check_t3(ctx, A):
     return _implication("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
 
 
-def _criteria_check(tid, decide, A, ctx):
-    """The three criteria agree on flag and index: for f^n's image and
-    kernel congruences, meet = diagonal iff |im f^2n| = |im f^n| and join
-    = universal iff im f^2n = im f^n, first true where the rank settles."""
+def _criteria_check(tid, decide, literal, A, ctx):
+    """Criterion 3, computed literally, agrees with the settle pair of
+    criteria 1 and 2 on flag and index: for f^n's image and kernel
+    congruences, meet = diagonal iff |im f^2n| = |im f^n| and join =
+    universal iff im f^2n = im f^n, first true where the rank settles.
+    The witness lists the three criteria, 1 and 2 both the settle pair."""
     an = ctx.analysis(A)
-    outcomes = [decide(an, c) for c in deciders.CRITERIA]
-    bools = [b for b, _ in outcomes]
-    idx = [i for _, i in outcomes]
-    passed = bools[0] == bools[1] == bools[2] and idx[0] == idx[1] == idx[2]
-    details = {
-        "criterion3_index_mismatches": int(idx[2] != idx[1]),
-        "max_stabilization_index": idx[1] or 0,
-    }
-    flags = {"criterion_bools": bools, "criterion_indices": idx}
-    return _implication(tid, A, True, passed, flags, details)
+    (flag_12, index_12), (flag_3, index_3) = decide(an), literal(an)
+    details = {"criterion3_index_mismatches": int(index_3 != index_12),
+               "max_stabilization_index": index_12 or 0}
+    flags = {"criterion_bools": [flag_12, flag_12, flag_3],
+             "criterion_indices": [index_12, index_12, index_3]}
+    return _implication(tid, A, True, (flag_12, index_12) == (flag_3, index_3), flags, details)
 
 
 def _check_t4(ctx, A):
-    return _criteria_check("T4", deciders.is_strongly_hopfian, A, ctx)
+    return _criteria_check("T4", deciders.is_strongly_hopfian, deciders.meet_index, A, ctx)
 
 
 def _check_t5(ctx, A):
-    return _criteria_check("T5", deciders.is_strongly_co_hopfian, A, ctx)
+    return _criteria_check("T5", deciders.is_strongly_co_hopfian, deciders.join_index, A, ctx)
 
 
 def _check_t6(ctx, M):

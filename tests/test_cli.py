@@ -105,6 +105,31 @@ def test_validate_syntax_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["classify", "--act", "A2"],
+    ["classify", "--regular", "M2"],
+    ["endos", "--act", "A2"],
+    ["congruences", "--act", "A2"],
+])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, argv, capsys):
+    path = tmp_path / "binary.act"
+    path.write_bytes(SAMPLE.encode() + b"\xff\xfe\n")
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text at byte {len(SAMPLE)}" in err
+
+
+def test_crlf_input_reads_as_lf(tmp_path, sample_file, capsys):
+    path = tmp_path / "crlf.act"
+    path.write_bytes(SAMPLE.replace("\n", "\r\n").encode())
+    outputs = []
+    for name in (sample_file, str(path)):
+        assert main(["classify", name, "--act", "A2", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_classify_human(sample_file, capsys):
     assert main(["classify", sample_file, "--act", "A2"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,6 @@ import pytest
 
 from monact.act import validate_act
 from monact.deciders import (
-    CRITERIA,
     ActAnalysis,
     chain_conditions,
     chain_reports,
@@ -13,6 +12,8 @@ from monact.deciders import (
     is_quasi_projective,
     is_strongly_co_hopfian,
     is_strongly_hopfian,
+    join_index,
+    meet_index,
     monoid_hopf_properties,
     power_stabilizer,
     r_chain_index,
@@ -72,17 +73,13 @@ def test_hopfian_co_hopfian_literal(a2, reg_z4, singleton):
 
 
 def test_strongly_hopfian_criteria(a2, reg_z4, singleton):
-    for c in CRITERIA:
-        assert is_strongly_hopfian(a2, c) == (True, 1)
-        assert is_strongly_hopfian(reg_z4, c) == (True, 2)
-        assert is_strongly_hopfian(singleton, c) == (True, 1)
+    for A, n in ((a2, 1), (reg_z4, 2), (singleton, 1)):
+        assert is_strongly_hopfian(A) == meet_index(A) == (True, n)
 
 
 def test_strongly_co_hopfian_criteria(a2, reg_z4, singleton):
-    for c in CRITERIA:
-        assert is_strongly_co_hopfian(a2, c) == (True, 1)
-        assert is_strongly_co_hopfian(reg_z4, c) == (True, 2)
-        assert is_strongly_co_hopfian(singleton, c) == (True, 1)
+    for A, n in ((a2, 1), (reg_z4, 2), (singleton, 1)):
+        assert is_strongly_co_hopfian(A) == join_index(A) == (True, n)
 
 
 def test_fitting(a2, reg_z4, singleton):

@@ -1,8 +1,10 @@
 """Settle indices against the literal chain computations.
 
-Criteria 1 and 2 and the chain reports read one settle index per
-endomorphism, the least n with |im f^n| = |im f^(n+1)|; `oracles` holds
-the partition-by-partition loops they replaced, the walk to the first
+The strong Hopfian pair (`is_strongly_hopfian`, `is_strongly_co_hopfian`,
+both criteria 1 and 2) and the chain reports read one settle index per
+endomorphism, the least n with |im f^n| = |im f^(n+1)|; `meet_index` and
+`join_index` decide criterion 3 literally.  `oracles` holds the
+partition-by-partition loops for all three criteria, the walk to the first
 repeated power that settles the kernel and image chains apart
 (`power_walk_oracle`), and the chain reports built from whole
 homomorphism powers.  The planted bugs show which check catches which
@@ -12,16 +14,8 @@ fault.
 import itertools
 import random
 
-import pytest
-
 from monact import deciders
-from monact.deciders import (
-    CRITERIA,
-    ActAnalysis,
-    chain_reports,
-    is_strongly_co_hopfian,
-    is_strongly_hopfian,
-)
+from monact.deciders import ActAnalysis, chain_reports
 from monact.harness import CorpusSpec, build_corpus, enumerate_monoids, random_acts, run_suite
 
 from oracles import (
@@ -64,11 +58,12 @@ def oracle_mismatches(acts):
             want = (chain_index_oracle(f, "kernel"), chain_index_oracle(f, "image"))
             if (n, n) != want:
                 bad.append((A, f"settle index of {f}", (n, n), want))
-        for family, decide in (("kernel", is_strongly_hopfian), ("image", is_strongly_co_hopfian)):
-            for c in CRITERIA:
+        families = (("kernel", deciders.is_strongly_hopfian, deciders.meet_index),
+                    ("image", deciders.is_strongly_co_hopfian, deciders.join_index))
+        for family, decide, literal in families:
+            for c, got in ((1, decide(an)), (2, decide(an)), (3, literal(an))):
                 per = [criterion_index_oracle(f, family, c) for f in an.endos]
                 want = (False, None) if None in per else (True, max(per))
-                got = decide(an, c)
                 if got != want:
                     bad.append((A, f"{family} criterion {c}", got, want))
         ident = tuple(range(A.size))
@@ -172,6 +167,36 @@ def test_planted_i_index_off_by_one_is_caught(monkeypatch):
     assert not verdicts["T6"].passed
 
 
+def _plant_least_settle_index(monkeypatch, name):
+    """The decider `name` reports the least settle index, not the largest."""
+    monkeypatch.setattr(deciders, name, lambda A: (True, min(deciders.analyse(A).profiles)))
+
+
+def test_planted_least_co_hopfian_index_is_caught(monkeypatch):
+    """Criterion 3, computed literally, still finds the worst
+    endomorphism, so T5 fails on every act whose endomorphisms settle
+    at more than one index."""
+    _plant_least_settle_index(monkeypatch, "is_strongly_co_hopfian")
+    bad = oracle_mismatches(corpus_acts(2, 3))
+    assert {what for _, what, _, _ in bad} == {"image criterion 1", "image criterion 2"}
+    verdicts = _suite_verdicts((3, 4), ("T4", "T5"))
+    assert verdicts["T4"].passed
+    assert not verdicts["T5"].passed
+    assert verdicts["T5"].details["criterion3_index_mismatches"] == 79
+    assert verdicts["T5"].witness["flags"]["criterion_indices"] == [1, 1, 2]
+
+
+def test_planted_least_hopfian_index_is_caught(monkeypatch):
+    _plant_least_settle_index(monkeypatch, "is_strongly_hopfian")
+    bad = oracle_mismatches(corpus_acts(2, 3))
+    assert {what for _, what, _, _ in bad} == {"kernel criterion 1", "kernel criterion 2"}
+    verdicts = _suite_verdicts((3, 4), ("T4", "T5"))
+    assert not verdicts["T4"].passed
+    assert verdicts["T5"].passed
+    assert verdicts["T4"].details["criterion3_index_mismatches"] == 79
+    assert verdicts["T4"].witness["flags"]["criterion_indices"] == [1, 1, 2]
+
+
 def test_planted_unpowered_chain_report_is_caught(monkeypatch):
     # f's own map where the report needs the map of f^n
     monkeypatch.setattr(deciders, "_map_power", lambda m, n: m)
@@ -233,11 +258,3 @@ def test_planted_memo_shared_by_both_families_is_an_equivalent_mutant(monkeypatc
     assert len(maps) == 288
     for g in maps:
         assert criterion_index_oracle(g, "kernel", 3) == criterion_index_oracle(g, "image", 3)
-
-
-@pytest.mark.parametrize("criterion", [0, 4])
-def test_unknown_criterion_is_refused(a2, criterion):
-    with pytest.raises(ValueError):
-        is_strongly_hopfian(a2, criterion)
-    with pytest.raises(ValueError):
-        is_strongly_co_hopfian(a2, criterion)
