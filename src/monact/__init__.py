@@ -49,7 +49,6 @@ from .endo import (
     endomorphisms,
     homomorphisms,
     is_commutative,
-    is_retract_of,
 )
 from .harness import (
     CorpusSpec,

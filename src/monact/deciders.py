@@ -56,9 +56,9 @@ from .relation import least_labels
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use: the homs into each target act (the endomorphisms among
-    them), their settle indices, endomorphism orbits, congruences,
-    subacts and the property report.  End(A) is not kept: `classify_act`
-    builds and drops it.
+    them), their settle indices, endomorphism orbits, the kernels split
+    by idempotents, congruences, subacts and the property report.
+    End(A) is not kept: `classify_act` builds and drops it.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -92,6 +92,18 @@ class ActAnalysis:
     def profiles(self):
         """The settle index of each endomorphism, in `endos` order."""
         return list(map(settle_index, self.endos))
+
+    @cached_property
+    def split_kernels(self):
+        """The kernel labels (`least_labels`) of each idempotent
+        endomorphism, e o e = e, mapped to the first such e in map order.
+        A surjection h out of the act has a section s iff its kernel is
+        one of these: e = s o h one way, s = (h on im e)^-1 the other."""
+        split = {}
+        for e in self.endos:
+            if e.translate(e.ljust(256, b"\0")) == e:
+                split.setdefault(least_labels(e), e)
+        return split
 
     @cached_property
     def report(self):

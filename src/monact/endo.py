@@ -6,14 +6,15 @@ candidate either collapses to a full map or dies on a conflict.  A hom
 is a plain map: the search returns tuples of images, which any carrier
 size fits; `deciders.ActAnalysis` keeps them as `bytes` (at most 255
 points), and the functions here that compose maps take byte maps and
-compose in C, by `bytes.translate` or an `itemgetter` gather.
+compose in C, by `bytes.translate`.  No hom list is searched to decide
+whether a map splits: a surjection has a section iff its kernel is an
+idempotent endomorphism's (`deciders.ActAnalysis.split_kernels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 from .act import Act
 from .errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge, SourceTargetMismatch
@@ -135,26 +136,6 @@ def is_commutative(E: EndMonoid) -> bool:
     return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def is_retract_of(into, back):
-    """The first (gamma, pi) with pi o gamma = id_A, or None.
-
-    `into` holds the byte maps of the homs A -> B and `back` those of the
-    homs B -> A, each in map order; the search takes gamma in that
-    order, then pi.  pi o gamma = id forces gamma injective, so the
-    retract is proper (gamma not onto B) iff |A| < |B|.
-    """
-    for gamma in into:
-        if len(set(gamma)) < len(gamma):
-            continue
-        # pi o gamma = id iff pi agrees with gamma's inverse on its image
-        at_image = itemgetter(*gamma)
-        ident = at_image(dict(zip(gamma, range(len(gamma)))))
-        for pi in back:
-            if at_image(pi) == ident:
-                return gamma, pi
-    return None
-
-
 def induces_all_endomorphisms(h, source_maps, target_maps):
     """For surjective h: A -> B, with h and the maps of End(A)
     (`source_maps`) and End(B) (`target_maps`) all `bytes`: check every
@@ -166,10 +147,3 @@ def induces_all_endomorphisms(h, source_maps, target_maps):
             return False, f
     return True, None
 
-
-def has_section(h, back) -> bool:
-    """True iff some s in `back`, the byte maps of the homs B -> A for
-    the byte map h: A -> B, satisfies h o s = id_B.  That needs h onto
-    B, so B's points are h's values; otherwise the lengths differ."""
-    rename, ident = h.ljust(256, b"\0"), bytes(range(len(set(h))))
-    return any(s.translate(rename) == ident for s in back)

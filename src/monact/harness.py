@@ -31,7 +31,7 @@ from operator import ge, le
 from . import deciders
 from .act import Act, quotient_by_congruence, regular_act, subact, subact_as_act, validate_act
 from .congruence import rees_congruence
-from .endo import has_section, induces_all_endomorphisms, is_retract_of
+from .endo import induces_all_endomorphisms
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties
@@ -467,13 +467,26 @@ def _check_t6(ctx, M):
     return _implication("T6", M, True, act_level == [True, True] and agree, flags)
 
 
+def _retraction(an_b, A):
+    """The first (gamma, pi) with pi o gamma = id_A, pi: B -> A taken in
+    map order from B's analysis `an_b`, or None.  A retraction pi is a
+    surjection whose kernel an idempotent e of End(B) splits, and then
+    gamma(pi(b)) = e(b), the one point of b's kernel class in im e."""
+    for pi in an_b.homs(A):
+        if len(set(pi)) == A.size:
+            e = an_b.split_kernels.get(least_labels(pi))
+            if e is not None:
+                gamma = dict(zip(pi, e))
+                return bytes(map(gamma.__getitem__, range(A.size))), pi
+    return None
+
+
 def _check_t7(ctx, pair):
-    """T7 needs a proper retract, which has fewer points than B, so the
-    homs between A and B are searched only when A is smaller."""
+    """T7 needs a proper retract, which has fewer points than B, so only
+    the homs B -> A are read, and only when A is smaller: the list T8
+    reads for the pair (B, A)."""
     A, B = pair
-    found = None
-    if A.size < B.size:
-        found = is_retract_of(ctx.analysis(A).homs(B), ctx.analysis(B).homs(A))
+    found = _retraction(ctx.analysis(B), A) if A.size < B.size else None
     proper = found is not None
     maps = {"gamma": list(found[0]), "pi": list(found[1])} if proper else {}
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
@@ -484,13 +497,14 @@ def _check_t7(ctx, pair):
 def _check_t8(ctx, pair):
     """Surjections are counted one by one but decided once per kernel:
     h and h' = s o h (s in Aut(B)) share a kernel, f o h' = h' o g iff
-    (s^-1 f s) o h = h o g, f -> s^-1 f s permutes End(B), and t is a
-    section of h iff t o s^-1 is one of h'.  A failure stops at the
-    first induced surjection, its witness h."""
+    (s^-1 f s) o h = h o g, and f -> s^-1 f s permutes End(B).  h has a
+    section iff its kernel is in A's `split_kernels`, so no hom B -> A
+    is searched.  A failure stops at the first induced surjection, its
+    witness h."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     concl = flag(SCH, [B])
-    induces, section = {}, {}
+    induces = {}
     sections = induced = 0
     witness_h = []
     for h in an_a.homs(B):
@@ -502,9 +516,7 @@ def _check_t8(ctx, pair):
         if not induces[kernel] or not flag(SCH, [A]):
             continue
         induced += 1
-        if kernel not in section:
-            section[kernel] = has_section(h, an_b.homs(A))
-        sections += section[kernel]
+        sections += kernel in an_a.split_kernels
         if not concl:
             witness_h = list(h)
             break

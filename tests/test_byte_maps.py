@@ -1,15 +1,18 @@
 """Compositions on byte maps.  An analysis keeps each endomorphism's map
 as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
 `itemgetter` gather (a fixed right factor).  The End(A) table, the lift
-sets, the T8 liftable sets and the retract and section tests are each
-compared with a tuple-composition oracle built on `oracles.compose_maps`.  The
+sets and the T8 liftable sets are each compared with a tuple-composition
+oracle built on `oracles.compose_maps`, and so are the retractions and
+sections read off the kernels that idempotents split.  The
 End(A) table scan `oracles.is_strongly_pi_regular` backs the report's
 constant strong pi-regularity flag, and the literal loops
 `oracles.is_hopfian` and `oracles.is_co_hopfian` back the constant
 Hopfian and co-Hopfian flags, and a recording `harness.flag` checks that
 the suite still names every act those flags are read on."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,15 +20,17 @@ from monact import deciders, harness
 from monact.act import quotient_by_congruence, regular_act, subact_as_act
 from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
-from monact.endo import (
-    end_monoid, has_section, homomorphisms, induces_all_endomorphisms, is_retract_of,
-)
+from monact.cli import suite_json
+from monact.endo import end_monoid, homomorphisms, induces_all_endomorphisms
 from monact.errors import SizeTooLarge
 from monact.harness import (
     CO, H, SCH, SH, CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts,
 )
 from monact.monoid import zmod_mult_monoid
+from monact.relation import least_labels
 from oracles import (
+    act_hom,
+    compose_maps,
     end_table_oracle,
     induces_oracle,
     is_co_hopfian,
@@ -142,28 +147,75 @@ def test_t8_liftable_sets_match_compose_oracle():
     assert outcomes == {True, False}
 
 
+def _split_pairs(kind):
+    """A context and the `kind` pairs of 3/4 and 2/5, each pair once,
+    then each seeded 5-point act paired with every 3/4 act over its
+    monoid, the larger act second for act_pair_up and first for
+    act_pair_down."""
+    ctx, pairs = SuiteContext(), {}
+    for spec in (CorpusSpec(), CorpusSpec(max_monoid_size=2, max_act_size=5)):
+        for A, B in _pairs(kind, spec)[1]:
+            pairs[_key(A), _key(B)] = A, B
+    acts = _acts(CorpusSpec())
+    for F in _five_point_acts():
+        for A in (A for A in acts if A.monoid == F.monoid):
+            pairs[_key(A), _key(F)] = (A, F) if kind == "act_pair_up" else (F, A)
+    return ctx, list(pairs.values())
+
+
 def test_retracts_match_compose_oracle():
-    ctx, pairs = _pairs("act_pair_up", CorpusSpec())
+    # A is a retract of B iff some surjection pi: B -> A has a kernel
+    # split by an idempotent e of End(B), and then gamma(pi(b)) = e(b);
+    # the oracle searches the homs both ways for pi o gamma = id
+    ctx, pairs = _split_pairs("act_pair_up")
     found = 0
     for A, B in pairs:
-        into, back = ctx.analysis(A).homs(B), ctx.analysis(B).homs(A)
-        got = is_retract_of(into, back)
-        want = retract_oracle(into, back)
-        assert got == want, (A, B)
-        found += got is not None
-    assert 0 < found < len(pairs)
+        got = harness._retraction(ctx.analysis(B), A)
+        want = retract_oracle(homomorphisms(A, B), homomorphisms(B, A))
+        assert (got is None) == (want is None), (A, B)
+        if got is not None:
+            gamma, pi = got
+            assert act_hom(A, B, gamma) and compose_maps(pi, gamma) == tuple(range(A.size))
+            found += A.size < B.size
+    # 3/4 alone: 352 proper retracts among 753 pairs with |A| < |B|;
+    # 2/5 alone: 105 among 175
+    assert (len(pairs), found) == (1957, 432)
 
 
 def test_sections_match_compose_oracle():
-    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
-    outcomes = set()
+    # a surjection h: A -> B has a section s iff an idempotent of End(A)
+    # has h's kernel; the oracle searches the homs B -> A for h o s = id
+    ctx, pairs = _split_pairs("act_pair_down")
+    outcomes = Counter()
     for A, B in pairs:
-        back = ctx.analysis(B).homs(A)
+        split, back = ctx.analysis(A).split_kernels, homomorphisms(B, A)
         for h in ctx.analysis(A).homs(B):
             if len(set(h)) == B.size:
-                assert has_section(h, back) == section_oracle(h, back), (A, B, h)
-                outcomes.add(section_oracle(h, back))
-    assert outcomes == {True, False}
+                got = least_labels(h) in split
+                assert got == section_oracle(h, back), (A, B, h)
+                outcomes[got] += 1
+    # 3/4 alone: 1830 of 1987 surjections split; 2/5 alone: 2492 of 2592
+    assert outcomes == {True: 4103, False: 328}
+
+
+def test_planted_split_kernels_of_every_endomorphism_is_caught(monkeypatch):
+    # every endomorphism's kernel reads as split, idempotent or not: the
+    # default digest moves, with more proper retracts and sections
+    def every_kernel(an):
+        return {least_labels(e): e for e in reversed(an.endos)}
+
+    monkeypatch.setattr(ActAnalysis, "split_kernels", property(every_kernel))
+    result = harness.run_suite(CorpusSpec())
+    digest = hashlib.sha256(suite_json(result).encode()).hexdigest()[:12]
+    by_id = {v.theorem: v for v in result.verdicts}
+    assert (digest, by_id["T7"].nonvacuous, by_id["T8"].details["with_section"]) == (
+        "e38af2394481", 357, 1841)
+    # the section oracle sees it on a 3/4 pair
+    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
+    assert any(
+        (least_labels(h) in ctx.analysis(A).split_kernels)
+        != section_oracle(h, homomorphisms(B, A))
+        for A, B in pairs for h in ctx.analysis(A).homs(B) if len(set(h)) == B.size)
 
 
 def test_analysis_refuses_carriers_past_the_byte_maps():

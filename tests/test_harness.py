@@ -25,8 +25,8 @@ from monact.harness import (
 )
 from monact.monoid import validate_monoid
 from oracles import (
-    act_canonical_form, act_relabelings, acts_isomorphic, brute_force_acts, brute_force_monoids,
-    is_fully_invariant, partition_number,
+    act_canonical_form, act_hom, act_relabelings, acts_isomorphic, brute_force_acts,
+    brute_force_monoids, compose_maps, is_fully_invariant, partition_number,
 )
 
 
@@ -462,6 +462,31 @@ def test_rebuild_instance_round_trip_every_shape(forced_flags, tid, overrides, f
     assert set(written) == fields
     assert {k: v.witness[k] for k in fields} == written
     assert recheck_verdict(v)
+
+
+@pytest.mark.parametrize("overrides, failures", [
+    (POINT_SH, 120),
+    ({"is_strongly_hopfian": lambda X: X.size == 4}, 261),
+], ids=["one-point-A", "four-point-B"])
+def test_t7_witnesses_are_retractions(forced_flags, overrides, failures):
+    # every proper retract that reads as not strongly Hopfian fails T7;
+    # its witness pi is the first retraction B -> A in map order and
+    # gamma is read off the idempotent that splits pi's kernel
+    forced_flags(overrides)
+    corpus, failed = build_corpus(CorpusSpec()), []
+    for M, per in zip(corpus.monoids, corpus.acts):
+        ctx = harness.SuiteContext()
+        for pair in harness._instances_for("act_pair_up", M, per, ctx):
+            v = harness.Verdict("T7", harness.REGISTRY["T7"][0])
+            v.add(*harness._check_t7(ctx, pair))
+            failed += [v] if not v.passed else []
+    for v in failed:
+        A, B = rebuild_instance(v.witness)
+        gamma, pi = act_hom(A, B, v.witness["gamma"]), act_hom(B, A, v.witness["pi"])
+        assert len(set(gamma)) == A.size < B.size
+        assert compose_maps(pi, gamma) == tuple(range(A.size))
+        assert recheck_verdict(v)
+    assert len(failed) == failures
 
 
 def test_verdict_to_dict_is_json_ready():

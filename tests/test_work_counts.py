@@ -110,7 +110,26 @@ def test_t7_searches_no_pair_of_one_size(count):
     assert all(v.passed for v in result.verdicts)
     assert [k for k in homs if k[0] != k[1] and k[2] == k[3]] == []
     assert sum(k[0] == k[1] for k in homs) == 142
-    assert sum(homs.values()) == 3085
+    assert sum(homs.values()) == 2332
+
+
+def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(monkeypatch):
+    """T7 reads a retraction B -> A off the kernels that idempotents of
+    End(B) split, and T8 a section of h: A -> B off End(A)'s, so neither
+    asks for the homs from a smaller act into a larger one.  (The
+    property reports' quasi-injectivity searches the homs from each
+    subact into its act, outside the analyses' hom lists.)"""
+    asked = Counter()
+    homs = ActAnalysis.homs
+
+    def recording(an, B):
+        asked["up" if an.act.size < B.size else "down"] += 1
+        return homs(an, B)
+
+    monkeypatch.setattr(ActAnalysis, "homs", recording)
+    result = run_suite(CorpusSpec(theorems=("T7", "T8")))
+    assert all(v.passed for v in result.verdicts)
+    assert asked["up"] == 0 and asked["down"] > 0
 
 
 def test_classify_builds_end_once(count, tmp_path):
