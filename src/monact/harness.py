@@ -5,10 +5,12 @@ Small monoids and acts are enumerated up to isomorphism (canonical form
 Monoid tables come from a backtrack over the non-identity cells that
 drops a partial table at its first failed associativity instance.  Acts
 come from a propagating backtrack over the generator cells of the
-action table, which random sampling shares; a complete, conflict-free
-table is an action and is not re-validated.  Each isomorphism class is
-relabeled once, as flat `bytes` renamed by `bytes.translate` (m <= 9),
-into a seen set that absorbs its other labelled copies.
+action table, which random sampling shares; the backtrack tries one of
+the interchangeable untouched points per cell, and a complete,
+conflict-free table is an action and is not re-validated.  Each
+isomorphism class is relabeled once, as flat `bytes` renamed by
+`bytes.translate` (m <= 9), into a seen set that absorbs its other
+labelled copies.
 Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
 fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
@@ -144,6 +146,16 @@ class _ActSearch:
     every cell (c, u) holding the value a needs T[c][us] = b.  Cells are
     flat indices a*n + s; the identity column is filled from the start
     and never propagates, since its instances of the axiom are trivial.
+
+    A point b is untouched when no assigned cell holds it and its row
+    has no assigned cell but the identity cell.  A cell (a, g) tries
+    every touched point, a itself, and only the least untouched point
+    other than a.  This still reaches every isomorphism class: the
+    transposition of two untouched points b, c != a fixes every
+    assigned cell and the cell (a, g), so it maps each completion with
+    c at (a, g) to an isomorphic completion with b there, and by
+    induction on the remaining branch cells the search yields a
+    relabeled copy of every completion.
     """
 
     def __init__(self, M: Monoid, m: int):
@@ -214,16 +226,27 @@ class _ActSearch:
             holders[table[cell]].pop()
             table[cell] = -1
 
+    def tried(self, a):
+        """The values a generator cell in row a tries: every touched
+        point, a itself, and the least untouched point other than a.
+        Rows before a hold their assigned generator cells, so only the
+        points after a can be untouched."""
+        n, table, holders = self.n, self.table, self.holders
+        skip = [b for b in range(a + 1, self.m)
+                if not holders[b] and max(table[b * n + 1 : b * n + n]) < 0][1:]
+        return [b for b in range(self.m) if b not in skip]
+
     def tables(self, k=0):
-        """Yield every complete labelled action table, flat as `bytes`,
-        one search node charged per value tried at a generator cell."""
+        """Yield a labelled action table of every isomorphism class (and
+        of some classes more than once), flat as `bytes`, one search
+        node charged per value tried at a generator cell."""
         branch, table = self.branch, self.table
         while k < len(branch) and table[branch[k]] >= 0:
             k += 1
         if k == len(branch):
             yield bytes(self.table)
             return
-        for value in range(self.m):
+        for value in self.tried(branch[k] // self.n):
             self.charge(nodes=1)
             mark = len(self.trail)
             if self.assign(branch[k], value):
@@ -235,10 +258,13 @@ def enumerate_acts(M: Monoid, m: int):
     """All acts of size m over M up to act isomorphism, each by its
     canonical form (the least table over carrier relabelings), in order.
 
-    `_ActSearch` finds every labelled action table.  The first table of
-    each isomorphism class pays m! work units, then its whole relabeling
-    orbit goes into `seen` and the orbit's minimum is kept as the class
-    representative; later tables of the class cost one set lookup.
+    `_ActSearch` finds a labelled action table of every class, trying
+    only the least of the untouched points at each branch cell; the
+    labelled copies it still finds come from values it cannot skip.
+    The first table of each isomorphism class pays m! work units, then
+    its whole relabeling orbit goes into `seen` and the orbit's minimum
+    is kept as the class representative; later tables of the class
+    cost one set lookup.
     Search nodes and relabelings share the ACT_ENUM_WORK_CAP budget.
     Tables stay flat `bytes` until the kept representatives: rows all
     have n entries, so byte order is the order of the tuple rows.

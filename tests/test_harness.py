@@ -161,15 +161,30 @@ def test_act_counts_closed_forms(trivial, m2):
     assert _closed_form_mismatches(trivial, m2) == []
 
 
-# sha256 over repr(A.action) of every act up to 4/4 and 3/5, monoids by
+def test_z2_search_yields_fibonacci_many_labelled_tables():
+    # over Z/2 each row a is fixed or swapped with a later point; once
+    # rows 0..a-1 are set, the untouched points are those after a not
+    # yet swapped, so a row not yet set is fixed or swapped with the
+    # least of them: F(m+1) tables, where trying every point gives the
+    # involution numbers 1, 2, 4, 10, 26, 76, 232
+    z2 = validate_monoid(2, [[0, 1], [1, 0]])
+    counts = [sum(1 for _ in harness._ActSearch(z2, m).tables()) for m in range(1, 8)]
+    assert counts == [1, 2, 3, 5, 8, 13, 21]
+
+
+# sha256 over repr(A.action) of every act up to 4/4, 3/5 and 4/5, monoids by
 # size, then acts by size, in enumeration order
 ACT_TABLES = {
     (4, 4): (1205, "b79745c6bcbf1007d6b150fb83901d2618a8b1c35ab5362b96ebcd6c7b85a3db"),
     (3, 5): (277, "3415c490228003a16d2a5aecf5c7afa65d95e36ab01c2c75562914672f9e4928"),
+    (4, 5): (3126, "1c44e728d65f23bd5b0c86cce124a885e1e2118362d05560d9d4949d5cb98d36"),
 }
 
 
 def test_act_totals_up_to_4_4_and_3_5():
+    # the 4/5 pin was taken from a search that tried every point at each
+    # branch cell, so it checks that skipping untouched points loses no
+    # class
     monoids = {n: enumerate_monoids(n) for n in range(1, 5)}
     for (max_n, max_m), (count, sha256) in ACT_TABLES.items():
         acts = [
@@ -203,18 +218,35 @@ def test_orbit_is_every_relabeling():
 
 
 def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivial, m2):
-    # the search skips the last value at the root branch of every search
-    # over two or more points, dropping one subtree of candidates
+    # the search skips value 1 at the root branch of every search over
+    # two or more points, dropping one subtree of candidates; the root
+    # tries 0 and 1 only, 1 standing for every untouched point
     real = harness._ActSearch.assign
 
     def planted(self, cell, value):
-        if self.m > 1 and not self.trail and cell == self.branch[0] and value == self.m - 1:
+        if self.m > 1 and not self.trail and cell == self.branch[0] and value == 1:
             return False
         return real(self, cell, value)
 
     monkeypatch.setattr(harness._ActSearch, "assign", planted)
     assert len(_oracle_mismatches(oracle_acts)) > 0
     assert len(_closed_form_mismatches(trivial, m2)) > 0
+
+
+def test_planted_own_point_counted_untouched_is_caught(monkeypatch, oracle_acts, trivial, m2):
+    # the branching row's own point counts among the untouched points,
+    # so a cell tries the least of them and the root tries only 0: the
+    # transposition of a with another point moves the cell itself
+    def planted(self, a):
+        n, table, holders = self.n, self.table, self.holders
+        skip = [b for b in range(a, self.m)
+                if not holders[b] and max(table[b * n + 1 : b * n + n]) < 0][1:]
+        return [b for b in range(self.m) if b not in skip]
+
+    monkeypatch.setattr(harness._ActSearch, "tried", planted)
+    assert len(_oracle_mismatches(oracle_acts)) > 0
+    z2 = validate_monoid(2, [[0, 1], [1, 0]])
+    assert (z2.table, 2, 2, 1) in _closed_form_mismatches(trivial, m2)  # the 2-cycle is lost
 
 
 def test_planted_changed_table_cell_is_caught(monkeypatch, oracle_acts, trivial, m2):
