@@ -19,7 +19,8 @@ x o g for fixed g an `itemgetter` gather (restrictions).  A factor act
 and its projection are built per lift check, by
 `quotient_by_congruence`, and not kept.  End(A) is finite, so it is
 strongly pi-regular (Drazin); `classify_act` still builds the End(A)
-table for its size and commutativity (`endo.end_monoid`).
+table for its size and commutativity (`endo.end_monoid`), once per
+distinct endomorphism list in its `ends` memo.
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and
@@ -58,7 +59,9 @@ class ActAnalysis:
     first use: the homs into each target act (the endomorphisms among
     them), their settle indices, endomorphism orbits, the kernels split
     by idempotents, congruences, subacts and the property report.
-    End(A) is not kept: `classify_act` builds and drops it.
+    End(A) is not kept: `classify_act` keeps its size and commutativity
+    in `ends`, keyed by the exact endomorphism maps; the analysis's own
+    dict, unless `harness.SuiteContext` swaps in its suite run's.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -70,6 +73,7 @@ class ActAnalysis:
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
         self._homs = {}
+        self.ends = {}
 
     def homs(self, B: Act):
         """The byte maps of the homs from the act into B, sorted."""
@@ -365,11 +369,16 @@ class PropertyReport:
 
 
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
-    """Run every decider on one act (or on its ActAnalysis)."""
+    """Run every decider on one act (or on its ActAnalysis).  End(A) is
+    built only for endomorphism maps that `an.ends` has not seen."""
     an = analyse(A)
     # the congruence cap refuses an oversized act before End(A) is built
     noe, art, n_congs, max_chain = chain_conditions(an)
-    E = end_monoid(an.act, an.endos)
+    key = tuple(an.endos)
+    if key not in an.ends:
+        E = end_monoid(an.act, an.endos)
+        an.ends[key] = E.monoid.size, is_commutative(E)
+    end_size, end_commutative = an.ends[key]
     sh, sh_index = is_strongly_hopfian(an)
     sch, sch_index = is_strongly_co_hopfian(an)
     return PropertyReport(
@@ -386,12 +395,12 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
         artinian=art,
         quasi_injective=is_quasi_injective(an)[0],
         quasi_projective=is_quasi_projective(an)[0],
-        end_commutative=is_commutative(E),
+        end_commutative=end_commutative,
         # Drazin (1958): every element f of a finite monoid is strongly
         # pi-regular, with g = f^(p-1) where f's powers first repeat at
         # f^(c+p) = f^c; tests/oracles.py keeps the End(A) table scan
         end_strongly_pi_regular=True,
-        end_size=E.monoid.size,
+        end_size=end_size,
         congruence_count=n_congs,
         congruence_max_chain=max_chain,
     )

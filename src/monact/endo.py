@@ -116,8 +116,8 @@ def end_monoid(A: Act, endos=None) -> EndMonoid:
 
     Row f of the table, f o g over every g, is one `bytes.translate`
     per cell through f's rename table, so carriers stop at 255 points.
-    `classify_act` builds the table only for its size and commutativity
-    flag; a finite monoid is always strongly pi-regular (Drazin).
+    `classify_act` reads its size and commutativity once per distinct
+    endomorphism list; a finite monoid is strongly pi-regular (Drazin).
     """
     if A.size > 255:
         raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")

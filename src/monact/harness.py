@@ -15,11 +15,14 @@ Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
 fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
 dropped before the next, and every theorem's instance is one
-`_implication` call.  A failing instance produces a verdict whose
-witness names the instance by its full tables, enough to re-run the
-check.  Every Hopfian-type flag is read through `flag`, which is True
-on finite carriers without looking at the acts it is handed, so only
-T4-T6, which compare indices, can fail while `flag` is the default.
+`_implication` call.  Only the run's End(A) memo spans monoids: acts
+with equal endomorphism maps (the trivial 4-point act over each
+monoid, say) share one table build.  A failing instance produces a
+verdict whose witness names the instance by its full tables, enough to
+re-run the check.  Every Hopfian-type flag is read through `flag`,
+which is True on finite carriers without looking at the acts it is
+handed, so only T4-T6, which compare indices, can fail while `flag` is
+the default.
 """
 
 from __future__ import annotations
@@ -373,16 +376,19 @@ def flag(name, acts) -> bool:
 class SuiteContext:
     """One ActAnalysis per act, shared by every theorem.  `run_suite`
     makes one per monoid (no theorem instance reaches past its monoid's
-    acts) and drops it before the next."""
+    acts) and drops it before the next; its analyses share `ends`, the
+    run's End(A) memo (`deciders.classify_act`), or the context's own."""
 
     def __init__(self):
         self._analyses = {}
+        self.ends = {}
 
     def analysis(self, A) -> ActAnalysis:
         """A's analysis, one per table."""
         key = (A.monoid.table, A.action)
         if key not in self._analyses:
-            self._analyses[key] = ActAnalysis(A)
+            an = self._analyses[key] = ActAnalysis(A)
+            an.ends = self.ends
         return self._analyses[key]
 
 
@@ -714,7 +720,8 @@ class SuiteResult:
 def run_suite(spec: CorpusSpec) -> SuiteResult:
     """Check every requested theorem over the whole corpus, one monoid at
     a time: a fresh SuiteContext per monoid reads its acts' reports and
-    instances, and each theorem's Verdict folds them in place.
+    instances, and each theorem's Verdict folds them in place.  One
+    End(A) memo, made here, serves the whole run and dies with it.
 
     Deterministic given the spec (including the sampling seed): corpus
     order is canonical and verdicts aggregate in iteration order.
@@ -723,8 +730,10 @@ def run_suite(spec: CorpusSpec) -> SuiteResult:
     tids = sorted(spec.theorems, key=lambda t: int(t[1:]))
     verdicts = [Verdict(tid, REGISTRY[tid][0]) for tid in tids]
     reports = []
+    ends = {}
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
         ctx = SuiteContext()
+        ctx.ends = ends
         for ai, A in enumerate(per):
             reports.append({
                 "monoid": f"M{mi}",
