@@ -26,9 +26,9 @@ from .act import regular_act
 from .congruence import CONGRUENCE_ENUM_CAP, enumerate_congruences
 from .deciders import ActAnalysis, chain_reports, classify_act, r_chain_index
 from .endo import endomorphisms, identity_first
-from .errors import AlgebraError, BudgetError, CarrierTooLarge, InputError, NotPrime
+from .errors import AlgebraError, BudgetError, CarrierTooLarge, InputError
 from .harness import ALL_THEOREMS, CorpusSpec, run_suite
-from .monoid import SIZE_CAP, is_prime, prime_power_product, zmod_mult_monoid
+from .monoid import SIZE_CAP, prime_power_product, require_prime, zmod_mult_monoid
 from .textio import parse_input
 
 SCHEMA_VERSION = "1"
@@ -277,10 +277,9 @@ def cmd_suite(args):
 
 
 def cmd_family36(args):
-    if not is_prime(args.p):
-        raise NotPrime(f"{args.p} is not prime")
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
+    require_prime(args.p)
     print(f"p={args.p}: truncation depth N vs chain index of the distinguished element")
     for n in range(1, args.max_n + 1):
         S, x = prime_power_product(args.p, n)

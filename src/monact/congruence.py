@@ -200,7 +200,8 @@ def enumerate_congruences(A: Act):
     first, universal last), ties by class encoding.
     """
     if A.size > CONGRUENCE_ENUM_CAP:
-        raise CarrierTooLarge(f"carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}")
+        raise CarrierTooLarge(
+            f"congruence enumeration: carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}")
     n = A.size
     bottom = bytes(range(n))
     generators = {}  # Cg(a, b) -> a, b and its pairs (x, label of x) off the diagonal

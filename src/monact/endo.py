@@ -1,8 +1,8 @@
 """Homomorphism and endomorphism enumeration, and End(A) as a monoid.
 
-Enumeration backtracks over images of a minimal generating set of the
-source; every chosen image is propagated through the action, so a
-candidate either collapses to a full map or dies on a conflict.  A hom
+The hom search is one loop over the images of a minimal generating set
+of the source; every chosen image is propagated through the action, so
+a candidate either collapses to a full map or dies on a conflict.  A hom
 is a plain map: the search returns tuples of images, which any carrier
 size fits; `deciders.ActAnalysis` keeps them as `bytes` (at most 255
 points), and the functions here that compose maps take byte maps and
@@ -29,6 +29,8 @@ def homomorphisms(A: Act, B: Act):
     Every point a is g*s for a generator g, and the image img chosen for
     g sets f(a) = img*s, conflict-checked; for lawful A and B this gives
     f(a*t) = img*(s*t) = (img*s)*t = f(a)*t, so no map is re-checked.
+    One loop walks the generators, so no recursion limit bounds the depth;
+    level k keeps the next image to try and the points its image set.
     Each (generator, image) attempt costs one node; more than
     DEFAULT_SEARCH_BUDGET nodes raise SearchBudgetExceeded, and a map
     past the first SIZE_CAP raises SizeOverflow, so no hom list (End(A)
@@ -36,49 +38,39 @@ def homomorphisms(A: Act, B: Act):
     """
     if A.monoid != B.monoid:
         raise SourceTargetMismatch("acts live over different monoids")
-    gens = A.generators
-    n_s = A.monoid.size
+    rows = [A.action[g] for g in A.generators]
     mapping = [-1] * A.size
-    results = []
-    nodes = 0
-    budget = DEFAULT_SEARCH_BUDGET
+    next_img, set_by = [0] * len(rows), [[] for _ in rows]
+    results, nodes, k = [], 0, 0
     search = (f"hom search from a {A.size}-point act to a {B.size}-point act "
-              f"over a {n_s}-element monoid")
-
-    def backtrack(k):
-        nonlocal nodes
-        if k == len(gens):
-            if len(results) == SIZE_CAP:
-                raise SizeOverflow(
-                    f"{search}: more than {SIZE_CAP} homomorphisms: "
-                    f"search stopped at map {SIZE_CAP + 1}"
-                )
-            results.append(tuple(mapping))
-            return
-        g = gens[k]
-        row_g = A.action[g]
-        for img in range(B.size):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"{search}: over {budget} backtrack nodes")
-            row_img = B.action[img]
-            undo = []
-            ok = True
-            for s in range(n_s):
-                a2, b2 = row_g[s], row_img[s]
-                cur = mapping[a2]
-                if cur == -1:
-                    mapping[a2] = b2
-                    undo.append(a2)
-                elif cur != b2:
-                    ok = False
-                    break
-            if ok:
-                backtrack(k + 1)
-            for a2 in undo:
-                mapping[a2] = -1
-
-    backtrack(0)
+              f"over a {A.monoid.size}-element monoid")
+    while k >= 0:
+        for a in set_by[k]:
+            mapping[a] = -1
+        set_by[k].clear()
+        img = next_img[k]
+        if img == B.size:
+            next_img[k] = 0
+            k -= 1
+            continue
+        next_img[k] = img + 1
+        nodes += 1
+        if nodes > DEFAULT_SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"{search}: over {DEFAULT_SEARCH_BUDGET} backtrack nodes")
+        for a, b in zip(rows[k], B.action[img]):
+            if mapping[a] == -1:
+                mapping[a] = b
+                set_by[k].append(a)
+            elif mapping[a] != b:
+                break
+        else:
+            if k + 1 < len(rows):
+                k += 1
+            elif len(results) == SIZE_CAP:
+                raise SizeOverflow(f"{search}: more than {SIZE_CAP} homomorphisms: "
+                                   f"search stopped at map {SIZE_CAP + 1}")
+            else:
+                results.append(tuple(mapping))
     results.sort()
     return results
 

@@ -243,6 +243,14 @@ def is_prime(p: int) -> bool:
     return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
+def require_prime(p: int) -> None:
+    """Refuse Z/p past SIZE_CAP before any trial division, then a composite p."""
+    if p > SIZE_CAP:
+        raise SizeOverflow(f"Z/{p} exceeds the monoid size cap {SIZE_CAP}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def prime_power_product(p: int, n_factors: int):
     """The product of (Z/p^n, *) for n = 1..n_factors, plus its slow element.
 
@@ -251,8 +259,7 @@ def prime_power_product(p: int, n_factors: int):
     at step n_factors, so the family's chain index grows without bound
     as the truncation deepens.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     if n_factors < 1:
         raise ValueError("need at least one factor")
     zmods = [zmod_mult_monoid(p**n) for n in range(1, n_factors + 1)]

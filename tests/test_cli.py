@@ -366,6 +366,23 @@ def test_family36_budget(capsys):
     assert main(["family36", "--p", "2", "--max-n", "5"]) == 3
 
 
+def test_family36_refuses_a_large_p_before_trial_division(monkeypatch, capsys):
+    # 2^61 - 1 is prime, but trial division would take minutes; Z/p is
+    # past the size cap either way
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(monact.monoid, "is_prime", refuse)
+    for p in (4099, 2**61 - 1):
+        assert main(["family36", "--p", str(p), "--max-n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"Z/{p} exceeds the monoid size cap 4096" in captured.err
+    monkeypatch.undo()
+    assert main(["family36", "--p", "6", "--max-n", "1"]) == 2
+    assert "6 is not prime" in capsys.readouterr().err
+
+
 def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
     # only the identity acts: all Bell(8) = 4140 partitions are congruences;
     # the digest pins the listing order, and a longest chain merges two
@@ -380,6 +397,13 @@ def test_congruences_of_eight_point_trivial_act(tmp_path, capsys):
     with open(path) as fh:
         _, A = parse_input(fh.read()).acts["A"]
     assert chain_conditions(A) == (True, True, 4140, 8)
+
+
+def test_congruences_refusal_names_the_enumeration(tmp_path, capsys):
+    path = _trivial_act_file(tmp_path, 9)
+    assert main(["congruences", path, "--act", "A"]) == 3
+    assert capsys.readouterr().err == (
+        "error: congruence enumeration: carrier size 9 exceeds cap 8\n")
 
 
 def test_classify_budget_exit(capsys):
@@ -453,6 +477,17 @@ def test_classify_seven_point_overflow_stops_early(tmp_path, capsys):
     assert main(["classify", path, "--act", "A"]) == 3
     assert time.perf_counter() - start < 2.0
     assert OVERFLOW_MESSAGE in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_endos_of_a_deep_search_overflow_exit(m, tmp_path, capsys):
+    # one search level per point, past Python's recursion limit: the
+    # search still stops at the first map past the cap and names itself
+    path = _trivial_act_file(tmp_path, m)
+    assert main(["endos", path, "--act", "A"]) == 3
+    err = capsys.readouterr().err
+    assert f"hom search from a {m}-point act to a {m}-point act over a 1-element monoid" in err
+    assert OVERFLOW_MESSAGE in err
 
 
 def test_classify_oversized_regular_act_is_refused_early(capsys):

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from itertools import product
 
 import pytest
@@ -77,6 +79,34 @@ def test_planted_missing_hom_is_caught(monkeypatch):
     pairs = same_monoid_pairs(2, 3)
     _plant_in_homs(monkeypatch, lambda A, B, homs: homs[:-1])
     assert len(hom_mismatches(pairs)) > 0
+
+
+def _search_without_take_back():
+    """The hom search with a planted bug: a level that meets a conflicting
+    image forgets the points it set before the conflict, so they are never
+    taken back and stay set for the level's next images."""
+    source = textwrap.dedent(inspect.getsource(endo.homomorphisms))
+    conflict = "            elif mapping[a] != b:\n                break\n"
+    assert source.count(conflict) == 1
+    planted = conflict.replace("break", "set_by[k].clear()\n                break")
+    namespace = dict(vars(endo))
+    exec(compile(source.replace(conflict, planted), endo.__file__, "exec"), namespace)
+    return namespace["homomorphisms"]
+
+
+def test_planted_skipped_take_back_is_caught(monkeypatch):
+    # the brute-force oracle over every same-monoid pair of 3/4 sees it
+    pairs = same_monoid_pairs(3, 4)
+    monkeypatch.setattr(endo, "homomorphisms", _search_without_take_back())
+    assert len(hom_mismatches(pairs)) > 0
+
+
+def test_search_depth_is_not_bounded_by_recursion(trivial):
+    # 1000 generators, one search level each, past Python's default
+    # recursion limit of 1000 frames: one constant map into the point
+    A = validate_act(trivial, 1000, [[a] for a in range(1000)])
+    point = validate_act(trivial, 1, [[0]])
+    assert homomorphisms(A, point) == [(0,) * 1000]
 
 
 def test_homs_pass_equivariance(a2, reg_z4):

@@ -280,6 +280,15 @@ def test_prime_power_product_rejects_composite():
         prime_power_product(1, 1)
 
 
+def test_prime_power_product_checks_the_size_cap_first(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(monoid, "is_prime", refuse)
+    with pytest.raises(SizeOverflow, match="Z/4099 exceeds the monoid size cap 4096"):
+        prime_power_product(4099, 1)
+
+
 def test_prime_power_product_overflow():
     with pytest.raises(SizeOverflow):
         prime_power_product(2, 5)
