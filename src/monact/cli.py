@@ -132,7 +132,8 @@ def _builtin_monoid(name, carrier_cap=SIZE_CAP):
     if modulus < 1:
         raise InputError(f"builtin monoid {name!r} needs a modulus of at least 1")
     if carrier_cap < modulus <= SIZE_CAP:  # refuse the regular act before the table
-        raise CarrierTooLarge(f"carrier size {modulus} exceeds cap {carrier_cap}")
+        raise CarrierTooLarge(
+            f"congruence enumeration: carrier size {modulus} exceeds cap {carrier_cap}")
     return zmod_mult_monoid(modulus)
 
 

@@ -20,7 +20,8 @@ and its projection are built per lift check, by
 `quotient_by_congruence`, and not kept.  End(A) is finite, so it is
 strongly pi-regular (Drazin); `classify_act` still builds the End(A)
 table for its size and commutativity (`endo.end_monoid`), once per
-distinct endomorphism list in its `ends` memo.
+distinct endomorphism list in the analysis's memo, which keeps what
+reads only the act's maps a -> a*s once per set of them.
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and
@@ -32,7 +33,7 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import islice, repeat
 from operator import itemgetter
 
@@ -54,14 +55,20 @@ from .relation import least_labels
 
 # -- per-act analysis --------------------------------------------------------
 
+def _per_transformation_set(compute):
+    """A cached property read through `ActAnalysis.shared`."""
+    return cached_property(wraps(compute)(lambda an: an.shared(compute)))
+
+
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
-    first use: the homs into each target act (the endomorphisms among
-    them), their settle indices, endomorphism orbits, the kernels split
-    by idempotents, congruences, subacts and the property report.
-    End(A) is not kept: `classify_act` keeps its size and commutativity
-    in `ends`, keyed by the exact endomorphism maps; the analysis's own
-    dict, unless `harness.SuiteContext` swaps in its suite run's.
+    first use.  What reads only the maps rho_s: a -> a*s, the act's
+    transformation set T(A), is kept in `memo` under (quantity, |A|,
+    T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
+    rho in T(A), and congruences and subacts are defined by the rho
+    alone; End(A)'s size and commutativity, under the exact endomorphism
+    maps.  Congruences and subacts (each names its act) and homs into
+    another act stay per act.  A suite run swaps in its own memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -72,32 +79,41 @@ class ActAnalysis:
             raise SizeTooLarge(
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
-        self._homs = {}
-        self.ends = {}
+        self.transformations = frozenset(zip(*act.action))
+        self._homs, self.memo = {}, {}
+
+    def shared(self, compute):
+        """compute(self), once per transformation set in `memo`."""
+        key = (compute, self.act.size, self.transformations)
+        if key not in self.memo:
+            self.memo[key] = compute(self)
+        return self.memo[key]
 
     def homs(self, B: Act):
         """The byte maps of the homs from the act into B, sorted."""
+        if B == self.act:
+            return self.endos
         key = (B.monoid.table, B.action)
         if key not in self._homs:
             self._homs[key] = list(map(bytes, homomorphisms(self.act, B)))
         return self._homs[key]
 
-    @property
+    @_per_transformation_set
     def endos(self):
         """The byte maps of the endomorphisms, sorted."""
-        return self.homs(self.act)
+        return list(map(bytes, homomorphisms(self.act, self.act)))
 
-    @cached_property
+    @_per_transformation_set
     def orbits(self):
         """orbits[a]: the set of f(a) over every endomorphism f."""
         return [frozenset(column) for column in zip(*self.endos)]
 
-    @cached_property
+    @_per_transformation_set
     def profiles(self):
         """The settle index of each endomorphism, in `endos` order."""
         return list(map(settle_index, self.endos))
 
-    @cached_property
+    @_per_transformation_set
     def split_kernels(self):
         """The kernel labels (`least_labels`) of each idempotent
         endomorphism, e o e = e, mapped to the first such e in map order.
@@ -109,7 +125,7 @@ class ActAnalysis:
                 split.setdefault(least_labels(e), e)
         return split
 
-    @cached_property
+    @_per_transformation_set
     def report(self):
         return classify_act(self)
 
@@ -173,10 +189,8 @@ class ChainReport:
 def _first_settled(m, settled):
     """Criterion 3 for one endomorphism f with byte map m: the least
     n <= 2|A| with `settled(f^n)` on the byte map of f^n, or None."""
-    for n, f_n in zip(range(1, 2 * len(m) + 1), _powers(m)):
-        if settled(f_n):
-            return n
-    return None
+    powers = zip(range(1, 2 * len(m) + 1), _powers(m))
+    return next((n for n, f_n in powers if settled(f_n)), None)
 
 
 def _literal_index(an: ActAnalysis, settled):
@@ -370,15 +384,15 @@ class PropertyReport:
 
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
     """Run every decider on one act (or on its ActAnalysis).  End(A) is
-    built only for endomorphism maps that `an.ends` has not seen."""
+    built only for endomorphism maps that `an.memo` has not seen."""
     an = analyse(A)
     # the congruence cap refuses an oversized act before End(A) is built
     noe, art, n_congs, max_chain = chain_conditions(an)
-    key = tuple(an.endos)
-    if key not in an.ends:
+    key = ("End(A)", tuple(an.endos))
+    if key not in an.memo:
         E = end_monoid(an.act, an.endos)
-        an.ends[key] = E.monoid.size, is_commutative(E)
-    end_size, end_commutative = an.ends[key]
+        an.memo[key] = E.monoid.size, is_commutative(E)
+    end_size, end_commutative = an.memo[key]
     sh, sh_index = is_strongly_hopfian(an)
     sch, sch_index = is_strongly_co_hopfian(an)
     return PropertyReport(

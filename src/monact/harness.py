@@ -15,14 +15,16 @@ Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
 fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
 dropped before the next, and every theorem's instance is one
-`_implication` call.  Only the run's End(A) memo spans monoids: acts
-with equal endomorphism maps (the trivial 4-point act over each
-monoid, say) share one table build.  A failing instance produces a
-verdict whose witness names the instance by its full tables, enough to
-re-run the check.  Every Hopfian-type flag is read through `flag`,
-which is True on finite carriers without looking at the acts it is
-handed, so only T4-T6, which compare indices, can fail while `flag` is
-the default.
+`_implication` call.  Only the run's memo spans monoids: acts with one
+set of maps rho_s: a -> a*s (the trivial 4-point act over each monoid,
+say) share the endomorphisms, report and criterion-3 indices, keyed by
+(quantity, |A|, {rho_s}), and acts with equal endomorphism maps one
+End(A) build; congruences, subacts and homs between two acts stay per
+act (`SuiteContext`).  A failing instance's verdict names the instance
+by its full tables, enough to re-run the check.  Every Hopfian-type flag
+is read through `flag`, which is True on finite carriers without looking
+at the acts it is handed, so only T4-T6, which compare indices, can fail
+while `flag` is the default.
 """
 
 from __future__ import annotations
@@ -376,19 +378,22 @@ def flag(name, acts) -> bool:
 class SuiteContext:
     """One ActAnalysis per act, shared by every theorem.  `run_suite`
     makes one per monoid (no theorem instance reaches past its monoid's
-    acts) and drops it before the next; its analyses share `ends`, the
-    run's End(A) memo (`deciders.classify_act`), or the context's own."""
+    acts) and drops it before the next.  Its analyses share `memo`, the
+    run's or its own, keyed by (quantity, |A|, {rho_s}): exact, since
+    homs (f o rho_s = rho_s o f), congruences and subacts are defined
+    through the maps rho_s: a -> a*s alone.  Congruences, subacts (each
+    names its act) and homs between two acts stay per analysis."""
 
     def __init__(self):
         self._analyses = {}
-        self.ends = {}
+        self.memo = {}
 
     def analysis(self, A) -> ActAnalysis:
         """A's analysis, one per table."""
         key = (A.monoid.table, A.action)
         if key not in self._analyses:
             an = self._analyses[key] = ActAnalysis(A)
-            an.ends = self.ends
+            an.memo = self.memo
         return self._analyses[key]
 
 
@@ -466,7 +471,7 @@ def _criteria_check(tid, decide, literal, A, ctx):
     universal iff im f^2n = im f^n, first true where the rank settles.
     The witness lists the three criteria, 1 and 2 both the settle pair."""
     an = ctx.analysis(A)
-    (flag_12, index_12), (flag_3, index_3) = decide(an), literal(an)
+    (flag_12, index_12), (flag_3, index_3) = decide(an), an.shared(literal)
     details = {"criterion3_index_mismatches": int(index_3 != index_12),
                "max_stabilization_index": index_12 or 0}
     flags = {"criterion_bools": [flag_12, flag_12, flag_3],
@@ -721,7 +726,8 @@ def run_suite(spec: CorpusSpec) -> SuiteResult:
     """Check every requested theorem over the whole corpus, one monoid at
     a time: a fresh SuiteContext per monoid reads its acts' reports and
     instances, and each theorem's Verdict folds them in place.  One
-    End(A) memo, made here, serves the whole run and dies with it.
+    memo of the quantities each transformation set fixes (the acts'
+    End(A) among them), made here, serves the whole run and dies with it.
 
     Deterministic given the spec (including the sampling seed): corpus
     order is canonical and verdicts aggregate in iteration order.
@@ -729,11 +735,10 @@ def run_suite(spec: CorpusSpec) -> SuiteResult:
     corpus = build_corpus(spec)
     tids = sorted(spec.theorems, key=lambda t: int(t[1:]))
     verdicts = [Verdict(tid, REGISTRY[tid][0]) for tid in tids]
-    reports = []
-    ends = {}
+    reports, memo = [], {}
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
         ctx = SuiteContext()
-        ctx.ends = ends
+        ctx.memo = memo
         for ai, A in enumerate(per):
             reports.append({
                 "monoid": f"M{mi}",

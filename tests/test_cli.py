@@ -406,6 +406,15 @@ def test_congruences_refusal_names_the_enumeration(tmp_path, capsys):
         "error: congruence enumeration: carrier size 9 exceeds cap 8\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "congruences"])
+def test_regular_refusal_names_the_enumeration(command, capsys):
+    # the builtin regular act is refused before its table is built, with
+    # the phase a parsed 9-point act is refused by
+    assert main([command, "--regular", "Z9"]) == 3
+    assert capsys.readouterr().err == (
+        "error: congruence enumeration: carrier size 9 exceeds cap 8\n")
+
+
 def test_classify_budget_exit(capsys):
     # a 40-element regular act overflows the congruence-enumeration cap
     assert main(["classify", "--regular", "Z40"]) == 3

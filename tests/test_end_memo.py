@@ -1,7 +1,8 @@
 """`run_suite` builds End(A) once per distinct endomorphism list: acts
 with the same maps share one table's size and commutativity through the
-run's memo, and the memo dies with the run.  Every report's End(A)
-fields are checked against a table built afresh for its act."""
+run's memo, where End(A) entries are keyed by the exact maps, and the
+memo dies with the run.  Every report's End(A) fields are checked
+against a table built afresh for its act."""
 
 import hashlib
 
@@ -55,26 +56,29 @@ def test_suite_builds_end_once_per_distinct_endomorphism_list(monkeypatch):
 
 
 def test_planted_memo_keyed_by_list_length_is_caught(monkeypatch):
-    # the memo keys End(A) by how many endomorphisms there are, not by
-    # the maps, so acts with equally many different maps share one entry;
-    # every theorem still passes, and only the fresh End(A) oracle and
-    # the document digest see it
+    # the run's memo keys End(A) by how many endomorphisms there are,
+    # not by the maps, so acts with equally many different maps share one
+    # entry; every theorem still passes, and only the fresh End(A) oracle
+    # and the document digest see it
+    def by_length(key):
+        return ("End(A)", len(key[1])) if key[0] == "End(A)" else key
+
     class ByLength(dict):
         def __contains__(self, key):
-            return super().__contains__(len(key))
+            return super().__contains__(by_length(key))
 
         def __getitem__(self, key):
-            return super().__getitem__(len(key))
+            return super().__getitem__(by_length(key))
 
         def __setitem__(self, key, value):
-            super().__setitem__(len(key), value)
+            super().__setitem__(by_length(key), value)
 
     memo = ByLength()
     real = harness.SuiteContext.analysis
 
     def planted(ctx, A):
         an = real(ctx, A)
-        an.ends = memo
+        an.memo = memo
         return an
 
     monkeypatch.setattr(harness.SuiteContext, "analysis", planted)

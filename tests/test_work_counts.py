@@ -1,8 +1,10 @@
-"""Each per-act quantity is computed once per act: End(A), the
-endomorphisms, their settle indices, the congruence lattice, the
-subacts, the factor acts and the generating set, in the suite and in
-`monact classify`; End(A) is not kept, the suite builds it once per
-distinct endomorphism list, and it analyses only the corpus acts.
+"""Each per-act quantity is computed once: the congruence lattice and
+the subacts once per act, and in the suite what the act's transformation
+set {rho_s} fixes (the endomorphisms, their settle indices, the
+property report with its factor acts, End(A)) once per set, by the
+first corpus act that has it; End(A) is not kept, the suite builds it
+once per distinct endomorphism list, and it analyses only the corpus
+acts.  `monact classify` computes each once.
 Calls are counted by wrappers bound in every namespace of the package
 that holds the original function.  Congruence
 enumeration makes a bounded number of closures, and act enumeration
@@ -35,6 +37,15 @@ def _key(A):
     return (A.monoid.table, A.action)
 
 
+def _firsts(acts):
+    """The key of the first act, in corpus order, with each transformation
+    set: the act whose analysis computes what that set fixes."""
+    firsts = {}
+    for A in acts:
+        firsts.setdefault((A.size, frozenset(zip(*A.action))), _key(A))
+    return list(firsts.values())
+
+
 def _bind_everywhere(monkeypatch, original, replacement):
     for ns in MODULES:
         for attr, value in list(vars(ns).items()):
@@ -65,11 +76,14 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
     """The suite analyses each corpus act once and nothing else: the
     Hopfian-type flags of factor acts, subacts and Rees quotients are
     constants on finite carriers, so none of them is analysed, and no
-    endomorphism search runs on them.  End(A) is built for one act per
-    distinct endomorphism list, 52 of the 142."""
+    endomorphism search runs on them.  The report and the endomorphism
+    search run once per transformation set, 53 of the 142 acts, and
+    End(A) is built once per distinct endomorphism list, 52 times; the
+    congruences and subacts, once per act."""
     spec = CorpusSpec()
     corpus = build_corpus(spec)
     acts = {_key(A) for per in corpus.acts for A in per}
+    firsts = Counter(_firsts(A for per in corpus.acts for A in per))
     others, endo_lists = set(), set()
     for A in (A for per in corpus.acts for A in per):
         an = ActAnalysis(A)
@@ -86,6 +100,7 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
         init(self, A)
 
     monkeypatch.setattr(ActAnalysis, "__init__", counting_init)
+    reports = count(deciders, "classify_act", lambda an: _key(an.act))
     ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
     congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
@@ -97,23 +112,39 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
     assert len(others - acts) == 15
     # ... and none of them is analysed or searched
     assert analysed == Counter(acts)
-    assert set(ends) <= acts and set(ends.values()) == {1}
+    assert reports == firsts and len(firsts) == 53
+    assert Counter({a: n for (a, b), n in homs.items() if a == b}) == firsts
+    assert set(ends) <= set(firsts) and set(ends.values()) == {1}
     assert len(ends) == len(endo_lists) == 52
     assert congs == Counter(acts)
     assert subs == Counter(acts)
-    assert Counter({a: n for (a, b), n in homs.items() if a == b}) == Counter(acts)
+
+
+def test_larger_suite_reports_once_per_transformation_set(count):
+    """4/4: 1205 acts with 186 transformation sets and 129 distinct
+    endomorphism lists."""
+    spec = CorpusSpec(max_monoid_size=4)
+    acts = [A for per in build_corpus(spec).acts for A in per]
+    reports = count(deciders, "classify_act", lambda an: _key(an.act))
+    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
+    result = run_suite(spec)
+    assert all(v.passed for v in result.verdicts)
+    assert len(acts) == 1205
+    assert reports == Counter(_firsts(acts)) and sum(reports.values()) == 186
+    assert sum(ends.values()) == len(ends) == 129
 
 
 def test_t7_searches_no_pair_of_one_size(count):
     """A proper retract has fewer points than B, so a T7-only run
-    searches no hom between two distinct acts of one size; the 142
-    endomorphism searches are the property reports'."""
+    searches no hom between two distinct acts of one size; the 53
+    endomorphism searches, one per transformation set, are the property
+    reports'."""
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B), A.size, B.size))
     result = run_suite(CorpusSpec(theorems=("T7",)))
     assert all(v.passed for v in result.verdicts)
     assert [k for k in homs if k[0] != k[1] and k[2] == k[3]] == []
-    assert sum(k[0] == k[1] for k in homs) == 142
-    assert sum(homs.values()) == 2332
+    assert sum(k[0] == k[1] for k in homs) == 53
+    assert sum(homs.values()) == 1239
 
 
 def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(monkeypatch):
@@ -183,12 +214,16 @@ def count_profiles(count, monkeypatch):
 
 
 def test_suite_profiles_each_endomorphism_once(count_profiles):
-    """Each corpus act's analysis walks each endomorphism once, and T6
-    walks each left translation of each monoid's regular act once
-    more, without analysing the regular act."""
+    """The first corpus act with each transformation set walks each of
+    its endomorphisms once, for every act with that set, and T6 walks
+    each left translation of each monoid's regular act once more,
+    without analysing the regular act."""
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3)
     corpus = build_corpus(spec)
     acts = [A for per in corpus.acts for A in per]
+    firsts = set(_firsts(acts))
+    acts = [A for A in acts if _key(A) in firsts]
+    assert len(acts) == 8
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
     expected = Counter((A, bytes(f)) for A in acts for f in homomorphisms(A, A))
@@ -209,31 +244,37 @@ def test_classify_profiles_each_endomorphism_once(count_profiles, tmp_path):
 
 
 def test_suite_decides_each_lift_flag_once(count):
-    """Quasi-projectivity runs one lift search per (act, rho), and T8
-    none; the counterexample of an act that is not quasi-projective is
-    the hom found by the search at its first failing rho."""
+    """Quasi-projectivity runs one lift search per (transformation set,
+    rho), on the first act with the set, and T8 none; the
+    counterexample of an act that is not quasi-projective is the hom
+    found by the search at its first failing rho."""
     spec = CorpusSpec()
-    failing = set()
-    for A in (A for per in build_corpus(spec).acts for A in per):
+    acts = [A for per in build_corpus(spec).acts for A in per]
+    firsts, failing = set(_firsts(acts)), set()
+    for A in (A for A in acts if _key(A) in firsts):
         flag, counterexample = quasi_projective_oracle(A)
         if not flag:
             failing.add((_key(A), counterexample[0].labels))
     checks = count(deciders, "_unlifted_hom", lambda an, rho: (_key(an.act), rho.labels))
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
-    assert len(failing) == 20
+    assert len(failing) == 18
     assert failing <= checks.keys()
-    assert set(checks.values()) == {1}
+    assert {a for a, _ in checks} <= firsts
+    assert set(checks.values()) == {1} and len(checks) == 223
 
 
 def test_suite_builds_each_factor_act_once(count):
     """Only the quasi-projectivity lift checks build factor acts: one per
-    (act, rho) past the diagonal, up to the first rho with an unlifted
-    hom.  T9, T13 and T14 hand their factor acts to `harness.flag`
-    unbuilt, the default `flag` does not build them, and T8 composes with
-    the surjections themselves."""
+    (transformation set, rho) past the diagonal, on the first act with
+    the set, up to the first rho with an unlifted hom.  T9, T13 and T14
+    hand their factor acts to `harness.flag` unbuilt, the default `flag`
+    does not build them, and T8 composes with the surjections
+    themselves."""
     expected = set()
-    for A in (A for per in build_corpus(CorpusSpec()).acts for A in per):
+    acts = [A for per in build_corpus(CorpusSpec()).acts for A in per]
+    firsts = set(_firsts(acts))
+    for A in (A for A in acts if _key(A) in firsts):
         labels = [rho.labels for rho in congruence.enumerate_congruences(A)[1:]]
         flag, counterexample = quasi_projective_oracle(A)
         stop = len(labels) if flag else labels.index(counterexample[0].labels) + 1
@@ -241,7 +282,7 @@ def test_suite_builds_each_factor_act_once(count):
     quotients = count(act, "quotient_by_congruence", lambda A, rho: (_key(A), rho.labels))
     result = run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
-    assert quotients.keys() == expected and len(expected) == 739
+    assert quotients.keys() == expected and len(expected) == 223
     assert set(quotients.values()) == {1}
 
 
