@@ -1,13 +1,14 @@
-"""Finite right acts over a monoid: carriers, subacts, and the factor
-act by a congruence with its projection, a plain map tuple like every
-hom (the Rees factor A/B is the factor by `congruence.rees_congruence`).
+"""Finite right acts over a monoid: carriers, subacts, the factor act
+by a congruence with its projection, a plain map tuple like every hom
+(the Rees factor A/B is the factor by `congruence.rees_congruence`),
+and canonical forms of flat action tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .congruence import CONGRUENCE_ENUM_CAP, Congruence
 from .errors import (
@@ -162,3 +163,21 @@ def quotient_by_congruence(A: Act, rho: Congruence):
         raise NotACongruence("partition is not action-compatible")
     quotient = Act(A.monoid, len(leaders), tuple(rows[lead] for lead in leaders))
     return quotient, class_of
+
+
+def least_relabelling(table, m, n):
+    """(form, names) for a flat action table over m points, row a at
+    a*n .. a*n+n-1: form is the least of its m! relabellings (the act's
+    canonical form, so two tables are isomorphic acts iff their forms
+    are equal) and names the 256-byte rename table of one relabelling
+    that gives it, point a -> names[a].  A relabelling that gives point
+    order[i] the label i lists the rows in that order and renames their
+    entries."""
+    rows = [table[a * n : a * n + n] for a in range(m)]
+    best = None
+    for order in permutations(range(m)):
+        names = bytes(sorted(range(m), key=order.__getitem__)).ljust(256, b"\0")
+        image = b"".join([rows[a] for a in order]).translate(names)
+        if best is None or image < best[0]:
+            best = image, names
+    return best

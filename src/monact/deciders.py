@@ -21,7 +21,10 @@ and its projection are built per lift check, by
 strongly pi-regular (Drazin); `classify_act` still builds the End(A)
 table for its size and commutativity (`endo.end_monoid`), once per
 distinct endomorphism list in the analysis's memo, which keeps what
-reads only the act's maps a -> a*s once per set of them.
+reads only the act's maps a -> a*s once per set of them.  The analysis
+also files each factor act A/rho, built as a flat table, under its
+canonical form (`act.least_relabelling`, once per table in the memo):
+T7 and T8 match those forms instead of searching homs between acts.
 
 On a finite carrier the four Hopfian-type flags hold outright: a
 self-map is surjective iff injective (pigeonhole), and every kernel and
@@ -37,7 +40,7 @@ from functools import cache, cached_property, wraps
 from itertools import islice, repeat
 from operator import itemgetter
 
-from .act import Act, enumerate_subacts
+from .act import Act, enumerate_subacts, least_relabelling
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -67,8 +70,10 @@ class ActAnalysis:
     T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
     rho in T(A), and congruences and subacts are defined by the rho
     alone; End(A)'s size and commutativity, under the exact endomorphism
-    maps.  Congruences and subacts (each names its act) and homs into
-    another act stay per act.  A suite run swaps in its own memo.
+    maps; canonical forms, under the flat table.  Congruences and
+    subacts (each names its act), the factor forms built from them and
+    homs into another act stay per act.  A suite run swaps in its own
+    memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -126,8 +131,59 @@ class ActAnalysis:
         return split
 
     @_per_transformation_set
+    def automorphisms(self):
+        """The byte maps of the bijective endomorphisms, in map order."""
+        return [f for f in self.endos if len(set(f)) == len(f)]
+
+    @_per_transformation_set
     def report(self):
         return classify_act(self)
+
+    def canonical(self, table, m):
+        """`act.least_relabelling` of a flat table over m points and this
+        act's monoid, once per table in `memo`."""
+        key = (least_relabelling, m, table)
+        if key not in self.memo:
+            self.memo[key] = least_relabelling(table, m, self.act.monoid.size)
+        return self.memo[key]
+
+    @cached_property
+    def form(self):
+        """(F, onto): the act's canonical form F and the rename table that
+        takes each label of F back to its point, onto = names^-1."""
+        A = self.act
+        form, names = self.canonical(b"".join(map(bytes, A.action)), A.size)
+        return form, bytes(sorted(range(A.size), key=names.__getitem__)).ljust(256, b"\0")
+
+    @cached_property
+    def quotients(self):
+        """{F: [(rho's labels, q)]}: each congruence rho, in lattice order,
+        filed under the canonical form F of the factor act A/rho, with q
+        the byte map of p_rho relabelled onto F, a surjection A -> F with
+        kernel rho.  A/rho is built as a flat table, one row per class by
+        its least member, never as an Act."""
+        A, n = self.act, self.act.monoid.size
+        flat = b"".join(map(bytes, A.action))
+        quotients = {}
+        for rho in self.congruences:
+            leaders = sorted(set(rho.labels))
+            index = {lead: i for i, lead in enumerate(leaders)}
+            class_of = bytes(map(index.__getitem__, rho.labels)).ljust(256, b"\0")
+            rows = b"".join([flat[a * n : a * n + n] for a in leaders]).translate(class_of)
+            form, names = self.canonical(rows, len(leaders))
+            q = class_of[: A.size].translate(names)
+            quotients.setdefault(form, []).append((rho.labels, q))
+        return quotients
+
+    @cached_property
+    def retract_forms(self):
+        """The canonical forms of the proper retracts.  A is a retract of
+        B iff A is isomorphic to im e = B/ker e for an idempotent e of
+        End(B), so these are the forms of the factor acts by the split
+        kernels with fewer classes than points."""
+        split = self.split_kernels
+        return {form for form, entries in self.quotients.items()
+                if any(labels in split and len(q) > len(set(q)) for labels, q in entries)}
 
     @cached_property
     def congruences(self):

@@ -18,9 +18,11 @@ dropped before the next, and every theorem's instance is one
 `_implication` call.  Only the run's memo spans monoids: acts with one
 set of maps rho_s: a -> a*s (the trivial 4-point act over each monoid,
 say) share the endomorphisms, report and criterion-3 indices, keyed by
-(quantity, |A|, {rho_s}), and acts with equal endomorphism maps one
-End(A) build; congruences, subacts and homs between two acts stay per
-act (`SuiteContext`).  A failing instance's verdict names the instance
+(quantity, |A|, {rho_s}), acts with equal endomorphism maps one End(A)
+build, and equal flat tables one canonical form; congruences and
+subacts stay per act (`SuiteContext`).  T7 and T8 search no hom between
+two acts: they match canonical forms of acts, factor acts and retracts.
+A failing instance's verdict names the instance
 by its full tables, enough to re-run the check.  Every Hopfian-type flag
 is read through `flag`, which is True on finite carriers without looking
 at the acts it is handed, so only T4-T6, which compare indices, can fail
@@ -42,7 +44,6 @@ from .endo import induces_all_endomorphisms
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties
-from .relation import least_labels
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
@@ -382,7 +383,7 @@ class SuiteContext:
     run's or its own, keyed by (quantity, |A|, {rho_s}): exact, since
     homs (f o rho_s = rho_s o f), congruences and subacts are defined
     through the maps rho_s: a -> a*s alone.  Congruences, subacts (each
-    names its act) and homs between two acts stay per analysis."""
+    names its act) and factor-act forms stay per analysis."""
 
     def __init__(self):
         self._analyses = {}
@@ -504,61 +505,59 @@ def _check_t6(ctx, M):
     return _implication("T6", M, True, act_level == [True, True] and agree, flags)
 
 
-def _retraction(an_b, A):
-    """The first (gamma, pi) with pi o gamma = id_A, pi: B -> A taken in
-    map order from B's analysis `an_b`, or None.  A retraction pi is a
-    surjection whose kernel an idempotent e of End(B) splits, and then
-    gamma(pi(b)) = e(b), the one point of b's kernel class in im e."""
-    for pi in an_b.homs(A):
-        if len(set(pi)) == A.size:
-            e = an_b.split_kernels.get(least_labels(pi))
-            if e is not None:
-                gamma = dict(zip(pi, e))
-                return bytes(map(gamma.__getitem__, range(A.size))), pi
-    return None
+def _first_surjection(surjections, automorphisms):
+    """(s o h, ker h), least in map order, over the (kernel, byte map h)
+    in `surjections` and the s in `automorphisms` of h's target: the
+    first of all surjections with those kernels."""
+    return min((h.translate(s.ljust(256, b"\0")), kernel)
+               for kernel, h in surjections for s in automorphisms)
 
 
 def _check_t7(ctx, pair):
-    """T7 needs a proper retract, which has fewer points than B, so only
-    the homs B -> A are read, and only when A is smaller: the list T8
-    reads for the pair (B, A)."""
+    """A proper retract A of B is B/ker e for an idempotent e of End(B)
+    with fewer classes than points, so the pair is non-vacuous iff A's
+    form is one of B's `retract_forms`.  A failure names the first
+    retraction pi: B -> A in map order, the least s o h_kappa over s in
+    Aut(A) and split kernels kappa, with gamma(pi(b)) = e(b) for the e
+    that splits kappa."""
     A, B = pair
-    found = _retraction(ctx.analysis(B), A) if A.size < B.size else None
-    proper = found is not None
-    maps = {"gamma": list(found[0]), "pi": list(found[1])} if proper else {}
+    proper = A.size < B.size and ctx.analysis(A).form[0] in ctx.analysis(B).retract_forms
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
-    hyp = proper and flag(SH, [B])
-    return _implication("T7", pair, hyp, flag(SH, [A]), flags, **maps)
+    hyp, concl, maps = proper and flag(SH, [B]), flag(SH, [A]), {}
+    if hyp and not concl:
+        an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+        (form, onto), split = an_a.form, an_b.split_kernels
+        kernels = [(k, q.translate(onto)) for k, q in an_b.quotients[form] if k in split]
+        pi, kappa = _first_surjection(kernels, an_a.automorphisms)
+        gamma = dict(zip(pi, split[kappa]))
+        maps = {"gamma": [gamma[a] for a in range(A.size)], "pi": list(pi)}
+    return _implication("T7", pair, hyp, concl, flags, **maps)
 
 
 def _check_t8(ctx, pair):
-    """Surjections are counted one by one but decided once per kernel:
-    h and h' = s o h (s in Aut(B)) share a kernel, f o h' = h' o g iff
-    (s^-1 f s) o h = h o g, and f -> s^-1 f s permutes End(B).  h has a
-    section iff its kernel is in A's `split_kernels`, so no hom B -> A
-    is searched.  A failure stops at the first induced surjection, its
-    witness h."""
+    """The surjections A -> B with kernel rho are s o i o p_rho, s in
+    Aut(B), for an isomorphism i: A/rho -> B, so each rho of A whose
+    factor act has B's form adds |Aut(B)| surjections, decided by one:
+    f o s o h = s o h o g iff (s^-1 f s) o h = h o g, and f -> s^-1 f s
+    permutes End(B).  h has a section iff rho is in A's `split_kernels`.
+    A failure names the first induced surjection in map order and
+    counts it alone."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     concl = flag(SCH, [B])
-    induces = {}
-    sections = induced = 0
-    witness_h = []
-    for h in an_a.homs(B):
-        if len(set(h)) != B.size:
-            continue
-        kernel = least_labels(h)
-        if kernel not in induces:
-            induces[kernel] = induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]
-        if not induces[kernel] or not flag(SCH, [A]):
-            continue
-        induced += 1
-        sections += kernel in an_a.split_kernels
-        if not concl:
-            witness_h = list(h)
-            break
+    form, onto = an_b.form
+    surjections = [(rho, q.translate(onto)) for rho, q in an_a.quotients.get(form, ())]
+    induced = [(rho, h) for rho, h in surjections
+               if induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]]
+    if induced and not flag(SCH, [A]):
+        induced = []
+    per_kernel, witness_h = len(an_b.automorphisms), []
+    if induced and not concl:
+        h, rho = _first_surjection(induced, an_b.automorphisms)
+        per_kernel, induced, witness_h = 1, [(rho, h)], list(h)
+    details = {"induced_surjections": per_kernel * len(induced),
+               "with_section": per_kernel * sum(rho in an_a.split_kernels for rho, _ in induced)}
     flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
-    details = {"induced_surjections": induced, "with_section": sections}
     return _implication("T8", pair, induced, concl, flags, details, h=witness_h)
 
 

@@ -4,12 +4,14 @@ Everything here recomputes results from first principles (exhaustive
 filters, connectivity searches) without touching the library's search
 or closure code paths, so a test comparing the two sides is a real
 cross-check rather than a tautology.  The quasi-injectivity,
-quasi-projectivity and T8 oracles are the exception: they take the
-homs, subacts and congruence lattice from the library and redo only
-the extending or lifting, on whole maps.  So is the chain-report
-oracle, `chain_reports_oracle`, which takes the endomorphisms and
-settle indices from the library and rebuilds each report from the
-fibers and the image of a tuple power of the map.  `power_walk_oracle`
+quasi-projectivity, T7 and T8 oracles are the exception: they take the
+homs, subacts, congruence lattice and split kernels from the library
+and redo only the extending, lifting or splitting, on whole maps and
+from the hom list of each pair, where the suite reads T7 and T8 off
+canonical forms.  So is the chain-report oracle,
+`chain_reports_oracle`, which takes the endomorphisms and settle
+indices from the library and rebuilds each report from the fibers and
+the image of a tuple power of the map.  `power_walk_oracle`
 is the library's former per-endomorphism walk: it follows the powers
 to the first repeat and settles the kernel and image chains apart,
 where the library stops at the first equal rank.  The composition
@@ -30,10 +32,10 @@ from itertools import combinations, permutations, product
 from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
 from monact.congruence import Congruence, enumerate_congruences
 from monact.deciders import ChainReport, analyse
-from monact.endo import homomorphisms, identity_first
+from monact.endo import homomorphisms, identity_first, induces_all_endomorphisms
 from monact.errors import SourceTargetMismatch
 from monact import harness
-from monact.harness import SCH, monoid_canonical_form
+from monact.harness import SCH, SH, monoid_canonical_form
 from monact.monoid import Monoid, monoid_generators
 
 
@@ -504,12 +506,87 @@ def quasi_projective_oracle(A):
     return True, None
 
 
+def retraction_oracle(an_b, A):
+    """The first (gamma, pi) with pi o gamma = id_A, pi: B -> A taken in
+    map order from B's analysis `an_b`'s hom list, or None.  A
+    retraction pi is a surjection whose kernel an idempotent e of End(B)
+    splits, and then gamma(pi(b)) = e(b), the one point of b's kernel
+    class in im e."""
+    for pi in an_b.homs(A):
+        if len(set(pi)) == A.size:
+            e = an_b.split_kernels.get(tuple(map(pi.index, pi)))
+            if e is not None:
+                gamma = dict(zip(pi, e))
+                return bytes(map(gamma.__getitem__, range(A.size))), pi
+    return None
+
+
+def t7_pair_oracle(ctx, pair):
+    """The T7 check from the hom list B -> A: the pair is non-vacuous iff
+    A has fewer points and `retraction_oracle` finds a retraction, whose
+    maps name a failure.  The analyses come from the SuiteContext `ctx`
+    and the flags from `harness.flag`.  Returns what the suite's check
+    does: (nonvacuous, passed, witness, details)."""
+    A, B = pair
+    found = retraction_oracle(ctx.analysis(B), A) if A.size < B.size else None
+    hyp = found is not None and harness.flag(SH, [B])
+    if not hyp or harness.flag(SH, [A]):
+        return hyp, True, None, {}
+    witness = {
+        "theorem": "T7",
+        "flags": {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False},
+        "monoid": [list(row) for row in A.monoid.table],
+        "act": [list(row) for row in A.action],
+        "act_b": [list(row) for row in B.action],
+        "gamma": list(found[0]),
+        "pi": list(found[1]),
+    }
+    return True, False, witness, {}
+
+
+def t8_pair_oracle(ctx, pair):
+    """The T8 check from the hom list A -> B, in map order: each
+    surjection h is counted, whether it induces all of End(B) is decided
+    once per kernel by `induces_all_endomorphisms`, and it has a section
+    iff its kernel is in A's split kernels; a failure stops at the first
+    induced h.  The analyses come from the SuiteContext `ctx` and the
+    flags from `harness.flag`.  Returns what the suite's check does:
+    (nonvacuous, passed, witness, details)."""
+    A, B = pair
+    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    concl = harness.flag(SCH, [B])
+    induces = {}
+    induced = sections = 0
+    for h in an_a.homs(B):
+        if len(set(h)) != B.size:
+            continue
+        kernel = tuple(map(h.index, h))
+        if kernel not in induces:
+            induces[kernel] = induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]
+        if not induces[kernel] or not harness.flag(SCH, [A]):
+            continue
+        induced += 1
+        sections += kernel in an_a.split_kernels
+        if not concl:
+            witness = {
+                "theorem": "T8",
+                "flags": {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False},
+                "monoid": [list(row) for row in A.monoid.table],
+                "act": [list(row) for row in A.action],
+                "act_b": [list(row) for row in B.action],
+                "h": list(h),
+            }
+            return True, False, witness, {"induced_surjections": induced, "with_section": sections}
+    return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
+
+
 def t8_oracle(ctx, pair):
-    """The T8 check surjection by surjection: for each surjection h, the
-    whole-map set {h o g : g in End(A)}, End(B) tested against it, and a
-    search of the homs B -> A for a section.  The homs come from the
-    SuiteContext `ctx` and the flags from `harness.flag`.  Returns what
-    the suite's check does: (nonvacuous, passed, witness, details)."""
+    """The T8 check surjection by surjection, in map order: for each
+    surjection h, the whole-map set {h o g : g in End(A)}, End(B) tested
+    against it, and a search of the homs B -> A for a section; a failure
+    stops at the first induced h.  The homs come from the SuiteContext
+    `ctx` and the flags from `harness.flag`.  Returns what the suite's
+    check does: (nonvacuous, passed, witness, details)."""
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     induced = sections = 0

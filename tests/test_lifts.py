@@ -5,11 +5,13 @@ Both are compared with the per-congruence and per-surjection
 computations kept in `oracles`, which build whole-map sets, and every
 counterexample is re-checked by brute force."""
 
+from functools import cached_property
+
 import pytest
 
 from monact import deciders, harness
 from monact.act import quotient_by_congruence
-from monact.deciders import is_quasi_projective
+from monact.deciders import ActAnalysis, is_quasi_projective
 from monact.harness import CorpusSpec, SuiteContext, build_corpus
 from oracles import brute_force_homs, quasi_projective_oracle, t8_oracle
 
@@ -83,20 +85,16 @@ def test_planted_lift_flag_forced_true_is_caught(monkeypatch):
 
 
 def test_planted_kernel_of_previous_surjection_is_caught(monkeypatch):
-    # each surjection is keyed by the kernel labels of the one before it
-    # in the same pair's hom list (its own for the first); on the 2/3
-    # corpus the two kernels always give the same answers
-    real_labels, real_check = harness.least_labels, harness._check_t8
-    kernels = []
+    # each entry of the T8 index carries the kernel labels of the entry
+    # before it under the same factor form (its own for the first), so a
+    # surjection's section is looked up under another kernel
+    real = ActAnalysis.quotients.func
 
-    def lagged(h):
-        kernels.append(real_labels(h))
-        return kernels[-2] if len(kernels) > 1 else kernels[-1]
+    def lagged(an):
+        return {form: [(entries[max(i - 1, 0)][0], q) for i, (_, q) in enumerate(entries)]
+                for form, entries in real(an).items()}
 
-    def check_pair(ctx, pair):
-        kernels.clear()
-        return real_check(ctx, pair)
-
-    monkeypatch.setattr(harness, "least_labels", lagged)
-    monkeypatch.setattr(harness, "_check_t8", check_pair)
+    planted = cached_property(lagged)
+    planted.__set_name__(ActAnalysis, "quotients")
+    monkeypatch.setattr(ActAnalysis, "quotients", planted)
     assert any(got != want for got, want in _t8_results(CorpusSpec()))

@@ -27,14 +27,18 @@ ALLOWED = {
         "the endomorphisms and settle indices the chain-report and literal Hopfian oracles start from",
     "monact.endo.homomorphisms":
         "the hom lists the extending and lifting oracles redo the check on",
+    "monact.endo.induces_all_endomorphisms":
+        "the T8 pair oracle decides each kernel's lift test with it and redoes the counting",
     "monact.endo.identity_first":
         "the canonical End(A) order the chain reports are listed in",
     "monact.errors.SourceTargetMismatch":
         "the error type the equivariance check raises for acts over different monoids",
     "monact.harness":
-        "`harness.flag`, which the T8 oracle reads so that a forced flag reaches it",
+        "`harness.flag`, which the T7 and T8 oracles read so that a forced flag reaches them",
     "monact.harness.SCH":
         "the flag name the T8 oracle hands to `harness.flag`",
+    "monact.harness.SH":
+        "the flag name the T7 oracle hands to `harness.flag`",
     "monact.harness.monoid_canonical_form":
         "canonical forms of the brute-force monoids, compared with the enumeration's",
     "monact.monoid.Monoid":

@@ -88,5 +88,5 @@ def test_planted_image_set_key_is_caught(monkeypatch):
     result = run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
     digest = hashlib.sha256(suite_json(result).encode()).hexdigest()
-    assert digest[:12] == "5e71815f540f"
+    assert digest[:12] == "15ebcb7d3f94"
     assert len(_memo_mismatches(_acts(3, 4))) == 25

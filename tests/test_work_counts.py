@@ -24,7 +24,7 @@ from monact.act import regular_act, validate_act
 from monact.deciders import ActAnalysis
 from monact.endo import EndMonoid, homomorphisms
 from monact.harness import (
-    CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
+    ALL_THEOREMS, CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
     run_suite,
 )
 from monact.monoid import validate_monoid
@@ -134,36 +134,52 @@ def test_larger_suite_reports_once_per_transformation_set(count):
     assert sum(ends.values()) == len(ends) == 129
 
 
-def test_t7_searches_no_pair_of_one_size(count):
-    """A proper retract has fewer points than B, so a T7-only run
-    searches no hom between two distinct acts of one size; the 53
-    endomorphism searches, one per transformation set, are the property
-    reports'."""
-    homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B), A.size, B.size))
-    result = run_suite(CorpusSpec(theorems=("T7",)))
+def _searches(count, theorems, **sizes):
+    """The hom searches of a run, as a Counter over (source, target)."""
+    homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
+    result = run_suite(CorpusSpec(theorems=theorems, **sizes))
     assert all(v.passed for v in result.verdicts)
-    assert [k for k in homs if k[0] != k[1] and k[2] == k[3]] == []
-    assert sum(k[0] == k[1] for k in homs) == 53
-    assert sum(homs.values()) == 1239
+    return Counter(homs), result
 
 
-def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(monkeypatch):
-    """T7 reads a retraction B -> A off the kernels that idempotents of
-    End(B) split, and T8 a section of h: A -> B off End(A)'s, so neither
-    asks for the homs from a smaller act into a larger one.  (The
-    property reports' quasi-injectivity searches the homs from each
-    subact into its act, outside the analyses' hom lists.)"""
+def test_t7_searches_no_pair_of_one_size(count):
+    """T7 reads retract forms off each analysis, so a T7-only run makes
+    the searches of the property reports alone, which T1 reads: the 53
+    endomorphism searches, one per transformation set, and the searches
+    out of subacts and into factor acts, 486 in all."""
+    homs, _ = _searches(count, ("T7",))
+    assert homs == _searches(count, ("T1",))[0]
+    assert sum(a == b for a, b in homs) == 53
+    assert sum(homs.values()) == 486
+
+
+@pytest.mark.parametrize("sizes, searches", [({}, 486), ({"max_monoid_size": 4}, 1610)],
+                         ids=["default", "4-4"])
+def test_suite_hom_searches_are_the_reports(count, sizes, searches):
+    """A whole pass makes the property reports' searches and no more:
+    2083 and 29 894 while T7 and T8 read the hom lists between two
+    acts."""
+    homs, _ = _searches(count, ALL_THEOREMS, **sizes)
+    assert sum(homs.values()) == searches
+
+
+def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(count, monkeypatch):
+    """T7 and T8 read canonical forms, so a T7+T8 run asks no analysis
+    for the homs into any act but its own and makes the property
+    reports' searches alone, while both theorems have non-vacuous
+    instances."""
     asked = Counter()
     homs = ActAnalysis.homs
 
     def recording(an, B):
-        asked["up" if an.act.size < B.size else "down"] += 1
+        asked[B == an.act] += 1
         return homs(an, B)
 
     monkeypatch.setattr(ActAnalysis, "homs", recording)
-    result = run_suite(CorpusSpec(theorems=("T7", "T8")))
-    assert all(v.passed for v in result.verdicts)
-    assert asked["up"] == 0 and asked["down"] > 0
+    searched, result = _searches(count, ("T7", "T8"))
+    assert asked[False] == 0
+    assert searched == _searches(count, ("T1",))[0]
+    assert [v.nonvacuous for v in result.verdicts] == [352, 549]
 
 
 def test_classify_builds_end_once(count, tmp_path):
