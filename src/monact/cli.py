@@ -24,11 +24,11 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .act import regular_act
 from .congruence import CONGRUENCE_ENUM_CAP, enumerate_congruences
-from .deciders import ActAnalysis, chain_reports, classify_act, r_chain_index
+from .deciders import ActAnalysis, chain_reports, classify_act, residue_r_index
 from .endo import endomorphisms, identity_first
-from .errors import AlgebraError, BudgetError, CarrierTooLarge, InputError
+from .errors import AlgebraError, BudgetError, CarrierTooLarge, InputError, SizeOverflow
 from .harness import ALL_THEOREMS, CorpusSpec, run_suite
-from .monoid import SIZE_CAP, prime_power_product, require_prime, zmod_mult_monoid
+from .monoid import SIZE_CAP, require_prime, zmod_mult_monoid
 from .textio import parse_input
 
 SCHEMA_VERSION = "1"
@@ -278,13 +278,22 @@ def cmd_suite(args):
 
 
 def cmd_family36(args):
+    """Row N: the r-chain index of (p, .., p) in (Z/p, *) x .. x (Z/p^N, *)
+    by `residue_r_index`, with no table: the largest factor index, where
+    gcd(p^n, p^i) settles at n = i.  A row is refused as building its
+    product would be: Z/p^N past the size cap, then the product."""
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
-    require_prime(args.p)
-    print(f"p={args.p}: truncation depth N vs chain index of the distinguished element")
+    p, size = args.p, 1
+    require_prime(p)
+    print(f"p={p}: truncation depth N vs chain index of the distinguished element")
     for n in range(1, args.max_n + 1):
-        S, x = prime_power_product(args.p, n)
-        print(f"  {n} {r_chain_index(S, x)}")
+        if p**n > SIZE_CAP:
+            raise SizeOverflow(f"Z/{p**n} exceeds the monoid size cap {SIZE_CAP}")
+        size *= p**n
+        if size > SIZE_CAP:
+            raise SizeOverflow(f"product size exceeds cap {SIZE_CAP}")
+        print(f"  {n} {residue_r_index((p**i, p) for i in range(1, n + 1))}")
     return EXIT_OK
 
 

@@ -11,26 +11,20 @@ there.  `meet_index` and `join_index` keep criterion 3 literal, the
 evidence T4 and T5 test the pair against: they meet or join the image
 and kernel labels of each power map, once per map and call.
 
-`ActAnalysis.homs` keeps each hom as a plain `bytes` map (so at most
-255 points), converted once from the search's tuples; `endos` are the
-homs into the act itself.  Each composition is one C call: f o x for
-fixed f is `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets),
-x o g for fixed g an `itemgetter` gather (restrictions).  A factor act
-and its projection are built per lift check, by
-`quotient_by_congruence`, and not kept.  End(A) is finite, so it is
-strongly pi-regular (Drazin); `classify_act` still builds the End(A)
-table for its size and commutativity (`endo.end_monoid`), once per
-distinct endomorphism list in the analysis's memo, which keeps what
-reads only the act's maps a -> a*s once per set of them.  The analysis
-also files each factor act A/rho, built as a flat table, under its
-canonical form (`act.least_relabelling`, once per table in the memo):
-T7 and T8 match those forms instead of searching homs between acts.
-
-On a finite carrier the four Hopfian-type flags hold outright: a
-self-map is surjective iff injective (pigeonhole), and every kernel and
-image chain settles (Fitting's lemma).  So `classify_act` reports True
-for all four, with the strong indices; the literal loops are test
-oracles.
+`ActAnalysis.endos` keeps each endomorphism as a plain `bytes` map (so
+at most 255 points), converted once from the search's tuples.  Each
+composition is one C call: f o x for fixed f is
+`x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
+fixed g an `itemgetter` gather (restrictions).  A factor act and its
+projection are built per lift check, by `quotient_by_congruence`, and
+not kept.  `classify_act` builds the End(A) table for its size and
+commutativity (`endo.end_monoid`) once per distinct endomorphism list.
+The analysis files each factor act A/rho, built as a flat table, under
+its canonical form (`act.least_relabelling`): T7 and T8 match those
+forms instead of searching homs between acts.  On a finite carrier the
+four Hopfian-type flags hold outright (`classify_act`); the literal
+loops are test oracles.  `residue_r_index` reads r-chain indices in
+products of residue monoids (Z/m, *) off gcds, with no table.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from functools import cache, cached_property, wraps
 from itertools import islice, repeat
+from math import gcd
 from operator import itemgetter
 
 from .act import Act, enumerate_subacts, least_relabelling
@@ -71,9 +66,8 @@ class ActAnalysis:
     rho in T(A), and congruences and subacts are defined by the rho
     alone; End(A)'s size and commutativity, under the exact endomorphism
     maps; canonical forms, under the flat table.  Congruences and
-    subacts (each names its act), the factor forms built from them and
-    homs into another act stay per act.  A suite run swaps in its own
-    memo.
+    subacts (each names its act) and the factor forms built from them
+    stay per act.  A suite run swaps in its own memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -85,7 +79,7 @@ class ActAnalysis:
                 f"act analysis: carrier size {act.size} exceeds the byte-map cap of 255")
         self.act = act
         self.transformations = frozenset(zip(*act.action))
-        self._homs, self.memo = {}, {}
+        self.memo = {}
 
     def shared(self, compute):
         """compute(self), once per transformation set in `memo`."""
@@ -93,15 +87,6 @@ class ActAnalysis:
         if key not in self.memo:
             self.memo[key] = compute(self)
         return self.memo[key]
-
-    def homs(self, B: Act):
-        """The byte maps of the homs from the act into B, sorted."""
-        if B == self.act:
-            return self.endos
-        key = (B.monoid.table, B.action)
-        if key not in self._homs:
-            self._homs[key] = list(map(bytes, homomorphisms(self.act, B)))
-        return self._homs[key]
 
     @_per_transformation_set
     def endos(self):
@@ -380,8 +365,7 @@ class MonoidHopfReport:
 
 def r_chain_index(M: Monoid, s: int) -> int:
     """Least n >= 1 with r(s^n) = r(s^(n+1)), via row fibers."""
-    cur = s
-    prev = row_partition(M, s)
+    cur, prev = s, row_partition(M, s)
     for n in range(1, M.size + 1):
         cur = M.table[cur][s]
         part = row_partition(M, cur)
@@ -389,6 +373,24 @@ def r_chain_index(M: Monoid, s: int) -> int:
             return n
         prev = part
     raise AssertionError("r-chain must stabilize within |S| steps")
+
+
+def residue_r_index(components) -> int:
+    """The r-chain index of (a_1, .., a_k) in (Z/m_1, *) x .. x (Z/m_k, *),
+    from the pairs (m_i, a_i) in `components`, with no table.  r(x^n) of
+    a product is the product of the factors' r(a_i^n), equal iff each
+    factor is, and a chain that takes one equal step never moves again:
+    the index is the largest factor index.  In Z/m, a*b = a*c iff
+    m/gcd(a, m) divides b - c, so r(a) is fixed by gcd(a, m), and a's
+    index is the least n with gcd(a^n, m) = gcd(a^(n+1), m), walked as
+    g <- gcd(g*a, m) in O(log m) steps."""
+    index = 0
+    for m, a in components:
+        g, n = gcd(a, m), 1
+        while (h := gcd(g * a, m)) != g:
+            g, n = h, n + 1
+        index = max(index, n)
+    return index
 
 
 def power_stabilizer(M: Monoid, s: int):

@@ -14,19 +14,16 @@ labelled copies.
 Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
 fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
-dropped before the next, and every theorem's instance is one
-`_implication` call.  Only the run's memo spans monoids: acts with one
-set of maps rho_s: a -> a*s (the trivial 4-point act over each monoid,
-say) share the endomorphisms, report and criterion-3 indices, keyed by
-(quantity, |A|, {rho_s}), acts with equal endomorphism maps one End(A)
-build, and equal flat tables one canonical form; congruences and
-subacts stay per act (`SuiteContext`).  T7 and T8 search no hom between
-two acts: they match canonical forms of acts, factor acts and retracts.
-A failing instance's verdict names the instance
-by its full tables, enough to re-run the check.  Every Hopfian-type flag
-is read through `flag`, which is True on finite carriers without looking
-at the acts it is handed, so only T4-T6, which compare indices, can fail
-while `flag` is the default.
+dropped before the next, and every instance is one `_implication`
+call.  Only the run's memo spans monoids: acts with one set of maps
+rho_s: a -> a*s (the trivial 4-point act over each monoid, say) share
+what those maps fix (`deciders.ActAnalysis`).  T7 and T8 search no hom
+between two acts: they match canonical forms of acts, factor acts and
+retracts.  A failing instance's verdict names the instance by its full
+tables, enough to re-run the check.  Every Hopfian-type flag is read
+through `flag`, True on finite carriers without looking at the acts it
+is handed, so only T4-T6, which compare indices, can fail while `flag`
+is the default.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from .deciders import ActAnalysis, monoid_hopf_properties
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
 SAMPLE_ATTEMPTS = 500
+MAX_DETAILS = frozenset({"max_stabilization_index"})  # detail keys folded by max (T4, T5)
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -380,22 +378,22 @@ class SuiteContext:
     """One ActAnalysis per act, shared by every theorem.  `run_suite`
     makes one per monoid (no theorem instance reaches past its monoid's
     acts) and drops it before the next.  Its analyses share `memo`, the
-    run's or its own, keyed by (quantity, |A|, {rho_s}): exact, since
-    homs (f o rho_s = rho_s o f), congruences and subacts are defined
-    through the maps rho_s: a -> a*s alone.  Congruences, subacts (each
-    names its act) and factor-act forms stay per analysis."""
+    run's or its own (`ActAnalysis.shared`)."""
 
     def __init__(self):
         self._analyses = {}
         self.memo = {}
 
     def analysis(self, A) -> ActAnalysis:
-        """A's analysis, one per table."""
-        key = (A.monoid.table, A.action)
-        if key not in self._analyses:
-            an = self._analyses[key] = ActAnalysis(A)
-            an.memo = self.memo
-        return self._analyses[key]
+        """A's analysis, one per table, filed under the table and, once A
+        is seen, under id(A) with A itself, so that the id stays A's."""
+        if id(A) not in self._analyses:
+            key = (A.monoid.table, A.action)
+            if key not in self._analyses:
+                self._analyses[key] = ActAnalysis(A)
+                self._analyses[key].memo = self.memo
+            self._analyses[id(A)] = A, self._analyses[key]
+        return self._analyses[id(A)][1]
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -593,32 +591,25 @@ def _check_t10(ctx, A):
     return _implication("T10", A, pi, sh and sch, flags)
 
 
-def _check_t11(ctx, A):
+def _transfer_check(tid, ctx, A, quasi):
+    """T11 (quasi_injective, strongly Hopfian to strongly co-Hopfian) and
+    T12 (quasi_projective, the other way), under a commutative End(A)."""
     rep = ctx.analysis(A).report
     sh, sch = flag(SH, [A]), flag(SCH, [A])
-    flags = {
-        "quasi_injective": rep.quasi_injective,
-        "strongly_hopfian": sh,
-        "end_commutative": rep.end_commutative,
-        "strongly_co_hopfian": sch,
-        "end_strongly_pi_regular": rep.end_strongly_pi_regular,
-    }
-    hyp = rep.quasi_injective and sh and rep.end_commutative
-    return _implication("T11", A, hyp, sch and rep.end_strongly_pi_regular, flags)
+    given, shown = (sh, sch) if quasi == "quasi_injective" else (sch, sh)
+    flags = {quasi: getattr(rep, quasi), "strongly_hopfian": sh, "strongly_co_hopfian": sch,
+             "end_commutative": rep.end_commutative,
+             "end_strongly_pi_regular": rep.end_strongly_pi_regular}
+    hyp = getattr(rep, quasi) and given and rep.end_commutative
+    return _implication(tid, A, hyp, shown and rep.end_strongly_pi_regular, flags)
+
+
+def _check_t11(ctx, A):
+    return _transfer_check("T11", ctx, A, "quasi_injective")
 
 
 def _check_t12(ctx, A):
-    rep = ctx.analysis(A).report
-    sh, sch = flag(SH, [A]), flag(SCH, [A])
-    flags = {
-        "quasi_projective": rep.quasi_projective,
-        "strongly_co_hopfian": sch,
-        "end_commutative": rep.end_commutative,
-        "strongly_hopfian": sh,
-        "end_strongly_pi_regular": rep.end_strongly_pi_regular,
-    }
-    hyp = rep.quasi_projective and sch and rep.end_commutative
-    return _implication("T12", A, hyp, sh and rep.end_strongly_pi_regular, flags)
+    return _transfer_check("T12", ctx, A, "quasi_projective")
 
 
 def _factor_acts(an):
@@ -673,13 +664,14 @@ class Verdict:
 
     def add(self, nonvacuous, passed, witness, details):
         """Fold in one instance's check result; the first failure's
-        witness is kept."""
+        witness is kept.  Detail keys in MAX_DETAILS aggregate by
+        maximum, the rest by sum."""
         self.instances += 1
         self.nonvacuous += int(nonvacuous)
-        for k, v in details.items():
-            # max_-prefixed detail keys aggregate by maximum, the rest count
-            old = self.details.get(k, 0)
-            self.details[k] = max(old, v) if k.startswith("max_") else old + v
+        if details:
+            for k, v in details.items():
+                old = self.details.get(k, 0)
+                self.details[k] = max(old, v) if k in MAX_DETAILS else old + v
         if not passed and self.passed:
             self.passed, self.witness = False, witness
 

@@ -13,7 +13,9 @@ set.  The family constructors (`direct_product`, `zmod_mult_monoid`,
 construction and skip the check, which matters for product monoids
 with ~10^3 elements; `direct_product` assembles each row from
 precomputed blocks, one factor at a time, instead of encoding every
-entry.
+entry.  `monact family36` builds none of them: its chain indices of
+`prime_power_product`'s element come from gcds of residues
+(`deciders.residue_r_index`), under the same size caps.
 """
 
 from __future__ import annotations
@@ -232,10 +234,8 @@ def zmod_mult_monoid(m: int) -> Monoid:
         raise ValueError("modulus must be >= 1")
     if m > SIZE_CAP:
         raise SizeOverflow(f"Z/{m} exceeds the monoid size cap {SIZE_CAP}")
-    if m == 1:
-        return _trusted(1, ((0,),), (0,))
     raw = [[(a * b) % m for b in range(m)] for a in range(m)]
-    perm = _identity_first_perm(m, 1)
+    perm = _identity_first_perm(m, 1 % m)  # Z/1's identity is 0
     return _trusted(m, _relabel_table(raw, perm), perm)
 
 
@@ -263,12 +263,9 @@ def prime_power_product(p: int, n_factors: int):
     if n_factors < 1:
         raise ValueError("need at least one factor")
     zmods = [zmod_mult_monoid(p**n) for n in range(1, n_factors + 1)]
-    product = direct_product(zmods)
-    sizes = [z.size for z in zmods]
-    x_comps = [zmods[i].relabeling[p % (p ** (i + 1))] for i in range(n_factors)]
-    x = 0
-    for i in range(n_factors):
-        x = x * sizes[i] + x_comps[i]
+    product, x = direct_product(zmods), 0
+    for z in zmods:  # mixed radix, first factor most significant
+        x = x * z.size + z.relabeling[p % z.size]
     return product, x
 
 

@@ -7,8 +7,9 @@ cross-check rather than a tautology.  The quasi-injectivity,
 quasi-projectivity, T7 and T8 oracles are the exception: they take the
 homs, subacts, congruence lattice and split kernels from the library
 and redo only the extending, lifting or splitting, on whole maps and
-from the hom list of each pair, where the suite reads T7 and T8 off
-canonical forms.  So is the chain-report oracle,
+from the hom list of each pair (`hom_maps`, kept on the analysis for
+the oracles alone), where the suite reads T7 and T8 off canonical
+forms.  So is the chain-report oracle,
 `chain_reports_oracle`, which takes the endomorphisms and settle
 indices from the library and rebuilds each report from the fibers and
 the image of a tuple power of the map.  `power_walk_oracle`
@@ -506,13 +507,26 @@ def quasi_projective_oracle(A):
     return True, None
 
 
+def hom_maps(an, B):
+    """The byte maps of the homs from the act of the analysis `an` into B,
+    sorted: `an.endos` for B = an.act, else the library's search turned
+    into bytes, kept on the analysis per B for the pair oracles."""
+    if B == an.act:
+        return an.endos
+    homs = vars(an).setdefault("oracle_homs", {})
+    key = (B.monoid.table, B.action)
+    if key not in homs:
+        homs[key] = list(map(bytes, homomorphisms(an.act, B)))
+    return homs[key]
+
+
 def retraction_oracle(an_b, A):
     """The first (gamma, pi) with pi o gamma = id_A, pi: B -> A taken in
-    map order from B's analysis `an_b`'s hom list, or None.  A
+    map order from B's analysis `an_b`'s hom list (`hom_maps`), or None.  A
     retraction pi is a surjection whose kernel an idempotent e of End(B)
     splits, and then gamma(pi(b)) = e(b), the one point of b's kernel
     class in im e."""
-    for pi in an_b.homs(A):
+    for pi in hom_maps(an_b, A):
         if len(set(pi)) == A.size:
             e = an_b.split_kernels.get(tuple(map(pi.index, pi)))
             if e is not None:
@@ -557,7 +571,7 @@ def t8_pair_oracle(ctx, pair):
     concl = harness.flag(SCH, [B])
     induces = {}
     induced = sections = 0
-    for h in an_a.homs(B):
+    for h in hom_maps(an_a, B):
         if len(set(h)) != B.size:
             continue
         kernel = tuple(map(h.index, h))
@@ -590,7 +604,7 @@ def t8_oracle(ctx, pair):
     A, B = pair
     an_a, an_b = ctx.analysis(A), ctx.analysis(B)
     induced = sections = 0
-    for hm in an_a.homs(B):
+    for hm in hom_maps(an_a, B):
         if len(set(hm)) != B.size:
             continue
         liftable = {tuple(hm[a] for a in g) for g in an_a.endos}
@@ -600,7 +614,7 @@ def t8_oracle(ctx, pair):
             continue
         induced += 1
         ident = tuple(range(B.size))
-        sections += any(tuple(hm[a] for a in s) == ident for s in an_b.homs(A))
+        sections += any(tuple(hm[a] for a in s) == ident for s in hom_maps(an_b, A))
         details = {"induced_surjections": induced, "with_section": sections}
         if not harness.flag(SCH, [B]):
             witness = {

@@ -364,6 +364,35 @@ def test_family36_refuses_max_n_below_one(max_n, capsys):
 
 def test_family36_budget(capsys):
     assert main(["family36", "--p", "2", "--max-n", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["  1 1", "  2 2", "  3 3", "  4 4"]
+    assert err == "error: product size exceeds cap 4096\n"
+
+
+# family36 over p and --max-n 1..5: {"p,n": [exit code, stdout, stderr]}
+# as JSON with sorted keys, recorded from the implementation that built
+# each product's table; past the cap the rows already printed stay
+FAMILY36_PRIMES = (2, 3, 5, 7, 13, 61, 67, 2039, 4093, 4099)
+FAMILY36_GRID_SHA256 = "d29ded5b5773e52ec1eaac19c534ac869d382a28dec2838ff68af71e7e2d97f4"
+
+
+def test_family36_grid_is_pinned(capsys):
+    grid = {}
+    for p in FAMILY36_PRIMES:
+        for n in range(1, 6):
+            code = main(["family36", "--p", str(p), "--max-n", str(n)])
+            grid[f"{p},{n}"] = [code, *capsys.readouterr()]
+    blob = json.dumps(grid, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FAMILY36_GRID_SHA256
+    # at --max-n 5: the rows printed, each N N, and the refusal
+    last = {p: (len(grid[f"{p},5"][1].splitlines()[1:]), grid[f"{p},5"][2])
+            for p in FAMILY36_PRIMES}
+    product = "error: product size exceeds cap 4096\n"
+    zmod = "error: Z/{} exceeds the monoid size cap 4096\n"
+    assert last == {2: (4, product), 3: (3, product), 5: (2, product), 7: (2, product),
+                    13: (2, product), 61: (1, product), 67: (1, zmod.format(67**2)),
+                    2039: (1, zmod.format(2039**2)), 4093: (1, zmod.format(4093**2)),
+                    4099: (0, zmod.format(4099))}
 
 
 def test_family36_refuses_a_large_p_before_trial_division(monkeypatch, capsys):

@@ -26,7 +26,7 @@ ALLOWED = {
     "monact.deciders.analyse":
         "the endomorphisms and settle indices the chain-report and literal Hopfian oracles start from",
     "monact.endo.homomorphisms":
-        "the hom lists the extending and lifting oracles redo the check on",
+        "the hom lists the extending, lifting and pair oracles redo the check on (`hom_maps`)",
     "monact.endo.induces_all_endomorphisms":
         "the T8 pair oracle decides each kernel's lift test with it and redoes the counting",
     "monact.endo.identity_first":

@@ -163,21 +163,13 @@ def test_suite_hom_searches_are_the_reports(count, sizes, searches):
     assert sum(homs.values()) == searches
 
 
-def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(count, monkeypatch):
-    """T7 and T8 read canonical forms, so a T7+T8 run asks no analysis
-    for the homs into any act but its own and makes the property
-    reports' searches alone, while both theorems have non-vacuous
-    instances."""
-    asked = Counter()
-    homs = ActAnalysis.homs
-
-    def recording(an, B):
-        asked[B == an.act] += 1
-        return homs(an, B)
-
-    monkeypatch.setattr(ActAnalysis, "homs", recording)
+def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(count):
+    """T7 and T8 read canonical forms, so a T7+T8 run searches the homs
+    between two distinct acts only where the property reports do, out
+    of subacts and into factor acts, 433 of the 486 searches, while both
+    theorems have non-vacuous instances."""
     searched, result = _searches(count, ("T7", "T8"))
-    assert asked[False] == 0
+    assert sum(n for (a, b), n in searched.items() if a != b) == 486 - 53
     assert searched == _searches(count, ("T1",))[0]
     assert [v.nonvacuous for v in result.verdicts] == [352, 549]
 
