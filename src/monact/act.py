@@ -7,8 +7,9 @@ and canonical forms of flat action tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cache, cached_property
+from itertools import combinations
+from operator import itemgetter
 
 from .congruence import CONGRUENCE_ENUM_CAP, Congruence
 from .errors import (
@@ -165,19 +166,47 @@ def quotient_by_congruence(A: Act, rho: Congruence):
     return quotient, class_of
 
 
+@cache
+def _moves(m, n, monoid):
+    """The relabelling walk's moves on flat tables of m rows of n
+    entries: a transposition and a cycle of the points (0 stays fixed
+    for a monoid), which generate all their permutations.  The move by
+    p gathers new row p[a] from old row a (and for a monoid new column
+    p[s] from old column s), then renames by p's 256-byte table."""
+    free = [*range(monoid, m)]
+    moves = []
+    for perm in [free[1::-1] + free[2:], free[1:] + free[:1]] if len(free) > 1 else []:
+        p = [*range(monoid), *perm]
+        inv = sorted(range(m), key=p.__getitem__)
+        cols = inv if monoid else range(n)
+        moves.append((itemgetter(*[a * n + s for a in inv for s in cols]),
+                      bytes(p).ljust(256, b"\0")))
+    return moves
+
+
+def relabellings(table, m, n, monoid=False):
+    """{image: names} over the orbit of a flat table (row a at a*n ..
+    a*n+n-1) under relabellings, names the m-byte rename a -> names[a]
+    that gives the image; for a monoid table (m = n), those fixing 0.
+    Entries fit a byte: m <= 9, since 10! relabellings exceed
+    `harness.ACT_ENUM_WORK_CAP`."""
+    orbit = {table: bytes(range(m))}
+    frontier = [table]
+    moves = _moves(m, n, monoid)
+    while frontier:
+        table = frontier.pop()
+        for gather, rename in moves:
+            image = bytes(gather(table)).translate(rename)
+            if image not in orbit:
+                orbit[image] = orbit[table].translate(rename)
+                frontier.append(image)
+    return orbit
+
+
 def least_relabelling(table, m, n):
-    """(form, names) for a flat action table over m points, row a at
-    a*n .. a*n+n-1: form is the least of its m! relabellings (the act's
-    canonical form, so two tables are isomorphic acts iff their forms
-    are equal) and names the 256-byte rename table of one relabelling
-    that gives it, point a -> names[a].  A relabelling that gives point
-    order[i] the label i lists the rows in that order and renames their
-    entries."""
-    rows = [table[a * n : a * n + n] for a in range(m)]
-    best = None
-    for order in permutations(range(m)):
-        names = bytes(sorted(range(m), key=order.__getitem__)).ljust(256, b"\0")
-        image = b"".join([rows[a] for a in order]).translate(names)
-        if best is None or image < best[0]:
-            best = image, names
-    return best
+    """(form, names): the act's canonical form, the least relabelling of
+    a flat action table over m points, and the 256-byte rename table of
+    one relabelling that gives it."""
+    orbit = relabellings(table, m, n)
+    form = min(orbit)
+    return form, orbit[form].ljust(256, b"\0")

@@ -20,8 +20,9 @@ projection are built per lift check, by `quotient_by_congruence`, and
 not kept.  `classify_act` builds the End(A) table for its size and
 commutativity (`endo.end_monoid`) once per distinct endomorphism list.
 The analysis files each factor act A/rho, built as a flat table, under
-its canonical form (`act.least_relabelling`): T7 and T8 match those
-forms instead of searching homs between acts.  On a finite carrier the
+its canonical form, the least table of its relabelling orbit
+(`act.least_relabelling`): T7 and T8 match those forms instead of
+searching homs between acts.  On a finite carrier the
 four Hopfian-type flags hold outright (`classify_act`); the literal
 loops are test oracles.  `residue_r_index` reads r-chain indices in
 products of residue monoids (Z/m, *) off gcds, with no table.
@@ -126,7 +127,8 @@ class ActAnalysis:
 
     def canonical(self, table, m):
         """`act.least_relabelling` of a flat table over m points and this
-        act's monoid, once per table in `memo`."""
+        act's monoid: the least table of the orbit `act.relabellings`
+        walks, and a rename onto it, once per table in `memo`."""
         key = (least_relabelling, m, table)
         if key not in self.memo:
             self.memo[key] = least_relabelling(table, m, self.act.monoid.size)

@@ -1,16 +1,17 @@
 """Exhaustive corpus generation and theorem checking.
 
 Small monoids and acts are enumerated up to isomorphism (canonical form
-= minimal table under carrier relabelings, identity pinned at 0).
-Monoid tables come from a backtrack over the non-identity cells that
-drops a partial table at its first failed associativity instance.  Acts
-come from a propagating backtrack over the generator cells of the
-action table, which random sampling shares; the backtrack tries one of
-the interchangeable untouched points per cell, and a complete,
-conflict-free table is an action and is not re-validated.  Each
-isomorphism class is relabeled once, as flat `bytes` renamed by
-`bytes.translate` (m <= 9), into a seen set that absorbs its other
-labelled copies.
+= minimal table under carrier relabelings, identity pinned at 0 for a
+monoid).  Monoid tables come from a backtrack over the non-identity
+cells that drops a partial table at its first failed associativity
+instance.  Acts come from a propagating backtrack over the generator
+cells of the action table, which random sampling shares; the backtrack
+tries one of the interchangeable untouched points per cell, and a
+complete, conflict-free table is an action and is not re-validated.
+Both backtracks yield flat `bytes` tables, and the first table of each
+isomorphism class puts its whole relabelling orbit
+(`act.relabellings`) into a seen set that absorbs its other labelled
+copies.
 Every registered theorem is evaluated as a universally quantified
 implication over the corpus, one monoid at a time: each monoid gets a
 fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
@@ -30,16 +31,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from itertools import permutations
 from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, quotient_by_congruence, regular_act, subact, subact_as_act, validate_act
+from .act import Act, quotient_by_congruence, regular_act, relabellings, subact, subact_as_act
+from .act import validate_act
 from .congruence import rees_congruence
 from .endo import induces_all_endomorphisms
 from .errors import InputError, SizeTooLarge, UnknownTheorem
-from .monoid import Monoid, _relabel_table, monoid_generators, validate_monoid
+from .monoid import Monoid, monoid_generators, validate_monoid
 from .deciders import ActAnalysis, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
@@ -48,47 +49,31 @@ SAMPLE_ATTEMPTS = 500
 MAX_DETAILS = frozenset({"max_stabilization_index"})  # detail keys folded by max (T4, T5)
 
 
-# -- canonical forms ---------------------------------------------------------
-
-def monoid_canonical_form(M: Monoid):
-    """Minimal table over relabelings that keep the identity at 0."""
-    return min(
-        _relabel_table(M.table, (0,) + rest) for rest in permutations(range(1, M.size))
-    )
-
-
-def _orbit(table, m, n):
-    """Every relabeling of a flat action table (row a at a*n .. a*n+n-1),
-    as a set: its closure under a transposition and an m-cycle, which
-    generate all m! permutations.  A move by perm takes the row slices in
-    inverse-permutation order and renames them by one `bytes.translate`.
-    Entries fit a byte: m <= 9, since 10! relabelings exceed
-    ACT_ENUM_WORK_CAP and are charged before any orbit is built."""
-    moves = []
-    for perm in ((1, 0, *range(2, m)), (*range(1, m), 0)) if m > 1 else ():
-        rows = [slice(a * n, a * n + n) for a in sorted(range(m), key=perm.__getitem__)]
-        moves.append((bytes(perm).ljust(256, b"\0"), rows))
-    orbit = {table}
-    frontier = [table]
-    while frontier:
-        table = frontier.pop()
-        for names, rows in moves:
-            image = b"".join([table[r] for r in rows]).translate(names)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
-
-
 def _rows(cells, n):
     """A flat table as a tuple of rows of n entries."""
     return tuple(zip(*[iter(cells)] * n))
 
 
+def _classes(tables, m, n, charge=lambda: None, monoid=False):
+    """The least table of each relabelling orbit the flat tables reach,
+    sorted, as tuple rows (rows all have n entries, so byte order is row
+    order).  The first table of an orbit calls `charge` and puts the
+    orbit into `seen`; the others cost one set lookup."""
+    seen = set()
+    least = []
+    for table in tables:
+        if table not in seen:
+            charge()
+            orbit = relabellings(table, m, n, monoid)
+            seen.update(orbit)
+            least.append(min(orbit))
+    return [_rows(t, n) for t in sorted(least)]
+
+
 # -- enumeration -------------------------------------------------------------
 
 def _monoid_tables(n):
-    """Every associative n x n table with identity 0, as a list of rows.
+    """Every associative n x n table with identity 0, as flat `bytes`.
 
     The (n-1)^2 non-identity cells are filled in row-major order, and a
     partial table is dropped as soon as an instance (s*t)*u = s*(t*u)
@@ -119,7 +104,7 @@ def _monoid_tables(n):
 
     def fill(k):
         if k == len(cells):
-            found.append(tuple(map(tuple, table)))
+            found.append(bytes(v for row in table for v in row))
             return
         s, t = cells[k]
         for v in range(n):
@@ -133,12 +118,13 @@ def _monoid_tables(n):
 
 
 def enumerate_monoids(n: int):
-    """All monoids of size exactly n up to isomorphism, identity at 0,
-    in the order of their canonical forms (monoid_canonical_form)."""
+    """All monoids of size exactly n up to isomorphism, each by its
+    canonical form (the least table over relabelings that keep the
+    identity at 0), in order."""
     if n > MONOID_ENUM_MAX:
         raise SizeTooLarge(f"monoid enumeration capped at size {MONOID_ENUM_MAX}")
-    seen = {monoid_canonical_form(Monoid(n, table)) for table in _monoid_tables(n)}
-    return [Monoid(n, t, tuple(range(n))) for t in sorted(seen)]
+    tables = _classes(_monoid_tables(n), n, n, monoid=True)
+    return [Monoid(n, t, tuple(range(n))) for t in tables]
 
 
 class _ActSearch:
@@ -265,26 +251,13 @@ def enumerate_acts(M: Monoid, m: int):
     `_ActSearch` finds a labelled action table of every class, trying
     only the least of the untouched points at each branch cell; the
     labelled copies it still finds come from values it cannot skip.
-    The first table of each isomorphism class pays m! work units, then
-    its whole relabeling orbit goes into `seen` and the orbit's minimum
-    is kept as the class representative; later tables of the class
-    cost one set lookup.
-    Search nodes and relabelings share the ACT_ENUM_WORK_CAP budget.
-    Tables stay flat `bytes` until the kept representatives: rows all
-    have n entries, so byte order is the order of the tuple rows.
+    `_classes` keeps the least table of each orbit, charging the first
+    table of each class m! work units: search nodes and relabelings
+    share the ACT_ENUM_WORK_CAP budget.
     """
     search = _ActSearch(M, m)
-    per_class = factorial(m)
-    seen = set()
-    classes = []
-    for table in search.tables():
-        if table in seen:
-            continue
-        search.charge(relabelings=per_class)
-        orbit = _orbit(table, m, M.size)
-        seen |= orbit
-        classes.append(min(orbit))
-    return [Act(M, m, _rows(t, M.size)) for t in sorted(classes)]
+    tables = _classes(search.tables(), m, M.size, lambda: search.charge(relabelings=factorial(m)))
+    return [Act(M, m, t) for t in tables]
 
 
 def random_acts(M: Monoid, m: int, count: int, rng: random.Random):
@@ -339,21 +312,14 @@ class Corpus:
 
 
 def build_corpus(spec: CorpusSpec) -> Corpus:
-    monoids = []
-    for n in range(1, spec.max_monoid_size + 1):
-        monoids.extend(enumerate_monoids(n))
-    acts = []
-    for M in monoids:
-        per = []
-        for m in range(1, spec.max_act_size + 1):
-            per.extend(enumerate_acts(M, m))
-        acts.append(per)
+    monoids = [M for n in range(1, spec.max_monoid_size + 1) for M in enumerate_monoids(n)]
+    acts = [[A for m in range(1, spec.max_act_size + 1) for A in enumerate_acts(M, m)]
+            for M in monoids]
     if spec.samples > 0:
         rng = random.Random(spec.seed)
         for i in range(spec.samples):
             which = i % len(monoids)
-            extra = random_acts(monoids[which], spec.max_act_size + 1, 1, rng)
-            acts[which].extend(extra)
+            acts[which].extend(random_acts(monoids[which], spec.max_act_size + 1, 1, rng))
     return Corpus(monoids, acts)
 
 

@@ -36,8 +36,8 @@ from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first, induces_all_endomorphisms
 from monact.errors import SourceTargetMismatch
 from monact import harness
-from monact.harness import SCH, SH, monoid_canonical_form
-from monact.monoid import Monoid, monoid_generators
+from monact.harness import SCH, SH
+from monact.monoid import monoid_generators
 
 
 def brute_force_associative(table):
@@ -62,8 +62,25 @@ def brute_force_monoids(n):
             (s,) + free[(s - 1) * (n - 1) : s * (n - 1)] for s in range(1, n)
         ]
         if brute_force_associative(table):
-            forms.add(monoid_canonical_form(Monoid(n, tuple(table))))
+            forms.add(monoid_canonical_form(table))
     return sorted(forms)
+
+
+def monoid_relabelings(table):
+    """Every relabeling of a monoid table that keeps the identity at 0,
+    over the (n-1)! permutations p with p[0] = 0: relabeling a -> p[a]
+    makes entry (p[s], p[t]) of the new table p applied to entry (s, t)."""
+    n = len(table)
+    return {
+        tuple(tuple(p[table[s][t]] for t in order) for s in order)
+        for p in ((0, *rest) for rest in permutations(range(1, n)))
+        for order in [sorted(range(n), key=p.__getitem__)]
+    }
+
+
+def monoid_canonical_form(table):
+    """The least identity-fixing relabeling of a monoid table."""
+    return min(monoid_relabelings(table))
 
 
 def first_act_axiom_failure(table, action):

@@ -15,10 +15,10 @@ from monact import deciders
 from monact.act import regular_act, validate_act
 from monact.cli import main, suite_json
 from monact.congruence import congruence_closure, enumerate_congruences, join, kernel_congruence
-from monact.deciders import monoid_hopf_properties, r_chain_index, settle_index
+from monact.deciders import monoid_hopf_properties, settle_index
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, enumerate_monoids, recheck_verdict, run_suite
-from monact.monoid import prime_power_product, zmod_mult_monoid
+from monact.monoid import zmod_mult_monoid
 
 from oracles import (
     brute_force_congruences, brute_force_homs, chain_join_oracle, map_powers, refines_oracle,
@@ -82,22 +82,31 @@ def test_default_suite_json_digest(full_suite):
     assert digest == DEFAULT_SUITE_JSON_SHA256
 
 
-def test_acceptance_3_chain_family_scaling():
+def _family36_rows(max_n, capsys):
+    """(seconds, rows) of `monact family36 --p 2 --max-n max_n`, each row
+    (N, chain index of the distinguished element), exit 0 required."""
     start = time.monotonic()
-    small = [r_chain_index(*prime_power_product(2, n)) for n in (1, 2, 3)]
-    small_elapsed = time.monotonic() - start
-    deep_start = time.monotonic()
-    deep = r_chain_index(*prime_power_product(2, 4))
-    deep_elapsed = time.monotonic() - deep_start
-    indices = small + [deep]
+    code = main(["family36", "--p", "2", "--max-n", str(max_n)])
+    elapsed = time.monotonic() - start
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0, lines
+    return elapsed, [tuple(map(int, line.split())) for line in lines]
+
+
+def test_acceptance_3_chain_family_scaling(capsys):
+    small_elapsed, small = _family36_rows(3, capsys)
+    deep_elapsed, rows = _family36_rows(4, capsys)
+    indices = [index for _, index in rows]
     ok = (
-        indices == [1, 2, 3, 4]
+        [n for n, _ in rows] == [1, 2, 3, 4]
+        and indices == [1, 2, 3, 4]
+        and rows[:3] == small
         and all(a < b for a, b in zip(indices, indices[1:]))
         and small_elapsed < FAMILY_SMALL_LIMIT
         and deep_elapsed < FAMILY_DEEP_LIMIT
     )
     assert _report(3, "truncated-family chain index equals depth", ok), (
-        indices,
+        rows,
         small_elapsed,
         deep_elapsed,
     )

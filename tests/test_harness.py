@@ -2,11 +2,13 @@ import hashlib
 import json
 import random
 import time
+from operator import itemgetter
 
 import pytest
 
+import monact.act
 from monact import deciders, harness
-from monact.act import Act, subact, validate_act
+from monact.act import Act, relabellings, subact, validate_act
 from monact.cli import suite_json
 from monact.errors import InputError, SizeTooLarge, UnknownTheorem
 from monact.harness import (
@@ -17,7 +19,6 @@ from monact.harness import (
     check_theorem,
     enumerate_acts,
     enumerate_monoids,
-    monoid_canonical_form,
     random_acts,
     rebuild_instance,
     recheck_verdict,
@@ -26,7 +27,8 @@ from monact.harness import (
 from monact.monoid import validate_monoid
 from oracles import (
     act_canonical_form, act_hom, act_relabelings, acts_isomorphic, brute_force_acts,
-    brute_force_monoids, compose_maps, is_fully_invariant, partition_number,
+    brute_force_monoids, compose_maps, is_fully_invariant, monoid_canonical_form,
+    monoid_relabelings, partition_number,
 )
 
 
@@ -56,10 +58,23 @@ def test_enumerate_monoids_cap():
         enumerate_monoids(5)
 
 
+# sha256 of repr([M.table for M in enumerate_monoids(5)]) with the cap
+# raised to 5, recorded from the implementation that minimised each
+# labelled table over its 24 identity-fixing relabelings as tuples
+MONOIDS_5 = (228, "169946ad1fed80c10dcadb3460f44d319b6d857be819038fda58cdc3268f7c25")
+
+
+def test_order_5_monoids_are_pinned(monkeypatch):
+    # 228 monoids of order 5 up to isomorphism (OEIS A058129)
+    monkeypatch.setattr(harness, "MONOID_ENUM_MAX", 5)
+    tables = [M.table for M in enumerate_monoids(5)]
+    assert (len(tables), hashlib.sha256(repr(tables).encode()).hexdigest()) == MONOIDS_5
+
+
 def test_enumerated_monoids_are_canonical_and_distinct():
     for n in (2, 3):
         monoids = enumerate_monoids(n)
-        forms = [monoid_canonical_form(M) for M in monoids]
+        forms = [monoid_canonical_form(M.table) for M in monoids]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms)
         for M, form in zip(monoids, forms):
@@ -203,18 +218,71 @@ def _flat(action):
     return bytes(v for row in action for v in row)
 
 
+def _renamed(table, names, monoid=False):
+    """The flat table relabelled by a -> names[a], its columns too for a
+    monoid."""
+    cells = {(names[a], names[s] if monoid else s): names[v]
+             for a, row in enumerate(table) for s, v in enumerate(row)}
+    return bytes(cells[a, s] for a in range(len(table)) for s in range(len(table[0])))
+
+
 def test_orbit_is_every_relabeling():
     # every act of the 3/4 corpus and of the 2/5 pairs: the two moves
-    # reach all m! relabelings and nothing else
+    # reach all m! relabelings and nothing else, each with a rename that
+    # gives it
     checked = 0
     for n, m in ORACLE_PAIRS:
         for M in enumerate_monoids(n):
             for A in enumerate_acts(M, m):
-                orbit = harness._orbit(_flat(A.action), m, n)
-                assert orbit == {_flat(t) for t in act_relabelings(A.action)}
+                orbit = relabellings(_flat(A.action), m, n)
+                assert set(orbit) == {_flat(t) for t in act_relabelings(A.action)}
                 assert min(orbit) == _flat(act_canonical_form(A.action))
+                assert all(image == _renamed(A.action, names) for image, names in orbit.items())
                 checked += 1
     assert checked == 142 + 1 + 3 + 7  # 3/4, then 1/5 and 2/5 by the closed forms
+
+
+def test_monoid_orbit_is_every_identity_fixing_relabeling():
+    # every monoid up to order 4: the moves fix the identity 0, carry the
+    # columns with the rows and reach all (n-1)! such relabelings
+    checked = 0
+    for n in range(1, 5):
+        for M in enumerate_monoids(n):
+            orbit = relabellings(_flat(M.table), n, n, monoid=True)
+            assert set(orbit) == {_flat(t) for t in monoid_relabelings(M.table)}
+            assert min(orbit) == _flat(monoid_canonical_form(M.table))
+            assert all(image == _renamed(M.table, names, monoid=True)
+                       for image, names in orbit.items())
+            checked += 1
+    assert checked == 1 + 2 + 7 + 35
+
+
+def test_planted_walk_without_the_cycle_is_caught(monkeypatch, oracle_acts):
+    # the walk keeps only its transposition, so an orbit holds at most
+    # two tables: classes of acts over three points and of monoids of
+    # order 4 (three moved points) split
+    real = monact.act._moves
+    monkeypatch.setattr(monact.act, "_moves", lambda *args: real(*args)[:1])
+    assert len(_oracle_mismatches(oracle_acts)) > 0
+    assert [len(enumerate_monoids(n)) for n in range(1, 5)] == [1, 2, 7, 86]
+
+
+def test_planted_monoid_walk_moving_the_identity_is_caught(monkeypatch):
+    # a monoid walk also swaps 0 and 1, rows and columns, so a monoid
+    # with a zero element takes a least table with the zero at 0
+    real = monact.act._moves
+
+    def planted(m, n, monoid):
+        if not monoid or m < 2:
+            return real(m, n, monoid)
+        p = [1, 0, *range(2, m)]  # an involution, its own inverse
+        swap = itemgetter(*[p[a] * n + p[s] for a in range(m) for s in range(m)])
+        return [*real(m, n, monoid), (swap, bytes(p).ljust(256, b"\0"))]
+
+    monkeypatch.setattr(monact.act, "_moves", planted)
+    assert [len(enumerate_monoids(n)) for n in range(1, 5)] == [1, 2, 7, 35]
+    assert [[M.table for M in enumerate_monoids(n)] == brute_force_monoids(n)
+            for n in (1, 2, 3)] == [True, False, False]
 
 
 def test_planted_dropped_act_candidate_is_caught(monkeypatch, oracle_acts, trivial, m2):

@@ -39,10 +39,6 @@ ALLOWED = {
         "the flag name the T8 oracle hands to `harness.flag`",
     "monact.harness.SH":
         "the flag name the T7 oracle hands to `harness.flag`",
-    "monact.harness.monoid_canonical_form":
-        "canonical forms of the brute-force monoids, compared with the enumeration's",
-    "monact.monoid.Monoid":
-        "data constructor for the brute-force monoid tables",
     "monact.monoid.monoid_generators":
         "the generating set the brute-force act search fills columns for",
 }
