@@ -2,7 +2,7 @@
 
 The library represents everything as explicit finite tables: monoids as
 multiplication tables, acts as action tables, congruences as
-least-member label tuples.  On top of that it enumerates endomorphism monoids, decides
+least-member label tuples.  On top of that it enumerates endomorphisms, decides
 the Hopfian / co-Hopfian family of properties with exact chain indices,
 and checks the structural theorems over an exhaustively generated
 corpus of small instances.
@@ -43,13 +43,7 @@ from .deciders import (
     is_strongly_hopfian,
     monoid_hopf_properties,
 )
-from .endo import (
-    EndMonoid,
-    end_monoid,
-    endomorphisms,
-    homomorphisms,
-    is_commutative,
-)
+from .endo import endomorphisms, homomorphisms
 from .harness import (
     CorpusSpec,
     Verdict,

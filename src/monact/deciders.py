@@ -17,8 +17,9 @@ composition is one C call: f o x for fixed f is
 `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
 fixed g an `itemgetter` gather (restrictions).  A factor act and its
 projection are built per lift check, by `quotient_by_congruence`, and
-not kept.  `classify_act` builds the End(A) table for its size and
-commutativity (`endo.end_monoid`) once per distinct endomorphism list.
+not kept.  No End(A) table is built: its size is the number of maps,
+and it is commutative iff each pair of maps commutes
+(`ActAnalysis.end_commutative`).
 The analysis files each factor act A/rho, built as a flat table, under
 its canonical form, the least table of its relabelling orbit
 (`act.least_relabelling`): T7 and T8 match those forms instead of
@@ -34,7 +35,7 @@ from dataclasses import dataclass, asdict
 from functools import cache, cached_property, wraps
 from itertools import islice, repeat
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .act import Act, enumerate_subacts, least_relabelling
 from .act import quotient_by_congruence, subact_as_act
@@ -47,7 +48,7 @@ from .congruence import (
     image_congruence,
     kernel_congruence,
 )
-from .endo import end_monoid, homomorphisms, identity_first, is_commutative
+from .endo import homomorphisms, identity_first
 from .errors import SizeTooLarge
 from .monoid import Monoid, element_power, row_partition
 from .relation import least_labels
@@ -65,8 +66,7 @@ class ActAnalysis:
     transformation set T(A), is kept in `memo` under (quantity, |A|,
     T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
     rho in T(A), and congruences and subacts are defined by the rho
-    alone; End(A)'s size and commutativity, under the exact endomorphism
-    maps; canonical forms, under the flat table.  Congruences and
+    alone; canonical forms, under the flat table.  Congruences and
     subacts (each names its act) and the factor forms built from them
     stay per act.  A suite run swaps in its own memo.
 
@@ -115,6 +115,17 @@ class ActAnalysis:
             if e.translate(e.ljust(256, b"\0")) == e:
                 split.setdefault(least_labels(e), e)
         return split
+
+    @_per_transformation_set
+    def end_commutative(self):
+        """Whether End(A) is commutative: g o f = f o g, as
+        `f.translate(g's rename table) == g.translate(f's)`, for each
+        pair of endomorphisms, stopping at the first pair that differs."""
+        endos = self.endos
+        pads = [f.ljust(256, b"\0") for f in endos]
+        return all(
+            all(map(eq, map(bytes.translate, endos[:i], repeat(pad)), map(f.translate, pads[:i])))
+            for i, (f, pad) in enumerate(zip(endos, pads)))
 
     @_per_transformation_set
     def automorphisms(self):
@@ -443,16 +454,12 @@ class PropertyReport:
 
 
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
-    """Run every decider on one act (or on its ActAnalysis).  End(A) is
-    built only for endomorphism maps that `an.memo` has not seen."""
+    """Run every decider on one act (or on its ActAnalysis).  End(A)'s
+    size and commutativity are read off the endomorphism maps, with no
+    composition table."""
     an = analyse(A)
-    # the congruence cap refuses an oversized act before End(A) is built
+    # the congruence cap refuses an oversized act before the hom search
     noe, art, n_congs, max_chain = chain_conditions(an)
-    key = ("End(A)", tuple(an.endos))
-    if key not in an.memo:
-        E = end_monoid(an.act, an.endos)
-        an.memo[key] = E.monoid.size, is_commutative(E)
-    end_size, end_commutative = an.memo[key]
     sh, sh_index = is_strongly_hopfian(an)
     sch, sch_index = is_strongly_co_hopfian(an)
     return PropertyReport(
@@ -469,12 +476,12 @@ def classify_act(A: Act | ActAnalysis) -> PropertyReport:
         artinian=art,
         quasi_injective=is_quasi_injective(an)[0],
         quasi_projective=is_quasi_projective(an)[0],
-        end_commutative=end_commutative,
+        end_commutative=an.end_commutative,
         # Drazin (1958): every element f of a finite monoid is strongly
         # pi-regular, with g = f^(p-1) where f's powers first repeat at
         # f^(c+p) = f^c; tests/oracles.py keeps the End(A) table scan
         end_strongly_pi_regular=True,
-        end_size=end_size,
+        end_size=len(an.endos),
         congruence_count=n_congs,
         congruence_max_chain=max_chain,
     )

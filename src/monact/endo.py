@@ -1,4 +1,4 @@
-"""Homomorphism and endomorphism enumeration, and End(A) as a monoid.
+"""Homomorphism and endomorphism enumeration.
 
 The hom search is one loop over the images of a minimal generating set
 of the source; every chosen image is propagated through the action, so
@@ -13,12 +13,11 @@ idempotent endomorphism's (`deciders.ActAnalysis.split_kernels`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .act import Act
-from .errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge, SourceTargetMismatch
-from .monoid import SIZE_CAP, Monoid, validate_monoid
+from .errors import SearchBudgetExceeded, SizeOverflow, SourceTargetMismatch
+from .monoid import SIZE_CAP
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -79,53 +78,12 @@ def endomorphisms(A: Act):
     return homomorphisms(A, A)
 
 
-@dataclass(frozen=True)
-class EndMonoid:
-    """End(A) under composition (f*g)(a) = f(g(a)).
-
-    `elements[i]` is the byte map of the endomorphism behind monoid index
-    i; the identity endomorphism sits at index 0 and the rest keep
-    lexicographic map order, matching the monoid normal form.
-    """
-
-    monoid: Monoid
-    elements: tuple
-    act: Act
-
-
 def identity_first(endos):
     """`endos` (maps in map order, all tuples or all `bytes`) with the
     identity moved to the front: the canonical End(A) element order,
-    read off without building the composition table."""
+    in which the chain reports are listed."""
     k = endos.index(type(endos[0])(range(len(endos[0]))))
     return (endos[k], *endos[:k], *endos[k + 1 :])
-
-
-def end_monoid(A: Act, endos=None) -> EndMonoid:
-    """End(A), built from `endos` when the caller already holds the
-    endomorphisms, as tuples or byte maps; the hom search keeps it within
-    SIZE_CAP.
-
-    Row f of the table, f o g over every g, is one `bytes.translate`
-    per cell through f's rename table, so carriers stop at 255 points.
-    `classify_act` reads its size and commutativity once per distinct
-    endomorphism list; a finite monoid is strongly pi-regular (Drazin).
-    """
-    if A.size > 255:
-        raise SizeTooLarge(f"End(A): carrier size {A.size} exceeds the byte-map cap of 255")
-    endos = list(map(bytes, endomorphisms(A) if endos is None else endos))
-    elements = identity_first(endos)
-    idx = {m: i for i, m in enumerate(elements)}.__getitem__
-    raw = [tuple(map(idx, map(bytes.translate, elements, repeat(f.ljust(256, b"\0")))))
-           for f in elements]
-    # identity already first, so the checked constructor relabels nothing
-    return EndMonoid(validate_monoid(len(elements), raw), elements, A)
-
-
-def is_commutative(E: EndMonoid) -> bool:
-    t = E.monoid.table
-    n = E.monoid.size
-    return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def induces_all_endomorphisms(h, source_maps, target_maps):

@@ -16,11 +16,13 @@ the image of a tuple power of the map.  `power_walk_oracle`
 is the library's former per-endomorphism walk: it follows the powers
 to the first repeat and settles the kernel and image chains apart,
 where the library stops at the first equal rank.  The composition
-oracles (the End(A) table, the lift and liftable sets, retracts and
-sections) take their maps from the library too and compose them one
-tuple at a time with `compose_maps`;
-the strong pi-regularity oracle scans the library's End(A) table, and the
-full invariance oracle reads the endomorphisms one map at a time.  The
+oracles (the lift and liftable sets, retracts and sections) take their
+maps from the library too and compose them one tuple at a time with
+`compose_maps`.  The library builds no End(A) table; `end_monoid` here
+does, from the library's endomorphisms, gathering each product as a
+tuple point by point, and `is_commutative` and the strong
+pi-regularity oracle scan it.  The full invariance oracle reads the
+endomorphisms one map at a time.  The
 literal Hopfian and co-Hopfian deciders also take the endomorphisms
 from the library: on a finite carrier both hold by pigeonhole, and the
 library reports them as True without a check, so these loops are what
@@ -28,7 +30,9 @@ a test compares that constant with.
 """
 
 import json
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
 from monact.congruence import Congruence, enumerate_congruences
@@ -37,7 +41,7 @@ from monact.endo import homomorphisms, identity_first, induces_all_endomorphisms
 from monact.errors import SourceTargetMismatch
 from monact import harness
 from monact.harness import SCH, SH
-from monact.monoid import monoid_generators
+from monact.monoid import Monoid, monoid_generators
 
 
 def brute_force_associative(table):
@@ -666,11 +670,38 @@ def is_fully_invariant(B, endos):
     return all(f[b] in members for f in endos for b in B.members)
 
 
-def end_table_oracle(elements):
-    """The End(A) table over the maps `elements` (canonical order), cell
-    (i, j) the index of elements[i] o elements[j] by `compose_maps`."""
-    index = {tuple(f): i for i, f in enumerate(elements)}
-    return tuple(tuple(index[compose_maps(f, g)] for g in elements) for f in elements)
+@dataclass(frozen=True)
+class EndMonoid:
+    """End(A) under composition (f*g)(a) = f(g(a)).
+
+    `elements[i]` is the map tuple of the endomorphism behind monoid
+    index i; the identity sits at index 0 and the rest keep map order.
+    """
+
+    monoid: Monoid
+    elements: tuple
+
+
+def end_monoid(A, endos=None):
+    """End(A) from `endos` (tuples or byte maps, in any order), or from
+    the library's hom search when None.  Cell (i, j) is the index of
+    elements[i] o elements[j], the tuple (f[g[0]], f[g[1]], ..) read
+    point by point by one `itemgetter` per right factor g; nothing is
+    revalidated."""
+    maps = sorted(map(tuple, homomorphisms(A, A) if endos is None else endos))
+    identity = tuple(range(A.size))
+    elements = (identity, *(f for f in maps if f != identity))
+    index = {f: i for i, f in enumerate(elements)}
+    # an itemgetter of one point returns that point, not a 1-tuple
+    gathers = [itemgetter(*g) if A.size > 1 else lambda f: (f[0],) for g in elements]
+    table = tuple(tuple([index[gather(f)] for gather in gathers]) for f in elements)
+    return EndMonoid(Monoid(len(elements), table), elements)
+
+
+def is_commutative(E):
+    """Whether End(A) `E` is commutative: its table equals its transpose."""
+    table = E.monoid.table
+    return table == tuple(zip(*table))
 
 
 def is_strongly_pi_regular(E):

@@ -1,9 +1,10 @@
 """Compositions on byte maps.  An analysis keeps each endomorphism's map
 as `bytes` and composes by `bytes.translate` (a fixed left factor) or an
-`itemgetter` gather (a fixed right factor).  The End(A) table, the lift
-sets and the T8 liftable sets are each compared with a tuple-composition
-oracle built on `oracles.compose_maps`, and so are the retractions and
-sections read off the kernels that idempotents split.  The
+`itemgetter` gather (a fixed right factor).  End(A)'s commutativity is
+compared with the table oracle `oracles.end_monoid`, and the lift sets
+and the T8 liftable sets with a tuple-composition oracle built on
+`oracles.compose_maps`, and so are the retractions and sections read
+off the kernels that idempotents split.  The
 End(A) table scan `oracles.is_strongly_pi_regular` backs the report's
 constant strong pi-regularity flag, and the literal loops
 `oracles.is_hopfian` and `oracles.is_co_hopfian` back the constant
@@ -21,7 +22,7 @@ from monact.act import quotient_by_congruence, regular_act, subact_as_act
 from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.cli import suite_json
-from monact.endo import end_monoid, homomorphisms, induces_all_endomorphisms
+from monact.endo import homomorphisms, induces_all_endomorphisms
 from monact.errors import SizeTooLarge
 from monact.harness import (
     CO, H, SCH, SH, CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts,
@@ -31,10 +32,11 @@ from monact.relation import least_labels
 from oracles import (
     act_hom,
     compose_maps,
-    end_table_oracle,
+    end_monoid,
     hom_maps,
     induces_oracle,
     is_co_hopfian,
+    is_commutative,
     is_fully_invariant,
     is_hopfian,
     is_strongly_pi_regular,
@@ -84,14 +86,18 @@ def test_maps_are_the_endomorphisms_as_bytes():
 
 
 def test_end_table_matches_compose_oracle():
+    # the analysis reads End(A)'s size and commutativity off byte maps;
+    # the oracle builds the table one tuple composition at a time
     acts = _acts(CorpusSpec()) + _five_point_acts()
-    sizes = []
+    sizes, commutative = [], 0
     for A in acts:
-        E = end_monoid(A)
-        assert E.monoid.table == end_table_oracle(E.elements), A
+        an, E = ActAnalysis(A), end_monoid(A)
+        assert (len(an.endos), an.end_commutative) == (E.monoid.size, is_commutative(E)), A
         sizes.append(E.monoid.size)
+        commutative += an.end_commutative
     assert len(acts) == 142 + 4
     assert max(sizes) == 320
+    assert commutative == 34
 
 
 def test_table_oracle_finds_a_pi_witness_for_every_endomorphism():

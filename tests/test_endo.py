@@ -5,17 +5,18 @@ from itertools import product
 import pytest
 
 from monact import endo
-from monact.act import quotient_by_congruence, subact, validate_act
+from monact.act import quotient_by_congruence, regular_act, subact, validate_act
 from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis
-from monact.endo import end_monoid, homomorphisms, induces_all_endomorphisms, is_commutative
+from monact.endo import homomorphisms, induces_all_endomorphisms
 from monact.errors import SearchBudgetExceeded, SizeOverflow, SizeTooLarge
 from monact.harness import CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids
-from monact.monoid import validate_monoid
+from monact.monoid import validate_monoid, zmod_mult_monoid
 from monact.relation import least_labels
 
 from oracles import (
-    act_hom, brute_force_homs, is_fully_invariant, is_strongly_pi_regular, retraction_oracle,
+    act_hom, brute_force_homs, end_monoid, is_commutative, is_fully_invariant,
+    is_strongly_pi_regular, retraction_oracle,
 )
 
 
@@ -134,16 +135,14 @@ def test_search_budget_boundary(trivial, monkeypatch):
         homomorphisms(A, A)
 
 
-def test_end_monoid_byte_map_cap_boundary(trivial):
-    # the identity alone spans End(A); 255 points fit a byte map, 256 do not
-    for n in (255, 256):
-        A = validate_act(trivial, n, [[a] for a in range(n)])
-        ident = tuple(range(n))
-        if n == 255:
-            assert end_monoid(A, [ident]).monoid.size == 1
-        else:
-            with pytest.raises(SizeTooLarge, match="carrier size 256 exceeds the byte-map cap of 255"):
-                end_monoid(A, [ident])
+def test_end_monoid_byte_map_cap_boundary():
+    # End(A)'s size and commutativity are read off byte maps: the 255
+    # left translations of the regular act of (Z/255, *) commute, and a
+    # 256-point act does not fit a byte map
+    an = ActAnalysis(regular_act(zmod_mult_monoid(255)))
+    assert len(an.endos) == 255 and an.end_commutative
+    with pytest.raises(SizeTooLarge, match="carrier size 256 exceeds the byte-map cap of 255"):
+        ActAnalysis(regular_act(zmod_mult_monoid(256)))
 
 
 def test_hom_list_stops_at_size_cap(trivial, monkeypatch):
@@ -174,28 +173,37 @@ def test_search_errors_name_the_search(trivial, monkeypatch):
     assert str(exc.value) == search + "more than 10 homomorphisms: search stopped at map 11"
 
 
+def _end_flags(A):
+    """End(A)'s size and commutativity as the analysis reads them."""
+    an = ActAnalysis(A)
+    return len(an.endos), an.end_commutative
+
+
 def test_end_monoid_a2(a2, m2):
     E = end_monoid(a2)
     assert E.monoid.table == m2.table
-    assert E.elements[0] == bytes((0, 1))  # identity endomorphism first
+    assert E.elements[0] == (0, 1)  # identity endomorphism first
     assert is_commutative(E)
+    assert _end_flags(a2) == (2, True)
 
 
 def test_end_monoid_regular_z4(reg_z4, z4):
     E = end_monoid(reg_z4)
     assert E.monoid.table == z4.table
     assert is_commutative(E)
+    assert _end_flags(reg_z4) == (4, True)
 
 
 def test_end_monoid_singleton(singleton):
     E = end_monoid(singleton)
     assert E.monoid.size == 1
+    assert _end_flags(singleton) == (1, True)
 
 
 def test_end_monoid_takes_the_search_tuples_or_byte_maps():
-    """`end_monoid` builds the same End(A) from `endomorphisms(A)` (map
-    tuples), from the analysis's byte maps and from the search it runs
-    itself."""
+    """The oracle `end_monoid` builds the same End(A) from
+    `endomorphisms(A)` (map tuples), from the analysis's byte maps and
+    from the search it runs itself."""
     for M in enumerate_monoids(2):
         for A in enumerate_acts(M, 3):
             E = end_monoid(A)
@@ -214,7 +222,7 @@ def test_end_monoid_composition_is_associative():
             # table consistent with pointwise composition
             for i, f in enumerate(E.elements):
                 for j, g in enumerate(E.elements):
-                    comp = bytes(f[g[a]] for a in range(A.size))
+                    comp = tuple(f[g[a]] for a in range(A.size))
                     assert E.elements[E.monoid.table[i][j]] == comp
 
 
@@ -254,7 +262,7 @@ def test_pi_regular_a2(a2):
     ok, witnesses = is_strongly_pi_regular(E)
     assert ok
     # the idempotent constant map has witness n=1, g=identity
-    c_y_index = E.elements.index(bytes((1, 1)))
+    c_y_index = E.elements.index((1, 1))
     assert witnesses[c_y_index] == (1, 0)
 
 
@@ -263,7 +271,7 @@ def test_pi_regular_regular_z4(reg_z4, z4):
     ok, witnesses = is_strongly_pi_regular(E)
     assert ok
     idx = z4.relabeling
-    lam2_index = E.elements.index(bytes(z4.table[idx[2]]))
+    lam2_index = E.elements.index(tuple(z4.table[idx[2]]))
     n, _ = witnesses[lam2_index]
     assert n == 2  # 2^2 = 2^3 = 0 mod 4, nothing works at n=1
 

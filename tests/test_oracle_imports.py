@@ -39,6 +39,8 @@ ALLOWED = {
         "the flag name the T8 oracle hands to `harness.flag`",
     "monact.harness.SH":
         "the flag name the T7 oracle hands to `harness.flag`",
+    "monact.monoid.Monoid":
+        "data constructor for the End(A) table oracle's monoid",
     "monact.monoid.monoid_generators":
         "the generating set the brute-force act search fills columns for",
 }

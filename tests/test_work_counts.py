@@ -1,10 +1,10 @@
 """Each per-act quantity is computed once: the congruence lattice and
 the subacts once per act, and in the suite what the act's transformation
-set {rho_s} fixes (the endomorphisms, their settle indices, the
-property report with its factor acts, End(A)) once per set, by the
-first corpus act that has it; End(A) is not kept, the suite builds it
-once per distinct endomorphism list, and it analyses only the corpus
-acts.  `monact classify` computes each once.
+set {rho_s} fixes (the endomorphisms, their settle indices, End(A)'s
+commutativity, the property report with its factor acts) once per set,
+by the first corpus act that has it; no End(A) table is built or kept,
+and the suite analyses only the corpus acts.  `monact classify`
+computes each once.
 Calls are counted by wrappers bound in every namespace of the package
 that holds the original function.  Congruence
 enumeration makes a bounded number of closures, and act enumeration
@@ -20,15 +20,15 @@ import pytest
 
 import monact
 from monact import act, cli, congruence, deciders, endo, harness, monoid, textio
-from monact.act import regular_act, validate_act
-from monact.deciders import ActAnalysis
-from monact.endo import EndMonoid, homomorphisms
+from monact.act import Act, regular_act, validate_act
+from monact.deciders import ActAnalysis, _per_transformation_set
+from monact.endo import homomorphisms
 from monact.harness import (
     ALL_THEOREMS, CorpusSpec, build_corpus, enumerate_acts, enumerate_monoids, random_acts,
     run_suite,
 )
-from monact.monoid import validate_monoid
-from oracles import quasi_projective_oracle
+from monact.monoid import Monoid, validate_monoid
+from oracles import end_monoid, quasi_projective_oracle
 
 MODULES = (monact, act, cli, congruence, deciders, endo, harness, monoid, textio)
 
@@ -72,22 +72,38 @@ def count(monkeypatch):
     return install
 
 
-def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
+@pytest.fixture
+def count_end(monkeypatch):
+    """Tallies the computations of `ActAnalysis.end_commutative` by the
+    act whose analysis makes them."""
+    seen = Counter()
+    compute = ActAnalysis.end_commutative.func.__wrapped__
+
+    def counting(an):
+        seen[_key(an.act)] += 1
+        return compute(an)
+
+    prop = _per_transformation_set(counting)
+    prop.__set_name__(ActAnalysis, "end_commutative")
+    monkeypatch.setattr(ActAnalysis, "end_commutative", prop)
+    return seen
+
+
+def test_suite_builds_each_per_act_quantity_once(count, count_end, monkeypatch):
     """The suite analyses each corpus act once and nothing else: the
     Hopfian-type flags of factor acts, subacts and Rees quotients are
     constants on finite carriers, so none of them is analysed, and no
     endomorphism search runs on them.  The report and the endomorphism
-    search run once per transformation set, 53 of the 142 acts, and
-    End(A) is built once per distinct endomorphism list, 52 times; the
-    congruences and subacts, once per act."""
+    search run once per transformation set, 53 of the 142 acts, and so
+    does End(A)'s commutativity; the congruences and subacts, once per
+    act."""
     spec = CorpusSpec()
     corpus = build_corpus(spec)
     acts = {_key(A) for per in corpus.acts for A in per}
     firsts = Counter(_firsts(A for per in corpus.acts for A in per))
-    others, endo_lists = set(), set()
+    others = set()
     for A in (A for per in corpus.acts for A in per):
         an = ActAnalysis(A)
-        endo_lists.add(tuple(an.endos))
         factor = act.quotient_by_congruence
         others |= {_key(factor(A, rho)[0]) for rho in an.congruences}
         others |= {_key(act.subact_as_act(B)[0]) for B in an.subacts}
@@ -101,7 +117,6 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
 
     monkeypatch.setattr(ActAnalysis, "__init__", counting_init)
     reports = count(deciders, "classify_act", lambda an: _key(an.act))
-    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
     congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
     subs = count(act, "enumerate_subacts", _key)
@@ -114,24 +129,22 @@ def test_suite_builds_each_per_act_quantity_once(count, monkeypatch):
     assert analysed == Counter(acts)
     assert reports == firsts and len(firsts) == 53
     assert Counter({a: n for (a, b), n in homs.items() if a == b}) == firsts
-    assert set(ends) <= set(firsts) and set(ends.values()) == {1}
-    assert len(ends) == len(endo_lists) == 52
+    assert count_end == firsts
     assert congs == Counter(acts)
     assert subs == Counter(acts)
 
 
-def test_larger_suite_reports_once_per_transformation_set(count):
-    """4/4: 1205 acts with 186 transformation sets and 129 distinct
-    endomorphism lists."""
+def test_larger_suite_reports_once_per_transformation_set(count, count_end):
+    """4/4: 1205 acts with 186 transformation sets; the report and
+    End(A)'s commutativity are computed once per set."""
     spec = CorpusSpec(max_monoid_size=4)
     acts = [A for per in build_corpus(spec).acts for A in per]
     reports = count(deciders, "classify_act", lambda an: _key(an.act))
-    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
     assert len(acts) == 1205
     assert reports == Counter(_firsts(acts)) and sum(reports.values()) == 186
-    assert sum(ends.values()) == len(ends) == 129
+    assert count_end == reports
 
 
 def _searches(count, theorems, **sizes):
@@ -174,15 +187,14 @@ def test_t7_and_t8_ask_no_analysis_for_homs_into_a_larger_act(count):
     assert [v.nonvacuous for v in result.verdicts] == [352, 549]
 
 
-def test_classify_builds_end_once(count, tmp_path):
+def test_classify_builds_end_once(count, count_end, tmp_path):
     path = tmp_path / "a.act"
     path.write_text("monoid M 2\n0 1\n1 1\n\nact A over M 3\n0 1\n1 1\n2 1\n")
-    ends = count(endo, "end_monoid", lambda A, *rest: _key(A))
     homs = count(endo, "homomorphisms", lambda A, B, *rest: (_key(A), _key(B)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["classify", str(path), "--act", "A", "--json"]) == 0
-    assert list(ends.values()) == [1]
-    (A,) = ends
+    assert list(count_end.values()) == [1]
+    (A,) = count_end
     assert homs[(A, A)] == 1
 
 
@@ -312,13 +324,13 @@ def test_flag_reads_build_no_act(count):
     assert run(("T9", "T13", "T14")) == reports_only
 
 
-def _reachable(root):
+def _reachable(root, leaves=()):
     """Every object reachable from root through containers and the
-    attributes of instances."""
+    attributes of instances, not entering instances of `leaves`."""
     seen, stack = {}, [root]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (type, str, int, bool, float)):
+        if id(obj) in seen or isinstance(obj, (type, str, int, bool, float, *leaves)):
             continue
         seen[id(obj)] = obj
         if isinstance(obj, dict):
@@ -331,14 +343,34 @@ def _reachable(root):
     return seen.values()
 
 
+def _square_tables(root, n):
+    """The n x n tables of ints reachable from root, outside acts and
+    monoids: n rows, each a tuple or list of n ints."""
+    def is_row(x):
+        return isinstance(x, (tuple, list)) and len(x) == n and all(type(v) is int for v in x)
+
+    return [x for x in _reachable(root, leaves=(Act, Monoid))
+            if isinstance(x, (tuple, list)) and len(x) == n and all(map(is_row, x))]
+
+
 def test_classify_keeps_no_end_monoid():
     acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=2, max_act_size=3)).acts
             for A in per]
+    checked = 0
     for A in acts:
         an = ActAnalysis(A)
         an.report
         assert an.endos and an.profiles
-        assert not any(isinstance(x, EndMonoid) for x in _reachable(vars(an)))
+        n = len(an.endos)
+        if n == 1:
+            continue
+        checked += 1
+        assert not _square_tables(vars(an), n), A
+        # a table kept on the analysis would be seen
+        table = end_monoid(A).monoid.table
+        an.memo["planted"] = table
+        assert table in _square_tables(vars(an), n)
+    assert checked == 11
 
 
 def test_enumeration_closures_bounded_by_principal_joins(count):
