@@ -13,24 +13,26 @@ isomorphism class puts its whole relabelling orbit
 (`act.relabellings`) into a seen set that absorbs its other labelled
 copies.
 Every registered theorem is evaluated as a universally quantified
-implication over the corpus, one monoid at a time: each monoid gets a
-fresh `SuiteContext` (one `deciders.ActAnalysis` per corpus act),
-dropped before the next, and every instance is one `_implication`
-call.  Only the run's memo spans monoids: acts with one set of maps
-rho_s: a -> a*s (the trivial 4-point act over each monoid, say) share
-what those maps fix (`deciders.ActAnalysis`).  T7 and T8 search no hom
-between two acts: they match canonical forms of acts, factor acts and
-retracts.  A failing instance's verdict names the instance by its full
-tables, enough to re-run the check.  Every Hopfian-type flag is read
-through `flag`, True on finite carriers without looking at the acts it
-is handed, so only T4-T6, which compare indices, can fail while `flag`
-is the default.
+implication over the corpus, one monoid at a time: each act of the
+monoid gets one `deciders.ActAnalysis`, dropped before the next
+monoid's, and each check takes its theorem's id and the analysed
+instance it reads (an analysis, a pair, an analysis and a subact, or
+the monoid) and makes one `_implication` call.  Only the run's memo spans monoids: acts with
+one set of maps rho_s: a -> a*s (the trivial 4-point act over each
+monoid, say) share what those maps fix (`deciders.ActAnalysis`).  T7
+and T8 search no hom between two acts: they match canonical forms of
+acts, factor acts and retracts.  A failing instance's verdict names
+the instance by its full tables, enough to re-run the check.  Every
+Hopfian-type flag is read through `flag`, True on finite carriers
+without looking at the acts it is handed, so only T4-T6, which compare
+indices, can fail while `flag` is the default.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import factorial
 from operator import ge, le
 
@@ -309,21 +311,23 @@ class CorpusSpec:
 class Corpus:
     monoids: list
     acts: list  # acts[i] lists the acts over monoids[i]
+    sampled: int = 0  # how many of the spec's sample draws found an act
 
 
 def build_corpus(spec: CorpusSpec) -> Corpus:
     monoids = [M for n in range(1, spec.max_monoid_size + 1) for M in enumerate_monoids(n)]
     acts = [[A for m in range(1, spec.max_act_size + 1) for A in enumerate_acts(M, m)]
             for M in monoids]
-    if spec.samples > 0:
-        rng = random.Random(spec.seed)
-        for i in range(spec.samples):
-            which = i % len(monoids)
-            acts[which].extend(random_acts(monoids[which], spec.max_act_size + 1, 1, rng))
-    return Corpus(monoids, acts)
+    sampled, rng = 0, random.Random(spec.seed)
+    for i in range(spec.samples):
+        which = i % len(monoids)
+        found = random_acts(monoids[which], spec.max_act_size + 1, 1, rng)
+        acts[which] += found
+        sampled += len(found)
+    return Corpus(monoids, acts, sampled)
 
 
-# -- shared evaluation context ------------------------------------------------
+# -- flags ---------------------------------------------------------------------
 
 FLAGS = H, CO, SH, SCH = (
     "is_hopfian", "is_co_hopfian", "is_strongly_hopfian", "is_strongly_co_hopfian")
@@ -340,28 +344,6 @@ def flag(name, acts) -> bool:
     return True
 
 
-class SuiteContext:
-    """One ActAnalysis per act, shared by every theorem.  `run_suite`
-    makes one per monoid (no theorem instance reaches past its monoid's
-    acts) and drops it before the next.  Its analyses share `memo`, the
-    run's or its own (`ActAnalysis.shared`)."""
-
-    def __init__(self):
-        self._analyses = {}
-        self.memo = {}
-
-    def analysis(self, A) -> ActAnalysis:
-        """A's analysis, one per table, filed under the table and, once A
-        is seen, under id(A) with A itself, so that the id stays A's."""
-        if id(A) not in self._analyses:
-            key = (A.monoid.table, A.action)
-            if key not in self._analyses:
-                self._analyses[key] = ActAnalysis(A)
-                self._analyses[key].memo = self.memo
-            self._analyses[id(A)] = A, self._analyses[key]
-        return self._analyses[id(A)][1]
-
-
 # -- witnesses ----------------------------------------------------------------
 
 def _payload(rows):
@@ -369,18 +351,19 @@ def _payload(rows):
 
 
 def _instance_fields(instance):
-    """The witness fields naming an instance: the monoid's table, plus
-    `act` for an Act, `act`/`act_b` for an (Act, Act) pair and
-    `act`/`subact` for an (Act, Subact) pair.  `rebuild_instance` reads
-    the same keys back."""
+    """The witness fields naming an analysed instance (`_analysed`): the
+    monoid's table, plus `act` for an act, `act`/`act_b` for a pair of
+    acts and `act`/`subact` for an act and a subact, each act read off
+    its analysis.  `rebuild_instance` reads the same keys back."""
     if isinstance(instance, Monoid):
         return {"monoid": _payload(instance.table)}
-    if isinstance(instance, Act):
-        return {"monoid": _payload(instance.monoid.table), "act": _payload(instance.action)}
-    A, B = instance
-    fields = _instance_fields(A)
-    if isinstance(B, Act):
-        fields["act_b"] = _payload(B.action)
+    if isinstance(instance, ActAnalysis):
+        A = instance.act
+        return {"monoid": _payload(A.monoid.table), "act": _payload(A.action)}
+    an, B = instance
+    fields = _instance_fields(an)
+    if isinstance(B, ActAnalysis):
+        fields["act_b"] = _payload(B.act.action)
     else:
         fields["subact"] = list(B.members)
     return fields
@@ -400,7 +383,9 @@ def rebuild_instance(witness: dict):
 
 
 # -- theorem checks ------------------------------------------------------------
-# Each check returns (nonvacuous, passed, witness_or_None, details_dict).
+# Each check takes its theorem's id and its instance with every act
+# analysed (`_analysed`), as `check_theorem(tid, instance)` does, and
+# returns (nonvacuous, passed, witness_or_None, details_dict).
 
 def _implication(tid, instance, hyp, concl, flags, details={}, **extra):
     """One instance of hyp => concl: vacuous without hyp, failed when
@@ -412,47 +397,45 @@ def _implication(tid, instance, hyp, concl, flags, details={}, **extra):
     return True, False, witness, details
 
 
-def _check_t1(ctx, A):
-    noe, h = ctx.analysis(A).report.noetherian, flag(H, [A])
-    return _implication("T1", A, noe, h, {"noetherian": noe, "hopfian": h})
+def _check_t1(tid, an):
+    noe, h = an.report.noetherian, flag(H, [an.act])
+    return _implication(tid, an, noe, h, {"noetherian": noe, "hopfian": h})
 
 
-def _check_t2(ctx, A):
-    art, co = ctx.analysis(A).report.artinian, flag(CO, [A])
-    return _implication("T2", A, art, co, {"artinian": art, "co_hopfian": co})
+def _check_t2(tid, an):
+    art, co = an.report.artinian, flag(CO, [an.act])
+    return _implication(tid, an, art, co, {"artinian": art, "co_hopfian": co})
 
 
-def _check_t3(ctx, A):
-    h, co = flag(H, [A]), flag(CO, [A])
-    sh, sch = flag(SH, [A]), flag(SCH, [A])
+def _check_t3(tid, an):
+    h, co, sh, sch = (flag(name, [an.act]) for name in FLAGS)
     flags = {"strongly_hopfian": sh, "hopfian": h, "strongly_co_hopfian": sch, "co_hopfian": co}
-    return _implication("T3", A, sh or sch, (h or not sh) and (co or not sch), flags)
+    return _implication(tid, an, sh or sch, (h or not sh) and (co or not sch), flags)
 
 
-def _criteria_check(tid, decide, literal, A, ctx):
+def _criteria_check(tid, decide, literal, an):
     """Criterion 3, computed literally, agrees with the settle pair of
     criteria 1 and 2 on flag and index: for f^n's image and kernel
     congruences, meet = diagonal iff |im f^2n| = |im f^n| and join =
     universal iff im f^2n = im f^n, first true where the rank settles.
     The witness lists the three criteria, 1 and 2 both the settle pair."""
-    an = ctx.analysis(A)
     (flag_12, index_12), (flag_3, index_3) = decide(an), an.shared(literal)
     details = {"criterion3_index_mismatches": int(index_3 != index_12),
                "max_stabilization_index": index_12 or 0}
     flags = {"criterion_bools": [flag_12, flag_12, flag_3],
              "criterion_indices": [index_12, index_12, index_3]}
-    return _implication(tid, A, True, (flag_12, index_12) == (flag_3, index_3), flags, details)
+    return _implication(tid, an, True, (flag_12, index_12) == (flag_3, index_3), flags, details)
 
 
-def _check_t4(ctx, A):
-    return _criteria_check("T4", deciders.is_strongly_hopfian, deciders.meet_index, A, ctx)
+def _check_t4(tid, an):
+    return _criteria_check(tid, deciders.is_strongly_hopfian, deciders.meet_index, an)
 
 
-def _check_t5(ctx, A):
-    return _criteria_check("T5", deciders.is_strongly_co_hopfian, deciders.join_index, A, ctx)
+def _check_t5(tid, an):
+    return _criteria_check(tid, deciders.is_strongly_co_hopfian, deciders.join_index, an)
 
 
-def _check_t6(ctx, M):
+def _check_t6(tid, M):
     """The monoid-level tests agree with the regular act R, flag by flag
     and element by element: lambda_s: x -> s*x is an endomorphism of R
     with ker lambda_s^n = r(s^n) and im lambda_s^n = s^n S, so s's
@@ -466,7 +449,7 @@ def _check_t6(ctx, M):
     act_level = [flag(SH, [R]), flag(SCH, [R])]
     flags = {"monoid_level": [True, True], "act_level": act_level}
     agree = all(r == w[0] == n for r, w, n in zip(mono.r_indices, mono.power_witnesses, indices))
-    return _implication("T6", M, True, act_level == [True, True] and agree, flags)
+    return _implication(tid, M, True, act_level == [True, True] and agree, flags)
 
 
 def _first_surjection(surjections, automorphisms):
@@ -477,28 +460,28 @@ def _first_surjection(surjections, automorphisms):
                for kernel, h in surjections for s in automorphisms)
 
 
-def _check_t7(ctx, pair):
+def _check_t7(tid, pair):
     """A proper retract A of B is B/ker e for an idempotent e of End(B)
     with fewer classes than points, so the pair is non-vacuous iff A's
     form is one of B's `retract_forms`.  A failure names the first
     retraction pi: B -> A in map order, the least s o h_kappa over s in
     Aut(A) and split kernels kappa, with gamma(pi(b)) = e(b) for the e
     that splits kappa."""
-    A, B = pair
-    proper = A.size < B.size and ctx.analysis(A).form[0] in ctx.analysis(B).retract_forms
+    an_a, an_b = pair
+    A, B = an_a.act, an_b.act
+    proper = A.size < B.size and an_a.form[0] in an_b.retract_forms
     flags = {"retract_proper": True, "B_strongly_hopfian": True, "A_strongly_hopfian": False}
     hyp, concl, maps = proper and flag(SH, [B]), flag(SH, [A]), {}
     if hyp and not concl:
-        an_a, an_b = ctx.analysis(A), ctx.analysis(B)
         (form, onto), split = an_a.form, an_b.split_kernels
         kernels = [(k, q.translate(onto)) for k, q in an_b.quotients[form] if k in split]
         pi, kappa = _first_surjection(kernels, an_a.automorphisms)
         gamma = dict(zip(pi, split[kappa]))
         maps = {"gamma": [gamma[a] for a in range(A.size)], "pi": list(pi)}
-    return _implication("T7", pair, hyp, concl, flags, **maps)
+    return _implication(tid, pair, hyp, concl, flags, **maps)
 
 
-def _check_t8(ctx, pair):
+def _check_t8(tid, pair):
     """The surjections A -> B with kernel rho are s o i o p_rho, s in
     Aut(B), for an isomorphism i: A/rho -> B, so each rho of A whose
     factor act has B's form adds |Aut(B)| surjections, decided by one:
@@ -506,8 +489,8 @@ def _check_t8(ctx, pair):
     permutes End(B).  h has a section iff rho is in A's `split_kernels`.
     A failure names the first induced surjection in map order and
     counts it alone."""
-    A, B = pair
-    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    an_a, an_b = pair
+    A, B = an_a.act, an_b.act
     concl = flag(SCH, [B])
     form, onto = an_b.form
     surjections = [(rho, q.translate(onto)) for rho, q in an_a.quotients.get(form, ())]
@@ -522,7 +505,7 @@ def _check_t8(ctx, pair):
     details = {"induced_surjections": per_kernel * len(induced),
                "with_section": per_kernel * sum(rho in an_a.split_kernels for rho, _ in induced)}
     flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
-    return _implication("T8", pair, induced, concl, flags, details, h=witness_h)
+    return _implication(tid, pair, induced, concl, flags, details, h=witness_h)
 
 
 def _subact_and_rees_factor(an, B):
@@ -531,11 +514,10 @@ def _subact_and_rees_factor(an, B):
     yield quotient_by_congruence(an.act, rees_congruence(an.act, B))[0]
 
 
-def _check_t9(ctx, inst):
+def _check_t9(tid, inst):
     """B is fully invariant iff the endomorphism orbit of each member
     stays in B."""
-    A, B = inst
-    an = ctx.analysis(A)
+    an, B = inst
     members = set(B.members)
     hyp = (
         all(an.orbits[b] <= members for b in B.members)
@@ -547,35 +529,28 @@ def _check_t9(ctx, inst):
         "quotient_strongly_hopfian": True,
         "A_strongly_hopfian": False,
     }
-    return _implication("T9", inst, hyp, flag(SH, [A]), flags)
+    return _implication(tid, inst, hyp, flag(SH, [an.act]), flags)
 
 
-def _check_t10(ctx, A):
-    pi = ctx.analysis(A).report.end_strongly_pi_regular
-    sh, sch = flag(SH, [A]), flag(SCH, [A])
+def _check_t10(tid, an):
+    pi = an.report.end_strongly_pi_regular
+    sh, sch = flag(SH, [an.act]), flag(SCH, [an.act])
     flags = {"end_strongly_pi_regular": pi, "strongly_hopfian": sh, "strongly_co_hopfian": sch}
-    return _implication("T10", A, pi, sh and sch, flags)
+    return _implication(tid, an, pi, sh and sch, flags)
 
 
-def _transfer_check(tid, ctx, A, quasi):
+def _transfer_check(quasi, tid, an):
     """T11 (quasi_injective, strongly Hopfian to strongly co-Hopfian) and
-    T12 (quasi_projective, the other way), under a commutative End(A)."""
-    rep = ctx.analysis(A).report
-    sh, sch = flag(SH, [A]), flag(SCH, [A])
+    T12 (quasi_projective, the other way), under a commutative End(A);
+    `quasi` is bound in REGISTRY."""
+    rep = an.report
+    sh, sch = flag(SH, [an.act]), flag(SCH, [an.act])
     given, shown = (sh, sch) if quasi == "quasi_injective" else (sch, sh)
     flags = {quasi: getattr(rep, quasi), "strongly_hopfian": sh, "strongly_co_hopfian": sch,
              "end_commutative": rep.end_commutative,
              "end_strongly_pi_regular": rep.end_strongly_pi_regular}
     hyp = getattr(rep, quasi) and given and rep.end_commutative
-    return _implication(tid, A, hyp, shown and rep.end_strongly_pi_regular, flags)
-
-
-def _check_t11(ctx, A):
-    return _transfer_check("T11", ctx, A, "quasi_injective")
-
-
-def _check_t12(ctx, A):
-    return _transfer_check("T12", ctx, A, "quasi_projective")
+    return _implication(tid, an, hyp, shown and rep.end_strongly_pi_regular, flags)
 
 
 def _factor_acts(an):
@@ -584,20 +559,18 @@ def _factor_acts(an):
     return (quotient_by_congruence(an.act, rho)[0] for rho in an.congruences)
 
 
-def _check_t13(ctx, A):
-    an = ctx.analysis(A)
+def _check_t13(tid, an):
     all_co = flag(CO, _factor_acts(an))
     all_strong = flag(SCH, _factor_acts(an))
     flags = {"all_factors_co_hopfian": all_co, "all_factors_strongly_co_hopfian": all_strong}
-    return _implication("T13", A, True, all_co == all_strong, flags)
+    return _implication(tid, an, True, all_co == all_strong, flags)
 
 
-def _check_t14(ctx, A):
-    an = ctx.analysis(A)
+def _check_t14(tid, an):
     all_plain = flag(H, _factor_acts(an)) and flag(CO, _factor_acts(an))
     all_fitting = flag(SH, _factor_acts(an)) and flag(SCH, _factor_acts(an))
     flags = {"all_factors_hopfian_co_hopfian": all_plain, "all_factors_fitting": all_fitting}
-    return _implication("T14", A, True, all_plain == all_fitting, flags)
+    return _implication(tid, an, True, all_plain == all_fitting, flags)
 
 
 REGISTRY = {
@@ -611,8 +584,10 @@ REGISTRY = {
     "T8": ("induced surjections preserve strongly-co-hopfian", "act_pair_down", _check_t8),
     "T9": ("fully invariant subact + quotient force strongly-hopfian", "act_subact", _check_t9),
     "T10": ("pi-regular endomorphism monoid forces both strong properties", "act", _check_t10),
-    "T11": ("quasi-injective commutative-End transfer", "act", _check_t11),
-    "T12": ("quasi-projective commutative-End transfer", "act", _check_t12),
+    "T11": ("quasi-injective commutative-End transfer", "act",
+            partial(_transfer_check, "quasi_injective")),
+    "T12": ("quasi-projective commutative-End transfer", "act",
+            partial(_transfer_check, "quasi_projective")),
     "T13": ("factor acts co-hopfian iff strongly co-hopfian", "act", _check_t13),
     "T14": ("factor acts hopfian and co-hopfian iff fitting", "act", _check_t14),
 }
@@ -645,20 +620,31 @@ class Verdict:
         return asdict(self)
 
 
-def _instances_for(kind, M, per, ctx):
-    """The instances of one theorem kind over monoid M and its acts `per`."""
+def _analysed(instance, memo):
+    """The instance with each act in it analysed, filing into `memo`."""
+    if isinstance(instance, tuple):
+        return tuple(_analysed(x, memo) for x in instance)
+    if isinstance(instance, Act):
+        an = ActAnalysis(instance)
+        an.memo = memo
+        return an
+    return instance
+
+
+def _instances_for(kind, M, analyses):
+    """The instances of one theorem kind over M, from its acts' `analyses`."""
     if kind == "act":
-        return per
+        return analyses
     if kind == "monoid":
         return [M]
     if kind == "act_subact":
-        return ((A, B) for A in per for B in ctx.analysis(A).subacts)
+        return ((an, B) for an in analyses for B in an.subacts)
     keep = {"act_pair_up": le, "act_pair_down": ge}[kind]
-    return ((A, B) for A in per for B in per if keep(A.size, B.size))
+    return ((a, b) for a in analyses for b in analyses if keep(a.act.size, b.act.size))
 
 
 def check_theorem(tid: str, instance) -> Verdict:
-    """Evaluate one theorem on one instance.
+    """Evaluate one theorem on one instance, analysed with a private memo.
 
     Instance shape depends on the theorem: a single Act, a Monoid (T6),
     an (Act, Act) pair (T7/T8), or an (Act, Subact) pair (T9).
@@ -667,7 +653,7 @@ def check_theorem(tid: str, instance) -> Verdict:
         raise UnknownTheorem(tid, ALL_THEOREMS)
     title, _, fn = REGISTRY[tid]
     verdict = Verdict(tid, title)
-    verdict.add(*fn(SuiteContext(), instance))
+    verdict.add(*fn(tid, _analysed(instance, {})))
     return verdict
 
 
@@ -679,12 +665,33 @@ class SuiteResult:
     reports: list
 
 
+def _check_monoid(mi, M, acts, verdicts, memo):
+    """Analyse each act over M, the mi-th monoid, once into `memo`, fold
+    M's instances into `verdicts` and return the acts' report rows.  The
+    analyses die on return, before the next monoid's are made."""
+    analyses = [_analysed(A, memo) for A in acts]
+    reports = [{
+        "monoid": f"M{mi}",
+        "act": f"M{mi}.A{ai}",
+        "monoid_size": M.size,
+        "act_size": an.act.size,
+        "monoid_table": _payload(M.table),
+        "action": _payload(an.act.action),
+        "properties": an.report.to_dict(),
+    } for ai, an in enumerate(analyses)]
+    for verdict in verdicts:
+        _, kind, fn = REGISTRY[verdict.theorem]
+        for instance in _instances_for(kind, M, analyses):
+            verdict.add(*fn(verdict.theorem, instance))
+    return reports
+
+
 def run_suite(spec: CorpusSpec) -> SuiteResult:
     """Check every requested theorem over the whole corpus, one monoid at
-    a time: a fresh SuiteContext per monoid reads its acts' reports and
-    instances, and each theorem's Verdict folds them in place.  One
-    memo of the quantities each transformation set fixes (the acts'
-    End(A) among them), made here, serves the whole run and dies with it.
+    a time (`_check_monoid`): each theorem's Verdict folds the monoid's
+    instances in place.  One memo of the quantities each transformation
+    set fixes (the acts' End(A) among them), made here, serves the whole
+    run and dies with it.
 
     Deterministic given the spec (including the sampling seed): corpus
     order is canonical and verdicts aggregate in iteration order.
@@ -694,22 +701,7 @@ def run_suite(spec: CorpusSpec) -> SuiteResult:
     verdicts = [Verdict(tid, REGISTRY[tid][0]) for tid in tids]
     reports, memo = [], {}
     for mi, (M, per) in enumerate(zip(corpus.monoids, corpus.acts)):
-        ctx = SuiteContext()
-        ctx.memo = memo
-        for ai, A in enumerate(per):
-            reports.append({
-                "monoid": f"M{mi}",
-                "act": f"M{mi}.A{ai}",
-                "monoid_size": M.size,
-                "act_size": A.size,
-                "monoid_table": _payload(M.table),
-                "action": _payload(A.action),
-                "properties": ctx.analysis(A).report.to_dict(),
-            })
-        for verdict in verdicts:
-            _, kind, fn = REGISTRY[verdict.theorem]
-            for instance in _instances_for(kind, M, per, ctx):
-                verdict.add(*fn(ctx, instance))
+        reports += _check_monoid(mi, M, per, verdicts, memo)
     return SuiteResult(spec, corpus, verdicts, reports)
 
 
@@ -717,7 +709,7 @@ def recheck_verdict(verdict: Verdict) -> bool:
     """Re-evaluate a failing verdict from its witness alone.
 
     Returns True iff the violation reproduces under an independent
-    evaluation (fresh context, no shared caches).
+    evaluation (fresh analyses, with a private memo).
     """
     if verdict.witness is None:
         return False

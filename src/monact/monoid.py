@@ -5,8 +5,10 @@ relabels so the identity sits at index 0 (identity first, remaining
 elements keep their relative order).  Associativity is checked by
 Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
 vol. 1, section 1.2) against a greedy generating set G, which costs
-O(n^2 * |G|) rather than the O(n^3) of checking every triple; G is
-usually tiny (3 for Z/256, 5 for the 3125-element End of a 5-point set).
+O(n^2 * |G|) rather than the O(n^3) of checking every triple.  G is
+usually tiny: 3-6 for a relabelled Z/128 or Z/256 table read from a
+file, and at most 3 for a monoid of up to 4 elements that
+`harness.rebuild_instance` reads back from a witness.
 `act.validate_act` checks the act axiom against the same generating
 set.  The family constructors (`direct_product`, `zmod_mult_monoid`,
 `prime_power_product`) build tables that are associative by
@@ -86,8 +88,8 @@ def _greedy_generators(table, identity):
     Every element is a product of the identity and the picks, whether or
     not the table is associative.  Rows that take many values (a unit's
     row is a permutation) reach the most, so trying them first keeps the
-    set small: 5 generators for the 3125-element End of a 5-point set
-    with trivial action, against 155 in plain index order.
+    set small: 3.3 on average (3-6) for Z/128 and Z/256 tables parsed
+    under 50 seeded relabellings, against 4.9 (3-9) in plain index order.
     """
     reached = [False] * len(table)
     reached[identity] = True

@@ -556,14 +556,16 @@ def retraction_oracle(an_b, A):
     return None
 
 
-def t7_pair_oracle(ctx, pair):
+def t7_pair_oracle(pair):
     """The T7 check from the hom list B -> A: the pair is non-vacuous iff
     A has fewer points and `retraction_oracle` finds a retraction, whose
-    maps name a failure.  The analyses come from the SuiteContext `ctx`
-    and the flags from `harness.flag`.  Returns what the suite's check
-    does: (nonvacuous, passed, witness, details)."""
-    A, B = pair
-    found = retraction_oracle(ctx.analysis(B), A) if A.size < B.size else None
+    maps name a failure.  `pair` is the suite's instance, the analyses
+    (an_a, an_b) of A and B, and the flags come from `harness.flag`.
+    Returns what the suite's check does: (nonvacuous, passed, witness,
+    details)."""
+    an_a, an_b = pair
+    A, B = an_a.act, an_b.act
+    found = retraction_oracle(an_b, A) if A.size < B.size else None
     hyp = found is not None and harness.flag(SH, [B])
     if not hyp or harness.flag(SH, [A]):
         return hyp, True, None, {}
@@ -579,16 +581,16 @@ def t7_pair_oracle(ctx, pair):
     return True, False, witness, {}
 
 
-def t8_pair_oracle(ctx, pair):
+def t8_pair_oracle(pair):
     """The T8 check from the hom list A -> B, in map order: each
     surjection h is counted, whether it induces all of End(B) is decided
     once per kernel by `induces_all_endomorphisms`, and it has a section
     iff its kernel is in A's split kernels; a failure stops at the first
-    induced h.  The analyses come from the SuiteContext `ctx` and the
-    flags from `harness.flag`.  Returns what the suite's check does:
-    (nonvacuous, passed, witness, details)."""
-    A, B = pair
-    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    induced h.  `pair` is the suite's instance, the analyses (an_a,
+    an_b) of A and B, and the flags come from `harness.flag`.  Returns
+    what the suite's check does: (nonvacuous, passed, witness, details)."""
+    an_a, an_b = pair
+    A, B = an_a.act, an_b.act
     concl = harness.flag(SCH, [B])
     induces = {}
     induced = sections = 0
@@ -615,15 +617,16 @@ def t8_pair_oracle(ctx, pair):
     return induced > 0, True, None, {"induced_surjections": induced, "with_section": sections}
 
 
-def t8_oracle(ctx, pair):
+def t8_oracle(pair):
     """The T8 check surjection by surjection, in map order: for each
     surjection h, the whole-map set {h o g : g in End(A)}, End(B) tested
     against it, and a search of the homs B -> A for a section; a failure
-    stops at the first induced h.  The homs come from the SuiteContext
-    `ctx` and the flags from `harness.flag`.  Returns what the suite's
-    check does: (nonvacuous, passed, witness, details)."""
-    A, B = pair
-    an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    stops at the first induced h.  The homs come from the analyses
+    (an_a, an_b) in `pair`, the suite's instance, and the flags from
+    `harness.flag`.  Returns what the suite's check does: (nonvacuous,
+    passed, witness, details)."""
+    an_a, an_b = pair
+    A, B = an_a.act, an_b.act
     induced = sections = 0
     for hm in hom_maps(an_a, B):
         if len(set(hm)) != B.size:

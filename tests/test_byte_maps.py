@@ -18,14 +18,14 @@ from collections import Counter
 import pytest
 
 from monact import deciders, harness
-from monact.act import quotient_by_congruence, regular_act, subact_as_act
+from monact.act import least_relabelling, quotient_by_congruence, regular_act, subact_as_act
 from monact.congruence import rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.cli import suite_json
 from monact.endo import homomorphisms, induces_all_endomorphisms
 from monact.errors import SizeTooLarge
 from monact.harness import (
-    CO, H, SCH, SH, CorpusSpec, SuiteContext, build_corpus, enumerate_monoids, random_acts,
+    CO, H, SCH, SH, CorpusSpec, build_corpus, enumerate_monoids, random_acts,
 )
 from monact.monoid import zmod_mult_monoid
 from monact.relation import least_labels
@@ -65,10 +65,12 @@ def _five_point_acts():
     return [A for n in (2, 3) for M in enumerate_monoids(n) for A in random_acts(M, 5, 1, rng)]
 
 
-def _pairs(kind, spec):
-    ctx, corpus = SuiteContext(), build_corpus(spec)
-    return ctx, [p for M, per in zip(corpus.monoids, corpus.acts)
-                 for p in harness._instances_for(kind, M, per, ctx)]
+def _pairs(kind, spec, memo=None):
+    """The `kind` pairs of spec's corpus as the suite hands them over:
+    one analysis per act, all filing into one memo."""
+    corpus, memo = build_corpus(spec), {} if memo is None else memo
+    return [p for M, per in zip(corpus.monoids, corpus.acts)
+            for p in harness._instances_for(kind, M, [harness._analysed(A, memo) for A in per])]
 
 
 def test_maps_are_the_endomorphisms_as_bytes():
@@ -143,10 +145,9 @@ def test_lift_sets_match_compose_oracle():
 
 
 def test_t8_liftable_sets_match_compose_oracle():
-    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
     outcomes = set()
-    for A, B in pairs:
-        an_a, an_b = ctx.analysis(A), ctx.analysis(B)
+    for an_a, an_b in _pairs("act_pair_down", CorpusSpec()):
+        A, B = an_a.act, an_b.act
         for h in hom_maps(an_a, B):
             if len(set(h)) == B.size:
                 got = induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]
@@ -156,29 +157,35 @@ def test_t8_liftable_sets_match_compose_oracle():
 
 
 def _split_pairs(kind):
-    """A context and the `kind` pairs of 3/4 and 2/5, each pair once,
-    then each seeded 5-point act paired with every 3/4 act over its
-    monoid, the larger act second for act_pair_up and first for
-    act_pair_down."""
-    ctx, pairs = SuiteContext(), {}
+    """The `kind` pairs of 3/4 and 2/5, each pair once, then each seeded
+    5-point act paired with every 3/4 act over its monoid, the larger
+    act second for act_pair_up and first for act_pair_down; each
+    distinct act analysed once, all analyses filing into one memo."""
+    memo, analyses, pairs = {}, {}, {}
+
+    def once(an):
+        return analyses.setdefault(_key(an.act), an)
+
     for spec in (CorpusSpec(), CorpusSpec(max_monoid_size=2, max_act_size=5)):
-        for A, B in _pairs(kind, spec)[1]:
-            pairs[_key(A), _key(B)] = A, B
+        for an_a, an_b in _pairs(kind, spec, memo):
+            pairs[_key(an_a.act), _key(an_b.act)] = once(an_a), once(an_b)
     acts = _acts(CorpusSpec())
     for F in _five_point_acts():
-        for A in (A for A in acts if A.monoid == F.monoid):
-            pairs[_key(A), _key(F)] = (A, F) if kind == "act_pair_up" else (F, A)
-    return ctx, list(pairs.values())
+        an_f = once(harness._analysed(F, memo))
+        for an in (analyses[_key(A)] for A in acts if A.monoid == F.monoid):
+            pairs[_key(an.act), _key(F)] = (an, an_f) if kind == "act_pair_up" else (an_f, an)
+    return list(pairs.values())
 
 
 def test_retracts_match_compose_oracle():
     # A is a retract of B iff some surjection pi: B -> A has a kernel
     # split by an idempotent e of End(B), and then gamma(pi(b)) = e(b);
     # the oracle searches the homs both ways for pi o gamma = id
-    ctx, pairs = _split_pairs("act_pair_up")
+    pairs = _split_pairs("act_pair_up")
     found = 0
-    for A, B in pairs:
-        got = retraction_oracle(ctx.analysis(B), A)
+    for an_a, an_b in pairs:
+        A, B = an_a.act, an_b.act
+        got = retraction_oracle(an_b, A)
         want = retract_oracle(homomorphisms(A, B), homomorphisms(B, A))
         assert (got is None) == (want is None), (A, B)
         if got is not None:
@@ -193,14 +200,14 @@ def test_retracts_match_compose_oracle():
 def test_sections_match_compose_oracle():
     # a surjection h: A -> B has a section s iff an idempotent of End(A)
     # has h's kernel; the oracle searches the homs B -> A for h o s = id
-    ctx, pairs = _split_pairs("act_pair_down")
     outcomes = Counter()
-    for A, B in pairs:
-        split, back = ctx.analysis(A).split_kernels, homomorphisms(B, A)
-        for h in hom_maps(ctx.analysis(A), B):
+    for an_a, an_b in _split_pairs("act_pair_down"):
+        B = an_b.act
+        split, back = an_a.split_kernels, homomorphisms(B, an_a.act)
+        for h in hom_maps(an_a, B):
             if len(set(h)) == B.size:
                 got = least_labels(h) in split
-                assert got == section_oracle(h, back), (A, B, h)
+                assert got == section_oracle(h, back), (an_a.act, B, h)
                 outcomes[got] += 1
     # 3/4 alone: 1830 of 1987 surjections split; 2/5 alone: 2492 of 2592
     assert outcomes == {True: 4103, False: 328}
@@ -219,11 +226,11 @@ def test_planted_split_kernels_of_every_endomorphism_is_caught(monkeypatch):
     assert (digest, by_id["T7"].nonvacuous, by_id["T8"].details["with_section"]) == (
         "e38af2394481", 357, 1841)
     # the section oracle sees it on a 3/4 pair
-    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
     assert any(
-        (least_labels(h) in ctx.analysis(A).split_kernels)
-        != section_oracle(h, homomorphisms(B, A))
-        for A, B in pairs for h in hom_maps(ctx.analysis(A), B) if len(set(h)) == B.size)
+        (least_labels(h) in an_a.split_kernels)
+        != section_oracle(h, homomorphisms(an_b.act, an_a.act))
+        for an_a, an_b in _pairs("act_pair_down", CorpusSpec())
+        for h in hom_maps(an_a, an_b.act) if len(set(h)) == an_b.act.size)
 
 
 def test_analysis_refuses_carriers_past_the_byte_maps():
@@ -234,29 +241,30 @@ def test_analysis_refuses_carriers_past_the_byte_maps():
 
 
 def test_suite_keeps_one_act_per_factor_table(monkeypatch):
-    """Each monoid's context holds one analysis per factor table, and
-    that analysis reads an act equal to every factor with the table."""
+    """The suite analyses each corpus act once, and its run memo keeps
+    one canonical form per flat factor table, however many acts, of
+    however many monoids, have a factor act with that table."""
     made = []
 
-    class Recording(SuiteContext):
-        def __init__(self):
-            super().__init__()
+    class Recording(ActAnalysis):
+        def __init__(self, act):
+            super().__init__(act)
             made.append(self)
 
-    monkeypatch.setattr(harness, "SuiteContext", Recording)
+    monkeypatch.setattr(harness, "ActAnalysis", Recording)
     result = harness.run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
-    # one context per monoid, made in corpus order
-    assert len(made) == len(result.corpus.monoids)
-    factors = []
-    for ctx, per in zip(made, result.corpus.acts):
-        for A in per:
-            an = ctx.analysis(A)
-            factors.extend((ctx, quotient_by_congruence(A, rho)[0]) for rho in an.congruences)
-    tables = {(Q.monoid.table, Q.action) for _, Q in factors}
-    assert len(factors) == 957
-    assert len({id(ctx.analysis(Q)) for ctx, Q in factors}) == len(tables) == 156
-    assert all(ctx.analysis(Q).act == Q for ctx, Q in factors)
+    acts = [A for per in result.corpus.acts for A in per]
+    assert len(made) == len(acts) and all(an.act is A for an, A in zip(made, acts))
+    memo = made[0].memo
+    assert all(an.memo is memo for an in made)
+    factors = [quotient_by_congruence(an.act, rho)[0] for an in made for rho in an.congruences]
+    tables = {(Q.monoid.table, Q.action) for Q in factors}
+    # a form relabels points only, so it is keyed by the flat table alone:
+    # the 156 factor tables over their monoids are 96 flat tables
+    flat = {(least_relabelling, Q.size, b"".join(map(bytes, Q.action))) for Q in factors}
+    assert (len(factors), len(tables), len(flat)) == (957, 156, 96)
+    assert {key for key in memo if key[0] is least_relabelling} == flat
 
 
 def test_flag_reads_hand_over_subacts_and_factor_acts(monkeypatch):
@@ -300,5 +308,5 @@ def test_planted_shifted_projection_is_caught(monkeypatch):
     acts = _acts(CorpusSpec())
     assert any(is_quasi_projective(A) != quasi_projective_oracle(A) for A in acts)
     # T8 composes with the surjections themselves, never with p_rho
-    ctx, pairs = _pairs("act_pair_down", CorpusSpec())
-    assert all(harness._check_t8(ctx, p) == t8_oracle(ctx, p) for p in pairs)
+    pairs = _pairs("act_pair_down", CorpusSpec())
+    assert all(harness._check_t8("T8", p) == t8_oracle(p) for p in pairs)

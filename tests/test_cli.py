@@ -305,6 +305,23 @@ def test_suite_refuses_a_theorem_named_twice(capsys):
     assert "T1 more than once" in captured.err
 
 
+@pytest.mark.parametrize("argv, note, digest", [
+    (["--seed", "7", "--samples", "12"],
+     "note: --samples 12 found 8 acts; the other draws found none in 500 tries each\n",
+     "6a0c1defb0fc"),
+    (["--max-monoid", "2", "--max-act", "3", "--seed", "7", "--samples", "3"], "",
+     "9313b0d8fae5"),
+], ids=["short", "full"])
+def test_suite_notes_samples_it_did_not_find(argv, note, digest, capsys):
+    # a draw gives up after SAMPLE_ATTEMPTS rejected tables, so --samples
+    # N may find fewer than N acts: one stderr line says so, and stdout
+    # keeps the pinned document bytes
+    assert main(["suite", "--json", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == note
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:12] == digest
+
+
 def test_suite_refuses_samples_without_a_seed(capsys):
     argv = ["suite", "--json", "--samples", "3", "--max-monoid", "2", "--max-act", "2"]
     assert main(argv) == 2
@@ -314,7 +331,7 @@ def test_suite_refuses_samples_without_a_seed(capsys):
     assert main([*argv, "--seed", "0"]) == 0
 
 
-@pytest.mark.parametrize("ids", [",", " , ,"])
+@pytest.mark.parametrize("ids", ["", ",", " , ,"])
 def test_suite_refuses_an_empty_theorem_list(ids, capsys):
     assert main(["suite", "--max-monoid", "1", "--max-act", "1", "--theorems", ids]) == 2
     captured = capsys.readouterr()

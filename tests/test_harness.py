@@ -350,12 +350,24 @@ def test_random_acts_are_lawful():
 # sha256 of `monact suite --max-monoid 2 --max-act 3 --seed 7 --samples 3
 # --json`: pins which random draws sampling keeps and the acts they give
 SAMPLED_SUITE_JSON_SHA256 = "9313b0d8fae53822273903e5080dd921889d4991ef76281a3726922e07896cd0"
+# 12 samples at the default sizes find 8 acts, two of them 5-point acts
+# over the trivial monoid with one table: two analyses of one table
+TWELVE_SAMPLE_SUITE_JSON_SHA256 = (
+    "6a0c1defb0fc98602a23e6d19809f8bca2a02f8e003bfcc51b16f63c16f98674")
 
 
 def test_sampled_suite_json_digest():
     spec = CorpusSpec(max_monoid_size=2, max_act_size=3, seed=7, samples=3)
     digest = hashlib.sha256(suite_json(run_suite(spec)).encode("utf-8")).hexdigest()
     assert digest == SAMPLED_SUITE_JSON_SHA256
+
+
+def test_twelve_sample_suite_json_digest():
+    result = run_suite(CorpusSpec(seed=7, samples=12))
+    trivial = [A.action for A in result.corpus.acts[0] if A.size == 5]
+    assert len(trivial) == 2 and trivial[0] == trivial[1]
+    digest = hashlib.sha256(suite_json(result).encode("utf-8")).hexdigest()
+    assert digest == TWELVE_SAMPLE_SUITE_JSON_SHA256
 
 
 def test_check_theorem_single_instances(a2, reg_z4):
@@ -371,13 +383,13 @@ def _t9_against_oracle(spec):
     """(mismatches, non-vacuous count): T9 is non-vacuous on (A, B)
     exactly when B is fully invariant, since its flags are True, and
     `oracles.is_fully_invariant` tests that one endomorphism at a time."""
-    corpus, mismatches, nonvacuous = build_corpus(spec), [], 0
+    corpus, mismatches, nonvacuous, memo = build_corpus(spec), [], 0, {}
     for M, per in zip(corpus.monoids, corpus.acts):
-        ctx = harness.SuiteContext()
-        for A, B in harness._instances_for("act_subact", M, per, ctx):
-            got = harness._check_t9(ctx, (A, B))[0]
-            if got != is_fully_invariant(B, ctx.analysis(A).endos):
-                mismatches.append((A, B))
+        analyses = [harness._analysed(A, memo) for A in per]
+        for an, B in harness._instances_for("act_subact", M, analyses):
+            got = harness._check_t9("T9", (an, B))[0]
+            if got != is_fully_invariant(B, an.endos):
+                mismatches.append((an.act, B))
             nonvacuous += got
     return mismatches, nonvacuous
 
@@ -558,7 +570,7 @@ def test_rebuild_instance_round_trip_every_shape(forced_flags, tid, overrides, f
     (v,) = run_suite(spec).verdicts
     assert not v.passed
     rebuilt = rebuild_instance(v.witness)
-    written = harness._instance_fields(rebuilt)
+    written = harness._instance_fields(harness._analysed(rebuilt, {}))
     assert set(written) == fields
     assert {k: v.witness[k] for k in fields} == written
     assert recheck_verdict(v)
@@ -573,12 +585,12 @@ def test_t7_witnesses_are_retractions(forced_flags, overrides, failures):
     # its witness pi is the first retraction B -> A in map order and
     # gamma is read off the idempotent that splits pi's kernel
     forced_flags(overrides)
-    corpus, failed = build_corpus(CorpusSpec()), []
+    corpus, failed, memo = build_corpus(CorpusSpec()), [], {}
     for M, per in zip(corpus.monoids, corpus.acts):
-        ctx = harness.SuiteContext()
-        for pair in harness._instances_for("act_pair_up", M, per, ctx):
+        analyses = [harness._analysed(A, memo) for A in per]
+        for pair in harness._instances_for("act_pair_up", M, analyses):
             v = harness.Verdict("T7", harness.REGISTRY["T7"][0])
-            v.add(*harness._check_t7(ctx, pair))
+            v.add(*harness._check_t7("T7", pair))
             failed += [v] if not v.passed else []
     for v in failed:
         A, B = rebuild_instance(v.witness)

@@ -12,7 +12,7 @@ import pytest
 from monact import deciders, harness
 from monact.act import quotient_by_congruence
 from monact.deciders import ActAnalysis, is_quasi_projective
-from monact.harness import CorpusSpec, SuiteContext, build_corpus
+from monact.harness import CorpusSpec, build_corpus
 from oracles import brute_force_homs, quasi_projective_oracle, t8_oracle
 
 SMALL = CorpusSpec(max_monoid_size=2, max_act_size=3)
@@ -24,12 +24,13 @@ def _acts(spec):
 
 
 def _t8_results(spec):
-    """(check, oracle) results on every act_pair_down pair of the corpus."""
-    corpus, results = build_corpus(spec), []
+    """(check, oracle) results on every act_pair_down pair of the corpus,
+    analysed as the suite analyses it."""
+    corpus, results, memo = build_corpus(spec), [], {}
     for M, per in zip(corpus.monoids, corpus.acts):
-        ctx = SuiteContext()
-        pairs = harness._instances_for("act_pair_down", M, per, ctx)
-        results += [(harness._check_t8(ctx, p), t8_oracle(ctx, p)) for p in pairs]
+        analyses = [harness._analysed(A, memo) for A in per]
+        pairs = harness._instances_for("act_pair_down", M, analyses)
+        results += [(harness._check_t8("T8", p), t8_oracle(p)) for p in pairs]
     return results
 
 

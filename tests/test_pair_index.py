@@ -17,7 +17,7 @@ from monact.act import Act, least_relabelling
 from monact.cli import suite_json
 from monact.deciders import ActAnalysis
 from monact.harness import (
-    SCH, SH, CorpusSpec, SuiteContext, build_corpus, check_theorem, random_acts, run_suite,
+    SCH, SH, CorpusSpec, build_corpus, check_theorem, random_acts, run_suite,
 )
 from oracles import act_canonical_form, t7_pair_oracle, t8_pair_oracle
 
@@ -27,13 +27,14 @@ FLAG_READ = {"T7": SH, "T8": SCH}
 
 
 def _results(tid, spec):
-    """(check, oracle) results on every pair `tid` reads in the corpus."""
+    """(check, oracle) results on every pair `tid` reads in the corpus,
+    analysed as the suite analyses it."""
     _, kind, check = harness.REGISTRY[tid]
-    corpus, results = build_corpus(spec), []
+    corpus, results, memo = build_corpus(spec), [], {}
     for M, per in zip(corpus.monoids, corpus.acts):
-        ctx = SuiteContext()
-        pairs = harness._instances_for(kind, M, per, ctx)
-        results += [(check(ctx, p), ORACLES[tid](ctx, p)) for p in pairs]
+        analyses = [harness._analysed(A, memo) for A in per]
+        pairs = harness._instances_for(kind, M, analyses)
+        results += [(check(tid, p), ORACLES[tid](p)) for p in pairs]
     return results
 
 
@@ -83,7 +84,7 @@ def test_check_theorem_matches_pair_oracle_on_acts_that_are_not_canonical(
         forced_flags, forced, nonvacuous):
     # corpus acts of up to 3 points, a relabelled copy of each and
     # sampled 4-point tables over each monoid of size 2 and 3, each pair
-    # checked on a fresh context; a copy and its corpus act are an
+    # checked on fresh analyses; a copy and its corpus act are an
     # isomorphic pair of distinct tables
     forced_flags(forced)
     corpus, rng = build_corpus(CorpusSpec(max_act_size=3)), random.Random(5)
@@ -95,7 +96,7 @@ def test_check_theorem_matches_pair_oracle_on_acts_that_are_not_canonical(
             for pair in ((A, B) for A in acts for B in acts if keep(A.size, B.size)):
                 v = check_theorem(tid, pair)
                 got = (v.nonvacuous == 1, v.passed, v.witness, v.details)
-                want = ORACLES[tid](SuiteContext(), pair)
+                want = ORACLES[tid](harness._analysed(pair, {}))
                 assert got == (bool(want[0]), *want[1:]), (tid, pair)
                 counts["checked"] += 1
                 counts["nonvacuous"] += v.nonvacuous
@@ -133,6 +134,22 @@ def test_planted_dropped_retract_form_is_caught(monkeypatch):
     monkeypatch.setattr(ActAnalysis, "retract_forms", property(dropped))
     assert len(_mismatches("T7", SPECS[0])) == 352 - 294 == 58
     assert _digest(CorpusSpec()) == "b004e622a04c"
+
+
+def test_planted_swapped_pair_down_is_caught(monkeypatch):
+    # act_pair_down hands each pair over as (B, A), |A| <= |B|: T8 then
+    # looks for surjections onto the larger act, found only between
+    # isomorphic acts of one size; the count test_index_matches_pair_oracle
+    # pins and the default digest see it
+    real = harness._instances_for
+
+    def swapped(kind, M, analyses):
+        instances = real(kind, M, analyses)
+        return ((b, a) for a, b in instances) if kind == "act_pair_down" else instances
+
+    monkeypatch.setattr(harness, "_instances_for", swapped)
+    assert sum(got[0] for got, _ in _results("T8", SPECS[0])) == 142 != 549
+    assert _digest(CorpusSpec()) == "b65662a7a529"
 
 
 def test_planted_end_count_for_aut_count_is_caught(monkeypatch):
