@@ -9,6 +9,10 @@ canonical orders, so identical inputs give byte-identical documents.
 Every document is written by one emitter, `_dumps`, whose bytes equal
 those of `json.dumps` with `sort_keys=True` and a two-space indent; it
 skips the pure-Python encoder that json falls back to when indenting.
+Within one document it writes a tuple object met again at the same
+nesting from the text it wrote the first time: the chain reports of a
+`classify` document share one tuple of classes per distinct kernel and
+per distinct image.
 """
 
 from __future__ import annotations
@@ -49,16 +53,25 @@ _INT = {int}
 def _dumps(x) -> str:
     """x as `json.dumps` writes it with sorted keys and a two-space indent."""
     out = []
-    _emit(x, "", out)
+    _emit(x, "", out, {})
     return "".join(out)
 
 
-def _emit(x, pad, out):
+def _emit(x, pad, out, memo):
     """Append the text of x, nested at `pad`, to the list `out`: strings
     and keys through json's own C quoting (a key that is not a str raises
     TypeError there), a list or tuple of plain ints in one join, any other
     scalar by `json.dumps`.  Small chunks, one join at the end: no
-    container's text is copied into its parent's."""
+    container's text is copied into its parent's, except a tuple's.
+
+    A tuple's chunks are joined into one string, kept in `memo` (one per
+    `_dumps` call) under (id(x), pad), and a tuple object met again at
+    the same nesting is written from there: chain reports share their
+    congruences' classes.  The pad is in the key because a container's
+    line breaks carry its nesting's indent.  The document keeps every
+    object alive for the call, so an id names one object throughout.
+    The key is not the value, as equal values can write differently:
+    (1,) == (True,), yet they write as [1] and [true]."""
     t = type(x)
     if t is int:
         out.append(int.__repr__(x))
@@ -70,8 +83,10 @@ def _emit(x, pad, out):
         out.append("true")
     elif x is False:
         out.append("false")
+    elif t is tuple and (id(x), pad) in memo:
+        out.append(memo[id(x), pad])
     elif isinstance(x, (list, tuple)):
-        inner = pad + "  "
+        inner, start = pad + "  ", len(out)
         if not x:
             out.append("[]")
         elif {*map(type, x)} == _INT:
@@ -80,9 +95,12 @@ def _emit(x, pad, out):
             sep = ",\n" + inner
             out.append("[\n" + inner)
             for v in x:
-                _emit(v, inner, out)
+                _emit(v, inner, out, memo)
                 out.append(sep)
             out[-1] = "\n" + pad + "]"
+        if t is tuple:
+            text = memo[id(x), pad] = "".join(out[start:])
+            out[start:] = [text]
     elif isinstance(x, dict):
         inner = pad + "  "
         if not x:
@@ -92,7 +110,7 @@ def _emit(x, pad, out):
             out.append("{\n" + inner)
             for k in sorted(x):
                 out.append(_quote(k) + ": ")
-                _emit(x[k], inner, out)
+                _emit(x[k], inner, out, memo)
                 out.append(sep)
             out[-1] = "\n" + pad + "}"
     else:

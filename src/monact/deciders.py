@@ -31,7 +31,7 @@ products of residue monoids (Z/m, *) off gcds, with no table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cache, cached_property, wraps
 from itertools import islice, repeat
 from math import gcd
@@ -45,8 +45,6 @@ from .congruence import (
     _meet_labels,
     _merge,
     enumerate_congruences,
-    image_congruence,
-    kernel_congruence,
 )
 from .endo import homomorphisms, identity_first
 from .errors import SizeTooLarge
@@ -450,7 +448,9 @@ class PropertyReport:
     congruence_max_chain: int
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name: every field is a scalar, so a shallow
+        copy equals `dataclasses.asdict`."""
+        return dict(vars(self))
 
 
 def classify_act(A: Act | ActAnalysis) -> PropertyReport:
@@ -496,13 +496,20 @@ def chain_reports(A: Act | ActAnalysis):
     """ChainReport per endomorphism, in canonical End(A) order: its settle
     index n as both k_index and i_index, and the kernel and image
     congruences of the one power f^n (the fibers of its map, and its
-    image as one class)."""
+    image as one class).  Reports of one call with equal kernel labels
+    share one Congruence, and so do reports with equal images, so each
+    distinct partition is built, and its `classes` derived, once."""
     an = analyse(A)
+    act = an.act
     index = dict(zip(an.endos, an.profiles))
-    reports = []
+    kernels, images, reports = {}, {}, []
     for e, m in enumerate(identity_first(an.endos)):
         n = index[m]
         f_n = _map_power(m, n)
-        kernel, image = kernel_congruence(an.act, f_n), image_congruence(an.act, f_n)
-        reports.append(ChainReport(e, tuple(m), n, n, kernel, image))
+        labels, members = least_labels(f_n), frozenset(f_n)
+        if labels not in kernels:
+            kernels[labels] = Congruence(act, labels)
+        if members not in images:
+            images[members] = Congruence(act, _collapse_labels(act.size, members))
+        reports.append(ChainReport(e, tuple(m), n, n, kernels[labels], images[members]))
     return reports

@@ -203,6 +203,21 @@ def test_classify_json_bytes_are_pinned(tmp_path, capsys, act, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == digest
 
 
+# the two `classify --json` documents the CI workflow also pins, so that
+# an emitter regression shows in a local run too
+def test_classify_json_of_the_five_point_trivial_act_is_pinned(tmp_path, capsys):
+    # 3125 chain reports, which share 52 kernels and 31 images
+    path = tmp_path / "trivial5.txt"
+    path.write_text("monoid M 1\n0\n\nact A over M 5\n0\n1\n2\n3\n4\n")
+    assert main(["classify", str(path), "--act", "A", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == "71b4bc37a10a"
+
+
+def test_classify_json_of_regular_z8_is_pinned(capsys):
+    assert main(["classify", "--regular", "Z8", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12] == "8dbbada0de7b"
+
+
 def test_classify_json_with_odd_act_name(tmp_path, capsys):
     # a quote, a backslash and a non-ASCII letter in the name: the digest
     # pins above use plain names only

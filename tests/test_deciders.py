@@ -1,4 +1,5 @@
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -210,6 +211,16 @@ def test_chain_reports_structure(reg_z4, z4):
     for rep in reports:
         assert rep.kernel.act == reg_z4
         assert rep.kernel.classes == fibers(map_powers(rep.mapping, rep.k_index)[-1])
+
+
+def test_report_dicts_equal_asdict_on_default_corpus():
+    # to_dict is a shallow copy, right only while every field is a
+    # scalar; repr tells True from 1 and sees the key order
+    acts = [A for per in build_corpus(CorpusSpec()).acts for A in per]
+    assert len(acts) == 142
+    for A in acts:
+        rep = classify_act(A)
+        assert repr(rep.to_dict()) == repr(asdict(rep)), A
 
 
 def test_classify_invariants(a2, reg_z4):

@@ -2,8 +2,8 @@
 
 `cli._dumps` writes every `classify --json` and `suite --json` document;
 its bytes must equal `oracles.json_doc_oracle` on the same objects
-(tuples, bools in int lists and odd strings included), not merely parse
-back to the same values.
+(tuples, bools in int lists and odd strings included, and one object
+written at several places), not merely parse back to the same values.
 """
 
 import pytest
@@ -108,6 +108,44 @@ json_values = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(json_values)
 def test_emitter_matches_json_on_generated_values(value):
+    assert cli._dumps(value) == json_doc_oracle(value)
+
+
+@st.composite
+def shared_values(draw):
+    """A document that holds each of a few drawn values, tuples among
+    them, at several places and nestings: the same objects, not copies."""
+    parts = draw(st.lists(st.one_of(json_values, st.lists(json_values, max_size=3).map(tuple)),
+                          min_size=1, max_size=4))
+    return draw(st.recursive(
+        st.sampled_from(parts),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(strings, inner, max_size=4),
+        ),
+        max_leaves=12,
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_values())
+def test_emitter_matches_json_on_shared_values(value):
+    assert cli._dumps(value) == json_doc_oracle(value)
+
+
+PAIR = (1, (2, 3))
+HOLDS_A_LIST = ([1, {"k": None}], "s")
+
+
+@pytest.mark.parametrize("value", [
+    {"a": PAIR, "b": [PAIR, {"c": PAIR}]},  # one tuple at three nestings
+    [PAIR, PAIR, PAIR],  # one tuple three times at one nesting
+    ((PAIR[1], PAIR), PAIR[1]),  # a shared tuple inside another
+    [tuple([1]), tuple([True]), tuple([1]), tuple([True])],  # equal, not alike
+    {"x": HOLDS_A_LIST, "y": [HOLDS_A_LIST, (HOLDS_A_LIST,)]},
+], ids=["depths", "repeats", "nested", "one-and-true", "holds-a-list"])
+def test_emitter_writes_shared_objects_as_json_does(value):
     assert cli._dumps(value) == json_doc_oracle(value)
 
 

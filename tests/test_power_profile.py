@@ -15,14 +15,18 @@ import itertools
 import random
 
 from monact import deciders
+from monact.act import validate_act
+from monact.congruence import image_congruence, kernel_congruence
 from monact.deciders import ActAnalysis, chain_reports
 from monact.harness import CorpusSpec, build_corpus, enumerate_monoids, random_acts, run_suite
 
 from oracles import (
+    bell_number,
     chain_index_oracle,
     chain_report_oracle,
     chain_reports_oracle,
     criterion_index_oracle,
+    map_powers,
     power_walk_oracle,
 )
 
@@ -108,6 +112,25 @@ def test_chain_reports_match_the_powered_oracle():
     for A in acts:
         an = ActAnalysis(A)
         assert chain_reports(an) == chain_reports_oracle(an), A
+
+
+def test_chain_reports_share_one_congruence_per_distinct_partition():
+    """Over the trivial monoid every self-map of 5 points is an
+    endomorphism: 3125 reports, whose powers f^n reach every partition
+    (Bell(5) = 52 kernels) and every non-empty image (2^5 - 1 = 31)."""
+    (trivial,) = enumerate_monoids(1)
+    A = validate_act(trivial, 5, [[a] for a in range(5)])
+    an = ActAnalysis(A)
+    reports = chain_reports(an)
+    assert len(reports) == 5**5
+    kernels = {id(rep.kernel) for rep in reports}
+    images = {id(rep.image) for rep in reports}
+    assert (len(kernels), len(images)) == (bell_number(5), 2**5 - 1)
+    for rep in reports:
+        f_n = map_powers(rep.mapping, rep.k_index)[-1]
+        assert rep.kernel == kernel_congruence(A, f_n)
+        assert rep.image == image_congruence(A, f_n)
+    assert reports == chain_reports_oracle(an)
 
 
 def test_kernel_and_image_indices_are_the_rank_index():
