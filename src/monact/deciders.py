@@ -15,10 +15,12 @@ and kernel labels of each power map, once per map and call.
 at most 255 points), converted once from the search's tuples.  Each
 composition is one C call: f o x for fixed f is
 `x.translate(f.ljust(256, b"\0"))` (power steps, lift sets), x o g for
-fixed g an `itemgetter` gather (restrictions).  A factor act and its
-projection are built per lift check, by `quotient_by_congruence`, and
-not kept.  No End(A) table is built: its size is the number of maps,
-and it is commutative iff each pair of maps commutes
+fixed g an `itemgetter` gather (restrictions).  The idempotents of
+End(A) settle most lift and extension checks with no hom search
+(`ActAnalysis.retracts`): a factor act and its projection are built,
+by `quotient_by_congruence`, and not kept, only for a congruence that
+is no idempotent's kernel.  No End(A) table is built: its size is the
+number of maps, and it is commutative iff each pair of maps commutes
 (`ActAnalysis.end_commutative`).
 The analysis files each factor act A/rho, built as a flat table, under
 its canonical form, the least table of its relabelling orbit
@@ -103,16 +105,22 @@ class ActAnalysis:
         return list(map(settle_index, self.endos))
 
     @_per_transformation_set
-    def split_kernels(self):
-        """The kernel labels (`least_labels`) of each idempotent
-        endomorphism, e o e = e, mapped to the first such e in map order.
-        A surjection h out of the act has a section s iff its kernel is
-        one of these: e = s o h one way, s = (h on im e)^-1 the other."""
-        split = {}
+    def retracts(self):
+        """(split kernels, retract images) from one scan of the idempotent
+        endomorphisms, e o e = e: the kernel labels (`least_labels`) of
+        each e, mapped to the first such e in map order, and the set of
+        the images im e as sorted member tuples.  A surjection h out of
+        the act has a section s iff its kernel is split: e = s o h one
+        way, s = (h on im e)^-1 the other."""
+        split, images = {}, set()
         for e in self.endos:
             if e.translate(e.ljust(256, b"\0")) == e:
                 split.setdefault(least_labels(e), e)
-        return split
+                images.add(tuple(sorted(set(e))))
+        return split, images
+
+    split_kernels = property(lambda an: an.retracts[0])
+    retract_images = property(lambda an: an.retracts[1])
 
     @_per_transformation_set
     def end_commutative(self):
@@ -319,14 +327,19 @@ def is_quasi_injective(A: Act | ActAnalysis):
 
     Injective maps g: B -> A are covered by subact inclusions: g factors
     through an isomorphism onto its image, and the extension property is
-    invariant under that isomorphism.  The whole carrier is skipped: its
-    homs into A are the endomorphisms themselves.  A hom out of B is
-    fixed by its images on B's generating set, so maps compare there.
-    Returns (flag, counterexample): the first proper subact B with a hom
-    that does not extend, and that hom's map tuple over B's points.
+    invariant under that isomorphism.  A retract image B = im e, e an
+    idempotent endomorphism, is skipped: every hom f: B -> A extends to
+    f o e, as e fixes B pointwise.  So is the whole carrier, im of the
+    identity.  A hom out of B is fixed by its images on B's generating
+    set, so maps compare there.  Returns (flag, counterexample): the
+    first proper subact B with a hom that does not extend, and that
+    hom's map tuple over B's points.
     """
     an = analyse(A)
+    retracts = an.retract_images
     for B in an.subacts[:-1]:
+        if B.members in retracts:
+            continue
         sub, members = subact_as_act(B)
         gens = sub.generators
         at_sub, at_parent = itemgetter(*gens), itemgetter(*(members[x] for x in gens))
@@ -353,13 +366,17 @@ def is_quasi_projective(A: Act | ActAnalysis):
 
     Surjections g: A -> B are covered by the canonical projections
     A -> A/rho: any surjection factors through A/ker(g) by an
-    isomorphism.  The diagonal is skipped: A -> A/diagonal is the
-    identity, through which every endomorphism lifts.  Returns (flag,
-    counterexample): the first rho with an unlifted hom, and that hom's
-    map tuple.
+    isomorphism.  A split kernel rho = ker e, e an idempotent
+    endomorphism, is skipped: p_rho maps im e onto A/rho bijectively,
+    so f: A -> A/rho lifts to (p_rho on im e)^-1 o f.  So is the
+    diagonal, the identity's kernel.  Returns (flag, counterexample):
+    the first rho with an unlifted hom, and that hom's map tuple.
     """
     an = analyse(A)
+    split = an.split_kernels
     for rho in an.congruences[1:]:
+        if rho.labels in split:
+            continue
         f = _unlifted_hom(an, rho)
         if f is not None:
             return False, (rho, f)

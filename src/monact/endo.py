@@ -22,6 +22,12 @@ from .monoid import SIZE_CAP
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
+def _search(A, B):
+    """The hom search A -> B, as its error messages name it."""
+    return (f"hom search from a {A.size}-point act to a {B.size}-point act "
+            f"over a {A.monoid.size}-element monoid")
+
+
 def homomorphisms(A: Act, B: Act):
     """All equivariant maps A -> B as image tuples, sorted.
 
@@ -41,8 +47,6 @@ def homomorphisms(A: Act, B: Act):
     mapping = [-1] * A.size
     next_img, set_by = [0] * len(rows), [[] for _ in rows]
     results, nodes, k = [], 0, 0
-    search = (f"hom search from a {A.size}-point act to a {B.size}-point act "
-              f"over a {A.monoid.size}-element monoid")
     while k >= 0:
         for a in set_by[k]:
             mapping[a] = -1
@@ -55,7 +59,8 @@ def homomorphisms(A: Act, B: Act):
         next_img[k] = img + 1
         nodes += 1
         if nodes > DEFAULT_SEARCH_BUDGET:
-            raise SearchBudgetExceeded(f"{search}: over {DEFAULT_SEARCH_BUDGET} backtrack nodes")
+            raise SearchBudgetExceeded(
+                f"{_search(A, B)}: over {DEFAULT_SEARCH_BUDGET} backtrack nodes")
         for a, b in zip(rows[k], B.action[img]):
             if mapping[a] == -1:
                 mapping[a] = b
@@ -66,7 +71,7 @@ def homomorphisms(A: Act, B: Act):
             if k + 1 < len(rows):
                 k += 1
             elif len(results) == SIZE_CAP:
-                raise SizeOverflow(f"{search}: more than {SIZE_CAP} homomorphisms: "
+                raise SizeOverflow(f"{_search(A, B)}: more than {SIZE_CAP} homomorphisms: "
                                    f"search stopped at map {SIZE_CAP + 1}")
             else:
                 results.append(tuple(mapping))

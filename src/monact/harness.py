@@ -486,16 +486,18 @@ def _check_t8(tid, pair):
     Aut(B), for an isomorphism i: A/rho -> B, so each rho of A whose
     factor act has B's form adds |Aut(B)| surjections, decided by one:
     f o s o h = s o h o g iff (s^-1 f s) o h = h o g, and f -> s^-1 f s
-    permutes End(B).  h has a section iff rho is in A's `split_kernels`.
-    A failure names the first induced surjection in map order and
-    counts it alone."""
+    permutes End(B).  h has a section s iff rho is in A's
+    `split_kernels`, and then h induces all of End(B) with no check:
+    f o h = h o (s o f o h) for each f in End(B).  A failure names the
+    first induced surjection in map order and counts it alone."""
     an_a, an_b = pair
     A, B = an_a.act, an_b.act
     concl = flag(SCH, [B])
     form, onto = an_b.form
+    split = an_a.split_kernels
     surjections = [(rho, q.translate(onto)) for rho, q in an_a.quotients.get(form, ())]
     induced = [(rho, h) for rho, h in surjections
-               if induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]]
+               if rho in split or induces_all_endomorphisms(h, an_a.endos, an_b.endos)[0]]
     if induced and not flag(SCH, [A]):
         induced = []
     per_kernel, witness_h = len(an_b.automorphisms), []
@@ -503,7 +505,7 @@ def _check_t8(tid, pair):
         h, rho = _first_surjection(induced, an_b.automorphisms)
         per_kernel, induced, witness_h = 1, [(rho, h)], list(h)
     details = {"induced_surjections": per_kernel * len(induced),
-               "with_section": per_kernel * sum(rho in an_a.split_kernels for rho, _ in induced)}
+               "with_section": per_kernel * sum(rho in split for rho, _ in induced)}
     flags = {"A_strongly_co_hopfian": True, "B_strongly_co_hopfian": False}
     return _implication(tid, pair, induced, concl, flags, details, h=witness_h)
 

@@ -138,6 +138,16 @@ def test_quasi_injective_matches_oracle():
     assert sum(not flag for flag, _ in verdicts) == 6
 
 
+def test_quasi_injective_matches_oracle_on_3_5():
+    # counterexamples included: the first failing subact and the first
+    # hom in map order that does not extend, never out of a retract image
+    acts = [A for per in build_corpus(CorpusSpec(max_monoid_size=3, max_act_size=5)).acts
+            for A in per]
+    verdicts = [is_quasi_injective(A) for A in acts]
+    assert verdicts == [quasi_injective_oracle(A) for A in acts]
+    assert (len(acts), sum(not flag for flag, _ in verdicts)) == (277, 25)
+
+
 def test_quasi_projective(a2, reg_z4, singleton):
     for A in (singleton, a2, reg_z4):
         ok, counterexample = is_quasi_projective(A)

@@ -1,19 +1,28 @@
-"""Quasi-projectivity searches each congruence for a hom that does not
-lift (`deciders._unlifted_hom`), and T8 decides once per kernel whether
-a surjection induces all of End(B) (`endo.induces_all_endomorphisms`).
-Both are compared with the per-congruence and per-surjection
-computations kept in `oracles`, which build whole-map sets, and every
-counterexample is re-checked by brute force."""
+"""Quasi-projectivity searches each congruence that no idempotent
+endomorphism splits for a hom that does not lift
+(`deciders._unlifted_hom`), and T8 decides once per kernel that no
+idempotent splits whether a surjection induces all of End(B)
+(`endo.induces_all_endomorphisms`).  Both are compared with the
+per-congruence and per-surjection computations kept in `oracles`, which
+build whole-map sets and skip nothing, and every counterexample is
+re-checked by brute force.  The lemma behind the skips is checked
+against the oracles: for an idempotent e, every hom im e -> A extends,
+every hom A -> A/ker e lifts, and A -> A/ker e induces all of
+End(A/ker e)."""
 
 from functools import cached_property
 
 import pytest
 
 from monact import deciders, harness
-from monact.act import quotient_by_congruence
+from monact.act import quotient_by_congruence, subact, subact_as_act
+from monact.congruence import Congruence
 from monact.deciders import ActAnalysis, is_quasi_projective
 from monact.harness import CorpusSpec, build_corpus
-from oracles import brute_force_homs, quasi_projective_oracle, t8_oracle
+from oracles import (
+    brute_force_homs, compose_maps, induces_oracle, quasi_projective_oracle, t8_oracle,
+    unlifted_hom_oracle,
+)
 
 SMALL = CorpusSpec(max_monoid_size=2, max_act_size=3)
 SPECS = [SMALL, CorpusSpec()]
@@ -56,6 +65,46 @@ def test_quasi_projective_matches_oracle():
     verdicts = [is_quasi_projective(A) for A in acts]
     assert verdicts == [quasi_projective_oracle(A) for A in acts]
     assert sum(not flag for flag, _ in verdicts) == 20
+
+
+def test_quasi_projective_matches_oracle_on_3_5():
+    # counterexamples included: the first failing rho and the first
+    # unlifted hom in map order, which no split kernel can hold
+    acts = _acts(CorpusSpec(max_monoid_size=3, max_act_size=5))
+    verdicts = [is_quasi_projective(A) for A in acts]
+    assert verdicts == [quasi_projective_oracle(A) for A in acts]
+    assert (len(acts), sum(not flag for flag, _ in verdicts)) == (277, 77)
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 5)], ids=["3-4", "2-5"])
+def test_idempotents_settle_extensions_and_lifts(sizes):
+    """For each idempotent e of End(A), found by brute force: every hom
+    from the subact im e into A is the restriction of an endomorphism
+    (f o e extends f), no hom A -> A/ker e fails to lift, and the
+    projection A -> A/ker e induces all of End(A/ker e).  Each image
+    and each kernel is checked once per act."""
+    images = kernels = 0
+    for A in _acts(CorpusSpec(max_monoid_size=sizes[0], max_act_size=sizes[1])):
+        endos = brute_force_homs(A, A)
+        seen_images, seen_kernels = set(), set()
+        for e in (e for e in endos if compose_maps(e, e) == e):
+            image, kernel = tuple(sorted(set(e))), tuple(map(e.index, e))
+            if image not in seen_images:
+                seen_images.add(image)
+                sub, members = subact_as_act(subact(A, image))
+                restrictions = {tuple(g[b] for b in members) for g in endos}
+                assert set(brute_force_homs(sub, A)) <= restrictions, (A, image)
+            if kernel not in seen_kernels:
+                seen_kernels.add(kernel)
+                rho = Congruence(A, kernel)
+                assert unlifted_hom_oracle(A, rho) is None, (A, kernel)
+                quotient, proj = quotient_by_congruence(A, rho)
+                target_endos = brute_force_homs(quotient, quotient)
+                assert induces_oracle(proj, endos, target_endos), (A, kernel)
+        images, kernels = images + len(seen_images), kernels + len(seen_kernels)
+    # each act's whole carrier and diagonal included: on 3/4, 681
+    # proper retract images and 711 split kernels past the diagonal
+    assert (images, kernels) == {(3, 4): (823, 853), (2, 5): (354, 489)}[sizes]
 
 
 def test_quasi_projective_counterexamples_fail_to_lift():

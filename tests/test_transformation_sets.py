@@ -76,8 +76,10 @@ def test_pairs_with_one_set_of_column_pairs_have_the_same_homs():
 def test_planted_image_set_key_is_caught(monkeypatch):
     # the memo keys each act by the image set of each map rho_s instead
     # of the map, so acts with different maps onto the same images share
-    # one analysis; every theorem still passes, and only the digest and
-    # the fresh analyses see it
+    # one analysis, split kernels and retract images included, so the
+    # lift and extension checks skip by another act's idempotents; every
+    # theorem still passes, and only the digest and the fresh analyses
+    # see it
     init = ActAnalysis.__init__
 
     def planted(self, act):
@@ -88,5 +90,5 @@ def test_planted_image_set_key_is_caught(monkeypatch):
     result = run_suite(CorpusSpec())
     assert all(v.passed for v in result.verdicts)
     digest = hashlib.sha256(suite_json(result).encode()).hexdigest()
-    assert digest[:12] == "15ebcb7d3f94"
+    assert digest[:12] == "2d527244ebce"
     assert len(_memo_mismatches(_acts(3, 4))) == 25
