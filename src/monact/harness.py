@@ -5,9 +5,11 @@ Small monoids and acts are enumerated up to isomorphism (canonical form
 monoid).  Monoid tables come from a backtrack over the non-identity
 cells that drops a partial table at its first failed associativity
 instance.  Acts come from a propagating backtrack over the generator
-cells of the action table, which random sampling shares; the backtrack
-tries one of the interchangeable untouched points per cell, and a
-complete, conflict-free table is an action and is not re-validated.
+cells of the action table; the backtrack tries one of the
+interchangeable untouched points per cell, and a complete, conflict-free
+table is an action and is not re-validated.  A seeded sample is the
+first table of the same backtrack with each cell's values shuffled, so
+every draw is an act, reproducible but not uniform over classes.
 Both backtracks yield flat `bytes` tables, and the first table of each
 isomorphism class puts its whole relabelling orbit
 (`act.relabellings`) into a seen set that absorbs its other labelled
@@ -47,7 +49,6 @@ from .deciders import ActAnalysis, monoid_hopf_properties
 
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
-SAMPLE_ATTEMPTS = 500
 MAX_DETAILS = frozenset({"max_stabilization_index"})  # detail keys folded by max (T4, T5)
 
 
@@ -148,11 +149,15 @@ class _ActSearch:
     c at (a, g) to an isomorphic completion with b there, and by
     induction on the remaining branch cells the search yields a
     relabeled copy of every completion.
+
+    With an `rng`, each branch cell tries its values in a seeded
+    shuffled order instead, so the first table yielded is a random
+    descent that backtracks on a conflict.
     """
 
-    def __init__(self, M: Monoid, m: int):
+    def __init__(self, M: Monoid, m: int, rng: random.Random | None = None):
         n = M.size
-        self.m, self.n, self.mul = m, n, M.table
+        self.m, self.n, self.mul, self.rng = m, n, M.table, rng
         self.branch = [a * n + g for a in range(m) for g in monoid_generators(M)]
         self.table = [-1] * (m * n)
         for a in range(m):
@@ -238,7 +243,10 @@ class _ActSearch:
         if k == len(branch):
             yield bytes(self.table)
             return
-        for value in self.tried(branch[k] // self.n):
+        values = self.tried(branch[k] // self.n)
+        if self.rng is not None:
+            self.rng.shuffle(values)
+        for value in values:
             self.charge(nodes=1)
             mark = len(self.trail)
             if self.assign(branch[k], value):
@@ -263,20 +271,14 @@ def enumerate_acts(M: Monoid, m: int):
 
 
 def random_acts(M: Monoid, m: int, count: int, rng: random.Random):
-    """Rejection-sample acts: random generator columns a -> a*g, kept
-    iff `_ActSearch` propagates them to a table without a conflict."""
-    search = _ActSearch(M, m)
-    gens = monoid_generators(M)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < SAMPLE_ATTEMPTS * count:
-        attempts += 1
-        cols = [[rng.randrange(m) for _ in range(m)] for _ in gens]
-        search.undo(0)
-        drawn = (col[a] for a in range(m) for col in cols)  # cell a*g in branch order
-        if all(map(search.assign, search.branch, drawn)):
-            out.append(Act(M, m, _rows(search.table, search.n)))
-    return out
+    """`count` seeded acts of size m over M, each the first table of a
+    fresh `_ActSearch` that tries its branch values in an order drawn
+    from `rng`.  Every draw returns an act: the search backtracks on a
+    conflict, and its tree always holds the act on which each s acts as
+    the identity, since a cell (a, g) always tries a.  The draws are
+    reproducible from the seed, but not uniform over classes."""
+    return [Act(M, m, _rows(next(_ActSearch(M, m, rng).tables()), M.size))
+            for _ in range(count)]
 
 
 # -- corpus ------------------------------------------------------------------
@@ -311,20 +313,17 @@ class CorpusSpec:
 class Corpus:
     monoids: list
     acts: list  # acts[i] lists the acts over monoids[i]
-    sampled: int = 0  # how many of the spec's sample draws found an act
 
 
 def build_corpus(spec: CorpusSpec) -> Corpus:
     monoids = [M for n in range(1, spec.max_monoid_size + 1) for M in enumerate_monoids(n)]
     acts = [[A for m in range(1, spec.max_act_size + 1) for A in enumerate_acts(M, m)]
             for M in monoids]
-    sampled, rng = 0, random.Random(spec.seed)
+    rng = random.Random(spec.seed)
     for i in range(spec.samples):
         which = i % len(monoids)
-        found = random_acts(monoids[which], spec.max_act_size + 1, 1, rng)
-        acts[which] += found
-        sampled += len(found)
-    return Corpus(monoids, acts, sampled)
+        acts[which] += random_acts(monoids[which], spec.max_act_size + 1, 1, rng)
+    return Corpus(monoids, acts)
 
 
 # -- flags ---------------------------------------------------------------------

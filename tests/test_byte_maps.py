@@ -97,7 +97,7 @@ def test_end_table_matches_compose_oracle():
         assert (len(an.endos), an.end_commutative) == (E.monoid.size, is_commutative(E)), A
         sizes.append(E.monoid.size)
         commutative += an.end_commutative
-    assert len(acts) == 142 + 4
+    assert len(acts) == 142 + 9
     assert max(sizes) == 320
     assert commutative == 34
 
@@ -113,8 +113,8 @@ def test_table_oracle_finds_a_pi_witness_for_every_endomorphism():
         assert ok and None not in witnesses, A
         assert classify_act(an).end_strongly_pi_regular, A
         checked += len(witnesses)
-    assert len(acts) == 142 + 4
-    assert checked == 4451 + 524
+    assert len(acts) == 142 + 9
+    assert checked == 4451 + 643
 
 
 def test_literal_hopfian_loops_hold_where_the_flags_are_constant():
@@ -129,7 +129,7 @@ def test_literal_hopfian_loops_hold_where_the_flags_are_constant():
         subacts += [subact_as_act(B)[0] for B in an.subacts]
     for A in acts + five + factors + subacts:
         assert is_hopfian(A) and is_co_hopfian(A), A
-    assert len(five) == 4
+    assert len(five) == 9
     assert len(factors) == 957
     assert len(subacts) == 853
 
@@ -194,7 +194,7 @@ def test_retracts_match_compose_oracle():
             found += A.size < B.size
     # 3/4 alone: 352 proper retracts among 753 pairs with |A| < |B|;
     # 2/5 alone: 105 among 175
-    assert (len(pairs), found) == (1957, 432)
+    assert (len(pairs), found) == (2030, 453)
 
 
 def test_sections_match_compose_oracle():
@@ -210,7 +210,7 @@ def test_sections_match_compose_oracle():
                 assert got == section_oracle(h, back), (an_a.act, B, h)
                 outcomes[got] += 1
     # 3/4 alone: 1830 of 1987 surjections split; 2/5 alone: 2492 of 2592
-    assert outcomes == {True: 4103, False: 328}
+    assert outcomes == {True: 4168, False: 335}
 
 
 def test_planted_split_kernels_of_every_endomorphism_is_caught(monkeypatch):

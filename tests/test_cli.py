@@ -320,20 +320,18 @@ def test_suite_refuses_a_theorem_named_twice(capsys):
     assert "T1 more than once" in captured.err
 
 
-@pytest.mark.parametrize("argv, note, digest", [
-    (["--seed", "7", "--samples", "12"],
-     "note: --samples 12 found 8 acts; the other draws found none in 500 tries each\n",
-     "6a0c1defb0fc"),
-    (["--max-monoid", "2", "--max-act", "3", "--seed", "7", "--samples", "3"], "",
-     "9313b0d8fae5"),
+@pytest.mark.parametrize("argv, reports, digest", [
+    (["--seed", "7", "--samples", "12"], 154, "a2c2a0c9d279"),
+    (["--max-monoid", "2", "--max-act", "3", "--seed", "7", "--samples", "3"], 17,
+     "2fef79536d92"),
 ], ids=["short", "full"])
-def test_suite_notes_samples_it_did_not_find(argv, note, digest, capsys):
-    # a draw gives up after SAMPLE_ATTEMPTS rejected tables, so --samples
-    # N may find fewer than N acts: one stderr line says so, and stdout
-    # keeps the pinned document bytes
+def test_suite_notes_samples_it_did_not_find(argv, reports, digest, capsys):
+    # every draw returns an act, so --samples N adds N acts to the
+    # corpus, stderr stays empty, and stdout keeps the pinned bytes
     assert main(["suite", "--json", *argv]) == 0
     captured = capsys.readouterr()
-    assert captured.err == note
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["reports"]) == reports
     assert hashlib.sha256(captured.out.encode()).hexdigest()[:12] == digest
 
 

@@ -140,7 +140,7 @@ def test_kernel_and_image_indices_are_the_rank_index():
     acts."""
     two_five = corpus_acts(2, 5)
     assert len(two_five) == 34
-    for acts, checked in ((corpus_acts(3, 4), 4451), (two_five, 11903), (five_point_acts(), 3439)):
+    for acts, checked in ((corpus_acts(3, 4), 4451), (two_five, 11903), (five_point_acts(), 6904)):
         assert walk_mismatches(acts) == ([], checked)
 
 

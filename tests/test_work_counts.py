@@ -423,4 +423,4 @@ def test_act_enumeration_and_sampling_never_validate(monkeypatch):
             for m in (1, 2, 3, 4):
                 acts += len(enumerate_acts(M, m))
             acts += len(random_acts(M, 5, 2, rng))
-    assert acts == 142 + 12
+    assert acts == 142 + 20
