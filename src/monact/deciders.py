@@ -39,7 +39,7 @@ from itertools import islice, repeat
 from math import gcd
 from operator import eq, itemgetter
 
-from .act import Act, enumerate_subacts, least_relabelling
+from .act import Act, Subact, enumerate_subacts, least_relabelling
 from .act import quotient_by_congruence, subact_as_act
 from .congruence import (
     Congruence,
@@ -67,8 +67,11 @@ class ActAnalysis:
     T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
     rho in T(A), and congruences and subacts are defined by the rho
     alone; canonical forms, under the flat table.  Congruences and
-    subacts (each names its act) and the factor forms built from them
-    stay per act.  A suite run swaps in its own memo.
+    subacts each name their act: the act that enumerates them keeps the
+    lists it built, and every other act with its set gets its own
+    `Congruence` and `Subact` objects, in the same order.  The factor
+    forms, whose rows follow the monoid's columns, stay per act.  A
+    suite run swaps in its own memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -191,11 +194,25 @@ class ActAnalysis:
 
     @cached_property
     def congruences(self):
-        return enumerate_congruences(self.act)
+        """This act's congruence lattice, enumerated once per transformation set."""
+        lattice = self.shared(_lattice)
+        return lattice if lattice[0].act is self.act else [
+            Congruence(self.act, rho.labels, rho.height) for rho in lattice]
 
     @cached_property
     def subacts(self):
-        return enumerate_subacts(self.act)
+        """This act's subacts, enumerated once per transformation set."""
+        subacts = self.shared(_subacts)
+        return subacts if subacts[0].parent is self.act else [
+            Subact(self.act, B.members) for B in subacts]
+
+
+def _lattice(an):
+    return enumerate_congruences(an.act)
+
+
+def _subacts(an):
+    return enumerate_subacts(an.act)
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:

@@ -23,7 +23,9 @@ the monoid) and makes one `_implication` call.  Only the run's memo spans monoid
 one set of maps rho_s: a -> a*s (the trivial 4-point act over each
 monoid, say) share what those maps fix (`deciders.ActAnalysis`).  T7
 and T8 search no hom between two acts: they match canonical forms of
-acts, factor acts and retracts.  A failing instance's verdict names
+acts, factor acts and retracts, and are handed only the candidate pairs
+a join on those forms finds; every other pair is vacuous, and is
+counted from the act sizes, not checked.  A failing instance's verdict names
 the instance by its full tables, enough to re-run the check.  Every
 Hopfian-type flag is read through `flag`, True on finite carriers
 without looking at the acts it is handed, so only T4-T6, which compare
@@ -33,6 +35,7 @@ indices, can fail while `flag` is the default.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import factorial
@@ -50,6 +53,7 @@ from .deciders import ActAnalysis, monoid_hopf_properties
 MONOID_ENUM_MAX = 4
 ACT_ENUM_WORK_CAP = 1 << 21  # search nodes, plus m! per isomorphism class
 MAX_DETAILS = frozenset({"max_stabilization_index"})  # detail keys folded by max (T4, T5)
+PAIR_KEEP = {"act_pair_up": le, "act_pair_down": ge}  # |A| vs |B| of each pair (A, B) of a kind
 
 
 def _rows(cells, n):
@@ -633,15 +637,37 @@ def _analysed(instance, memo):
 
 
 def _instances_for(kind, M, analyses):
-    """The instances of one theorem kind over M, from its acts' `analyses`."""
+    """The instances of one theorem kind over M, from its acts' `analyses`.
+
+    A pair kind gets its candidate pairs only, in corpus (A, B) order,
+    joined on canonical forms through an index from each form to its
+    positions in `analyses`: (A, B) for T7 where A's form is one of B's
+    `retract_forms`, for T8 where B's form files one of A's `quotients`
+    (every act files its own, by the diagonal).  Every other pair is
+    vacuous whatever `flag` returns; `_check_monoid` counts those."""
     if kind == "act":
         return analyses
     if kind == "monoid":
         return [M]
     if kind == "act_subact":
         return ((an, B) for an in analyses for B in an.subacts)
-    keep = {"act_pair_up": le, "act_pair_down": ge}[kind]
-    return ((a, b) for a in analyses for b in analyses if keep(a.act.size, b.act.size))
+    at = {}
+    for i, an in enumerate(analyses):
+        at.setdefault(an.form[0], []).append(i)
+    if kind == "act_pair_up":
+        pairs = [(i, j) for j, b in enumerate(analyses) for f in b.retract_forms
+                 for i in at.get(f, ())]
+    else:
+        pairs = [(i, j) for i, a in enumerate(analyses) for f in a.quotients
+                 for j in at.get(f, ())]
+    return [(analyses[i], analyses[j]) for i, j in sorted(pairs)]
+
+
+def _pair_count(kind, analyses):
+    """The number of pairs (A, B) of a pair kind over the acts of
+    `analyses`, read off their sizes."""
+    sizes, keep = Counter(an.act.size for an in analyses), PAIR_KEEP[kind]
+    return sum(sizes[a] * sizes[b] for a in sizes for b in sizes if keep(a, b))
 
 
 def check_theorem(tid: str, instance) -> Verdict:
@@ -682,8 +708,11 @@ def _check_monoid(mi, M, acts, verdicts, memo):
     } for ai, an in enumerate(analyses)]
     for verdict in verdicts:
         _, kind, fn = REGISTRY[verdict.theorem]
+        start = verdict.instances
         for instance in _instances_for(kind, M, analyses):
             verdict.add(*fn(verdict.theorem, instance))
+        if kind in PAIR_KEEP:  # the pairs that are no candidate: vacuous, counted, not checked
+            verdict.instances = start + _pair_count(kind, analyses)
     return reports
 
 

@@ -66,11 +66,13 @@ def _five_point_acts():
 
 
 def _pairs(kind, spec, memo=None):
-    """The `kind` pairs of spec's corpus as the suite hands them over:
-    one analysis per act, all filing into one memo."""
-    corpus, memo = build_corpus(spec), {} if memo is None else memo
-    return [p for M, per in zip(corpus.monoids, corpus.acts)
-            for p in harness._instances_for(kind, M, [harness._analysed(A, memo) for A in per])]
+    """Every `kind` pair (A, B) of one monoid's acts in spec's corpus,
+    |A| <= |B| for act_pair_up and |A| >= |B| for act_pair_down, the
+    candidates the suite hands over and the vacuous rest: one analysis
+    per act, all filing into one memo."""
+    corpus, memo, keep = build_corpus(spec), {} if memo is None else memo, harness.PAIR_KEEP[kind]
+    analysed = [[harness._analysed(A, memo) for A in per] for per in corpus.acts]
+    return [(a, b) for per in analysed for a in per for b in per if keep(a.act.size, b.act.size)]
 
 
 def test_maps_are_the_endomorphisms_as_bytes():

@@ -5,7 +5,10 @@ analysis files its factor acts A/rho under their canonical forms
 kept in `oracles`, which read the hom list between the two acts: on
 every pair of 3/4 and 2/5 (whose trivial-monoid acts are 1/5), under
 forced flags that make either theorem fail, and on sampled and
-relabelled acts, which are not canonical forms."""
+relabelled acts, which are not canonical forms.  The suite hands T7
+and T8 only the candidate pairs of a join on those forms
+(`harness._instances_for`), so the tests enumerate the pairs
+themselves and check that no pair left out is non-vacuous."""
 
 import hashlib
 import random
@@ -26,16 +29,30 @@ ORACLES = {"T7": t7_pair_oracle, "T8": t8_pair_oracle}
 FLAG_READ = {"T7": SH, "T8": SCH}
 
 
+def _all_pairs(tid, groups):
+    """[(pair, candidate)] over every pair (A, B) of one monoid's acts
+    with |A| <= |B| for T7 and |A| >= |B| for T8, in order, for each
+    (M, acts) in `groups`, analysed as the suite analyses them;
+    `candidate` says whether `_instances_for` hands the pair over."""
+    kind, memo, pairs = harness.REGISTRY[tid][1], {}, []
+    for M, acts in groups:
+        analyses = [harness._analysed(A, memo) for A in acts]
+        handed = {(id(a), id(b)) for a, b in harness._instances_for(kind, M, analyses)}
+        pairs += [((a, b), (id(a), id(b)) in handed) for a in analyses for b in analyses
+                  if harness.PAIR_KEEP[kind](a.act.size, b.act.size)]
+    return pairs
+
+
+def _corpus(spec):
+    corpus = build_corpus(spec)
+    return zip(corpus.monoids, corpus.acts)
+
+
 def _results(tid, spec):
     """(check, oracle) results on every pair `tid` reads in the corpus,
-    analysed as the suite analyses it."""
-    _, kind, check = harness.REGISTRY[tid]
-    corpus, results, memo = build_corpus(spec), [], {}
-    for M, per in zip(corpus.monoids, corpus.acts):
-        analyses = [harness._analysed(A, memo) for A in per]
-        pairs = harness._instances_for(kind, M, analyses)
-        results += [(check(tid, p), ORACLES[tid](p)) for p in pairs]
-    return results
+    candidate or not."""
+    check = harness.REGISTRY[tid][2]
+    return [(check(tid, p), ORACLES[tid](p)) for p, _ in _all_pairs(tid, _corpus(spec))]
 
 
 def _mismatches(tid, spec):
@@ -67,6 +84,46 @@ def test_index_witnesses_match_pair_oracle(forced_flags, tid, size):
     results = _results(tid, SPECS[0]) + _results(tid, SPECS[1])
     assert [(got, want) for got, want in results if got != want] == []
     assert any(got[2] is not None for got, _ in results)
+
+
+def _candidate_counts(groups):
+    """(T7 candidates, T8 candidates, pairs of each kind) over `groups`,
+    a list of (M, acts), once T7's candidates are found to be exactly
+    the pairs its oracle finds non-vacuous, and every T8 pair that is no
+    candidate vacuous by its oracle."""
+    t7, t8 = _all_pairs("T7", groups), _all_pairs("T8", groups)
+    assert [c for _, c in t7] == [bool(t7_pair_oracle(p)[0]) for p, _ in t7]
+    assert not any(t8_pair_oracle(p)[0] for p, c in t8 if not c)
+    return sum(c for _, c in t7), sum(c for _, c in t8), len(t7)
+
+
+@pytest.mark.parametrize("spec, counts", [(SPECS[0], (352, 573, 1739)),
+                                          (SPECS[1], (105, 153, 295))], ids=["3-4", "2-5"])
+def test_candidates_are_the_nonvacuous_pairs(spec, counts):
+    assert _candidate_counts(list(_corpus(spec))) == counts
+
+
+def _key(pair):
+    return tuple(an.act for an in pair)
+
+
+def test_suite_checks_candidate_pairs_only(monkeypatch):
+    # a T7 + T8 run calls each pair check on its candidates alone, in
+    # corpus order, and counts every other pair as a vacuous instance
+    calls = {"T7": [], "T8": []}
+    for tid in calls:
+        title, kind, check = harness.REGISTRY[tid]
+
+        def counting(t, pair, check=check):
+            calls[t].append(_key(pair))
+            return check(t, pair)
+
+        monkeypatch.setitem(harness.REGISTRY, tid, (title, kind, counting))
+    result = run_suite(CorpusSpec(theorems=("T7", "T8")))
+    for tid in calls:
+        assert calls[tid] == [_key(p) for p, c in _all_pairs(tid, _corpus(CorpusSpec())) if c]
+    assert (len(calls["T7"]), len(calls["T8"])) == (352, 573)
+    assert [(v.instances, v.nonvacuous) for v in result.verdicts] == [(1739, 352), (1739, 549)]
 
 
 def _relabelled(A, rng):
@@ -106,6 +163,16 @@ def test_check_theorem_matches_pair_oracle_on_acts_that_are_not_canonical(
     assert bool(counts["failed"]) == bool(forced)
 
 
+def test_candidates_on_acts_that_are_not_canonical():
+    # the acts above, analysed through one memo as the suite analyses a
+    # monoid's acts: a relabelled copy has its corpus act's form, so the
+    # form index keeps two positions under that form
+    corpus, rng = build_corpus(CorpusSpec(max_act_size=3)), random.Random(5)
+    groups = [(M, per + [_relabelled(A, rng) for A in per] + random_acts(M, 4, 3, rng))
+              for M, per in list(zip(corpus.monoids, corpus.acts))[1:]]
+    assert _candidate_counts(groups) == (528, 953, 1927)
+
+
 def test_least_relabelling_is_the_canonical_form():
     # the least table over every relabelling, and a relabelling onto it
     corpus = build_corpus(CorpusSpec())
@@ -137,10 +204,10 @@ def test_planted_dropped_retract_form_is_caught(monkeypatch):
 
 
 def test_planted_swapped_pair_down_is_caught(monkeypatch):
-    # act_pair_down hands each pair over as (B, A), |A| <= |B|: T8 then
-    # looks for surjections onto the larger act, found only between
-    # isomorphic acts of one size; the count test_index_matches_pair_oracle
-    # pins and the default digest see it
+    # act_pair_down hands each candidate over as (B, A), |A| >= |B|: T8
+    # then looks for surjections onto the larger act, found only between
+    # isomorphic acts of one size; the T8 candidate pins, the run's
+    # non-vacuous count and the default digest see it
     real = harness._instances_for
 
     def swapped(kind, M, analyses):
@@ -148,8 +215,12 @@ def test_planted_swapped_pair_down_is_caught(monkeypatch):
         return ((b, a) for a, b in instances) if kind == "act_pair_down" else instances
 
     monkeypatch.setattr(harness, "_instances_for", swapped)
-    assert sum(got[0] for got, _ in _results("T8", SPECS[0])) == 142 != 549
-    assert _digest(CorpusSpec()) == "b65662a7a529"
+    with pytest.raises(AssertionError):
+        _candidate_counts(list(_corpus(SPECS[0])))
+    result = run_suite(CorpusSpec())
+    assert result.verdicts[7].nonvacuous == 142 != 549
+    digest = hashlib.sha256(suite_json(result).encode()).hexdigest()[:12]
+    assert digest == "b65662a7a529" != "e5704bc8b212"
 
 
 def test_planted_end_count_for_aut_count_is_caught(monkeypatch):

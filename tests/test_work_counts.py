@@ -1,8 +1,8 @@
-"""Each per-act quantity is computed once: the congruence lattice and
-the subacts once per act, and in the suite what the act's transformation
-set {rho_s} fixes (the endomorphisms, their settle indices, End(A)'s
-commutativity, the property report with its factor acts) once per set,
-by the first corpus act that has it; no End(A) table is built or kept,
+"""Each per-act quantity is computed once, and in the suite what the
+act's transformation set {rho_s} fixes (the endomorphisms, their settle
+indices, End(A)'s commutativity, the congruence lattice, the subacts,
+the property report with its factor acts) once per set, by the first
+corpus act that has it; no End(A) table is built or kept,
 and the suite analyses only the corpus acts.  `monact classify`
 computes each once.
 Calls are counted by wrappers bound in every namespace of the package
@@ -95,8 +95,8 @@ def test_suite_builds_each_per_act_quantity_once(count, count_end, monkeypatch):
     constants on finite carriers, so none of them is analysed, and no
     endomorphism search runs on them.  The report and the endomorphism
     search run once per transformation set, 53 of the 142 acts, and so
-    does End(A)'s commutativity; the congruences and subacts, once per
-    act."""
+    do End(A)'s commutativity and the enumerations of the congruences
+    and the subacts."""
     spec = CorpusSpec()
     corpus = build_corpus(spec)
     acts = {_key(A) for per in corpus.acts for A in per}
@@ -130,21 +130,25 @@ def test_suite_builds_each_per_act_quantity_once(count, count_end, monkeypatch):
     assert reports == firsts and len(firsts) == 53
     assert Counter({a: n for (a, b), n in homs.items() if a == b}) == firsts
     assert count_end == firsts
-    assert congs == Counter(acts)
-    assert subs == Counter(acts)
+    assert congs == firsts
+    assert subs == firsts
 
 
 def test_larger_suite_reports_once_per_transformation_set(count, count_end):
-    """4/4: 1205 acts with 186 transformation sets; the report and
-    End(A)'s commutativity are computed once per set."""
+    """4/4: 1205 acts with 186 transformation sets; the report, End(A)'s
+    commutativity and the congruence and subact enumerations are
+    computed once per set."""
     spec = CorpusSpec(max_monoid_size=4)
     acts = [A for per in build_corpus(spec).acts for A in per]
     reports = count(deciders, "classify_act", lambda an: _key(an.act))
+    congs = count(congruence, "enumerate_congruences", lambda A, *rest: _key(A))
+    subs = count(act, "enumerate_subacts", _key)
     result = run_suite(spec)
     assert all(v.passed for v in result.verdicts)
     assert len(acts) == 1205
     assert reports == Counter(_firsts(acts)) and sum(reports.values()) == 186
     assert count_end == reports
+    assert congs == reports and subs == reports
 
 
 def _searches(count, theorems, **sizes):
