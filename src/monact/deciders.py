@@ -66,12 +66,13 @@ class ActAnalysis:
     transformation set T(A), is kept in `memo` under (quantity, |A|,
     T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
     rho in T(A), and congruences and subacts are defined by the rho
-    alone; canonical forms, under the flat table.  Congruences and
-    subacts each name their act: the act that enumerates them keeps the
-    lists it built, and every other act with its set gets its own
-    `Congruence` and `Subact` objects, in the same order.  The factor
-    forms, whose rows follow the monoid's columns, stay per act.  A
-    suite run swaps in its own memo.
+    alone; canonical forms, under the flat table.  The congruences and
+    subacts are kept as plain data that names no act: the lattice as
+    (labels, height) pairs, the subacts as member tuples.  A
+    `Congruence` or `Subact` is built from them only where a caller
+    needs one: a hom search's target, a counterexample, a T9 instance.
+    The factor forms, whose rows follow the monoid's columns, stay per
+    act.  A suite run swaps in its own memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -162,6 +163,17 @@ class ActAnalysis:
         form, names = self.canonical(b"".join(map(bytes, A.action)), A.size)
         return form, bytes(sorted(range(A.size), key=names.__getitem__)).ljust(256, b"\0")
 
+    @_per_transformation_set
+    def lattice(self):
+        """The congruence lattice as (labels, height) pairs, in lattice
+        order: the diagonal first, the universal congruence last."""
+        return [(rho.labels, rho.height) for rho in enumerate_congruences(self.act)]
+
+    @_per_transformation_set
+    def subact_members(self):
+        """The member tuples of the subacts, in (size, members) order."""
+        return [B.members for B in enumerate_subacts(self.act)]
+
     @cached_property
     def quotients(self):
         """{F: [(rho's labels, q)]}: each congruence rho, in lattice order,
@@ -172,14 +184,14 @@ class ActAnalysis:
         A, n = self.act, self.act.monoid.size
         flat = b"".join(map(bytes, A.action))
         quotients = {}
-        for rho in self.congruences:
-            leaders = sorted(set(rho.labels))
+        for labels, _ in self.lattice:
+            leaders = sorted(set(labels))
             index = {lead: i for i, lead in enumerate(leaders)}
-            class_of = bytes(map(index.__getitem__, rho.labels)).ljust(256, b"\0")
+            class_of = bytes(map(index.__getitem__, labels)).ljust(256, b"\0")
             rows = b"".join([flat[a * n : a * n + n] for a in leaders]).translate(class_of)
             form, names = self.canonical(rows, len(leaders))
             q = class_of[: A.size].translate(names)
-            quotients.setdefault(form, []).append((rho.labels, q))
+            quotients.setdefault(form, []).append((labels, q))
         return quotients
 
     @cached_property
@@ -191,28 +203,6 @@ class ActAnalysis:
         split = self.split_kernels
         return {form for form, entries in self.quotients.items()
                 if any(labels in split and len(q) > len(set(q)) for labels, q in entries)}
-
-    @cached_property
-    def congruences(self):
-        """This act's congruence lattice, enumerated once per transformation set."""
-        lattice = self.shared(_lattice)
-        return lattice if lattice[0].act is self.act else [
-            Congruence(self.act, rho.labels, rho.height) for rho in lattice]
-
-    @cached_property
-    def subacts(self):
-        """This act's subacts, enumerated once per transformation set."""
-        subacts = self.shared(_subacts)
-        return subacts if subacts[0].parent is self.act else [
-            Subact(self.act, B.members) for B in subacts]
-
-
-def _lattice(an):
-    return enumerate_congruences(an.act)
-
-
-def _subacts(an):
-    return enumerate_subacts(an.act)
 
 
 def analyse(A: Act | ActAnalysis) -> ActAnalysis:
@@ -333,8 +323,8 @@ def chain_conditions(A: Act | ActAnalysis):
     longest chain under containment: the height of the universal
     congruence, which comes last and tops every maximal chain.
     """
-    congs = analyse(A).congruences
-    return True, True, len(congs), congs[-1].height
+    lattice = analyse(A).lattice
+    return True, True, len(lattice), lattice[-1][1]
 
 
 # -- quasi-injective / quasi-projective --------------------------------------
@@ -349,15 +339,17 @@ def is_quasi_injective(A: Act | ActAnalysis):
     f o e, as e fixes B pointwise.  So is the whole carrier, im of the
     identity.  A hom out of B is fixed by its images on B's generating
     set, so maps compare there.  Returns (flag, counterexample): the
-    first proper subact B with a hom that does not extend, and that
-    hom's map tuple over B's points.
+    first proper subact B with a hom that does not extend, built as a
+    Subact of A from its member tuple, and that hom's map tuple over
+    B's points.
     """
     an = analyse(A)
     retracts = an.retract_images
-    for B in an.subacts[:-1]:
-        if B.members in retracts:
+    for members in an.subact_members[:-1]:
+        if members in retracts:
             continue
-        sub, members = subact_as_act(B)
+        B = Subact(an.act, members)
+        sub = subact_as_act(B)[0]
         gens = sub.generators
         at_sub, at_parent = itemgetter(*gens), itemgetter(*(members[x] for x in gens))
         restrictions = set(map(at_parent, an.endos))
@@ -387,13 +379,15 @@ def is_quasi_projective(A: Act | ActAnalysis):
     endomorphism, is skipped: p_rho maps im e onto A/rho bijectively,
     so f: A -> A/rho lifts to (p_rho on im e)^-1 o f.  So is the
     diagonal, the identity's kernel.  Returns (flag, counterexample):
-    the first rho with an unlifted hom, and that hom's map tuple.
+    the first rho with an unlifted hom, built as a Congruence of A from
+    its labels and height, and that hom's map tuple.
     """
     an = analyse(A)
     split = an.split_kernels
-    for rho in an.congruences[1:]:
-        if rho.labels in split:
+    for labels, height in an.lattice[1:]:
+        if labels in split:
             continue
+        rho = Congruence(an.act, labels, height)
         f = _unlifted_hom(an, rho)
         if f is not None:
             return False, (rho, f)

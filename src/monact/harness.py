@@ -42,9 +42,9 @@ from math import factorial
 from operator import ge, le
 
 from . import deciders
-from .act import Act, quotient_by_congruence, regular_act, relabellings, subact, subact_as_act
-from .act import validate_act
-from .congruence import rees_congruence
+from .act import Act, Subact, quotient_by_congruence, regular_act, relabellings, subact
+from .act import subact_as_act, validate_act
+from .congruence import Congruence, rees_congruence
 from .endo import induces_all_endomorphisms
 from .errors import InputError, SizeTooLarge, UnknownTheorem
 from .monoid import Monoid, monoid_generators, validate_monoid
@@ -561,7 +561,8 @@ def _transfer_check(quasi, tid, an):
 def _factor_acts(an):
     """A fresh iterable over the factor acts A/rho, each built on demand;
     one per flag read, since a spent generator reads as empty."""
-    return (quotient_by_congruence(an.act, rho)[0] for rho in an.congruences)
+    return (quotient_by_congruence(an.act, Congruence(an.act, labels))[0]
+            for labels, _ in an.lattice)
 
 
 def _check_t13(tid, an):
@@ -650,7 +651,7 @@ def _instances_for(kind, M, analyses):
     if kind == "monoid":
         return [M]
     if kind == "act_subact":
-        return ((an, B) for an in analyses for B in an.subacts)
+        return ((an, Subact(an.act, members)) for an in analyses for members in an.subact_members)
     at = {}
     for i, an in enumerate(analyses):
         at.setdefault(an.form[0], []).append(i)

@@ -18,8 +18,10 @@ from collections import Counter
 import pytest
 
 from monact import deciders, harness
-from monact.act import least_relabelling, quotient_by_congruence, regular_act, subact_as_act
-from monact.congruence import rees_congruence
+from monact.act import (
+    enumerate_subacts, least_relabelling, quotient_by_congruence, regular_act, subact_as_act,
+)
+from monact.congruence import enumerate_congruences, rees_congruence
 from monact.deciders import ActAnalysis, _unlifted_hom, classify_act, is_quasi_projective
 from monact.cli import suite_json
 from monact.endo import homomorphisms, induces_all_endomorphisms
@@ -126,9 +128,8 @@ def test_literal_hopfian_loops_hold_where_the_flags_are_constant():
     five = _five_point_acts()
     factors, subacts = [], []
     for A in acts:
-        an = ActAnalysis(A)
-        factors += [quotient_by_congruence(A, rho)[0] for rho in an.congruences]
-        subacts += [subact_as_act(B)[0] for B in an.subacts]
+        factors += [quotient_by_congruence(A, rho)[0] for rho in enumerate_congruences(A)]
+        subacts += [subact_as_act(B)[0] for B in enumerate_subacts(A)]
     for A in acts + five + factors + subacts:
         assert is_hopfian(A) and is_co_hopfian(A), A
     assert len(five) == 9
@@ -140,7 +141,7 @@ def test_lift_sets_match_compose_oracle():
     checked = 0
     for A in _acts(CorpusSpec()):
         an = ActAnalysis(A)
-        for rho in an.congruences[1:]:
+        for rho in enumerate_congruences(A)[1:]:
             assert _unlifted_hom(an, rho) == unlifted_hom_oracle(A, rho), (A, rho)
             checked += 1
     assert checked == 957 - 142
@@ -261,7 +262,8 @@ def test_suite_keeps_one_act_per_factor_table(monkeypatch):
     assert len(made) == len(acts) and all(an.act is A for an, A in zip(made, acts))
     memo = made[0].memo
     assert all(an.memo is memo for an in made)
-    factors = [quotient_by_congruence(an.act, rho)[0] for an in made for rho in an.congruences]
+    factors = [quotient_by_congruence(an.act, rho)[0]
+               for an in made for rho in enumerate_congruences(an.act)]
     tables = {(Q.monoid.table, Q.action) for Q in factors}
     # a form relabels points only, so it is keyed by the flat table alone:
     # the 156 factor tables over their monoids are 96 flat tables
@@ -284,10 +286,10 @@ def test_flag_reads_hand_over_subacts_and_factor_acts(monkeypatch):
     t9, t13, t14 = [], [], []
     for A in _acts(CorpusSpec()):
         an = ActAnalysis(A)
-        factors = [quotient_by_congruence(A, rho)[0] for rho in an.congruences]
+        factors = [quotient_by_congruence(A, rho)[0] for rho in enumerate_congruences(A)]
         t13 += [(name, [_key(Q) for Q in factors]) for name in (CO, SCH)]
         t14 += [(name, [_key(Q) for Q in factors]) for name in (H, CO, SH, SCH)]
-        for B in an.subacts:
+        for B in enumerate_subacts(A):
             if is_fully_invariant(B, an.endos):
                 rees = quotient_by_congruence(A, rees_congruence(A, B))[0]
                 t9.append((SH, [_key(subact_as_act(B)[0]), _key(rees)]))

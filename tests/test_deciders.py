@@ -103,7 +103,7 @@ def test_subacts_refuse_a_large_carrier(trivial):
     A = validate_act(trivial, 20, [[a] for a in range(20)])
     start = time.perf_counter()
     with pytest.raises(CarrierTooLarge, match="subact enumeration"):
-        ActAnalysis(A).subacts
+        ActAnalysis(A).subact_members
     assert time.perf_counter() - start < 1
 
 

@@ -6,18 +6,23 @@ set of column pairs (rho_s^A, rho_s^B) have the same homs.  Every act
 here gets a fresh ActAnalysis with its own memo, so nothing is shared
 while the fact is checked, and acts are grouped by the memo's own key
 (`ActAnalysis.transformations`), so a key that merges too much shows
-as a mismatch.  The shared congruences and subacts are also read
-through one run memo, and compared with fresh enumerations."""
+as a mismatch.  The shared congruence labels and subact members are
+also read through a suite run's memo, compared with fresh
+enumerations, and checked to be plain tuples, with no act-bound
+object left in the memo."""
 
 import hashlib
+from dataclasses import is_dataclass
 
 import pytest
 
-from monact import deciders
-from monact.act import enumerate_subacts
+from monact import harness
+from monact.act import Subact, enumerate_subacts
 from monact.cli import suite_json
-from monact.congruence import enumerate_congruences
-from monact.deciders import ActAnalysis, classify_act, join_index, meet_index
+from monact.congruence import Congruence, enumerate_congruences
+from monact.deciders import (
+    ActAnalysis, classify_act, is_quasi_injective, is_quasi_projective, join_index, meet_index,
+)
 from monact.endo import homomorphisms
 from monact.harness import CorpusSpec, build_corpus, run_suite
 from oracles import brute_force_homs
@@ -60,49 +65,76 @@ def test_acts_with_one_transformation_set_analyse_alike(sizes, acts, sets):
     assert _memo_mismatches(corpus_acts) == []
 
 
-def _shared_mismatches(acts):
-    """The acts, analysed through one run memo, whose congruences or
-    subacts differ from a fresh enumeration's in labels, heights,
-    members or order, or are bound to another act."""
-    memo, bad = {}, []
+def _shared_mismatches(acts, memo):
+    """The acts, analysed through `memo`, whose lattice or subact tuples
+    differ from a fresh enumeration's labels, heights, members or order."""
+    bad = []
     for A in acts:
         an = ActAnalysis(A)
         an.memo = memo
-        lattice = [(rho.act, rho.labels, rho.height) for rho in an.congruences]
-        subacts = [(B.parent, B.members) for B in an.subacts]
-        if (lattice != [(A, rho.labels, rho.height) for rho in enumerate_congruences(A)]
-                or subacts != [(A, B.members) for B in enumerate_subacts(A)]
-                or any(rho.act is not A for rho in an.congruences)
-                or any(B.parent is not A for B in an.subacts)):
+        if (an.lattice != [(rho.labels, rho.height) for rho in enumerate_congruences(A)]
+                or an.subact_members != [B.members for B in enumerate_subacts(A)]):
             bad.append(A)
     return bad
 
 
+def _held(value):
+    """value and everything it holds, through containers and dataclass fields."""
+    yield value
+    if isinstance(value, dict):
+        items = [*value, *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    elif is_dataclass(value):
+        items = vars(value).values()
+    else:
+        return
+    for item in items:
+        yield from _held(item)
+
+
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 5)])
-def test_shared_congruences_and_subacts_are_each_acts_own(sizes):
+def test_run_memo_shares_plain_lattice_and_subact_tuples(monkeypatch, sizes):
     # acts with one transformation set share one enumeration of each,
-    # and each act still reads its own lattice and subacts
-    assert _shared_mismatches(_acts(*sizes)) == []
+    # kept as tuples that name no act: every act reads a fresh
+    # enumeration's through the run memo, and the memo holds no
+    # Congruence or Subact
+    made = []
+
+    class Recording(ActAnalysis):
+        def __init__(self, act):
+            super().__init__(act)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "ActAnalysis", Recording)
+    result = run_suite(CorpusSpec(max_monoid_size=sizes[0], max_act_size=sizes[1]))
+    assert all(v.passed for v in result.verdicts)
+    memo = made[0].memo
+    assert all(an.memo is memo for an in made)
+    assert _shared_mismatches(_acts(*sizes), memo) == []
+    assert not any(isinstance(x, (Congruence, Subact)) for x in _held(list(memo.values())))
 
 
-def test_lone_analysis_keeps_the_enumerated_lists(monkeypatch):
-    # an analysis with a memo of its own returns the very lists the
-    # enumerations built, with no copy
-    built = []
-
-    def keep(build):
-        def wrapper(A):
-            built.append(build(A))
-            return built[-1]
-        return wrapper
-
-    monkeypatch.setattr(deciders, "enumerate_congruences", keep(enumerate_congruences))
-    monkeypatch.setattr(deciders, "enumerate_subacts", keep(enumerate_subacts))
-    for A in _acts(2, 3):
-        an, built[:] = ActAnalysis(A), []
-        assert an.congruences is an.congruences
-        assert an.subacts is an.subacts
-        assert built[0] is an.congruences and built[1] is an.subacts and len(built) == 2
+def test_counterexamples_are_built_on_their_act_from_the_shared_tuples():
+    # read through one memo, the quasi-injectivity and quasi-projectivity
+    # counterexamples of 3/5 each name the act they are about, and a
+    # congruence carries the height a fresh enumeration gives it
+    memo, failures = {}, [0, 0]
+    for A in _acts(3, 5):
+        an = ActAnalysis(A)
+        an.memo = memo
+        flag, found = is_quasi_injective(an)
+        if not flag:
+            B = found[0]
+            assert B.parent is A and B.members in [C.members for C in enumerate_subacts(A)]
+            failures[0] += 1
+        flag, found = is_quasi_projective(an)
+        if not flag:
+            rho = found[0]
+            fresh = [(c.labels, c.height) for c in enumerate_congruences(A)]
+            assert rho.act is A and (rho.labels, rho.height) in fresh
+            failures[1] += 1
+    assert failures == [25, 77]
 
 
 def test_pairs_with_one_set_of_column_pairs_have_the_same_homs():
@@ -143,4 +175,4 @@ def test_planted_image_set_key_is_caught(monkeypatch):
     digest = hashlib.sha256(suite_json(result).encode()).hexdigest()
     assert digest[:12] == "216729181a7d"
     assert len(_memo_mismatches(_acts(3, 4))) == 25
-    assert len(_shared_mismatches(_acts(3, 4))) == 25
+    assert len(_shared_mismatches(_acts(3, 4), {})) == 25

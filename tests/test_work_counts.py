@@ -103,11 +103,10 @@ def test_suite_builds_each_per_act_quantity_once(count, count_end, monkeypatch):
     firsts = Counter(_firsts(A for per in corpus.acts for A in per))
     others = set()
     for A in (A for per in corpus.acts for A in per):
-        an = ActAnalysis(A)
-        factor = act.quotient_by_congruence
-        others |= {_key(factor(A, rho)[0]) for rho in an.congruences}
-        others |= {_key(act.subact_as_act(B)[0]) for B in an.subacts}
-        others |= {_key(factor(A, congruence.rees_congruence(A, B))[0]) for B in an.subacts}
+        factor, subacts = act.quotient_by_congruence, act.enumerate_subacts(A)
+        others |= {_key(factor(A, rho)[0]) for rho in congruence.enumerate_congruences(A)}
+        others |= {_key(act.subact_as_act(B)[0]) for B in subacts}
+        others |= {_key(factor(A, congruence.rees_congruence(A, B))[0]) for B in subacts}
     analysed = Counter()
     init = ActAnalysis.__init__
 
