@@ -7,9 +7,11 @@ neither moves again (Fitting's lemma); n <= |A|.  So each endomorphism
 has one settle index, found by a walk of its powers that stops there
 (`settle_index`).  The strong Hopfian pair and the chain reports read
 it, as criteria 1 and 2 (a constant tail, one adjacent equality) hold
-there.  `meet_index` and `join_index` keep criterion 3 literal, the
-evidence T4 and T5 test the pair against: they meet or join the image
-and kernel labels of each power map, once per map and call.
+there.  Criterion 3 stays literal, the evidence T4 and T5 test the
+pair against: one walk of each endomorphism's powers meets and joins
+the image and kernel labels of each power map, once per map and
+transformation set (`ActAnalysis.criterion_3`); `meet_index` and
+`join_index` read it.
 
 `ActAnalysis.endos` keeps each endomorphism as a plain `bytes` map (so
 at most 255 points), converted once from the search's tuples.  Each
@@ -56,23 +58,30 @@ from .relation import least_labels
 # -- per-act analysis --------------------------------------------------------
 
 def _per_transformation_set(compute):
-    """A cached property read through `ActAnalysis.shared`."""
-    return cached_property(wraps(compute)(lambda an: an.shared(compute)))
+    """A cached property whose value compute(an) is kept once per
+    transformation set, in the analysis's `memo` under (compute, |A|,
+    T(A))."""
+    def read(an):
+        key = (compute, an.act.size, an.transformations)
+        if key not in an.memo:
+            an.memo[key] = compute(an)
+        return an.memo[key]
+    return cached_property(wraps(compute)(read))
 
 
 class ActAnalysis:
     """The per-act quantities the deciders read, each computed once, on
     first use.  What reads only the maps rho_s: a -> a*s, the act's
     transformation set T(A), is kept in `memo` under (quantity, |A|,
-    T(A)) (`shared`): f is an endomorphism iff f o rho = rho o f for each
-    rho in T(A), and congruences and subacts are defined by the rho
-    alone; canonical forms, under the flat table.  The congruences and
-    subacts are kept as plain data that names no act: the lattice as
-    (labels, height) pairs, the subacts as member tuples.  A
-    `Congruence` or `Subact` is built from them only where a caller
-    needs one: a hom search's target, a counterexample, a T9 instance.
-    The factor forms, whose rows follow the monoid's columns, stay per
-    act.  A suite run swaps in its own memo.
+    T(A)) (`_per_transformation_set`): f is an endomorphism iff
+    f o rho = rho o f for each rho in T(A), and congruences and subacts
+    are defined by the rho alone; canonical forms, under the flat
+    table.  The congruences and subacts are kept as plain data that
+    names no act: the lattice as (labels, height) pairs, the subacts as
+    member tuples.  A `Congruence` or `Subact` is built from them only
+    where a caller needs one: a hom search's target, a counterexample, a
+    T9 instance.  The factor forms, whose rows follow the monoid's
+    columns, stay per act.  A suite run swaps in its own memo.
 
     Every decider takes either an Act or its ActAnalysis; handing them
     one analysis shares the work.
@@ -85,13 +94,6 @@ class ActAnalysis:
         self.act = act
         self.transformations = frozenset(zip(*act.action))
         self.memo = {}
-
-    def shared(self, compute):
-        """compute(self), once per transformation set in `memo`."""
-        key = (compute, self.act.size, self.transformations)
-        if key not in self.memo:
-            self.memo[key] = compute(self)
-        return self.memo[key]
 
     @_per_transformation_set
     def endos(self):
@@ -107,6 +109,27 @@ class ActAnalysis:
     def profiles(self):
         """The settle index of each endomorphism, in `endos` order."""
         return list(map(settle_index, self.endos))
+
+    @_per_transformation_set
+    def criterion_3(self):
+        """((meet flag, index), (join flag, index)) by criterion 3, from
+        one walk of each endomorphism's powers f^n, n <= 2|A|, that
+        tests each distinct power map once (`_meets_and_joins`) and
+        stops when both tests have passed.  A family's flag is False if
+        some endomorphism's powers never pass its test, else its index
+        is the largest first n that does."""
+        test, firsts = cache(_meets_and_joins), []
+        for m in self.endos:
+            meet = join = None
+            for n, f_n in zip(range(1, 2 * len(m) + 1), _powers(m)):
+                meets, joins = test(f_n)
+                meet = meet or (n if meets else None)
+                join = join or (n if joins else None)
+                if meet and join:
+                    break
+            firsts.append((meet, join))
+        return tuple((False, None) if None in family else (True, max(family))
+                     for family in zip(*firsts))
 
     @_per_transformation_set
     def retracts(self):
@@ -253,25 +276,15 @@ class ChainReport:
 
 # -- Hopfian family ---------------------------------------------------------
 
-def _first_settled(m, settled):
-    """Criterion 3 for one endomorphism f with byte map m: the least
-    n <= 2|A| with `settled(f^n)` on the byte map of f^n, or None."""
-    powers = zip(range(1, 2 * len(m) + 1), _powers(m))
-    return next((n for n, f_n in powers if settled(f_n)), None)
-
-
-def _literal_index(an: ActAnalysis, settled):
-    """(flag, index) by criterion 3: False if some endomorphism's powers
-    never satisfy `settled`, else the largest first n that does.  The
-    powers are elements of End(A), so each map is decided once, in a
-    memo that lives for this call only."""
-    settled, worst = cache(settled), 0
-    for m in an.endos:
-        n = _first_settled(m, settled)
-        if n is None:
-            return False, None
-        worst = max(worst, n)
-    return True, worst
+def _meets_and_joins(f_n):
+    """Criterion 3 at one power, for the byte map f_n of f^n: whether
+    the labels of im f^n (one class) and of ker f^n meet in the
+    diagonal, and whether, partition-joined as `congruence.join` does,
+    they give the universal congruence."""
+    size = len(f_n)
+    image, kernel = _collapse_labels(size, f_n), least_labels(f_n)
+    return (_meet_labels(image, kernel) == tuple(range(size)),
+            _merge(bytes(image), enumerate(kernel))[0] == bytes(size))
 
 
 def is_strongly_hopfian(A: Act | ActAnalysis):
@@ -288,29 +301,14 @@ def is_strongly_co_hopfian(A: Act | ActAnalysis):
 
 def meet_index(A: Act | ActAnalysis):
     """(flag, index) of the strongly Hopfian property by criterion 3,
-    the trivial-intersection condition: the labels of im f^n (one class)
-    and ker f^n meet in the diagonal."""
-    an = analyse(A)
-    delta = tuple(range(an.act.size))
-
-    def settled(f_n):
-        return _meet_labels(_collapse_labels(len(f_n), f_n), least_labels(f_n)) == delta
-
-    return _literal_index(an, settled)
+    the trivial-intersection condition (`ActAnalysis.criterion_3`)."""
+    return analyse(A).criterion_3[0]
 
 
 def join_index(A: Act | ActAnalysis):
-    """(flag, index) of the strongly co-Hopfian property by criterion 3:
-    the labels of im f^n and ker f^n, partition-joined as
-    `congruence.join` does, give the universal congruence's."""
-    an = analyse(A)
-    full = bytes(an.act.size)
-
-    def settled(f_n):
-        image = bytes(_collapse_labels(len(f_n), f_n))
-        return _merge(image, enumerate(least_labels(f_n)))[0] == full
-
-    return _literal_index(an, settled)
+    """(flag, index) of the strongly co-Hopfian property by criterion 3,
+    the universal-join condition (`ActAnalysis.criterion_3`)."""
+    return analyse(A).criterion_3[1]
 
 
 # -- congruence chains ------------------------------------------------------

@@ -160,9 +160,9 @@ class _ActSearch:
     """
 
     def __init__(self, M: Monoid, m: int, rng: random.Random | None = None):
-        n = M.size
+        n, gens = M.size, monoid_generators(M)
         self.m, self.n, self.mul, self.rng = m, n, M.table, rng
-        self.branch = [a * n + g for a in range(m) for g in monoid_generators(M)]
+        self.branch = [a * n + g for a in range(m) for g in gens]
         self.table = [-1] * (m * n)
         for a in range(m):
             self.table[a * n] = a
@@ -422,7 +422,7 @@ def _criteria_check(tid, decide, literal, an):
     congruences, meet = diagonal iff |im f^2n| = |im f^n| and join =
     universal iff im f^2n = im f^n, first true where the rank settles.
     The witness lists the three criteria, 1 and 2 both the settle pair."""
-    (flag_12, index_12), (flag_3, index_3) = decide(an), an.shared(literal)
+    (flag_12, index_12), (flag_3, index_3) = decide(an), literal(an)
     details = {"criterion3_index_mismatches": int(index_3 != index_12),
                "max_stabilization_index": index_12 or 0}
     flags = {"criterion_bools": [flag_12, flag_12, flag_3],
@@ -695,15 +695,16 @@ class SuiteResult:
 
 def _check_monoid(mi, M, acts, verdicts, memo):
     """Analyse each act over M, the mi-th monoid, once into `memo`, fold
-    M's instances into `verdicts` and return the acts' report rows.  The
-    analyses die on return, before the next monoid's are made."""
-    analyses = [_analysed(A, memo) for A in acts]
+    M's instances into `verdicts` and return the acts' report rows, which
+    share one payload of M's table.  The analyses die on return, before
+    the next monoid's are made."""
+    analyses, table = [_analysed(A, memo) for A in acts], _payload(M.table)
     reports = [{
         "monoid": f"M{mi}",
         "act": f"M{mi}.A{ai}",
         "monoid_size": M.size,
         "act_size": an.act.size,
-        "monoid_table": _payload(M.table),
+        "monoid_table": table,
         "action": _payload(an.act.action),
         "properties": an.report.to_dict(),
     } for ai, an in enumerate(analyses)]

@@ -245,38 +245,56 @@ def test_planted_meet_join_swap_in_criterion_3_is_caught(monkeypatch):
 
 
 def test_planted_unpowered_criterion_3_is_caught(monkeypatch):
-    # the power step hands criterion 3 f's own map at every n
-    first_settled = deciders._first_settled
-    monkeypatch.setattr(
-        deciders, "_first_settled",
-        lambda m, settled: first_settled(m, lambda f_n: settled(m)),
-    )
-    bad = oracle_mismatches(corpus_acts(2, 3))
-    assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
+    # the power step hands the criterion-3 walk f's own map at every n;
+    # the chain reports read the same step, and show it at f^n
+    monkeypatch.setattr(deciders, "_powers", itertools.repeat)
+    bad = {what for _, what, _, _ in oracle_mismatches(corpus_acts(2, 3))}
+    assert {what for what in bad if "criterion" in what} == {"kernel criterion 3",
+                                                             "image criterion 3"}
     verdicts = _suite_verdicts((2, 3), ("T4", "T5"))
     assert not verdicts["T4"].passed
     assert not verdicts["T5"].passed
 
 
-def test_planted_memo_shared_by_both_families_is_an_equivalent_mutant(monkeypatch):
-    # One dict behind both families' criterion-3 memos: the co-Hopfian
-    # decider reads the Hopfian decider's meet answers.  No oracle can
-    # catch it, because the two answers agree on every map g: im g and
-    # ker g meet in the diagonal iff g is injective on im g, iff
-    # im g^2 = im g, iff every kernel class meets im g, iff they join to
-    # the universal congruence.
-    shared = {}
+def _plant_walk_cache(monkeypatch, key, answer):
+    """The criterion-3 walk's cache keeps answer(test(f_n)) under
+    key(f_n); returns the list of the caches made."""
+    caches = []
 
-    def shared_cache(settled):
+    def planted(test):
+        answers = {}
+        caches.append(answers)
+
         def lookup(f_n):
-            if f_n not in shared:
-                shared[f_n] = settled(f_n)
-            return shared[f_n]
+            if key(f_n) not in answers:
+                answers[key(f_n)] = answer(test(f_n))
+            return answers[key(f_n)]
         return lookup
 
-    monkeypatch.setattr(deciders, "cache", shared_cache)
+    monkeypatch.setattr(deciders, "cache", planted)
+    return caches
+
+
+def test_planted_walk_cache_keyed_by_image_set_is_caught(monkeypatch):
+    # f^n's answers filed under im f^n: a later power with the same image
+    # and another kernel reads them
+    _plant_walk_cache(monkeypatch, frozenset, lambda answers: answers)
+    bad = oracle_mismatches(corpus_acts(2, 3))
+    assert {what for _, what, _, _ in bad} == {"kernel criterion 3", "image criterion 3"}
+    verdicts = _suite_verdicts((3, 4), ("T4", "T5"))
+    assert not verdicts["T4"].passed
+    assert not verdicts["T5"].passed
+
+
+def test_planted_memo_shared_by_both_families_is_an_equivalent_mutant(monkeypatch):
+    # The walk's cache, which both families share, keeps only the meet's
+    # answer, and the join reads it.  No oracle can catch it, because the
+    # two answers agree on every map g: im g and ker g meet in the
+    # diagonal iff g is injective on im g, iff im g^2 = im g, iff every
+    # kernel class meets im g, iff they join to the universal congruence.
+    caches = _plant_walk_cache(monkeypatch, bytes, lambda answers: (answers[0], answers[0]))
     assert oracle_mismatches(corpus_acts(2, 3)) == []
-    assert shared
+    assert any(caches)
     maps = [g for n in range(1, 5) for g in itertools.product(range(n), repeat=n)]
     assert len(maps) == 288
     for g in maps:

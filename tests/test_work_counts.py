@@ -213,6 +213,29 @@ def test_searches_share_one_generating_set(count):
     assert gens == Counter({_key(A): 1})
 
 
+def test_t4_t5_walk_each_endomorphism_once(count):
+    """A T4 + T5 run walks the powers of each endomorphism once per
+    transformation set, for both criterion-3 tests: 751 walks over the
+    maps of the 53 sets (1502 while each test walked on its own)."""
+    acts = [A for per in build_corpus(CorpusSpec()).acts for A in per]
+    firsts = set(_firsts(acts))
+    expected = Counter(bytes(f) for A in acts if _key(A) in firsts for f in homomorphisms(A, A))
+    walks = count(deciders, "_powers", bytes)
+    result = run_suite(CorpusSpec(theorems=("T4", "T5")))
+    assert all(v.passed for v in result.verdicts)
+    assert walks == expected and sum(walks.values()) == 751
+
+
+def test_act_searches_list_the_generators_once(count):
+    """Each act search lists its monoid's generators once, not once per
+    row: 40 searches and 40 listings for the default corpus (100 when
+    each row listed them)."""
+    gens = count(monoid, "monoid_generators", lambda M: "calls")
+    searches = count(harness, "enumerate_acts", lambda *args: "calls")
+    build_corpus(CorpusSpec())
+    assert gens["calls"] == searches["calls"] == 40
+
+
 @pytest.fixture
 def count_profiles(count, monkeypatch):
     """Tallies `settle_index` calls by (act, byte map).  The act is the
