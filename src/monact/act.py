@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 from operator import itemgetter
 
 from .congruence import CONGRUENCE_ENUM_CAP, Congruence
@@ -18,6 +17,7 @@ from .errors import (
     EntryOutOfRange,
     IdentityAxiomFails,
     NotACongruence,
+    SizeTooLarge,
 )
 from .monoid import Monoid, check_shape, light_test_failure
 
@@ -131,20 +131,19 @@ def subact_as_act(B: Subact):
 
 
 def enumerate_subacts(A: Act):
-    """All subacts, ordered by (size, members).  Every subset is tried,
+    """All subacts, ordered by (size, members): the closure of the
+    distinct principal subacts aS under union, since each subact is the
+    union of the aS of its points.  An act can have 2^|A| - 1 subacts,
     so carriers above CONGRUENCE_ENUM_CAP are refused first."""
     if A.size > CONGRUENCE_ENUM_CAP:
         raise CarrierTooLarge(
             f"subact enumeration: carrier size {A.size} exceeds cap {CONGRUENCE_ENUM_CAP}"
         )
-    n_s = A.monoid.size
-    closed = []
-    for k in range(1, A.size + 1):
-        for members in combinations(range(A.size), k):
-            mset = set(members)
-            if all(A.action[b][s] in mset for b in members for s in range(n_s)):
-                closed.append(Subact(A, members))
-    return closed
+    unions = set()
+    for principal in dict.fromkeys(map(frozenset, A.action)):
+        unions |= {principal | u for u in unions} | {principal}
+    closed = sorted(tuple(sorted(u)) for u in unions)
+    return [Subact(A, members) for members in sorted(closed, key=len)]
 
 
 def quotient_by_congruence(A: Act, rho: Congruence):
@@ -188,8 +187,10 @@ def relabellings(table, m, n, monoid=False):
     """{image: names} over the orbit of a flat table (row a at a*n ..
     a*n+n-1) under relabellings, names the m-byte rename a -> names[a]
     that gives the image; for a monoid table (m = n), those fixing 0.
-    Entries fit a byte: m <= 9, since 10! relabellings exceed
-    `harness.ACT_ENUM_WORK_CAP`."""
+    Entries fit a byte, and m > 9 is refused before the walk, since 10!
+    relabellings exceed `harness.ACT_ENUM_WORK_CAP`."""
+    if m > 9:
+        raise SizeTooLarge(f"canonical form: relabelling walk over {m} points exceeds cap 9")
     orbit = {table: bytes(range(m))}
     frontier = [table]
     moves = _moves(m, n, monoid)

@@ -446,6 +446,8 @@ def _check_t6(tid, M):
     settle index of lambda_s, where its kernel and image chains settle
     together.  Both monoid-level tests hold on every finite monoid
     (`monoid_hopf_properties` raises otherwise)."""
+    if M.size > 255:
+        raise SizeTooLarge(f"T6: monoid size {M.size} exceeds the byte-map cap of 255")
     mono = monoid_hopf_properties(M)
     R = regular_act(M)
     indices = [deciders.settle_index(bytes(row)) for row in M.table]

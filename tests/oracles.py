@@ -5,11 +5,12 @@ filters, connectivity searches) without touching the library's search
 or closure code paths, so a test comparing the two sides is a real
 cross-check rather than a tautology.  The quasi-injectivity,
 quasi-projectivity, T7 and T8 oracles are the exception: they take the
-homs, subacts, congruence lattice and split kernels from the library
-and redo only the extending, lifting or splitting, on whole maps and
-from the hom list of each pair (`hom_maps`, kept on the analysis for
-the oracles alone), where the suite reads T7 and T8 off canonical
-forms.  So is the chain-report oracle,
+homs, congruence lattice and split kernels from the library (the
+subacts come from the subset scan `brute_force_subacts`) and redo only
+the extending, lifting or splitting, on whole maps and from the hom
+list of each pair (`hom_maps`, kept on the analysis for the oracles
+alone), where the suite reads T7 and T8 off canonical forms.  So is
+the chain-report oracle,
 `chain_reports_oracle`, which takes the endomorphisms and settle
 indices from the library and rebuilds each report from the fibers and
 the image of a tuple power of the map.  `power_walk_oracle`
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from operator import itemgetter
 
-from monact.act import enumerate_subacts, quotient_by_congruence, subact_as_act
+from monact.act import Subact, quotient_by_congruence, subact_as_act
 from monact.congruence import Congruence, enumerate_congruences
 from monact.deciders import ChainReport, analyse
 from monact.endo import homomorphisms, identity_first, induces_all_endomorphisms
@@ -498,13 +499,26 @@ def minimal_generating_set_oracle(A):
     raise AssertionError("the whole carrier generates")
 
 
+def brute_force_subacts(A):
+    """All subacts in (size, members) order, by testing every non-empty
+    subset of the carrier for closure under the action."""
+    closed = []
+    for k in range(1, A.size + 1):
+        for members in combinations(range(A.size), k):
+            mset = set(members)
+            if all(A.action[b][s] in mset for b in members for s in range(A.monoid.size)):
+                closed.append(Subact(A, members))
+    return closed
+
+
 def quasi_injective_oracle(A):
     """(flag, counterexample) of quasi-injectivity, one proper subact B at
     a time: the set of whole restrictions of End(A) to B, then the first
-    hom B -> A, in map order, outside it.  The homs and subacts come
-    from the library; the comparison is on whole maps."""
+    hom B -> A, in map order, outside it.  The homs come from the
+    library and the subacts from `brute_force_subacts`; the comparison
+    is on whole maps."""
     endos = homomorphisms(A, A)
-    for B in enumerate_subacts(A)[:-1]:
+    for B in brute_force_subacts(A)[:-1]:
         sub, members = subact_as_act(B)
         restrictions = {tuple(h[b] for b in members) for h in endos}
         for f in homomorphisms(sub, A):

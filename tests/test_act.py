@@ -28,6 +28,7 @@ from monact.relation import least_labels
 from oracles import (
     act_hom,
     acts_isomorphic,
+    brute_force_subacts,
     compose_maps,
     first_act_axiom_failure,
     map_powers,
@@ -141,6 +142,34 @@ def test_subact_enumeration_cap_boundary(trivial):
     B = validate_act(trivial, 9, [[a] for a in range(9)])
     with pytest.raises(CarrierTooLarge, match="subact enumeration: carrier size 9 exceeds cap 8"):
         enumerate_subacts(B)
+
+
+def _corpus_acts(max_monoid, max_act):
+    return [A for per in build_corpus(CorpusSpec(max_monoid, max_act)).acts for A in per]
+
+
+def _seeded_acts():
+    rng = random.Random(45)
+    return [A for n in (1, 2, 3) for M in enumerate_monoids(n)
+            for m in (6, 7, 8) for A in random_acts(M, m, 3, rng)]
+
+
+SUBACT_CASES = {
+    "4/4": lambda: _corpus_acts(4, 4),
+    "3/5": lambda: _corpus_acts(3, 5),
+    "seeded 6-8 points": _seeded_acts,
+    "trivial 8 points": lambda: [validate_act(enumerate_monoids(1)[0], 8, [[a] for a in range(8)])],
+}
+
+
+@pytest.mark.parametrize("case", SUBACT_CASES)
+def test_subacts_match_the_subset_scan(case):
+    # the union closure of the principal subacts aS lists what the scan
+    # of every subset finds, in the same (size, members) order
+    acts = SUBACT_CASES[case]()
+    assert acts
+    for A in acts:
+        assert enumerate_subacts(A) == brute_force_subacts(A)
 
 
 def test_regular_act_is_table_copy(z4, trivial):

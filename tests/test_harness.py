@@ -24,7 +24,7 @@ from monact.harness import (
     recheck_verdict,
     run_suite,
 )
-from monact.monoid import validate_monoid
+from monact.monoid import validate_monoid, zmod_mult_monoid
 from oracles import (
     act_canonical_form, act_hom, act_relabelings, acts_isomorphic, brute_force_acts,
     brute_force_monoids, compose_maps, is_fully_invariant, monoid_canonical_form,
@@ -423,6 +423,27 @@ def test_planted_orbit_without_the_last_map_is_caught(monkeypatch):
     assert len(mismatches) == nonvacuous - 268 == 8
     digest = hashlib.sha256(suite_json(run_suite(CorpusSpec())).encode()).hexdigest()
     assert digest[:12] == "67883dc5ffb2"
+
+
+def test_canonical_form_of_ten_points_is_refused():
+    # the chain a*t^k = min(a + k, 9) over the monogenic monoid t^10 = t^9
+    # has no automorphism but the identity, so its relabelling orbit holds
+    # all 10! tables; T8 reads B's canonical form before anything else of B
+    C = validate_monoid(10, [[min(i + j, 9) for j in range(10)] for i in range(10)])
+    A = validate_act(C, 1, [[0] * 10])
+    B = validate_act(C, 10, [[min(a + k, 9) for k in range(10)] for a in range(10)])
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="^canonical form: relabelling walk over 10 points exceeds cap 9$"):
+        check_theorem("T8", (A, B))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_t6_refuses_monoids_past_the_byte_map_cap():
+    # the regular act's rows are read as byte maps, as `ActAnalysis` reads an act's
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="^T6: monoid size 300 exceeds the byte-map cap of 255$"):
+        check_theorem("T6", zmod_mult_monoid(300))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_check_theorem_unknown():

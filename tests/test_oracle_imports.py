@@ -11,8 +11,8 @@ from pathlib import Path
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 ALLOWED = {
-    "monact.act.enumerate_subacts":
-        "the quasi-injectivity oracle takes the subacts and redoes the extending",
+    "monact.act.Subact":
+        "data constructor for the subset-scan subact oracle",
     "monact.act.quotient_by_congruence":
         "the lift oracles take the factor act and projection and redo the lifting",
     "monact.act.subact_as_act":
